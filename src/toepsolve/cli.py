@@ -88,7 +88,7 @@ def _cap_blas_threads(n: int) -> None:
 
 @dataclass
 class BenchRecord:
-    """One CSV row of a benchmark sweep; see docs/formats.md for the schema."""
+    """One CSV row of a benchmark sweep."""
 
     method: str
     elements: int

@@ -16,7 +16,6 @@ import scipy.linalg
 from .errors import DimensionMismatch, ShapeError, SingularMatrix
 
 __all__ = [
-    "DenseBlock",
     "LUFactors",
     "Norms",
     "as_block",
@@ -25,9 +24,6 @@ __all__ = [
     "matmul",
     "norms",
 ]
-
-# A dense block is just an ndarray; the alias documents intent in signatures.
-DenseBlock = np.ndarray
 
 # Pivots below this magnitude are treated as exact zeros.
 _PIVOT_TINY = 1e-300

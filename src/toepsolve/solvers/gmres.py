@@ -112,7 +112,8 @@ def _gmres_block(apply_operator, preconditioner, b, cfg: GmresConfig) -> tuple[n
         timings["total"] = time.perf_counter() - t_start
         return np.zeros_like(b), report
 
-    max_total = min(cfg.max_iter, n * w)
+    # full GMRES terminates within n*W steps; restarted GMRES may need more
+    max_total = min(cfg.max_iter, n * w) if cfg.restart is None else cfg.max_iter
     cycle_len = max_total if cfg.restart is None else min(cfg.restart, max_total)
 
     x = np.zeros_like(b)

@@ -19,6 +19,16 @@ denominator is LU-factored once per step; D1 serves both the solution
 and the H update.  The base stage is x_1 = R_0^-1 y_1, G_1 = R_0^-1 R_{-1},
 H_1 = R_0^-1 R_1.
 
+Every stage sum is one level-3 BLAS product.  Before the loop the
+coefficient blocks are laid side by side in four C-contiguous
+(side, (N-1)*side) row concatenations, [R_1 ... R_{N-1}],
+[R_{N-1} ... R_1], [R_-1 ... R_-(N-1)] and [R_-(N-1) ... R_-1].  At
+stage M each sum is a column-slice view of one of them (the first or the
+last M blocks) times the stage-M stack of x, G or H read as one
+(M*side, .) matrix, and each x/G/H update is one (M*side, side) GEMM
+whose block rows are subtracted in reverse order.  No per-stage copies
+are made, and the per-stage flops equal those of the block-by-block sums.
+
 No tolerance and no preconditioner are involved: for fixed inputs the
 output is bitwise deterministic.  The recursion requires every
 denominator to be invertible and aborts with a diagnostic otherwise.
@@ -34,7 +44,7 @@ from .. import numerics
 from ..errors import ShapeError, SingularBlock, SingularDenominator, SingularMatrix
 from ..toeplitz import BlockGenerator2L, assemble_dense_1l
 
-__all__ = ["RybickiWorkspace", "rybicki_solve", "assemble_level1"]
+__all__ = ["RybickiWorkspace", "rybicki_solve", "assemble_level1", "wide_stack_bytes"]
 
 
 @dataclass
@@ -58,6 +68,12 @@ def assemble_level1(gen: BlockGenerator2L) -> np.ndarray:
     with side n1*n0 and stores (2*n2-1)*n1^2*n0^2 scalars.
     """
     return np.stack([assemble_dense_1l(col) for col in gen.columns])
+
+
+def wide_stack_bytes(blocks: np.ndarray) -> int:
+    """Bytes of the four row concatenations ``rybicki_solve`` builds from ``blocks``."""
+    n = (blocks.shape[0] + 1) // 2
+    return 4 * (n - 1) * blocks.shape[1] ** 2 * np.dtype(np.complex128).itemsize
 
 
 def rybicki_solve(blocks: np.ndarray, y, step_hook=None) -> np.ndarray:
@@ -107,33 +123,46 @@ def rybicki_solve(blocks: np.ndarray, y, step_hook=None) -> np.ndarray:
     if step_hook is not None:
         step_hook(1, RybickiWorkspace(x[:1], g[: min(1, n - 1)], h[: min(1, n - 1)]))
 
-    for m in range(1, n):
-        pos = blocks[1 : m + 1]          # R_1 .. R_m
-        neg = blocks[2 * n - 1 - m :][::-1]  # R_-1 .. R_-m
+    def wide(stack: np.ndarray) -> np.ndarray:
+        # [stack[0] ... stack[-1]] side by side, (side, len(stack)*side)
+        return stack.transpose(1, 0, 2).reshape(side, stack.shape[0] * side)
 
-        d1 = np.einsum("kij,kjl->il", pos, g[:m]) - rb(0)
+    pos = wide(blocks[1:n])                     # R_1 .. R_{N-1}
+    pos_rev = wide(blocks[n - 1 : 0 : -1])      # R_{N-1} .. R_1
+    neg = wide(blocks[2 * n - 2 : n - 1 : -1])  # R_-1 .. R_-(N-1)
+    neg_rev = wide(blocks[n : 2 * n - 1])       # R_-(N-1) .. R_-1
+
+    for m in range(1, n):
+        span = m * side
+        first = slice(0, span)                  # R_{+-1} .. R_{+-m}
+        last = slice((n - 1 - m) * side, None)  # R_{+-m} .. R_{+-1}
+        gm = g[:m].reshape(span, side)
+        hm = h[:m].reshape(span, side)
+
+        d1 = pos[:, first] @ gm - rb(0)
         try:
             lu1 = numerics.lu_factor(d1)
         except SingularMatrix as exc:
             raise SingularDenominator(m) from exc
 
-        num_x = np.einsum("kij,kjl->il", pos[::-1], x[:m]) - yb[m]
+        num_x = pos_rev[:, last] @ x[:m].reshape(span, w) - yb[m]
         x[m] = numerics.lu_solve(lu1, num_x)
-        x[:m] -= g[:m][::-1] @ x[m]
+        x[:m] -= (gm @ x[m]).reshape(m, side, w)[::-1]
 
         if m < n - 1:
-            d2 = np.einsum("kij,kjl->il", neg, h[:m]) - rb(0)
+            d2 = neg[:, first] @ hm - rb(0)
             try:
                 lu2 = numerics.lu_factor(d2)
             except SingularMatrix as exc:
                 raise SingularDenominator(m) from exc
-            g_new = numerics.lu_solve(lu2, np.einsum("kij,kjl->il", neg[::-1], g[:m]) - rb(-(m + 1)))
-            h_new = numerics.lu_solve(lu1, np.einsum("kij,kjl->il", pos[::-1], h[:m]) - rb(m + 1))
-            g_upd = g[:m] - h[:m][::-1] @ g_new
-            h_upd = h[:m] - g[:m][::-1] @ h_new
-            g[:m] = g_upd
+            g_new = numerics.lu_solve(lu2, neg_rev[:, last] @ gm - rb(-(m + 1)))
+            h_new = numerics.lu_solve(lu1, pos_rev[:, last] @ hm - rb(m + 1))
+            # both products read the stage-m G and H, so form them before updating
+            g_upd = (hm @ g_new).reshape(m, side, side)[::-1]
+            h_upd = (gm @ h_new).reshape(m, side, side)[::-1]
+            g[:m] -= g_upd
             g[m] = g_new
-            h[:m] = h_upd
+            h[:m] -= h_upd
             h[m] = h_new
 
         if step_hook is not None:

@@ -22,7 +22,7 @@ from ..errors import ShapeError, SingularMatrix, SingularSchurComplement
 from ..problems import BorderedSystem, ExcitationSet
 from ..toeplitz import assemble_dense
 from .gmres import SolveReport
-from .rybicki import assemble_level1, rybicki_solve
+from .rybicki import assemble_level1, rybicki_solve, wide_stack_bytes
 
 __all__ = ["schur_solve"]
 
@@ -60,6 +60,7 @@ def schur_solve(sys: BorderedSystem, excitations, inner: str = "rybicki") -> tup
         level1 = assemble_level1(sys.gen)
         timings["level1_fill"] = time.perf_counter() - t0
         report.memory_estimate["level1"] = level1.size * _BYTES_PER_SCALAR
+        report.memory_estimate["level1_wide"] = wide_stack_bytes(level1)
         t0 = time.perf_counter()
         uf = rybicki_solve(level1, rhs)
         timings["recursion"] = time.perf_counter() - t0

@@ -35,7 +35,6 @@ __all__ = [
     "BlockGenerator1L",
     "BlockGenerator2L",
     "SpectralOperator",
-    "PaddedVector",
     "circulant_offsets",
     "embed_1l",
     "embed_2l",
@@ -49,12 +48,6 @@ __all__ = [
     "assemble_dense_1l",
     "assemble_dense",
 ]
-
-# A padded vector is an ordinary (rows, cols) complex array whose layout
-# interleaves payload segments with circulant scratch; only the pad/extract
-# helpers know which rows carry data.
-PaddedVector = np.ndarray
-
 
 def circulant_offsets(n: int) -> np.ndarray:
     """Signed offsets in circulant order: [0, 1, ..., n-1, -(n-1), ..., -1]."""
@@ -212,7 +205,7 @@ def _fft_axis(arr: np.ndarray, axis: int, direction: str) -> np.ndarray:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def block_fft_1l(data, n0: int, direction: str = "forward") -> PaddedVector:
+def block_fft_1l(data, n0: int, direction: str = "forward") -> np.ndarray:
     """Block-wise DFT: independent length-(rows/n0) FFTs per row class mod n0.
 
     Realizes F_L (x) I_{n0} (or its normalized inverse) on each column.
@@ -226,7 +219,7 @@ def block_fft_1l(data, n0: int, direction: str = "forward") -> PaddedVector:
     return out[:, 0] if vector else out
 
 
-def block_fft_2l(data, n2: int, n1: int, n0: int, direction: str = "forward") -> PaddedVector:
+def block_fft_2l(data, n2: int, n1: int, n0: int, direction: str = "forward") -> np.ndarray:
     """Two-level block-wise DFT realizing F_{n2} (x) F_{n1} (x) I_{n0}.
 
     First, within each of the n2 level-2 segments, length-n1 FFTs run over
@@ -253,7 +246,7 @@ def precompute_spectral(gen: BlockGenerator2L) -> SpectralOperator:
     return SpectralOperator(gen.n2, gen.n1, gen.n0, transformed.reshape(k2 * k1, gen.n0, gen.n0))
 
 
-def pad_rhs(u, n2: int, n1: int, n0: int) -> PaddedVector:
+def pad_rhs(u, n2: int, n1: int, n0: int) -> np.ndarray:
     """Zero-pad a stacked vector to the circulant grid, level by level.
 
     Each of the n2 level-2 segments (n1*n0 rows) is followed by

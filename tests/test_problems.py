@@ -108,8 +108,8 @@ class TestAssembleFull:
         def eblock(i, j):
             return full[i * ne : (i + 1) * ne, j * ne : (j + 1) * ne]
 
-        # elements (2,1) and (3,2): same row/col offset, one step down-right
-        assert np.array_equal(eblock(2, 1), eblock(3, 2))
+        # elements (2,1) and (5,4): both at 2-D offset (0,+1), one grid row apart
+        assert np.array_equal(eblock(2, 1), eblock(5, 4))
         assert np.array_equal(eblock(3, 0), eblock(3 + nx, 0 + nx))
 
     def test_complex_symmetric(self):

@@ -5,7 +5,8 @@ import pytest
 
 from helpers import random_complex, random_generator, rel_err
 from toepsolve.errors import ShapeError, SingularBlock, SingularDenominator
-from toepsolve.solvers import assemble_level1, rybicki_solve
+from toepsolve.problems import ArrayProblemSpec, build_excitations, generate
+from toepsolve.solvers import assemble_level1, rybicki_solve, schur_solve
 from toepsolve.toeplitz import assemble_dense, circulant_offsets
 
 
@@ -54,6 +55,17 @@ class TestRybicki:
         y = random_complex(rng, 24, 3)
         x = rybicki_solve(blocks, y)
         assert np.linalg.norm(dense @ x - y) / np.linalg.norm(y) <= 1e-10
+
+    @pytest.mark.parametrize("n, side, w", [(9, 5, 40), (2, 4, 3)])
+    def test_general_blocks_match_dense(self, n, side, w):
+        # no R_-k = R_k^T pairing, so every wide-array column offset is exercised;
+        # n = 2 runs a single stage with no G/H update
+        rng = np.random.default_rng(10 + n)
+        blocks = random_block_toeplitz(rng, n, side)
+        y = random_complex(rng, n * side, w)
+        got = rybicki_solve(blocks, y)
+        want = np.linalg.solve(dense_from_blocks(blocks), y)
+        assert rel_err(got, want) <= 1e-10
 
     def test_stagewise_leading_subsystem_invariant(self):
         rng = np.random.default_rng(3)
@@ -129,3 +141,10 @@ class TestAssembleLevel1:
     def test_storage_count(self):
         gen = random_generator(np.random.default_rng(8), 5, 3, 2)
         assert assemble_level1(gen).size == (2 * 5 - 1) * (3 * 2) ** 2
+
+
+def test_schur_reports_wide_stack_bytes():
+    sys_ = generate(ArrayProblemSpec(ny=3, nx=4, ne=2, nb=4, seed=7))
+    _, report = schur_solve(sys_, build_excitations(sys_, 0))
+    n, side = sys_.gen.n2, sys_.gen.n1 * sys_.gen.n0
+    assert report.memory_estimate["level1_wide"] == 4 * (n - 1) * side**2 * 16
