@@ -3,23 +3,19 @@
 Every run is reproducible from its seed in all non-timing fields.  Exit
 codes: 0 success, 2 invalid input, 3 no convergence, 4 dense oracle cap
 exceeded, 5 I/O or file-format failure.
+
+BLAS threads are capped by setting ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` before the process starts; the BLAS reads them once,
+when numpy is first imported.
 """
 
 from __future__ import annotations
-
-import os
-
-# Honor the thread cap before the numeric stack spins up its pools.
-_THREAD_CAP = os.environ.get("TOEPSOLVE_THREADS")
-if _THREAD_CAP:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _THREAD_CAP)
 
 import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -67,23 +63,6 @@ _EXIT_INVALID = 2
 _EXIT_NO_CONVERGENCE = 3
 _EXIT_ORACLE_CAP = 4
 _EXIT_IO = 5
-
-
-def _cap_blas_threads(n: int) -> None:
-    """Best-effort runtime cap on BLAS worker pools already loaded."""
-    import ctypes
-
-    for lib, fn in (
-        ("libscipy_openblas.so", "scipy_openblas_set_num_threads"),
-        ("libopenblas.so", "openblas_set_num_threads"),
-        ("libopenblas.so.0", "openblas_set_num_threads"),
-        ("libmkl_rt.so", "MKL_Set_Num_Threads"),
-    ):
-        try:
-            getattr(ctypes.CDLL(lib, mode=ctypes.RTLD_GLOBAL), fn)(ctypes.c_int(n))
-            return
-        except (OSError, AttributeError):
-            continue
 
 
 @dataclass
@@ -358,8 +337,6 @@ def _cmd_solve(args) -> int:
         v = v[:, col : col + 1]
 
     tag = _method_tag(args)
-    if tag.startswith("mlfft-none"):
-        raise InvalidSpec("mlfft solve requires --precond pk or pz")
     out_path = args.output or (args.input + ".sol")
     report_path = args.report or (out_path + ".json")
 
@@ -485,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a TBZ problem and write currents + report")
     p.add_argument("input", help="input TBZ path")
     p.add_argument("--method", choices=["dense", "gmres-dense", "rybicki", "mlfft"], default="mlfft")
-    p.add_argument("--precond", choices=["pk", "pz", "none"], default="pk")
+    p.add_argument("--precond", choices=["pk", "pz"], default="pk")
     p.add_argument("--multi", choices=["vec", "seq"], default="vec")
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--max-iter", type=int, default=2000)
@@ -534,11 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if _THREAD_CAP:
-        try:
-            _cap_blas_threads(int(_THREAD_CAP))
-        except ValueError:
-            print(f"warning: ignoring non-integer TOEPSOLVE_THREADS={_THREAD_CAP!r}", file=sys.stderr)
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

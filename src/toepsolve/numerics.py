@@ -15,15 +15,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, ShapeError, SingularMatrix
 
-__all__ = [
-    "LUFactors",
-    "Norms",
-    "as_block",
-    "lu_factor",
-    "lu_solve",
-    "matmul",
-    "norms",
-]
+__all__ = ["LUFactors", "as_block", "lu_factor", "lu_solve"]
 
 # Pivots below this magnitude are treated as exact zeros.
 _PIVOT_TINY = 1e-300
@@ -43,11 +35,6 @@ class LUFactors(NamedTuple):
     @property
     def side(self) -> int:
         return self.lu.shape[0]
-
-
-class Norms(NamedTuple):
-    frobenius: float
-    max_abs: float
 
 
 def as_block(a, square: bool = False) -> np.ndarray:
@@ -90,30 +77,3 @@ def lu_solve(f: LUFactors, rhs, adjoint: bool = False) -> np.ndarray:
         raise DimensionMismatch(f"factor side {f.side} != rhs rows {arr.shape[0]}")
     x = scipy.linalg.lu_solve((f.lu, f.piv), arr, trans=2 if adjoint else 0, check_finite=False)
     return x[:, 0] if vector else x
-
-
-def matmul(a, b, accumulate=None, sign: int = 1) -> np.ndarray:
-    """Return ``accumulate + sign * (a @ b)`` (accumulate defaults to zero)."""
-    a = as_block(a)
-    b = as_block(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    prod = a @ b
-    if sign < 0:
-        prod = -prod
-    if accumulate is None:
-        return prod
-    acc = as_block(accumulate)
-    if acc.shape != prod.shape:
-        raise DimensionMismatch(f"accumulator shape {acc.shape} != product shape {prod.shape}")
-    return acc + prod
-
-
-def norms(v) -> Norms:
-    """Frobenius and max-abs norms; both 0 for an empty block."""
-    arr = np.asarray(v)
-    if arr.size == 0:
-        return Norms(0.0, 0.0)
-    return Norms(float(np.linalg.norm(arr)), float(np.abs(arr).max()))

@@ -27,6 +27,7 @@ import numpy as np
 from . import numerics
 from .errors import (
     ChecksumMismatch,
+    FormatError,
     FormatVersionMismatch,
     IndexOutOfRange,
     InvalidSpec,
@@ -51,6 +52,8 @@ DEFAULT_ORACLE_CAP = 20_000
 
 _MAGIC = b"TBZ1\n"
 _VERSION = 1
+_HEADER_INTS = ("ny", "nx", "ne", "nb", "seed")
+_HEADER_REALS = ("k", "pitch", "a", "shift")
 
 
 @dataclass
@@ -269,8 +272,10 @@ def save(sys: BorderedSystem, path) -> None:
 def load(path) -> BorderedSystem:
     """Read a TBZ1 file back into a BorderedSystem.
 
-    Raises FormatVersionMismatch for foreign magics or header versions and
-    ChecksumMismatch for truncated or corrupted payloads.
+    Raises FormatVersionMismatch for foreign magics or header versions,
+    FormatError for an undecodable header, a missing header key or a
+    header value of the wrong type, and ChecksumMismatch for truncated or
+    corrupted payloads.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -283,10 +288,22 @@ def load(path) -> BorderedSystem:
     off += 4
     if len(blob) < off + hlen:
         raise ChecksumMismatch("file truncated inside header")
-    header = json.loads(blob[off : off + hlen].decode("utf-8"))
+    try:
+        header = json.loads(blob[off : off + hlen].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise FormatError(f"unreadable header: {exc}") from None
     off += hlen
+    if not isinstance(header, dict):
+        raise FormatError(f"header is a JSON {type(header).__name__}, not an object")
     if header.get("version") != _VERSION:
         raise FormatVersionMismatch(f"unsupported version {header.get('version')!r}")
+    for key in _HEADER_INTS + _HEADER_REALS:
+        if key not in header:
+            raise FormatError(f"header lacks {key!r}")
+        value = header[key]
+        kinds = int if key in _HEADER_INTS else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise FormatError(f"header {key!r} has type {type(value).__name__}: {value!r}")
 
     ny, nx, ne, nb = header["ny"], header["nx"], header["ne"], header["nb"]
     n_gen = (2 * ny - 1) * (2 * nx - 1) * ne * ne

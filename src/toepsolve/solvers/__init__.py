@@ -1,26 +1,13 @@
 """Accelerated solvers for bordered block-Toeplitz systems."""
 
-from .bordered import (
-    BorderedOperator,
-    bordered_matvec,
-    bordered_matvec_adjoint,
-    bordered_matvec_transpose,
-)
+from .bordered import BorderedOperator, bordered_matvec, bordered_matvec_adjoint
 from .gmres import (
     GmresConfig,
     SolveReport,
-    gmres,
     solve_multi_rhs_sequential,
     solve_multi_rhs_vectorized,
 )
-from .precond import (
-    DenseLUPreconditioner,
-    Preconditioner,
-    apply_precond,
-    build_pk,
-    build_pz,
-    identity_preconditioner,
-)
+from .precond import Preconditioner, build_pk, build_pz
 from .rybicki import RybickiWorkspace, assemble_level1, rybicki_solve
 from .schur import schur_solve
 from .spectrum import spectrum_estimate
@@ -29,18 +16,13 @@ __all__ = [
     "BorderedOperator",
     "bordered_matvec",
     "bordered_matvec_adjoint",
-    "bordered_matvec_transpose",
     "GmresConfig",
     "SolveReport",
-    "gmres",
     "solve_multi_rhs_sequential",
     "solve_multi_rhs_vectorized",
-    "DenseLUPreconditioner",
     "Preconditioner",
-    "apply_precond",
     "build_pk",
     "build_pz",
-    "identity_preconditioner",
     "RybickiWorkspace",
     "assemble_level1",
     "rybicki_solve",

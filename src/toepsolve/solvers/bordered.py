@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError
-from ..toeplitz import SpectralOperator, matvec, matvec_transpose, precompute_spectral
+from ..toeplitz import SpectralOperator, matvec, precompute_spectral
 
-__all__ = ["BorderedOperator", "bordered_matvec", "bordered_matvec_transpose", "bordered_matvec_adjoint"]
+__all__ = ["BorderedOperator", "bordered_matvec", "bordered_matvec_adjoint"]
 
 
 @dataclass(frozen=True)
@@ -67,22 +67,15 @@ def _split(op: BorderedOperator, x) -> tuple[np.ndarray, np.ndarray, bool]:
     return arr[: op.array_dim], arr[op.array_dim :], vector
 
 
-def bordered_matvec(op: BorderedOperator, x) -> np.ndarray:
-    """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for one or more columns."""
-    xa, xc, vector = _split(op, x)
-    top = matvec(op.spectral, xa)
-    bottom = op.zb @ xa + op.zc @ xc
-    if op.nb:
-        top = top + op.zb.T @ xc
-    out = np.vstack([top, bottom])
-    return out[:, 0] if vector else out
+def bordered_matvec(op: BorderedOperator, x, transpose: bool = False) -> np.ndarray:
+    """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for one or more columns.
 
-
-def bordered_matvec_transpose(op: BorderedOperator, x) -> np.ndarray:
-    """Plain (non-conjugated) transpose action of the bordered matrix."""
+    With ``transpose`` the plain (non-conjugated) transpose acts instead:
+    Z_A and Z_C are transposed, the coupling terms stay as they are.
+    """
     xa, xc, vector = _split(op, x)
-    top = matvec_transpose(op.spectral, xa)
-    bottom = op.zb @ xa + op.zc.T @ xc
+    top = matvec(op.spectral, xa, transpose)
+    bottom = op.zb @ xa + (op.zc.T if transpose else op.zc) @ xc
     if op.nb:
         top = top + op.zb.T @ xc
     out = np.vstack([top, bottom])
@@ -91,4 +84,4 @@ def bordered_matvec_transpose(op: BorderedOperator, x) -> np.ndarray:
 
 def bordered_matvec_adjoint(op: BorderedOperator, x) -> np.ndarray:
     """Conjugate-transpose action, via the transpose of the conjugate."""
-    return np.conj(bordered_matvec_transpose(op, np.conj(x)))
+    return np.conj(bordered_matvec(op, np.conj(x), transpose=True))

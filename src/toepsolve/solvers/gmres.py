@@ -1,7 +1,7 @@
 """Left-preconditioned GMRES with modified Gram-Schmidt Arnoldi.
 
-The Krylov iterate is a whole (n, W) column block: inner products and
-norms are Frobenius over all entries.  With W = 1 this is standard
+The Krylov iterate is a whole (n, W) column block: the inner product is
+the Frobenius one over all entries.  With W = 1 this is standard
 GMRES; with W = M it is the global-Krylov method for M simultaneous
 right-hand sides, equivalent to running GMRES on the stacked problem
 (identity (x) A) vec(X) = vec(B) without ever forming that matrix - the
@@ -23,12 +23,10 @@ import numpy as np
 
 from ..errors import NoConvergence, ShapeError
 from .bordered import BorderedOperator, bordered_matvec
-from .precond import apply_precond
 
 __all__ = [
     "GmresConfig",
     "SolveReport",
-    "gmres",
     "solve_multi_rhs_vectorized",
     "solve_multi_rhs_sequential",
 ]
@@ -101,9 +99,12 @@ def _gmres_block(apply_operator, preconditioner, b, cfg: GmresConfig) -> tuple[n
     timings = report.phase_timings
     t_start = time.perf_counter()
 
+    def precondition(v):
+        return v if preconditioner is None else preconditioner.apply(v)
+
     n, w = b.shape
     t0 = time.perf_counter()
-    pb = apply_precond(preconditioner, b)
+    pb = precondition(b)
     timings["precond_apply"] += time.perf_counter() - t0
     beta0 = float(np.linalg.norm(pb))
     if beta0 == 0.0:
@@ -129,7 +130,7 @@ def _gmres_block(apply_operator, preconditioner, b, cfg: GmresConfig) -> tuple[n
             r = b - apply_operator(x)
             timings["matvec_total"] += time.perf_counter() - t0
         t0 = time.perf_counter()
-        pr = apply_precond(preconditioner, r)
+        pr = precondition(r)
         timings["precond_apply"] += time.perf_counter() - t0
         beta = float(np.linalg.norm(pr))
         if beta / beta0 <= cfg.tol:
@@ -149,7 +150,7 @@ def _gmres_block(apply_operator, preconditioner, b, cfg: GmresConfig) -> tuple[n
             av = apply_operator(basis[j])
             t1 = time.perf_counter()
             timings["matvec_total"] += t1 - t0
-            v = apply_precond(preconditioner, av)
+            v = precondition(av)
             t2 = time.perf_counter()
             timings["precond_apply"] += t2 - t1
 
@@ -220,82 +221,38 @@ def _gmres_block(apply_operator, preconditioner, b, cfg: GmresConfig) -> tuple[n
     return x, report
 
 
-def gmres(apply_operator, apply_precond_fn, rhs, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport]:
-    """Solve A x = b with left-preconditioned GMRES.
-
-    ``apply_operator`` and ``apply_precond_fn`` are callables acting on
-    column blocks; ``apply_precond_fn`` may be None or a preconditioner
-    object with an ``apply`` method.  Stops when the preconditioned
-    relative residual drops below ``cfg.tol``; raises NoConvergence (with
-    the best iterate and report attached) at the iteration cap.
-    """
-    arr = np.asarray(rhs, dtype=np.complex128)
-    vector = arr.ndim == 1
-    if vector:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ShapeError(f"rhs must be 1-D or 2-D, got ndim={arr.ndim}")
-
-    pre = _coerce_precond(apply_precond_fn)
-    x, report = _gmres_block(apply_operator, pre, arr, cfg)
-    if vector:
-        x = x[:, 0]
-    if not report.converged:
-        raise NoConvergence(
-            f"GMRES stopped after {report.iterations} iterations at relative "
-            f"preconditioned residual {report.residual_history[-1]:.3e} > tol {cfg.tol:.1e}",
-            solution=x,
-            report=report,
-        )
-    return x, report
-
-
-class _CallablePrecond:
-    def __init__(self, fn):
-        self.fn = fn
-
-    def apply(self, v):
-        return self.fn(v)
-
-
-def _coerce_precond(p):
-    if p is None or hasattr(p, "apply"):
-        return p
-    if callable(p):
-        return _CallablePrecond(p)
-    raise TypeError(f"cannot use {type(p).__name__} as a preconditioner")
-
-
 def _operator_memory(op, p, report: SolveReport) -> None:
     if isinstance(op, BorderedOperator):
         report.memory_estimate["generator"] = op.generator_bytes
-    if p is not None and hasattr(p, "stored_bytes"):
+    if p is not None:
         report.memory_estimate["preconditioner"] = p.stored_bytes
 
 
 def solve_multi_rhs_vectorized(
     op, p, rhs, cfg: GmresConfig, method: str = "vectorized"
 ) -> tuple[np.ndarray, SolveReport]:
-    """One global-Krylov GMRES over all columns of ``rhs`` jointly.
+    """Solve A X = B with one left-preconditioned global-Krylov GMRES.
 
-    For a single column this follows exactly the same arithmetic path as
-    ``gmres``.  The Krylov memory tally is iterations * M * dim * 16
-    bytes, since every basis vector spans all M columns.
+    ``op`` is a BorderedOperator or a callable acting on column blocks;
+    ``p`` is a preconditioner with an ``apply`` method, or None.  All
+    columns of the 2-D ``rhs`` are iterated jointly; the Krylov memory
+    tally is iterations * M * dim * 16 bytes, since every basis vector
+    spans all M columns.  Stops when the preconditioned relative residual
+    drops below ``cfg.tol``; raises NoConvergence (with the best iterate
+    and report attached) at the iteration cap.
     """
     arr = np.asarray(rhs, dtype=np.complex128)
     if arr.ndim != 2:
         raise ShapeError(f"rhs must be a column block, got ndim={arr.ndim}")
     apply_op = op if callable(op) else (lambda x: bordered_matvec(op, x))
-    pre = _coerce_precond(p)
 
-    t0 = time.perf_counter()
-    x, report = _gmres_block(apply_op, pre, arr, cfg)
+    x, report = _gmres_block(apply_op, p, arr, cfg)
     report.method = method
-    report.phase_timings["total"] = time.perf_counter() - t0
     _operator_memory(op, p, report)
     if not report.converged:
         raise NoConvergence(
-            f"vectorized GMRES stopped after {report.iterations} iterations above tol",
+            f"GMRES stopped after {report.iterations} iterations at relative "
+            f"preconditioned residual {report.residual_history[-1]:.3e} > tol {cfg.tol:.1e}",
             solution=x,
             report=report,
         )
@@ -315,13 +272,12 @@ def solve_multi_rhs_sequential(
     if arr.ndim != 2:
         raise ShapeError(f"rhs must be a column block, got ndim={arr.ndim}")
     apply_op = op if callable(op) else (lambda x: bordered_matvec(op, x))
-    pre = _coerce_precond(p)
 
     x = np.empty_like(arr)
     reports: list[SolveReport] = []
     failed: list[int] = []
     for col in range(arr.shape[1]):
-        xi, rep = _gmres_block(apply_op, pre, arr[:, col : col + 1], cfg)
+        xi, rep = _gmres_block(apply_op, p, arr[:, col : col + 1], cfg)
         rep.method = method
         _operator_memory(op, p, rep)
         x[:, col] = xi[:, 0]

@@ -22,30 +22,23 @@ from .. import numerics
 from ..errors import ShapeError
 from ..toeplitz import assemble_dense_1l
 
-__all__ = [
-    "Preconditioner",
-    "DenseLUPreconditioner",
-    "build_pk",
-    "build_pz",
-    "identity_preconditioner",
-    "apply_precond",
-]
+__all__ = ["Preconditioner", "build_pk", "build_pz"]
 
 
 @dataclass(frozen=True)
 class Preconditioner:
     """Shared-LU block-diagonal preconditioner over array segments + border."""
 
-    kind: str  # "pk" | "pz" | "none"
-    element_lu: numerics.LUFactors | None
+    kind: str  # "pk" | "pz"
+    element_lu: numerics.LUFactors
     border_lu: numerics.LUFactors | None
     array_dim: int
     nb: int
 
     def __post_init__(self):
-        if self.kind not in ("pk", "pz", "none"):
+        if self.kind not in ("pk", "pz"):
             raise ValueError(f"unknown preconditioner kind {self.kind!r}")
-        if self.kind != "none" and self.array_dim % self.element_lu.side:
+        if self.array_dim % self.element_lu.side:
             raise ShapeError(
                 f"array dim {self.array_dim} not divisible by block side {self.element_lu.side}"
             )
@@ -57,8 +50,6 @@ class Preconditioner:
     @property
     def stored_bytes(self) -> int:
         """Scalar storage of the diagonal blocks (one shared LU + border LU)."""
-        if self.kind == "none":
-            return 0
         n = self.element_lu.side**2 + (self.border_lu.side**2 if self.border_lu else 0)
         return n * 16
 
@@ -77,8 +68,6 @@ class Preconditioner:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] != self.dim:
             raise ShapeError(f"input shape {np.shape(v)} incompatible with dim {self.dim}")
-        if self.kind == "none":
-            return arr[:, 0] if vector else arr
         top = self._solve_segments(arr[: self.array_dim], adjoint)
         if self.nb:
             bottom = numerics.lu_solve(self.border_lu, arr[self.array_dim :], adjoint=adjoint)
@@ -94,27 +83,6 @@ class Preconditioner:
     def apply_adjoint(self, v) -> np.ndarray:
         """P^-H v, needed by the adjoint matvec of the spectrum estimator."""
         return self._apply(v, adjoint=True)
-
-
-@dataclass(frozen=True)
-class DenseLUPreconditioner:
-    """Full-matrix LU used as a preconditioner (reference/diagnostic only)."""
-
-    lu: numerics.LUFactors
-
-    @property
-    def kind(self) -> str:
-        return "dense"
-
-    @property
-    def stored_bytes(self) -> int:
-        return self.lu.side**2 * 16
-
-    def apply(self, v) -> np.ndarray:
-        return numerics.lu_solve(self.lu, v)
-
-    def apply_adjoint(self, v) -> np.ndarray:
-        return numerics.lu_solve(self.lu, v, adjoint=True)
 
 
 def _border_lu(sys) -> numerics.LUFactors | None:
@@ -140,15 +108,3 @@ def build_pz(sys) -> Preconditioner:
     """
     row_self = assemble_dense_1l(sys.gen.column(0))
     return Preconditioner("pz", numerics.lu_factor(row_self), _border_lu(sys), sys.array_dim, sys.nb)
-
-
-def identity_preconditioner(dim: int) -> Preconditioner:
-    """No-op preconditioner of the given total dimension."""
-    return Preconditioner("none", None, None, dim, 0)
-
-
-def apply_precond(p, v) -> np.ndarray:
-    """Apply a preconditioner object (or None) to one or more columns."""
-    if p is None:
-        return np.asarray(v, dtype=np.complex128)
-    return p.apply(v)

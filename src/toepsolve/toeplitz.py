@@ -38,13 +38,11 @@ __all__ = [
     "circulant_offsets",
     "embed_1l",
     "embed_2l",
-    "block_fft_1l",
     "block_fft_2l",
     "precompute_spectral",
     "pad_rhs",
     "extract_result",
     "matvec",
-    "matvec_transpose",
     "assemble_dense_1l",
     "assemble_dense",
 ]
@@ -205,20 +203,6 @@ def _fft_axis(arr: np.ndarray, axis: int, direction: str) -> np.ndarray:
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-def block_fft_1l(data, n0: int, direction: str = "forward") -> np.ndarray:
-    """Block-wise DFT: independent length-(rows/n0) FFTs per row class mod n0.
-
-    Realizes F_L (x) I_{n0} (or its normalized inverse) on each column.
-    All residue classes and columns are transformed in one batched pass.
-    """
-    arr, vector = _as_columns(data)
-    rows = arr.shape[0]
-    if n0 < 1 or rows % n0:
-        raise ShapeError(f"rows {rows} not divisible by block side {n0}")
-    out = _fft_axis(arr.reshape(rows // n0, n0, -1), 0, direction).reshape(arr.shape)
-    return out[:, 0] if vector else out
-
-
 def block_fft_2l(data, n2: int, n1: int, n0: int, direction: str = "forward") -> np.ndarray:
     """Two-level block-wise DFT realizing F_{n2} (x) F_{n1} (x) I_{n0}.
 
@@ -277,27 +261,12 @@ def extract_result(v, n2: int, n1: int, n0: int) -> np.ndarray:
     return out[:, 0] if vector else out
 
 
-def matvec(op: SpectralOperator, u) -> np.ndarray:
-    """Apply the represented block-Toeplitz matrix to one or more columns.
+def matvec(op: SpectralOperator, u, transpose: bool = False) -> np.ndarray:
+    """Apply the represented block-Toeplitz matrix, or its transpose.
 
     pad -> forward transform -> per-block multiply by ``diag_blocks`` ->
     inverse transform -> extract.  Columns are batched through every
     stage.
-    """
-    arr, vector = _as_columns(u)
-    if arr.shape[0] != op.dim:
-        raise ShapeError(f"rows {arr.shape[0]} != operator dim {op.dim}")
-    k2, k1 = 2 * op.n2 - 1, 2 * op.n1 - 1
-    padded = pad_rhs(arr, op.n2, op.n1, op.n0)
-    hat = block_fft_2l(padded, k2, k1, op.n0, "forward")
-    prod = op.diag_blocks @ hat.reshape(k2 * k1, op.n0, -1)
-    back = block_fft_2l(prod.reshape(k2 * k1 * op.n0, -1), k2, k1, op.n0, "inverse")
-    out = extract_result(back, op.n2, op.n1, op.n0)
-    return out[:, 0] if vector else out
-
-
-def matvec_transpose(op: SpectralOperator, u) -> np.ndarray:
-    """Apply the transpose of the represented matrix.
 
     The embedded circulant is F^-1 D F with symmetric DFT factors, so its
     transpose is F D^T F^-1; padding and extraction are transposes of each
@@ -309,10 +278,12 @@ def matvec_transpose(op: SpectralOperator, u) -> np.ndarray:
     if arr.shape[0] != op.dim:
         raise ShapeError(f"rows {arr.shape[0]} != operator dim {op.dim}")
     k2, k1 = 2 * op.n2 - 1, 2 * op.n1 - 1
+    first, second = ("inverse", "forward") if transpose else ("forward", "inverse")
+    blocks = np.swapaxes(op.diag_blocks, 1, 2) if transpose else op.diag_blocks
     padded = pad_rhs(arr, op.n2, op.n1, op.n0)
-    hat = block_fft_2l(padded, k2, k1, op.n0, "inverse")
-    prod = np.swapaxes(op.diag_blocks, 1, 2) @ hat.reshape(k2 * k1, op.n0, -1)
-    back = block_fft_2l(prod.reshape(k2 * k1 * op.n0, -1), k2, k1, op.n0, "forward")
+    hat = block_fft_2l(padded, k2, k1, op.n0, first)
+    prod = blocks @ hat.reshape(k2 * k1, op.n0, -1)
+    back = block_fft_2l(prod.reshape(k2 * k1 * op.n0, -1), k2, k1, op.n0, second)
     out = extract_result(back, op.n2, op.n1, op.n0)
     return out[:, 0] if vector else out
 

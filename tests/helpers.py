@@ -1,9 +1,12 @@
 """Shared oracles and fixtures for the test suite.
 
 All expected values are produced by independent brute-force routines
-(naive DFT sums, triple-loop products, dense assembly + LAPACK) so the
-fast paths are never checked against themselves.
+(naive DFT sums, dense assembly + LAPACK) so the fast paths are never
+checked against themselves.
 """
+
+import json
+import struct
 
 import numpy as np
 
@@ -47,20 +50,6 @@ def dft_matrix(n, inverse=False):
     return np.conj(f) / n if inverse else f
 
 
-def naive_matmul(a, b):
-    """Triple-loop product, the matmul oracle."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0 + 0.0j
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def rel_err(got, want):
     got = np.asarray(got)
     want = np.asarray(want)
@@ -90,3 +79,35 @@ def smooth_spec_2x2(**overrides) -> ArrayProblemSpec:
     params = dict(ny=2, nx=2, ne=3, diagonal_shift=1e-3, regularization=0.3, seed=11)
     params.update(overrides)
     return ArrayProblemSpec(**params)
+
+
+def rewrite_header(path, edit):
+    """Replace the JSON header of a TBZ1 file by ``edit(header_bytes)``.
+
+    The header length field is updated; magic, payload and checksum are
+    kept, so only the header decides whether the file loads.
+    """
+    blob = path.read_bytes()
+    start = len(b"TBZ1\n") + 4
+    (hlen,) = struct.unpack_from("<I", blob, start - 4)
+    header = edit(blob[start : start + hlen])
+    path.write_bytes(blob[: start - 4] + struct.pack("<I", len(header)) + header + blob[start + hlen :])
+
+
+def json_edit(change):
+    def edit(header):
+        fields = json.loads(header)
+        change(fields)
+        return json.dumps(fields).encode("utf-8")
+
+    return edit
+
+
+# header edits that every TBZ reader must reject with FormatError
+BAD_HEADERS = {
+    "non-utf8": lambda h: b"\xff" + h,
+    "invalid-json": lambda h: h[:-1],
+    "not-an-object": lambda h: b"[1, 2]",
+    "missing-key": json_edit(lambda f: f.pop("nb")),
+    "wrong-type": json_edit(lambda f: f.update(ny=2.0)),
+}

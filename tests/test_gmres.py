@@ -11,7 +11,6 @@ from toepsolve.solvers import (
     GmresConfig,
     bordered_matvec,
     build_pk,
-    gmres,
     solve_multi_rhs_sequential,
     solve_multi_rhs_vectorized,
 )
@@ -23,45 +22,50 @@ def dense_op(a):
 
 class TestGmresCore:
     def test_identity_converges_first_iteration(self):
-        b = np.array([1.0, 2.0, -1j])
-        x, report = gmres(dense_op(np.eye(3)), None, b, GmresConfig(tol=1e-12))
+        b = np.array([[1.0], [2.0], [-1j]])
+        x, report = solve_multi_rhs_vectorized(dense_op(np.eye(3)), None, b, GmresConfig(tol=1e-12))
         assert report.iterations == 1
         assert rel_err(x, b) <= 1e-14
 
     def test_diagonal_two_step_exactness(self):
         a = np.diag([1.0, 2.0])
-        x, report = gmres(dense_op(a), None, np.array([1.0, 1.0]), GmresConfig(tol=1e-13))
+        x, report = solve_multi_rhs_vectorized(
+            dense_op(a), None, np.array([[1.0], [1.0]]), GmresConfig(tol=1e-13)
+        )
         assert report.iterations <= 2
-        assert np.allclose(x, [1.0, 0.5], rtol=1e-12)
+        assert np.allclose(x, [[1.0], [0.5]], rtol=1e-12)
 
     def test_zero_rhs_returns_zero(self):
-        x, report = gmres(dense_op(np.eye(3)), None, np.zeros(3), GmresConfig(tol=1e-8))
+        x, report = solve_multi_rhs_vectorized(
+            dense_op(np.eye(3)), None, np.zeros((3, 1)), GmresConfig(tol=1e-8)
+        )
         assert not x.any() and report.converged
 
     def test_no_convergence_carries_report(self):
         rng = np.random.default_rng(0)
         a = random_complex(rng, 30, 30) + 2 * np.eye(30)
-        b = random_complex(rng, 30)
+        b = random_complex(rng, 30, 1)
         with pytest.raises(NoConvergence) as err:
-            gmres(dense_op(a), None, b, GmresConfig(tol=1e-14, max_iter=3))
+            solve_multi_rhs_vectorized(dense_op(a), None, b, GmresConfig(tol=1e-14, max_iter=3))
         assert err.value.report.iterations == 3
-        assert err.value.solution.shape == (30,)
+        assert err.value.solution.shape == (30, 1)
         assert monotone_nonincreasing(err.value.report.residual_history)
 
     def test_restarted_reaches_tolerance(self):
         rng = np.random.default_rng(1)
         # GMRES(5) needs more than n = 40 inner iterations here
         a = random_complex(rng, 40, 40) + 12 * np.eye(40)
-        b = random_complex(rng, 40)
-        x, report = gmres(dense_op(a), None, b, GmresConfig(tol=1e-9, max_iter=200, restart=5))
+        b = random_complex(rng, 40, 1)
+        cfg = GmresConfig(tol=1e-9, max_iter=200, restart=5)
+        x, report = solve_multi_rhs_vectorized(dense_op(a), None, b, cfg)
         assert rel_err(a @ x, b) <= 1e-8
         assert report.converged
 
     def test_residual_history_monotone_and_relative(self):
         rng = np.random.default_rng(2)
         a = random_complex(rng, 25, 25) + 3 * np.eye(25)
-        b = random_complex(rng, 25)
-        _, report = gmres(dense_op(a), None, b, GmresConfig(tol=1e-10, max_iter=100))
+        b = random_complex(rng, 25, 1)
+        _, report = solve_multi_rhs_vectorized(dense_op(a), None, b, GmresConfig(tol=1e-10, max_iter=100))
         hist = report.residual_history
         assert hist[0] == 1.0
         assert monotone_nonincreasing(hist)
@@ -73,8 +77,10 @@ class TestPreconditionedSolve:
         sys_ = generate(ArrayProblemSpec(ny=4, nx=4, ne=4, seed=9))
         op = BorderedOperator.from_system(sys_)
         p = build_pk(sys_)
-        b = build_excitations(sys_, 0).matrix[:, 0]
-        x, report = gmres(lambda v: bordered_matvec(op, v), p, b, GmresConfig(tol=1e-3, max_iter=200))
+        b = build_excitations(sys_, 0).matrix[:, :1]
+        x, report = solve_multi_rhs_vectorized(
+            lambda v: bordered_matvec(op, v), p, b, GmresConfig(tol=1e-3, max_iter=200)
+        )
         full = assemble_full(sys_)
         assert np.linalg.norm(full @ x - b) / np.linalg.norm(b) <= 5e-3
         assert report.converged
@@ -92,10 +98,10 @@ class TestMultiRhs:
             assemble_full(sys_),
         )
 
-    def test_single_column_identical_to_gmres(self, problem):
+    def test_single_column_vectorized_identical_to_sequential(self, problem):
         sys_, op, p, v, _ = problem
         cfg = GmresConfig(tol=1e-8, max_iter=200)
-        x1, r1 = gmres(lambda u: bordered_matvec(op, u), p, v[:, 0:1], cfg)
+        x1, r1 = solve_multi_rhs_vectorized(lambda u: bordered_matvec(op, u), p, v[:, 0:1], cfg)
         x2, r2 = solve_multi_rhs_vectorized(op, p, v[:, 0:1], cfg)
         assert np.array_equal(x1, x2)
         assert r1.residual_history == r2.residual_history

@@ -1,11 +1,11 @@
-"""Block arithmetic and LU contracts."""
+"""LU factorization and solve contracts."""
 
 import numpy as np
 import pytest
 
-from helpers import naive_matmul, random_complex, rel_err
+from helpers import random_complex, rel_err
 from toepsolve.errors import DimensionMismatch, ShapeError, SingularMatrix
-from toepsolve.numerics import lu_factor, lu_solve, matmul, norms
+from toepsolve.numerics import lu_factor, lu_solve
 
 
 def test_lu_identity_trivial():
@@ -85,54 +85,3 @@ def test_lu_shape_contracts():
     f = lu_factor(np.eye(3))
     with pytest.raises(DimensionMismatch):
         lu_solve(f, np.ones((4, 1)))
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(5)
-    a = random_complex(rng, 3, 4)
-    assert np.array_equal(matmul(a, np.eye(4)), a)
-
-
-def test_matmul_hand_case():
-    a = np.array([[1, 1j], [0, 1]])
-    b = np.array([[1, 0], [1j, 1]])
-    want = np.array([[0, 1j], [1j, 1]])
-    assert np.allclose(matmul(a, b), want, rtol=0, atol=0)
-
-
-def test_matmul_accumulate_negative_sign():
-    rng = np.random.default_rng(6)
-    a, b, c = random_complex(rng, 4, 5), random_complex(rng, 5, 3), random_complex(rng, 4, 3)
-    got = matmul(a, b, accumulate=c, sign=-1)
-    assert rel_err(got, c - naive_matmul(a, b)) <= 1e-13
-
-
-def test_matmul_against_naive_oracle():
-    rng = np.random.default_rng(7)
-    for n in (1, 7, 33, 64):
-        a, b = random_complex(rng, n, n), random_complex(rng, n, n)
-        assert rel_err(matmul(a, b), naive_matmul(a, b)) <= 1e-13
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-    with pytest.raises(DimensionMismatch):
-        matmul(np.ones((2, 3)), np.ones((3, 3)), accumulate=np.ones((3, 3)))
-
-
-def test_norms_zero_block():
-    n = norms(np.zeros((4, 4)))
-    assert n.frobenius == 0.0 and n.max_abs == 0.0
-
-
-def test_norms_single_entry():
-    n = norms(np.array([[3 + 4j]]))
-    assert n.frobenius == pytest.approx(5.0, abs=0) and n.max_abs == pytest.approx(5.0, abs=0)
-
-
-def test_norms_frobenius_summation_oracle():
-    rng = np.random.default_rng(8)
-    v = random_complex(rng, 13, 9)
-    total = sum(abs(x) ** 2 for x in v.ravel())
-    assert abs(norms(v).frobenius ** 2 - total) <= 1e-14 * total

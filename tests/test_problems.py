@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import rel_err
+from helpers import BAD_HEADERS, json_edit, rewrite_header
 from toepsolve.errors import (
     ChecksumMismatch,
+    FormatError,
     FormatVersionMismatch,
     IndexOutOfRange,
     InvalidSpec,
@@ -20,7 +21,7 @@ from toepsolve.problems import (
     load,
     save,
 )
-from toepsolve.solvers import GmresConfig, gmres
+from toepsolve.solvers import GmresConfig, solve_multi_rhs_vectorized
 from toepsolve.toeplitz import assemble_dense
 
 
@@ -87,11 +88,12 @@ class TestGenerate:
                             blk = dense[i * n0 : (i + 1) * n0, j * n0 : (j + 1) * n0]
                             assert np.array_equal(blk, sys_.gen.block(i2 - j2, i1 - j1))
 
-    def test_conditioning_guard_unpreconditioned_gmres(self):
+    def test_conditioning_guard_without_preconditioner(self):
         sys_ = generate(ArrayProblemSpec(ny=4, nx=4, ne=4, seed=5))
         full = assemble_full(sys_)
-        b = build_excitations(sys_, 0).matrix[:, 0]
-        _, report = gmres(lambda v: full @ v, None, b, GmresConfig(tol=1e-6, max_iter=sys_.dim))
+        b = build_excitations(sys_, 0).matrix[:, :1]
+        cfg = GmresConfig(tol=1e-6, max_iter=sys_.dim)
+        _, report = solve_multi_rhs_vectorized(lambda v: full @ v, None, b, cfg)
         assert report.converged and report.iterations <= sys_.dim // 2
 
 
@@ -193,6 +195,21 @@ class TestSerialization:
         path.write_bytes(b"NOPE\n" + b"\x00" * 32)
         with pytest.raises(FormatVersionMismatch):
             load(path)
+
+    def test_rewritten_header_still_loads(self, tmp_path):
+        path = tmp_path / "p.tbz"
+        save(small_system(), path)
+        rewrite_header(path, json_edit(lambda fields: None))
+        assert load(path).spec == small_system().spec
+
+    @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+    def test_bad_header(self, tmp_path, case):
+        path = tmp_path / "p.tbz"
+        save(small_system(), path)
+        rewrite_header(path, BAD_HEADERS[case])
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert type(err.value) is FormatError  # not a version or checksum failure
 
     def test_fnv1a64_reference_values(self):
         # standard FNV-1a test vectors

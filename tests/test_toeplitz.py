@@ -8,13 +8,11 @@ from toepsolve.errors import BlockShapeMismatch, MissingOffset, ShapeError
 from toepsolve.toeplitz import (
     assemble_dense,
     assemble_dense_1l,
-    block_fft_1l,
     block_fft_2l,
     embed_1l,
     embed_2l,
     extract_result,
     matvec,
-    matvec_transpose,
     pad_rhs,
     precompute_spectral,
 )
@@ -55,36 +53,13 @@ class TestEmbed:
             embed_1l({0: np.eye(3)}, n1=1, n0=2)
 
 
-class TestBlockFft1L:
-    def test_single_block_is_identity(self):
-        rng = np.random.default_rng(1)
-        x = random_complex(rng, 5, 2)
-        assert np.allclose(block_fft_1l(x, n0=5), x, rtol=1e-15)
-
-    def test_scalar_blocks_match_naive_dft(self):
-        rng = np.random.default_rng(2)
-        for n in (1, 2, 7, 12):
-            x = random_complex(rng, n, 3)
-            assert rel_err(block_fft_1l(x, n0=1), naive_dft(x)) <= 1e-13
-            assert rel_err(block_fft_1l(x, n0=1, direction="inverse"), naive_dft(x, inverse=True)) <= 1e-13
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(3)
-        x = random_complex(rng, 12, 4)
-        back = block_fft_1l(block_fft_1l(x, n0=3), n0=3, direction="inverse")
-        assert rel_err(back, x) <= 1e-14
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            block_fft_1l(np.ones((7, 1)), n0=2)
-
-
 class TestBlockFft2L:
     def test_degenerate_level_equals_1l(self):
         rng = np.random.default_rng(4)
         x = random_complex(rng, 10, 2)
         got = block_fft_2l(x, n2=1, n1=5, n0=2)
-        assert np.allclose(got, block_fft_1l(x, n0=2), rtol=1e-15)
+        one_level = np.fft.fft(x.reshape(5, 2, 2), axis=0).reshape(x.shape)
+        assert np.allclose(got, one_level, rtol=1e-15)
 
     def test_f2_kron_f2(self):
         rng = np.random.default_rng(5)
@@ -95,17 +70,16 @@ class TestBlockFft2L:
 
     def test_kronecker_identity_small_grids(self):
         rng = np.random.default_rng(6)
-        for n2 in (1, 2, 3):
-            for n1 in (1, 2, 3):
-                for n0 in (1, 2):
-                    u = random_complex(rng, n2 * n1 * n0, 2)
-                    mat = np.kron(dft_matrix(n2), np.kron(dft_matrix(n1), np.eye(n0)))
-                    assert rel_err(block_fft_2l(u, n2, n1, n0), mat @ u) <= 1e-13
-                    inv = np.kron(
-                        dft_matrix(n2, inverse=True),
-                        np.kron(dft_matrix(n1, inverse=True), np.eye(n0)),
-                    )
-                    assert rel_err(block_fft_2l(u, n2, n1, n0, "inverse"), inv @ u) <= 1e-13
+        grids = [(n2, n1, n0) for n2 in (1, 2, 3) for n1 in (1, 2, 3) for n0 in (1, 2)]
+        for n2, n1, n0 in grids + [(1, 7, 1), (1, 12, 1)]:
+            u = random_complex(rng, n2 * n1 * n0, 2)
+            mat = np.kron(dft_matrix(n2), np.kron(dft_matrix(n1), np.eye(n0)))
+            assert rel_err(block_fft_2l(u, n2, n1, n0), mat @ u) <= 1e-13
+            inv = np.kron(
+                dft_matrix(n2, inverse=True),
+                np.kron(dft_matrix(n1, inverse=True), np.eye(n0)),
+            )
+            assert rel_err(block_fft_2l(u, n2, n1, n0, "inverse"), inv @ u) <= 1e-13
 
     def test_roundtrip(self):
         rng = np.random.default_rng(7)
@@ -217,7 +191,7 @@ class TestMatvec:
         gen = random_generator(rng, 3, 2, 3)
         op = precompute_spectral(gen)
         u = random_complex(rng, gen.dim, 2)
-        assert rel_err(matvec_transpose(op, u), assemble_dense(gen).T @ u) <= 1e-12
+        assert rel_err(matvec(op, u, transpose=True), assemble_dense(gen).T @ u) <= 1e-12
 
     def test_linearity(self):
         rng = np.random.default_rng(15)
