@@ -322,8 +322,10 @@ def _cmd_generate(args) -> int:
 
 def _method_tag(args) -> str:
     if args.method != "mlfft":
+        if args.precond is not None or args.multi is not None:
+            raise InvalidSpec(f"--precond and --multi apply only to mlfft, not {args.method}")
         return args.method
-    return f"mlfft-{args.precond}-{args.multi}"
+    return f"mlfft-{args.precond or 'pk'}-{args.multi or 'vec'}"
 
 
 def _cmd_solve(args) -> int:
@@ -462,8 +464,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a TBZ problem and write currents + report")
     p.add_argument("input", help="input TBZ path")
     p.add_argument("--method", choices=["dense", "gmres-dense", "rybicki", "mlfft"], default="mlfft")
-    p.add_argument("--precond", choices=["pk", "pz"], default="pk")
-    p.add_argument("--multi", choices=["vec", "seq"], default="vec")
+    p.add_argument("--precond", choices=["pk", "pz"], default=None, help="mlfft only (default pk)")
+    p.add_argument("--multi", choices=["vec", "seq"], default=None, help="mlfft only (default vec)")
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--rhs", default="all", help='"all" or a single column index')

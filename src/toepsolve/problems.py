@@ -273,9 +273,9 @@ def load(path) -> BorderedSystem:
     """Read a TBZ1 file back into a BorderedSystem.
 
     Raises FormatVersionMismatch for foreign magics or header versions,
-    FormatError for an undecodable header, a missing header key or a
-    header value of the wrong type, and ChecksumMismatch for truncated or
-    corrupted payloads.
+    FormatError for an undecodable header, a missing header key, a
+    header value of the wrong type or a size out of range, and
+    ChecksumMismatch for truncated or corrupted payloads.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -306,6 +306,8 @@ def load(path) -> BorderedSystem:
             raise FormatError(f"header {key!r} has type {type(value).__name__}: {value!r}")
 
     ny, nx, ne, nb = header["ny"], header["nx"], header["ne"], header["nb"]
+    if min(ny, nx, ne) < 1 or nb < 0:
+        raise FormatError(f"header sizes out of range: ny={ny}, nx={nx}, ne={ne}, nb={nb}")
     n_gen = (2 * ny - 1) * (2 * nx - 1) * ne * ne
     n_zb = nb * ny * nx * ne
     n_zc = nb * nb

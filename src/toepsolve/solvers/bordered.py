@@ -54,7 +54,8 @@ class BorderedOperator:
 
     @property
     def generator_bytes(self) -> int:
-        return self.spectral.n0**2 * (2 * self.spectral.n2 - 1) * (2 * self.spectral.n1 - 1) * 16
+        """Bytes of the transformed generator this operator holds."""
+        return self.spectral.diag_blocks.nbytes
 
 
 def _split(op: BorderedOperator, x) -> tuple[np.ndarray, np.ndarray, bool]:

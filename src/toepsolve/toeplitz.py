@@ -6,20 +6,24 @@ blocks are unstructured ``n0 x n0`` matrices.  Such a matrix is fully
 determined by its *generator*: the unique blocks arranged in circulant
 order ``[0, +1, ..., +(N-1), -(N-1), ..., -1]`` on each level.
 
-Embedding the matrix in a block circulant of size ``2N-1`` per level
-block-diagonalizes it under the block-wise multilevel DFT
+Each level of side N is embedded in a block circulant of length
+``L = next_fast_len(2N-1)``: the generator blocks for offsets
+``0..N-1`` fill positions ``0..N-1``, those for ``-(N-1)..-1`` fill
+``L-N+1..L-1``, and the positions between are zero.  Any ``L >= 2N-1``
+keeps the embedding exact (Chan & Ng, "Conjugate gradient methods for
+Toeplitz systems", SIAM Review 38, 1996), so ``L`` is picked as a length
+the FFT library transforms fast instead of the often prime ``2N-1``.
+The circulant is block-diagonalized by the block-wise multilevel DFT
 
-    F = F_{2*n2-1} (x) F_{2*n1-1} (x) I_{n0}
+    F = F_{L2} (x) F_{L1} (x) I_{n0}
 
 which turns a matvec into: zero-pad, forward transform, one small dense
 multiply per transformed block row, inverse transform, extract.  Storage
-is ``(2*n2-1)*(2*n1-1)*n0**2`` scalars instead of ``(n2*n1*n0)**2`` and
-the matvec costs ``O(n0**2*n2*n1 + n0*n1*n2*(log n1 + log n2))`` per
-column.
+is ``L2*L1*n0**2`` scalars instead of ``(n2*n1*n0)**2`` and the matvec
+costs ``O(n0**2*n2*n1 + n0*n1*n2*(log n1 + log n2))`` per column.
 
-The block-wise transforms are realized as batched strided FFTs: the rows
-of each residue class modulo the block side are transformed together,
-one 1-D FFT pass per level.
+The block-wise transform of either direction is one ``scipy.fft`` call
+over the two grid axes of the ``(L2, L1, n0, columns)`` view.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+import scipy.fft
 
 from .errors import BlockShapeMismatch, MissingOffset, ShapeError
 
@@ -50,6 +55,11 @@ __all__ = [
 def circulant_offsets(n: int) -> np.ndarray:
     """Signed offsets in circulant order: [0, 1, ..., n-1, -(n-1), ..., -1]."""
     return np.concatenate([np.arange(n), np.arange(-(n - 1), 0)])
+
+
+def _embed_len(n: int) -> int:
+    """Circulant length of a level of side n: the first fast FFT length >= 2n-1."""
+    return scipy.fft.next_fast_len(2 * n - 1)
 
 
 @dataclass(frozen=True)
@@ -128,14 +138,18 @@ class SpectralOperator:
     """Transformed generator: one dense n0 x n0 block per circulant grid point.
 
     ``diag_blocks[i]`` is block row ``i`` of the forward multilevel DFT of
-    the stacked generator column; the embedded circulant acts on a
-    transformed vector as the block-diagonal matrix of these blocks.
+    the zero-filled circulant embedding of the generator; the embedded
+    circulant acts on a transformed vector as the block-diagonal matrix of
+    these blocks.
     """
 
     n2: int
     n1: int
     n0: int
-    diag_blocks: np.ndarray  # ((2*n2-1)*(2*n1-1), n0, n0)
+    # (L2*L1, n0, n0) with L = next_fast_len(2n-1) per level; a circulant
+    # longer than 2n-1 is exact because the gap between the positive and
+    # negative offsets is zero-filled (Chan & Ng, SIAM Review 38, 1996)
+    diag_blocks: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -195,69 +209,66 @@ def embed_2l(
     return BlockGenerator2L(n2, n1, n0, tuple(cols))
 
 
-def _fft_axis(arr: np.ndarray, axis: int, direction: str) -> np.ndarray:
-    if direction == "forward":
-        return np.fft.fft(arr, axis=axis)
-    if direction == "inverse":
-        return np.fft.ifft(arr, axis=axis)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+_TRANSFORMS = {"forward": scipy.fft.fftn, "inverse": scipy.fft.ifftn}
 
 
 def block_fft_2l(data, n2: int, n1: int, n0: int, direction: str = "forward") -> np.ndarray:
     """Two-level block-wise DFT realizing F_{n2} (x) F_{n1} (x) I_{n0}.
 
-    First, within each of the n2 level-2 segments, length-n1 FFTs run over
-    the stride-n0 row classes; then length-n2 FFTs run over the
-    stride-(n1*n0) classes.  The matvec calls this with the circulant
-    sizes 2*n2-1 and 2*n1-1.
+    One 2-D transform runs over the first two axes of the (n2, n1, n0,
+    columns) view, so each level-0 row class and column is transformed
+    on its own.  The matvec calls this with the circulant lengths
+    L = next_fast_len(2n-1) of both levels.  The input is never
+    overwritten.
     """
+    if direction not in _TRANSFORMS:
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     arr, vector = _as_columns(data)
     rows = arr.shape[0]
     if min(n2, n1, n0) < 1 or rows != n2 * n1 * n0:
         raise ShapeError(f"rows {rows} != n2*n1*n0 = {n2 * n1 * n0}")
-    work = arr.reshape(n2, n1, n0, -1)
-    work = _fft_axis(work, 1, direction)
-    work = _fft_axis(work, 0, direction)
-    out = work.reshape(arr.shape)
+    out = _TRANSFORMS[direction](arr.reshape(n2, n1, n0, -1), axes=(0, 1)).reshape(arr.shape)
     return out[:, 0] if vector else out
 
 
 def precompute_spectral(gen: BlockGenerator2L) -> SpectralOperator:
-    """Forward-transform the stacked generator column into diagonal blocks."""
-    k2, k1 = 2 * gen.n2 - 1, 2 * gen.n1 - 1
-    stacked = gen.stacked4().reshape(k2 * k1 * gen.n0, gen.n0)
-    transformed = block_fft_2l(stacked, k2, k1, gen.n0, "forward")
-    return SpectralOperator(gen.n2, gen.n1, gen.n0, transformed.reshape(k2 * k1, gen.n0, gen.n0))
+    """Forward-transform the zero-filled circulant embedding into diagonal blocks."""
+    l2, l1, n0 = _embed_len(gen.n2), _embed_len(gen.n1), gen.n0
+    embedded = np.zeros((l2, l1, n0, n0), dtype=np.complex128)
+    rows2, rows1 = circulant_offsets(gen.n2) % l2, circulant_offsets(gen.n1) % l1
+    embedded[np.ix_(rows2, rows1)] = gen.stacked4()
+    transformed = block_fft_2l(embedded.reshape(l2 * l1 * n0, n0), l2, l1, n0, "forward")
+    return SpectralOperator(gen.n2, gen.n1, n0, transformed.reshape(l2 * l1, n0, n0))
 
 
 def pad_rhs(u, n2: int, n1: int, n0: int) -> np.ndarray:
     """Zero-pad a stacked vector to the circulant grid, level by level.
 
-    Each of the n2 level-2 segments (n1*n0 rows) is followed by
-    (n1-1)*n0 zero rows, and (n2-1)*(2*n1-1)*n0 zero rows trail the
-    whole vector.  For n2 = 1 this degenerates to [u; 0].
+    With L = next_fast_len(2n-1) per level, each of the n2 level-2
+    segments (n1*n0 rows) is followed by (L1-n1)*n0 zero rows, and
+    (L2-n2)*L1*n0 zero rows trail the whole vector.  For n2 = 1 this
+    degenerates to [u; 0].
     """
     arr, vector = _as_columns(u)
     if arr.shape[0] != n2 * n1 * n0:
         raise ShapeError(f"rows {arr.shape[0]} != n2*n1*n0 = {n2 * n1 * n0}")
-    w = arr.shape[1]
-    out = np.zeros(((2 * n2 - 1) * (2 * n1 - 1) * n0, w), dtype=np.complex128)
-    out.reshape(2 * n2 - 1, 2 * n1 - 1, n0, w)[:n2, :n1] = arr.reshape(n2, n1, n0, w)
+    l2, l1, w = _embed_len(n2), _embed_len(n1), arr.shape[1]
+    out = np.zeros((l2 * l1 * n0, w), dtype=np.complex128)
+    out.reshape(l2, l1, n0, w)[:n2, :n1] = arr.reshape(n2, n1, n0, w)
     return out[:, 0] if vector else out
 
 
 def extract_result(v, n2: int, n1: int, n0: int) -> np.ndarray:
     """Collect the payload rows of a circulant-length vector, dropping scratch.
 
-    Segment n lives at rows n*(2*n1-1)*n0 .. n*(2*n1-1)*n0 + n1*n0 - 1.
+    With L = next_fast_len(2n-1) per level, segment n lives at rows
+    n*L1*n0 .. n*L1*n0 + n1*n0 - 1.
     """
     arr, vector = _as_columns(v)
-    if arr.shape[0] != (2 * n2 - 1) * (2 * n1 - 1) * n0:
-        raise ShapeError(
-            f"rows {arr.shape[0]} != circulant length {(2 * n2 - 1) * (2 * n1 - 1) * n0}"
-        )
-    w = arr.shape[1]
-    out = arr.reshape(2 * n2 - 1, 2 * n1 - 1, n0, w)[:n2, :n1].reshape(n2 * n1 * n0, w)
+    l2, l1, w = _embed_len(n2), _embed_len(n1), arr.shape[1]
+    if arr.shape[0] != l2 * l1 * n0:
+        raise ShapeError(f"rows {arr.shape[0]} != circulant length {l2 * l1 * n0}")
+    out = arr.reshape(l2, l1, n0, w)[:n2, :n1].reshape(n2 * n1 * n0, w)
     return out[:, 0] if vector else out
 
 
@@ -277,13 +288,13 @@ def matvec(op: SpectralOperator, u, transpose: bool = False) -> np.ndarray:
     arr, vector = _as_columns(u)
     if arr.shape[0] != op.dim:
         raise ShapeError(f"rows {arr.shape[0]} != operator dim {op.dim}")
-    k2, k1 = 2 * op.n2 - 1, 2 * op.n1 - 1
+    l2, l1 = _embed_len(op.n2), _embed_len(op.n1)
     first, second = ("inverse", "forward") if transpose else ("forward", "inverse")
     blocks = np.swapaxes(op.diag_blocks, 1, 2) if transpose else op.diag_blocks
     padded = pad_rhs(arr, op.n2, op.n1, op.n0)
-    hat = block_fft_2l(padded, k2, k1, op.n0, first)
-    prod = blocks @ hat.reshape(k2 * k1, op.n0, -1)
-    back = block_fft_2l(prod.reshape(k2 * k1 * op.n0, -1), k2, k1, op.n0, second)
+    hat = block_fft_2l(padded, l2, l1, op.n0, first)
+    prod = blocks @ hat.reshape(l2 * l1, op.n0, -1)
+    back = block_fft_2l(prod.reshape(l2 * l1 * op.n0, -1), l2, l1, op.n0, second)
     out = extract_result(back, op.n2, op.n1, op.n0)
     return out[:, 0] if vector else out
 

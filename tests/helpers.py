@@ -110,4 +110,6 @@ BAD_HEADERS = {
     "not-an-object": lambda h: b"[1, 2]",
     "missing-key": json_edit(lambda f: f.pop("nb")),
     "wrong-type": json_edit(lambda f: f.update(ny=2.0)),
+    "empty-grid": json_edit(lambda f: f.update(ny=0, nx=0)),
+    "negative-border": json_edit(lambda f: f.update(nb=-1)),
 }

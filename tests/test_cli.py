@@ -37,6 +37,21 @@ def test_precond_none_is_not_a_solve_choice(problem):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("method", ["dense", "gmres-dense", "rybicki"])
+@pytest.mark.parametrize("flag", [["--precond", "pz"], ["--multi", "seq"]])
+def test_fft_flags_rejected_for_other_methods(problem, method, flag):
+    assert cli.main(["solve", str(problem), "--method", method, *flag]) == 2
+    assert not problem.with_name("p.tbz.sol").exists()
+
+
+@pytest.mark.parametrize("flag, tag", [([], "mlfft-pk-vec"), (["--precond", "pz"], "mlfft-pz-vec"),
+                                       (["--multi", "seq"], "mlfft-pk-seq")])
+def test_fft_flags_select_the_mlfft_variant(problem, flag, tag):
+    assert cli.main(["solve", str(problem), *flag]) == 0
+    report = json.loads(problem.with_name("p.tbz.sol.json").read_text())
+    assert report["record"]["method"] == tag
+
+
 def test_iteration_cap_is_no_convergence(problem):
     assert cli.main(["solve", str(problem), "--tol", "1e-14", "--max-iter", "1"]) == 3
     report = json.loads(problem.with_name("p.tbz.sol.json").read_text())

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import monotone_nonincreasing, random_complex, rel_err
+from toepsolve import cli
 from toepsolve.errors import NoConvergence
 from toepsolve.problems import ArrayProblemSpec, assemble_full, build_excitations, generate
 from toepsolve.solvers import (
@@ -84,6 +86,17 @@ class TestPreconditionedSolve:
         full = assemble_full(sys_)
         assert np.linalg.norm(full @ x - b) / np.linalg.norm(b) <= 5e-3
         assert report.converged
+
+    def test_padded_circulant_grid_matches_dense_lu(self):
+        # 2*7-1 = 13 and 2*9-1 = 17 embed at the fast lengths 14 and 18
+        sys_ = generate(ArrayProblemSpec(ny=7, nx=9, ne=3, seed=5))
+        v = build_excitations(sys_, 0).matrix
+        x, _, report = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-10)
+        want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(assemble_full(sys_)), v)
+        assert report.converged
+        assert rel_err(x, want) <= 1e-8
+        # the spectral operator GMRES holds: 14 x 18 blocks of 3 x 3 complex128
+        assert report.memory_estimate["generator"] == 14 * 18 * 3 * 3 * 16
 
 
 class TestMultiRhs:

@@ -1,5 +1,7 @@
 """Synthetic problem generation, excitations and TBZ serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,21 @@ class TestSerialization:
         with pytest.raises(FormatError) as err:
             load(path)
         assert type(err.value) is FormatError  # not a version or checksum failure
+
+    def test_empty_grid_with_matching_payload(self, tmp_path):
+        # ny = nx = 0 makes the generator size (2*0-1)**2 * ne**2 = 1 scalar
+        # for ne = 1, so this payload passes the size and checksum checks
+        path = tmp_path / "p.tbz"
+        save(small_system(), path)
+        rewrite_header(path, json_edit(lambda f: f.update(ny=0, nx=0, ne=1, nb=0)))
+        blob = path.read_bytes()
+        start = len(b"TBZ1\n") + 4
+        (hlen,) = struct.unpack_from("<I", blob, start - 4)
+        payload = bytes(16)
+        path.write_bytes(blob[: start + hlen] + payload + struct.pack("<Q", fnv1a64(payload)))
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert type(err.value) is FormatError
 
     def test_fnv1a64_reference_values(self):
         # standard FNV-1a test vectors

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from helpers import dft_matrix, naive_dft, random_complex, random_generator, rel_err
 from toepsolve.errors import BlockShapeMismatch, MissingOffset, ShapeError
@@ -125,10 +126,16 @@ class TestPadExtract:
         got = pad_rhs(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2, 1)
         assert np.array_equal(got, [1, 2, 0, 3, 4, 0, 0, 0, 0])
 
+    def test_pad_to_fast_length(self):
+        # n1 = 7: 2*n1-1 = 13 is not a fast length, the circulant has 14 rows
+        got = pad_rhs(np.arange(1.0, 8.0), 1, 7, 1)
+        assert np.array_equal(got, [1, 2, 3, 4, 5, 6, 7] + [0] * 7)
+
     def test_roundtrip(self):
         rng = np.random.default_rng(9)
-        u = random_complex(rng, 3 * 4 * 2, 5)
-        assert np.array_equal(extract_result(pad_rhs(u, 3, 4, 2), 3, 4, 2), u)
+        for grid in [(3, 4, 2), (7, 12, 2)]:  # the second pads both levels
+            u = random_complex(rng, int(np.prod(grid)), 5)
+            assert np.array_equal(extract_result(pad_rhs(u, *grid), *grid), u)
 
     def test_extract_markers(self):
         # n2=3, n1=2, n0=1: circulant length (2*3-1)*(2*2-1) = 15, payload
@@ -224,6 +231,22 @@ class TestMatvec:
             u = random_complex(rng, gen.dim, 2)
             want = assemble_dense(gen) @ u
             assert rel_err(matvec(op, u), want) <= 1e-12
+
+    # 2n-1 = 31, 17, 13 and 23 are not fast FFT lengths: the first two
+    # grids are padded on one level, the last two on both
+    @pytest.mark.parametrize("grid", [(1, 16, 3), (9, 1, 2), (7, 12, 2), (16, 16, 1)])
+    def test_dense_oracle_padded_lengths(self, grid):
+        n2, n1, n0 = grid
+        rng = np.random.default_rng(list(grid))
+        gen = random_generator(rng, n2, n1, n0)
+        op = precompute_spectral(gen)
+        points = next_fast_len(2 * n2 - 1) * next_fast_len(2 * n1 - 1)
+        assert points > (2 * n2 - 1) * (2 * n1 - 1)
+        assert op.diag_blocks.shape == (points, n0, n0)
+        dense = assemble_dense(gen)
+        u = random_complex(rng, gen.dim, 2)
+        assert rel_err(matvec(op, u), dense @ u) <= 1e-12
+        assert rel_err(matvec(op, u, transpose=True), dense.T @ u) <= 1e-12
 
     def test_shape_error(self):
         gen = random_generator(np.random.default_rng(18), 2, 2, 2)
