@@ -2,6 +2,7 @@
 
 from .bordered import BorderedOperator, bordered_matvec, bordered_matvec_adjoint
 from .gmres import (
+    SEQUENTIAL_BLOCK,
     GmresConfig,
     SolveReport,
     solve_multi_rhs_sequential,
@@ -16,6 +17,7 @@ __all__ = [
     "BorderedOperator",
     "bordered_matvec",
     "bordered_matvec_adjoint",
+    "SEQUENTIAL_BLOCK",
     "GmresConfig",
     "SolveReport",
     "solve_multi_rhs_sequential",

@@ -1,17 +1,39 @@
 """Left-preconditioned GMRES with modified Gram-Schmidt Arnoldi.
 
-The Krylov iterate is a whole (n, W) column block: the inner product is
-the Frobenius one over all entries.  With W = 1 this is standard
-GMRES; with W = M it is the global-Krylov method for M simultaneous
-right-hand sides, equivalent to running GMRES on the stacked problem
-(identity (x) A) vec(X) = vec(B) without ever forming that matrix - the
-operator is simply applied to all columns at once.
+One solve runs G independent Krylov *groups* in lockstep.  The (n, W)
+right-hand side block is cut into G groups of k = W/G adjacent columns.
+A group's Krylov iterate is its whole (n, k) column block, and its inner
+product is the Frobenius one over all entries.  With k = 1 this is
+standard GMRES; with one group of W = M columns it is the global-Krylov
+method for M simultaneous right-hand sides, equivalent to running GMRES
+on the stacked problem (identity (x) A) vec(X) = vec(B) without ever
+forming that matrix.
+
+Each group has its own inner products, norms, Givens rotations, stopping
+test, breakdown handling, restarts and back substitution.  The groups
+share only the operator and preconditioner applications: each step
+applies both once, to the columns of every group still iterating.  The
+basis is kept group-major, one (G, n*k) array per Krylov vector, so one
+``np.vecdot`` forms every group's inner product; for one group it gives
+the same bits as ``np.vdot``.  A group that meets the tolerance forms its
+iterate at once and leaves the active set, so it costs no more matvecs.
+
+``solve_multi_rhs_vectorized`` is one group of all columns.
+``solve_multi_rhs_sequential`` gives every column its own group and runs
+the columns in blocks of ``SEQUENTIAL_BLOCK`` = 32.  One matvec on 32
+columns costs far less than 32 one-column matvecs: the border products
+run as GEMMs instead of GEMVs, and the per-call overhead is paid once.
+The Krylov memory of a block stays at 32 columns' worth however many
+columns the solve has.  On a 12x20 grid with 240 right-hand sides
+(ne = 8, one BLAS thread), widths of 8, 16, 32, 64 and 240 gave about
+5.5, 4.9, 4.4, 5.2 and 5.3 s on a 2-core host, against about 12 s for
+one column at a time.
 
 Full (non-restarted) by default; an optional restart length is honored.
 The per-iteration residual estimates come from the Givens recurrence, so
 the recorded history is the relative *preconditioned* residual and is
 non-increasing by construction.  The true unpreconditioned residual is
-recomputed once at exit.
+recomputed once at exit, by one matvec over the whole block.
 """
 
 from __future__ import annotations
@@ -29,9 +51,13 @@ __all__ = [
     "SolveReport",
     "solve_multi_rhs_vectorized",
     "solve_multi_rhs_sequential",
+    "SEQUENTIAL_BLOCK",
 ]
 
 _BYTES_PER_SCALAR = 16
+
+# columns per lockstep block of the sequential solve (see the module docstring)
+SEQUENTIAL_BLOCK = 32
 
 
 @dataclass
@@ -82,143 +108,178 @@ class SolveReport:
         }
 
 
-def _givens(a: complex, b: float) -> tuple[float, complex, complex]:
-    """Rotation [c, s; -conj(s), c] zeroing b under a (b real, >= 0)."""
-    t = np.hypot(abs(a), b)
-    if t == 0.0:
-        return 1.0, 0.0 + 0.0j, 0.0 + 0.0j
-    if a == 0.0:
-        return 0.0, 1.0 + 0.0j, complex(b)
-    alpha = a / abs(a)
-    return abs(a) / t, alpha * (b / t), alpha * t
+def _to_groups(block: np.ndarray, groups: int) -> np.ndarray:
+    """(n, G*k) column block -> (G, n*k) group-major rows."""
+    n, w = block.shape
+    return block.reshape(n, groups, w // groups).transpose(1, 0, 2).reshape(groups, -1)
 
 
-def _gmres_block(apply_operator, preconditioner, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport]:
-    """Core block-GMRES; b is (n, W), returns (n, W) iterate and report."""
-    report = SolveReport()
-    timings = report.phase_timings
+def _to_block(rows: np.ndarray, n: int) -> np.ndarray:
+    """(G, n*k) group-major rows -> (n, G*k) column block."""
+    groups = rows.shape[0]
+    return rows.reshape(groups, n, rows.shape[1] // n).transpose(1, 0, 2).reshape(n, -1)
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, summed the way ``np.linalg.norm`` sums one."""
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+
+
+def _givens(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotations [c, s; -conj(s), c] zeroing b under a, one per group (b real, >= 0)."""
+    abs_a = np.abs(a)
+    t = np.hypot(abs_a, b)
+    # a = 0 takes alpha = 1 (c = 0, s = 1); t = 0 gives the identity rotation
+    alpha = np.divide(a, abs_a, out=np.ones_like(a), where=abs_a != 0.0)
+    safe_t = np.where(t == 0.0, 1.0, t)
+    return np.where(t == 0.0, 1.0, abs_a / safe_t), alpha * (b / safe_t), alpha * t
+
+
+def _back_substitute(r_cols: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+    """y with R y = g per group; ``r_cols[c]`` holds column c of every R, shape (G, c+1)."""
+    groups, m = g.shape
+    rmat = np.zeros((groups, m, m), dtype=np.complex128)
+    for col, vals in enumerate(r_cols):
+        rmat[:, : col + 1, col] = vals
+    y = np.zeros((groups, m), dtype=np.complex128)
+    for i in range(m - 1, -1, -1):
+        rii = rmat[:, i, i]
+        tail = (rmat[:, i, None, i + 1 :] @ y[:, i + 1 :, None])[:, 0, 0]
+        # a zero diagonal marks a stagnated direction, which contributes nothing
+        y[:, i] = np.where(rii == 0.0, 0.0, (g[:, i] - tail) / np.where(rii == 0.0, 1.0, rii))
+    return y
+
+
+def _gmres_block(
+    apply_operator, preconditioner, b, cfg: GmresConfig, groups: int
+) -> tuple[np.ndarray, list[SolveReport]]:
+    """Lockstep GMRES on ``groups`` equal column groups of b (n, W).
+
+    Returns the (n, W) iterate and one report per group; every report
+    carries the phase timings of the whole block.
+    """
     t_start = time.perf_counter()
-
-    def precondition(v):
-        return v if preconditioner is None else preconditioner.apply(v)
-
+    timings = _new_timings()
     n, w = b.shape
-    t0 = time.perf_counter()
-    pb = precondition(b)
-    timings["precond_apply"] += time.perf_counter() - t0
-    beta0 = float(np.linalg.norm(pb))
-    if beta0 == 0.0:
-        report.residual_history = [0.0]
-        report.final_residual = 0.0
-        timings["total"] = time.perf_counter() - t_start
-        return np.zeros_like(b), report
+    k = w // groups
 
-    # full GMRES terminates within n*W steps; restarted GMRES may need more
-    max_total = min(cfg.max_iter, n * w) if cfg.restart is None else cfg.max_iter
-    cycle_len = max_total if cfg.restart is None else min(cfg.restart, max_total)
-
-    x = np.zeros_like(b)
-    history = [1.0]
-    total_iters = 0
-    converged = False
-
-    while True:
-        if total_iters == 0:
-            r = b
-        else:
-            t0 = time.perf_counter()
-            r = b - apply_operator(x)
-            timings["matvec_total"] += time.perf_counter() - t0
+    def operator(rows):
         t0 = time.perf_counter()
-        pr = precondition(r)
+        out = apply_operator(_to_block(rows, n))
+        timings["matvec_total"] += time.perf_counter() - t0
+        return out
+
+    def precondition(block, count):
+        t0 = time.perf_counter()
+        out = block if preconditioner is None else preconditioner.apply(block)
         timings["precond_apply"] += time.perf_counter() - t0
-        beta = float(np.linalg.norm(pr))
-        if beta / beta0 <= cfg.tol:
-            converged = True
+        return _to_groups(out, count)
+
+    bg = _to_groups(b, groups)
+    pr = precondition(b, groups)
+    beta0 = _norms(pr)
+    zero = beta0 == 0.0  # solved by x = 0
+    x = np.zeros_like(bg)
+    history = [[0.0] if z else [1.0] for z in zero]
+    iterations = np.zeros(groups, dtype=int)
+    converged = zero.copy()
+    active = np.flatnonzero(~zero)
+    pr = pr[active]
+
+    # full GMRES terminates within n*k steps; restarted GMRES may need more
+    max_total = min(cfg.max_iter, n * k) if cfg.restart is None else cfg.max_iter
+    cycle_len = max_total if cfg.restart is None else min(cfg.restart, max_total)
+    total = 0
+
+    while active.size:
+        if total:  # restart from the current iterate
+            pr = precondition(_to_block(bg[active], n) - operator(x[active]), active.size)
+        beta = _norms(pr)
+        done = beta / beta0[active] <= cfg.tol
+        converged[active[done]] = True
+        active, pr, beta = active[~done], pr[~done], beta[~done]
+        if not active.size:
             break
 
-        basis = [pr / beta]
+        basis = [pr / beta[:, None]]
         r_cols: list[np.ndarray] = []  # rotated Hessenberg columns (upper triangle)
-        cos: list[float] = []
-        sin: list[complex] = []
-        g = [complex(beta)]
-        breakdown = False
+        cos: list[np.ndarray] = []
+        sin: list[np.ndarray] = []
+        g = [beta.astype(np.complex128)]
 
         j = 0
-        while j < cycle_len and total_iters < max_total:
+        while True:
+            v = precondition(operator(basis[j]), active.size)
             t0 = time.perf_counter()
-            av = apply_operator(basis[j])
-            t1 = time.perf_counter()
-            timings["matvec_total"] += t1 - t0
-            v = precondition(av)
-            t2 = time.perf_counter()
-            timings["precond_apply"] += t2 - t1
-
-            hcol = np.empty(j + 2, dtype=np.complex128)
+            hcol = np.empty((active.size, j + 2), dtype=np.complex128)
             for i in range(j + 1):
-                hij = np.vdot(basis[i], v)
-                v -= hij * basis[i]
-                hcol[i] = hij
-            hnext = float(np.linalg.norm(v))
-            hcol[j + 1] = hnext
-            timings["orthogonalization"] += time.perf_counter() - t2
+                hcol[:, i] = np.vecdot(basis[i], v)
+                v -= hcol[:, i, None] * basis[i]
+            hnext = _norms(v)
+            hcol[:, j + 1] = hnext
+            timings["orthogonalization"] += time.perf_counter() - t0
 
             for i in range(j):
-                hi, hi1 = hcol[i], hcol[i + 1]
-                hcol[i] = cos[i] * hi + sin[i] * hi1
-                hcol[i + 1] = -np.conj(sin[i]) * hi + cos[i] * hi1
-            c, s, rjj = _givens(hcol[j], hnext)
-            hcol[j] = rjj
+                hi, hi1 = hcol[:, i], hcol[:, i + 1]
+                hcol[:, i], hcol[:, i + 1] = (cos[i] * hi + sin[i] * hi1,
+                                              -np.conj(sin[i]) * hi + cos[i] * hi1)
+            c, s, hcol[:, j] = _givens(hcol[:, j], hnext)
             cos.append(c)
             sin.append(s)
             g.append(-np.conj(s) * g[j])
             g[j] = c * g[j]
-            r_cols.append(hcol[: j + 1].copy())
+            r_cols.append(hcol[:, : j + 1])
 
-            total_iters += 1
+            total += 1
             j += 1
-            estimate = abs(g[j]) / beta0
-            history.append(estimate)
+            iterations[active] += 1
+            estimate = np.abs(g[j]) / beta0[active]
+            for group, e in zip(active, estimate.tolist()):
+                history[group].append(e)
 
-            if estimate <= cfg.tol:
-                converged = True
+            # At an Arnoldi breakdown (hnext = 0) the Krylov space is invariant:
+            # the rotation has s = 0, so the estimate is 0 and the group leaves
+            # with its exact least-squares iterate before v / hnext is formed.
+            done = estimate <= cfg.tol
+            converged[active[done]] = True
+            cycle_end = j == cycle_len or total >= max_total
+            leave = done | cycle_end
+            if leave.any():
+                # x += V y with R y = g for every group leaving the cycle
+                sel = slice(None) if leave.all() else leave  # a view when all leave
+                y = _back_substitute([h[sel] for h in r_cols], np.stack(g[:j], axis=1)[sel])
+                rows = active[leave]
+                update = x[rows]
+                for i in range(j):
+                    update += y[:, i, None] * basis[i][sel]
+                x[rows] = update
+            if done.any():
+                keep = ~done
+                active, v, hnext = active[keep], v[keep], hnext[keep]
+                basis, r_cols, cos, sin, g = (
+                    [a[keep] for a in seq] for seq in (basis, r_cols, cos, sin, g)
+                )
+            if cycle_end or not active.size:
                 break
-            if hnext == 0.0:
-                # Arnoldi breakdown: the Krylov space is invariant, the
-                # current least-squares iterate is exact.
-                converged = True
-                breakdown = True
-                break
-            basis.append(v / hnext)
+            basis.append(v / hnext[:, None])
 
-        # assemble the cycle iterate x += V y with R y = g
-        m = j
-        if m:
-            rmat = np.zeros((m, m), dtype=np.complex128)
-            for col, vals in enumerate(r_cols):
-                rmat[: col + 1, col] = vals
-            y = np.zeros(m, dtype=np.complex128)
-            for i in range(m - 1, -1, -1):
-                if rmat[i, i] == 0.0:  # stagnated direction, contributes nothing
-                    continue
-                y[i] = (g[i] - rmat[i, i + 1 :] @ y[i + 1 :]) / rmat[i, i]
-            for i in range(m):
-                x += y[i] * basis[i]
-
-        if converged or breakdown or total_iters >= max_total:
+        if total >= max_total:
             break
 
-    t0 = time.perf_counter()
-    residual = b - apply_operator(x)
-    timings["matvec_total"] += time.perf_counter() - t0
-
-    report.iterations = total_iters
-    report.converged = converged
-    report.residual_history = history
-    report.final_residual = float(np.linalg.norm(residual) / np.linalg.norm(b))
-    report.memory_estimate["krylov"] = total_iters * w * n * _BYTES_PER_SCALAR
+    final = np.zeros(groups)
+    live = np.flatnonzero(~zero)
+    if live.size:
+        residual = bg[live] - _to_groups(operator(x[live]), live.size)
+        final[live] = _norms(residual) / _norms(bg[live])
     timings["total"] = time.perf_counter() - t_start
-    return x, report
+
+    reports = []
+    for its, conv, hist, res in zip(iterations.tolist(), converged.tolist(), history, final.tolist()):
+        rep = SolveReport(iterations=its, converged=conv, residual_history=hist,
+                          final_residual=res, phase_timings=dict(timings))
+        rep.memory_estimate["krylov"] = its * k * n * _BYTES_PER_SCALAR
+        reports.append(rep)
+    return _to_block(x, n), reports
 
 
 def _operator_memory(op, p, report: SolveReport) -> None:
@@ -228,6 +289,14 @@ def _operator_memory(op, p, report: SolveReport) -> None:
         report.memory_estimate["preconditioner"] = p.stored_bytes
 
 
+def _prepare(op, rhs):
+    """The operator as a callable on column blocks, and rhs as a 2-D complex block."""
+    arr = np.asarray(rhs, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise ShapeError(f"rhs must be a column block, got ndim={arr.ndim}")
+    return (op if callable(op) else (lambda x: bordered_matvec(op, x))), arr
+
+
 def solve_multi_rhs_vectorized(
     op, p, rhs, cfg: GmresConfig, method: str = "vectorized"
 ) -> tuple[np.ndarray, SolveReport]:
@@ -235,18 +304,14 @@ def solve_multi_rhs_vectorized(
 
     ``op`` is a BorderedOperator or a callable acting on column blocks;
     ``p`` is a preconditioner with an ``apply`` method, or None.  All
-    columns of the 2-D ``rhs`` are iterated jointly; the Krylov memory
-    tally is iterations * M * dim * 16 bytes, since every basis vector
-    spans all M columns.  Stops when the preconditioned relative residual
-    drops below ``cfg.tol``; raises NoConvergence (with the best iterate
-    and report attached) at the iteration cap.
+    columns of the 2-D ``rhs`` are iterated jointly as one group; the
+    Krylov memory tally is iterations * M * dim * 16 bytes, since every
+    basis vector spans all M columns.  Stops when the preconditioned
+    relative residual drops below ``cfg.tol``; raises NoConvergence (with
+    the best iterate and report attached) at the iteration cap.
     """
-    arr = np.asarray(rhs, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ShapeError(f"rhs must be a column block, got ndim={arr.ndim}")
-    apply_op = op if callable(op) else (lambda x: bordered_matvec(op, x))
-
-    x, report = _gmres_block(apply_op, p, arr, cfg)
+    apply_op, arr = _prepare(op, rhs)
+    x, (report,) = _gmres_block(apply_op, p, arr, cfg, groups=1)
     report.method = method
     _operator_memory(op, p, report)
     if not report.converged:
@@ -262,26 +327,33 @@ def solve_multi_rhs_vectorized(
 def solve_multi_rhs_sequential(
     op, p, rhs, cfg: GmresConfig, method: str = "sequential"
 ) -> tuple[np.ndarray, list[SolveReport]]:
-    """Independent GMRES per column; Krylov memory scales per column.
+    """Independent GMRES per column, run in lockstep column blocks.
 
-    All columns are solved even when some fail; a NoConvergence carrying
-    every per-column report is raised at the end if any column missed the
-    tolerance.
+    Every column is its own Krylov group with its own inner products,
+    rotations, stopping test and restarts, so its iterates are those of a
+    solve of that column alone up to rounding.  The columns run in blocks
+    of ``SEQUENTIAL_BLOCK``; within a block each step applies the operator
+    and the preconditioner once to the columns still iterating.  Each
+    report's Krylov tally is iterations * dim * 16 bytes, a block holds at
+    most the sum over its columns, and its ``phase_timings`` are those of
+    its whole block.  All columns are solved even when some fail; a
+    NoConvergence carrying every per-column report and the full iterate
+    is raised at the end if any column missed the tolerance.
     """
-    arr = np.asarray(rhs, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ShapeError(f"rhs must be a column block, got ndim={arr.ndim}")
-    apply_op = op if callable(op) else (lambda x: bordered_matvec(op, x))
-
+    apply_op, arr = _prepare(op, rhs)
     x = np.empty_like(arr)
     reports: list[SolveReport] = []
+    for start in range(0, arr.shape[1], SEQUENTIAL_BLOCK):
+        block = arr[:, start : start + SEQUENTIAL_BLOCK]
+        x[:, start : start + block.shape[1]], block_reports = _gmres_block(
+            apply_op, p, block, cfg, groups=block.shape[1]
+        )
+        reports.extend(block_reports)
+
     failed: list[int] = []
-    for col in range(arr.shape[1]):
-        xi, rep = _gmres_block(apply_op, p, arr[:, col : col + 1], cfg)
+    for col, rep in enumerate(reports):
         rep.method = method
         _operator_memory(op, p, rep)
-        x[:, col] = xi[:, 0]
-        reports.append(rep)
         if not rep.converged:
             failed.append(col)
     if failed:

@@ -45,7 +45,8 @@ def test_fft_flags_rejected_for_other_methods(problem, method, flag):
 
 
 @pytest.mark.parametrize("flag, tag", [([], "mlfft-pk-vec"), (["--precond", "pz"], "mlfft-pz-vec"),
-                                       (["--multi", "seq"], "mlfft-pk-seq")])
+                                       (["--multi", "seq"], "mlfft-pk-seq"),
+                                       (["--precond", "pz", "--multi", "seq"], "mlfft-pz-seq")])
 def test_fft_flags_select_the_mlfft_variant(problem, flag, tag):
     assert cli.main(["solve", str(problem), *flag]) == 0
     report = json.loads(problem.with_name("p.tbz.sol.json").read_text())

@@ -9,6 +9,7 @@ from toepsolve import cli
 from toepsolve.errors import NoConvergence
 from toepsolve.problems import ArrayProblemSpec, assemble_full, build_excitations, generate
 from toepsolve.solvers import (
+    SEQUENTIAL_BLOCK,
     BorderedOperator,
     GmresConfig,
     bordered_matvec,
@@ -91,12 +92,33 @@ class TestPreconditionedSolve:
         # 2*7-1 = 13 and 2*9-1 = 17 embed at the fast lengths 14 and 18
         sys_ = generate(ArrayProblemSpec(ny=7, nx=9, ne=3, seed=5))
         v = build_excitations(sys_, 0).matrix
-        x, _, report = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-10)
+        x, rec, report = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-10)
         want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(assemble_full(sys_)), v)
         assert report.converged
         assert rel_err(x, want) <= 1e-8
         # the spectral operator GMRES holds: 14 x 18 blocks of 3 x 3 complex128
         assert report.memory_estimate["generator"] == 14 * 18 * 3 * 3 * 16
+        assert rec.mem_generator == 14 * 18 * 3 * 3 * 16
+
+    @pytest.mark.parametrize("method", ["mlfft-pk-vec", "mlfft-pk-seq", "mlfft-pz-seq"])
+    def test_record_residual_is_the_true_residual(self, method):
+        # 36 columns of unequal norms: two sequential blocks
+        sys_ = generate(ArrayProblemSpec(ny=6, nx=6, ne=2, seed=3))
+        v = build_excitations(sys_, 0).matrix * np.linspace(1.0, 8.0, 36)
+        x, rec, _ = cli.run_method(sys_, v, method, tol=1e-3)
+        want = np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v)
+        assert abs(rec.residual - want) <= 1e-12 * want
+
+    def test_sequential_record_krylov_is_the_largest_block(self):
+        sys_ = generate(ArrayProblemSpec(ny=6, nx=6, ne=2, seed=3))
+        v = build_excitations(sys_, 0).matrix
+        _, rec, _ = cli.run_method(sys_, v, "mlfft-pk-seq", tol=1e-3)
+        _, reports = solve_multi_rhs_sequential(
+            BorderedOperator.from_system(sys_), build_pk(sys_), v, GmresConfig(tol=1e-3, max_iter=2000)
+        )
+        its = [r.iterations for r in reports]
+        assert len(its) == 36
+        assert rec.mem_krylov == max(sum(its[:32]), sum(its[32:])) * sys_.dim * 16
 
 
 class TestMultiRhs:
@@ -157,3 +179,129 @@ class TestMultiRhs:
             solve_multi_rhs_sequential(op, p, v, GmresConfig(tol=1e-14, max_iter=2))
         assert len(err.value.reports) == v.shape[1]
         assert err.value.solution.shape == v.shape
+
+
+class CountingJacobi:
+    """Jacobi preconditioner that records the width of every apply."""
+
+    stored_bytes = 0
+
+    def __init__(self, a):
+        self.inverse_diagonal = 1.0 / np.diag(a)
+        self.widths = []
+
+    def apply(self, v):
+        self.widths.append(v.shape[1])
+        return v * self.inverse_diagonal[:, None]
+
+
+def solve_sequential(op, p, v, cfg):
+    """Sequential solve returning (solution, reports) whether or not it converged."""
+    try:
+        return solve_multi_rhs_sequential(op, p, v, cfg)
+    except NoConvergence as err:
+        return err.solution, err.reports
+
+
+def assert_matches_alone(op, p, v, cfg):
+    """Every column of a lockstep solve equals the column solved alone."""
+    x, reports = solve_sequential(op, p, v, cfg)
+    assert len(reports) == v.shape[1]
+    for col, rep in enumerate(reports):
+        x_alone, (alone,) = solve_sequential(op, p, v[:, col : col + 1], cfg)
+        assert rep.iterations == alone.iterations
+        assert rep.converged == alone.converged
+        assert rel_err(x[:, col], x_alone[:, 0]) <= 1e-12
+    return x, reports
+
+
+class TestLockstep:
+    def test_columns_converge_at_different_steps(self):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(random_complex(rng, 40, 40))
+        a = q @ np.diag(np.linspace(1.0, 4.0, 40)) @ q.conj().T
+        # a column in an m-dimensional invariant subspace converges by step m
+        v = np.column_stack([q[:, :m] @ random_complex(rng, m) for m in (14, 2, 9, 5)])
+        _, reports = assert_matches_alone(dense_op(a), None, v, GmresConfig(tol=1e-10))
+        its = [r.iterations for r in reports]
+        assert len(set(its)) == 4 and max(its) <= 14
+
+    def test_zero_column(self):
+        rng = np.random.default_rng(4)
+        a = random_complex(rng, 30, 30) + 6 * np.eye(30)
+        v = random_complex(rng, 30, 3)
+        v[:, 1] = 0.0
+        x, reports = assert_matches_alone(dense_op(a), None, v, GmresConfig(tol=1e-10))
+        zero = reports[1]
+        assert not x[:, 1].any()
+        assert (zero.iterations, zero.converged, zero.residual_history) == (0, True, [0.0])
+        assert zero.final_residual == 0.0
+        assert reports[0].iterations > 0
+
+    @staticmethod
+    def _split_operator(rng, n):
+        """Random operator with e_0 as an exact invariant subspace."""
+        a = random_complex(rng, n, n) + 6 * np.eye(n)
+        a[0, 1:] = 0.0
+        a[1:, 0] = 0.0
+        return a
+
+    def test_breakdown_column(self):
+        rng = np.random.default_rng(5)
+        a = self._split_operator(rng, 30)
+        v = random_complex(rng, 30, 3)
+        v[:, 2] = 0.0
+        v[0, 2] = 2.0  # A e_0 is parallel to e_0: hnext = 0 at the first step
+        x, reports = assert_matches_alone(dense_op(a), None, v, GmresConfig(tol=1e-12))
+        assert reports[2].iterations == 1 and reports[2].converged
+        assert rel_err(a @ x[:, 2], v[:, 2]) <= 1e-15
+        assert min(reports[0].iterations, reports[1].iterations) > 1
+
+    def test_blocks_of_the_sequential_constant(self):
+        rng = np.random.default_rng(8)
+        a = random_complex(rng, 40, 40) + np.diag(np.linspace(6.0, 30.0, 40))
+        p = CountingJacobi(a)
+        v = random_complex(rng, 40, 70)
+        assert SEQUENTIAL_BLOCK == 32
+        _, reports = assert_matches_alone(dense_op(a), p, v, GmresConfig(tol=1e-8))
+        # the lockstep solve ran first: one apply per block start and per step
+        widths = p.widths[: len(p.widths) - sum(1 + r.iterations for r in reports)]
+        its = [r.iterations for r in reports]
+        blocks = [its[i : i + SEQUENTIAL_BLOCK] for i in range(0, 70, SEQUENTIAL_BLOCK)]
+        assert [len(b) for b in blocks] == [32, 32, 6]
+        assert len(widths) == sum(1 + max(b) for b in blocks)
+        assert max(widths) == SEQUENTIAL_BLOCK
+
+    def test_restarted(self):
+        rng = np.random.default_rng(6)
+        a = random_complex(rng, 40, 40) + 12 * np.eye(40)
+        v = random_complex(rng, 40, 4)
+        v[:, 3] *= 1e-3
+        cfg = GmresConfig(tol=1e-9, max_iter=200, restart=5)
+        x, reports = assert_matches_alone(dense_op(a), None, v, cfg)
+        assert all(r.converged for r in reports)
+        assert max(r.iterations for r in reports) > 5
+        assert rel_err(a @ x, v) <= 1e-8
+
+    def test_mixed_convergence_raises_with_every_report(self):
+        rng = np.random.default_rng(7)
+        a = self._split_operator(rng, 30)
+        v = random_complex(rng, 30, 3)
+        v[:, 0] = 0.0
+        v[0, 0] = 1.0  # converges at step 1
+        v[:, 1] = 0.0  # converges at step 0
+        cfg = GmresConfig(tol=1e-12, max_iter=4)
+        with pytest.raises(NoConvergence) as err:
+            solve_multi_rhs_sequential(dense_op(a), None, v, cfg)
+        assert [r.converged for r in err.value.reports] == [True, True, False]
+        assert [r.iterations for r in err.value.reports] == [1, 0, 4]
+        assert rel_err(a @ err.value.solution[:, :2], v[:, :2]) <= 1e-15
+        assert_matches_alone(dense_op(a), None, v, cfg)
+
+    def test_preconditioner_applied_once_per_step(self):
+        rng = np.random.default_rng(9)
+        a = random_complex(rng, 30, 30) + 8 * np.eye(30)
+        p = CountingJacobi(a)
+        v = random_complex(rng, 30, 5)
+        _, report = solve_multi_rhs_vectorized(dense_op(a), p, v, GmresConfig(tol=1e-8))
+        assert p.widths == [5] * (report.iterations + 1)
