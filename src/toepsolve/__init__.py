@@ -2,8 +2,9 @@
 
 The package bundles an FFT-accelerated preconditioned GMRES, a direct
 block bordering solver with Schur border elimination, a deterministic
-synthetic problem generator with a binary file format, and a benchmark
-CLI (``toepsolve``).
+synthetic problem generator with a binary file format, and a command
+line (``toepsolve``) to generate, solve, verify and estimate spectra.
+Timed scaling sweeps are run by the repository's ``perfbench/sweep.py``.
 """
 
 from . import errors, numerics, problems, solvers, toeplitz

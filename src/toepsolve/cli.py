@@ -1,12 +1,17 @@
-"""Benchmark and experiment driver: generate | solve | bench | verify | spectrum.
+"""Command line: generate | solve | verify | spectrum.
 
 Every run is reproducible from its seed in all non-timing fields.  Exit
 codes: 0 success, 2 invalid input, 3 no convergence, 4 dense oracle cap
-exceeded, 5 I/O or file-format failure.
+exceeded, 5 I/O or file-format failure.  Timed scaling sweeps (warm-up,
+repeats, crossovers and an environment block) are run by the
+repository's ``perfbench/sweep.py``, which calls ``run_method``.
 
 BLAS threads are capped by setting ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` before the process starts; the BLAS reads them once,
-when numpy is first imported.
+when numpy is first imported.  The default thread count can make small
+solves slower: on a 2-core host a 70-column ``mlfft-pk-seq`` solve of a
+7x10 grid (ne = 2) took 0.18-0.27 s with 2 OpenBLAS threads and 0.07 s
+with ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -14,11 +19,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,7 +59,7 @@ from .solvers import (
     spectrum_estimate,
 )
 
-__all__ = ["main", "BenchRecord", "run_bench", "run_method", "fit_exponent", "BENCH_METHODS"]
+__all__ = ["main", "BenchRecord", "run_method", "BENCH_METHODS"]
 
 BENCH_METHODS = ("dense", "gmres-dense", "rybicki", "mlfft-pk-vec", "mlfft-pz-vec", "mlfft-pk-seq",
                  "mlfft-pz-seq")
@@ -69,7 +73,7 @@ _EXIT_IO = 5
 
 @dataclass
 class BenchRecord:
-    """One CSV row of a benchmark sweep."""
+    """Outcome of one solve by one method: time, residual and storage."""
 
     method: str
     elements: int
@@ -78,9 +82,7 @@ class BenchRecord:
     ne: int
     nb: int
     tol: float
-    construction_s: float = 0.0
     solve_s: float = 0.0
-    matvec_s: float = 0.0
     iterations: int = 0
     residual: float = 0.0
     mem_generator: int = 0
@@ -93,12 +95,13 @@ class BenchRecord:
     error: str = ""
 
 
-CSV_COLUMNS = [f.name for f in fields(BenchRecord)]
-CSV_SCHEMA_VERSION = 1
+# version of the record and report JSON that ``solve`` writes
+SCHEMA_VERSION = 2
 
 
-def _blank_record(spec: ArrayProblemSpec, method: str, tol: float) -> BenchRecord:
-    """Record with the exact storage formulas pre-filled from the grid."""
+def _blank_record(sys_: BorderedSystem, method: str, tol: float) -> BenchRecord:
+    """Record with the exact storage formulas pre-filled from the system."""
+    spec = sys_.spec
     rec = BenchRecord(
         method=method,
         elements=spec.elements,
@@ -108,21 +111,34 @@ def _blank_record(spec: ArrayProblemSpec, method: str, tol: float) -> BenchRecor
         nb=spec.nb,
         tol=tol,
     )
-    rec.mem_generator = (2 * spec.ny - 1) * (2 * spec.nx - 1) * spec.ne**2 * 16
-    rec.mem_dense_equivalent = (spec.ny * spec.nx * spec.ne + spec.nb) ** 2 * 16
+    rec.mem_generator = sys_.gen.stored_scalars * 16
+    rec.mem_dense_equivalent = sys_.dim**2 * 16
     return rec
 
 
-def _time_matvec(op: BorderedOperator, reps: int, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((op.dim, 1)) + 1j * rng.standard_normal((op.dim, 1))
-    bordered_matvec(op, x)  # warm up FFT plans and pools
-    best = math.inf
-    for _ in range(max(reps, 1)):
-        t0 = time.perf_counter()
-        bordered_matvec(op, x)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _gmres_record(rec: BenchRecord, reports: list[SolveReport], v: np.ndarray, t0: float) -> BenchRecord:
+    """Fill the GMRES fields of ``rec`` from a solve that started at ``t0``.
+
+    ``reports`` is the one report of a block solve or the per-column
+    reports of a sequential one, from its return value or from its
+    NoConvergence.  The residual is the true ||V - ZX||_F / ||V||_F.
+    """
+    rec.solve_s = time.perf_counter() - t0
+    rec.iterations = max(r.iterations for r in reports)
+    krylov = [r.memory_estimate["krylov"] for r in reports]
+    # a sequential solve holds the bases of one lockstep block at a time
+    rec.mem_krylov = max(sum(krylov[i : i + SEQUENTIAL_BLOCK])
+                         for i in range(0, len(krylov), SEQUENTIAL_BLOCK))
+    memory = reports[0].memory_estimate
+    rec.mem_generator = memory["generator"] or rec.mem_generator  # 0 for a dense operator
+    rec.mem_precond = memory["preconditioner"]
+    if len(reports) == 1:
+        rec.residual = reports[0].final_residual
+    else:
+        b_norms = np.linalg.norm(v, axis=0)
+        r_norms = np.array([r.final_residual for r in reports]) * b_norms
+        rec.residual = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms))
+    return rec
 
 
 def run_method(
@@ -132,9 +148,8 @@ def run_method(
     tol: float,
     max_iter: int = 2000,
     cap: int = DEFAULT_ORACLE_CAP,
-    matvec_reps: int = 0,
 ) -> tuple[np.ndarray, BenchRecord, SolveReport | None]:
-    """Solve with one named method and fill a benchmark record.
+    """Solve the (dim, columns) block ``v`` with one named method and fill its record.
 
     Solve time follows the usual accounting: the dense methods include
     the dense fill, the bordering method includes the level-1 fill, the
@@ -144,9 +159,7 @@ def run_method(
     """
     if method not in BENCH_METHODS:
         raise InvalidSpec(f"unknown method {method!r} (choose from {', '.join(BENCH_METHODS)})")
-    rec = _blank_record(sys_.spec, method, tol)
-    report: SolveReport | None = None
-    cfg = GmresConfig(tol=tol, max_iter=max_iter)
+    rec = _blank_record(sys_, method, tol)
 
     t0 = time.perf_counter()
     if method == "dense":
@@ -157,133 +170,32 @@ def run_method(
         rec.residual = float(np.linalg.norm(full @ x - v) / np.linalg.norm(v))
         return x, rec, None
 
-    if method == "gmres-dense":
-        full = assemble_full(sys_, cap)
-        p = build_pk(sys_)
-        x, report = solve_multi_rhs_vectorized(full.__matmul__, p, v, cfg, method=method)
-        rec.dense_allocated = True
-        rec.solve_s = time.perf_counter() - t0
-        rec.iterations = report.iterations
-        rec.mem_krylov = report.memory_estimate["krylov"]
-        rec.mem_precond = p.stored_bytes
-        rec.residual = report.final_residual
-        return x, rec, report
-
     if method == "rybicki":
-        x, report = schur_solve(sys_, v, inner="rybicki")
+        x, report = schur_solve(sys_, v)
         rec.solve_s = time.perf_counter() - t0
-        rec.mem_level1 = report.memory_estimate.get("level1", 0)
+        rec.mem_level1 = report.memory_estimate["level1"]
         op = BorderedOperator.from_system(sys_)
         rec.residual = float(np.linalg.norm(bordered_matvec(op, x) - v) / np.linalg.norm(v))
-        if matvec_reps:
-            rec.matvec_s = _time_matvec(op, matvec_reps)
         return x, rec, report
 
-    # mlfft-<precond>-<mode>
-    _, precond_name, mode = method.split("-")
-    op = BorderedOperator.from_system(sys_)
+    # gmres-dense, or mlfft-<precond>-<mode>
+    if method == "gmres-dense":
+        op, precond_name, mode = assemble_full(sys_, cap).__matmul__, "pk", "vec"
+        rec.dense_allocated = True
+    else:
+        _, precond_name, mode = method.split("-")
+        op = BorderedOperator.from_system(sys_)
     t_pre = time.perf_counter()
     p = build_pk(sys_) if precond_name == "pk" else build_pz(sys_)
     precond_build = time.perf_counter() - t_pre
+    cfg = GmresConfig(tol=tol, max_iter=max_iter)
     if mode == "vec":
         x, report = solve_multi_rhs_vectorized(op, p, v, cfg, method=method)
-        rec.iterations = report.iterations
-        rec.mem_krylov = report.memory_estimate["krylov"]
-        rec.residual = report.final_residual
+        reports = [report]
     else:
         x, reports = solve_multi_rhs_sequential(op, p, v, cfg, method=method)
-        rec.iterations = max(r.iterations for r in reports)
-        krylov = [r.memory_estimate["krylov"] for r in reports]
-        rec.mem_krylov = max(sum(krylov[i : i + SEQUENTIAL_BLOCK])
-                             for i in range(0, len(krylov), SEQUENTIAL_BLOCK))
-        # ||V - ZX||_F / ||V||_F from the per-column relative residuals
-        b_norms = np.linalg.norm(v, axis=0)
-        r_norms = np.array([r.final_residual for r in reports]) * b_norms
-        rec.residual = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms))
-        report = reports[0]
-    report.phase_timings["precond_build"] = precond_build
-    rec.solve_s = time.perf_counter() - t0
-    rec.mem_generator = op.generator_bytes
-    rec.mem_precond = p.stored_bytes
-    if matvec_reps:
-        rec.matvec_s = _time_matvec(op, matvec_reps)
-    return x, rec, report
-
-
-def _square_grid(elements: int) -> int:
-    side = math.isqrt(elements)
-    if side * side != elements:
-        raise InvalidSpec(f"bench sizes must be perfect squares of elements, got {elements}")
-    return side
-
-
-def run_bench(
-    sizes,
-    methods,
-    ne: int,
-    tol: float,
-    seed: int = 0,
-    nb: int | None = None,
-    max_iter: int = 2000,
-    cap: int = DEFAULT_ORACLE_CAP,
-    matvec_reps: int = 3,
-    feed: int = 0,
-    progress=None,
-) -> list[BenchRecord]:
-    """Run a (sizes x methods) sweep; failures are recorded, not fatal."""
-    sizes = list(sizes)
-    if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
-        raise InvalidSpec(f"sizes must be strictly ascending, got {sizes}")
-    for m in methods:
-        if m not in BENCH_METHODS:
-            raise InvalidSpec(f"unknown method {m!r}")
-
-    records: list[BenchRecord] = []
-    for elements in sizes:
-        side = _square_grid(elements)
-        spec = ArrayProblemSpec(ny=side, nx=side, ne=ne, nb=nb, seed=seed)
-        t0 = time.perf_counter()
-        sys_ = generate(spec)
-        construction = time.perf_counter() - t0
-        v = build_excitations(sys_, feed).matrix
-        for method in methods:
-            if progress:
-                progress(f"size {elements} method {method}")
-            try:
-                _, rec, _ = run_method(sys_, v, method, tol, max_iter, cap, matvec_reps)
-            except (ToepsolveError, np.linalg.LinAlgError) as exc:
-                rec = _blank_record(spec, method, tol)
-                rec.ok = False
-                rec.error = f"{type(exc).__name__}: {exc}"
-                if isinstance(exc, NoConvergence) and exc.report is not None:
-                    rec.iterations = exc.report.iterations
-                    rec.mem_krylov = exc.report.memory_estimate["krylov"]
-            rec.construction_s = construction
-            records.append(rec)
-    return records
-
-
-def fit_exponent(records, field: str = "solve_s") -> dict[str, float]:
-    """Log-log least-squares slope of a timing field versus element count."""
-    out: dict[str, float] = {}
-    by_method: dict[str, list[BenchRecord]] = {}
-    for rec in records:
-        if rec.ok and getattr(rec, field) > 0.0:
-            by_method.setdefault(rec.method, []).append(rec)
-    for method, recs in by_method.items():
-        if len(recs) >= 2:
-            xs = np.log([r.elements for r in recs])
-            ys = np.log([getattr(r, field) for r in recs])
-            out[method] = float(np.polyfit(xs, ys, 1)[0])
-    return out
-
-
-def _write_csv(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([getattr(rec, c) for c in CSV_COLUMNS])
+    reports[0].phase_timings["precond_build"] = precond_build
+    return x, _gmres_record(rec, reports, v, t0), reports[0]
 
 
 def _spec_from_args(args) -> ArrayProblemSpec:
@@ -353,21 +265,22 @@ def _cmd_solve(args) -> int:
     report_path = args.report or (out_path + ".json")
 
     status = _EXIT_OK
+    t0 = time.perf_counter()
     try:
         x, rec, report = run_method(sys_, v, tag, args.tol, args.max_iter, args.cap)
     except NoConvergence as exc_nc:
         x = exc_nc.solution
-        report = exc_nc.report or (exc_nc.reports[0] if exc_nc.reports else SolveReport())
-        rec = _blank_record(sys_.spec, tag, args.tol)
+        reports = exc_nc.reports or [exc_nc.report]
+        report = reports[0]
+        rec = _gmres_record(_blank_record(sys_, tag, args.tol), reports, v, t0)
         rec.ok = False
         rec.error = str(exc_nc)
-        rec.iterations = report.iterations
         status = _EXIT_NO_CONVERGENCE
 
     if x is not None:
         np.ascontiguousarray(x, dtype="<c16").tofile(out_path)
     payload = {"record": asdict(rec), "report": report.as_dict() if report else None,
-               "rhs_columns": int(v.shape[1]), "schema_version": CSV_SCHEMA_VERSION}
+               "rhs_columns": int(v.shape[1]), "schema_version": SCHEMA_VERSION}
     with open(report_path, "w") as fh:
         json.dump(payload, fh, indent=2)
     print(
@@ -379,32 +292,6 @@ def _cmd_solve(args) -> int:
     return status
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(t) for t in args.sizes.split(",") if t]
-    methods = [t.strip() for t in args.methods.split(",") if t.strip()]
-    records = run_bench(
-        sizes,
-        methods,
-        ne=args.ne,
-        tol=args.tol,
-        seed=args.seed,
-        nb=args.nb,
-        max_iter=args.max_iter,
-        cap=args.cap,
-        matvec_reps=args.matvec_reps,
-        progress=lambda msg: print(f"bench: {msg}", file=sys.stderr),
-    )
-    _write_csv(args.csv, records)
-    print(f"wrote {len(records)} rows to {args.csv}")
-    for field_name in ("solve_s", "matvec_s"):
-        for method, slope in sorted(fit_exponent(records, field_name).items()):
-            print(f"scaling {field_name} {method}: exponent {slope:.2f}")
-    failures = [r for r in records if not r.ok]
-    for rec in failures:
-        print(f"warning: {rec.method} at {rec.elements} elements failed: {rec.error}", file=sys.stderr)
-    return _EXIT_OK
-
-
 def _cmd_verify(args) -> int:
     sys_ = _load_or_generate(args)
     v = build_excitations(sys_, args.feed).matrix
@@ -412,10 +299,11 @@ def _cmd_verify(args) -> int:
     x_ref = numerics.lu_solve(numerics.lu_factor(full), v)
     ref_norm = np.linalg.norm(x_ref)
 
-    methods = ["rybicki", "mlfft-pk-vec", "mlfft-pz-vec", "mlfft-pk-seq"]
     ok = True
     print(f"verify: dim={sys_.dim}, rhs={v.shape[1]}, tol={args.tol:g}")
-    for method in methods:
+    for method in BENCH_METHODS:
+        if method == "dense":  # the oracle itself
+            continue
         bound = 1e-10 if method == "rybicki" else 10.0 * args.tol
         try:
             x, _, _ = run_method(sys_, v, method, args.tol, args.max_iter, args.cap)
@@ -462,7 +350,7 @@ def _cmd_spectrum(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toepsolve",
-        description="Solvers and benchmarks for bordered two-level block-Toeplitz systems.",
+        description="Solvers for bordered two-level block-Toeplitz systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -471,7 +359,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output TBZ path")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("solve", help="solve a TBZ problem and write currents + report")
+    p = sub.add_parser(
+        "solve", help="solve a TBZ problem and write currents + report",
+        description="Solve a TBZ problem and write the currents and a JSON report.  Small solves "
+        "can run faster with one BLAS thread: on a 2-core host a 70-column mlfft-pk-seq solve "
+        "of a 7x10 grid (ne 2) took 0.18-0.27 s with 2 OpenBLAS threads and 0.07 s with "
+        "OPENBLAS_NUM_THREADS=1.",
+    )
     p.add_argument("input", help="input TBZ path")
     p.add_argument("--method", choices=["dense", "gmres-dense", "rybicki", "mlfft"], default="mlfft")
     p.add_argument("--precond", choices=["pk", "pz"], default=None, help="mlfft only (default pk)")
@@ -484,21 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None, help="solution file (raw complex128)")
     p.add_argument("--report", default=None, help="report JSON path")
     p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("bench", help="sweep sizes x methods and write a CSV")
-    p.add_argument("--sizes", required=True, help="comma list of element counts (perfect squares), ascending")
-    p.add_argument("--methods", default="dense,rybicki,mlfft-pk-vec",
-                   help=f"comma list from: {','.join(BENCH_METHODS)}")
-    p.add_argument("--ne", type=int, default=8)
-    p.add_argument("--nb", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--feed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
-    p.add_argument("--matvec-reps", type=int, default=3)
-    p.add_argument("--csv", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="compare every solver against the dense oracle")
     p.add_argument("input", nargs="?", default=None, help="optional TBZ path (else --ny/--nx/... flags)")

@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, ShapeError, SingularMatrix
 
-__all__ = ["LUFactors", "as_block", "lu_factor", "lu_solve"]
+__all__ = ["LUFactors", "as_block", "as_columns", "lu_factor", "lu_solve"]
 
 # Pivots below this magnitude are treated as exact zeros.
 _PIVOT_TINY = 1e-300
@@ -47,6 +47,20 @@ def as_block(a, square: bool = False) -> np.ndarray:
     return arr
 
 
+def as_columns(a, rows: int) -> np.ndarray:
+    """View a (rows, k) column block as complex128; there is no 1-D form.
+
+    Raises ShapeError unless the input is 2-D and DimensionMismatch unless
+    it has ``rows`` rows.  A complex128 input is returned without a copy.
+    """
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise ShapeError(f"expected a 2-D column block, got ndim={arr.ndim}")
+    if arr.shape[0] != rows:
+        raise DimensionMismatch(f"expected {rows} rows, got {arr.shape[0]}")
+    return arr
+
+
 def lu_factor(a) -> LUFactors:
     """LU-factor a square block with partial (row) pivoting.
 
@@ -66,14 +80,6 @@ def lu_factor(a) -> LUFactors:
 
 
 def lu_solve(f: LUFactors, rhs, adjoint: bool = False) -> np.ndarray:
-    """Back-substitute A·X = RHS (or Aᴴ·X = RHS) for one or many columns."""
-    arr = np.asarray(rhs, dtype=np.complex128)
-    vector = arr.ndim == 1
-    if vector:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ShapeError(f"rhs must be 1-D or 2-D, got ndim={arr.ndim}")
-    if arr.shape[0] != f.side:
-        raise DimensionMismatch(f"factor side {f.side} != rhs rows {arr.shape[0]}")
-    x = scipy.linalg.lu_solve((f.lu, f.piv), arr, trans=2 if adjoint else 0, check_finite=False)
-    return x[:, 0] if vector else x
+    """Back-substitute A·X = RHS (or Aᴴ·X = RHS) for a 2-D block of columns."""
+    arr = as_columns(rhs, f.side)
+    return scipy.linalg.lu_solve((f.lu, f.piv), arr, trans=2 if adjoint else 0, check_finite=False)

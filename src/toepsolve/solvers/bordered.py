@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError
+from ..numerics import as_columns
 from ..toeplitz import SpectralOperator, matvec, precompute_spectral
 
 __all__ = ["BorderedOperator", "bordered_matvec", "bordered_matvec_adjoint"]
@@ -58,29 +59,19 @@ class BorderedOperator:
         return self.spectral.diag_blocks.nbytes
 
 
-def _split(op: BorderedOperator, x) -> tuple[np.ndarray, np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.complex128)
-    vector = arr.ndim == 1
-    if vector:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] != op.dim:
-        raise ShapeError(f"input shape {np.shape(x)} incompatible with operator dim {op.dim}")
-    return arr[: op.array_dim], arr[op.array_dim :], vector
-
-
 def bordered_matvec(op: BorderedOperator, x, transpose: bool = False) -> np.ndarray:
-    """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for one or more columns.
+    """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for an (op.dim, columns) block.
 
     With ``transpose`` the plain (non-conjugated) transpose acts instead:
     Z_A and Z_C are transposed, the coupling terms stay as they are.
     """
-    xa, xc, vector = _split(op, x)
+    arr = as_columns(x, op.dim)
+    xa, xc = arr[: op.array_dim], arr[op.array_dim :]
     top = matvec(op.spectral, xa, transpose)
     bottom = op.zb @ xa + (op.zc.T if transpose else op.zc) @ xc
     if op.nb:
         top = top + op.zb.T @ xc
-    out = np.vstack([top, bottom])
-    return out[:, 0] if vector else out
+    return np.vstack([top, bottom])
 
 
 def bordered_matvec_adjoint(op: BorderedOperator, x) -> np.ndarray:

@@ -62,22 +62,15 @@ class Preconditioner:
         return solved.reshape(side, segments, w).transpose(1, 0, 2).reshape(self.array_dim, w)
 
     def _apply(self, v, adjoint: bool) -> np.ndarray:
-        arr = np.asarray(v, dtype=np.complex128)
-        vector = arr.ndim == 1
-        if vector:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] != self.dim:
-            raise ShapeError(f"input shape {np.shape(v)} incompatible with dim {self.dim}")
+        arr = numerics.as_columns(v, self.dim)
         top = self._solve_segments(arr[: self.array_dim], adjoint)
-        if self.nb:
-            bottom = numerics.lu_solve(self.border_lu, arr[self.array_dim :], adjoint=adjoint)
-            out = np.vstack([top, bottom])
-        else:
-            out = top
-        return out[:, 0] if vector else out
+        if not self.nb:
+            return top
+        bottom = numerics.lu_solve(self.border_lu, arr[self.array_dim :], adjoint=adjoint)
+        return np.vstack([top, bottom])
 
     def apply(self, v) -> np.ndarray:
-        """P^-1 v by blockwise back substitution."""
+        """P^-1 v by blockwise back substitution, for a (dim, columns) block v."""
         return self._apply(v, adjoint=False)
 
     def apply_adjoint(self, v) -> np.ndarray:

@@ -82,7 +82,7 @@ def rybicki_solve(blocks: np.ndarray, y, step_hook=None) -> np.ndarray:
     ``blocks`` holds the 2*N-1 square coefficient blocks in circulant
     order (index n % (2N-1) is the block for signed offset n), so that
     block (i, j) of the system matrix is ``blocks[(i - j) % (2N - 1)]``.
-    ``y`` is the stacked right-hand side with any number of columns.
+    ``y`` is the stacked (N*side, columns) right-hand side block.
 
     ``step_hook(stage, workspace)`` is invoked after every stage with a
     view of the current blocks (used by invariant tests).
@@ -95,12 +95,7 @@ def rybicki_solve(blocks: np.ndarray, y, step_hook=None) -> np.ndarray:
     n = (blocks.shape[0] + 1) // 2
     side = blocks.shape[1]
 
-    rhs = np.asarray(y, dtype=np.complex128)
-    vector = rhs.ndim == 1
-    if vector:
-        rhs = rhs[:, None]
-    if rhs.shape[0] != n * side:
-        raise ShapeError(f"rhs rows {rhs.shape[0]} != N*side = {n * side}")
+    rhs = numerics.as_columns(y, n * side)
     w = rhs.shape[1]
     yb = rhs.reshape(n, side, w)
 
@@ -169,5 +164,4 @@ def rybicki_solve(blocks: np.ndarray, y, step_hook=None) -> np.ndarray:
             stage = m + 1
             step_hook(stage, RybickiWorkspace(x[:stage], g[: min(stage, n - 1)], h[: min(stage, n - 1)]))
 
-    out = x.reshape(n * side, w)
-    return out[:, 0] if vector else out
+    return x.reshape(n * side, w)

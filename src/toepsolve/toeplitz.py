@@ -35,6 +35,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import BlockShapeMismatch, MissingOffset, ShapeError
+from .numerics import as_columns
 
 __all__ = [
     "BlockGenerator1L",
@@ -160,16 +161,6 @@ class SpectralOperator:
         return self.diag_blocks.size
 
 
-def _as_columns(data) -> tuple[np.ndarray, bool]:
-    """Promote 1-D input to a single column; report whether it was 1-D."""
-    arr = np.asarray(data, dtype=np.complex128)
-    if arr.ndim == 1:
-        return arr[:, None], True
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a vector or column block, got ndim={arr.ndim}")
-    return arr, False
-
-
 def embed_1l(blocks: Mapping[int, np.ndarray], n1: int, n0: int) -> BlockGenerator1L:
     """Build a 1-level generator from a map of signed offsets to blocks.
 
@@ -215,20 +206,18 @@ _TRANSFORMS = {"forward": scipy.fft.fftn, "inverse": scipy.fft.ifftn}
 def block_fft_2l(data, n2: int, n1: int, n0: int, direction: str = "forward") -> np.ndarray:
     """Two-level block-wise DFT realizing F_{n2} (x) F_{n1} (x) I_{n0}.
 
-    One 2-D transform runs over the first two axes of the (n2, n1, n0,
-    columns) view, so each level-0 row class and column is transformed
-    on its own.  The matvec calls this with the circulant lengths
-    L = next_fast_len(2n-1) of both levels.  The input is never
-    overwritten.
+    ``data`` is an (n2*n1*n0, columns) block.  One 2-D transform runs
+    over the first two axes of the (n2, n1, n0, columns) view, so each
+    level-0 row class and column is transformed on its own.  The matvec
+    calls this with the circulant lengths L = next_fast_len(2n-1) of both
+    levels.  The input is never overwritten.
     """
     if direction not in _TRANSFORMS:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    arr, vector = _as_columns(data)
-    rows = arr.shape[0]
-    if min(n2, n1, n0) < 1 or rows != n2 * n1 * n0:
-        raise ShapeError(f"rows {rows} != n2*n1*n0 = {n2 * n1 * n0}")
-    out = _TRANSFORMS[direction](arr.reshape(n2, n1, n0, -1), axes=(0, 1)).reshape(arr.shape)
-    return out[:, 0] if vector else out
+    if min(n2, n1, n0) < 1:
+        raise ShapeError(f"grid sides must be positive, got {(n2, n1, n0)}")
+    arr = as_columns(data, n2 * n1 * n0)
+    return _TRANSFORMS[direction](arr.reshape(n2, n1, n0, -1), axes=(0, 1)).reshape(arr.shape)
 
 
 def precompute_spectral(gen: BlockGenerator2L) -> SpectralOperator:
@@ -242,34 +231,30 @@ def precompute_spectral(gen: BlockGenerator2L) -> SpectralOperator:
 
 
 def pad_rhs(u, n2: int, n1: int, n0: int) -> np.ndarray:
-    """Zero-pad a stacked vector to the circulant grid, level by level.
+    """Zero-pad a stacked column block to the circulant grid, level by level.
 
     With L = next_fast_len(2n-1) per level, each of the n2 level-2
     segments (n1*n0 rows) is followed by (L1-n1)*n0 zero rows, and
-    (L2-n2)*L1*n0 zero rows trail the whole vector.  For n2 = 1 this
+    (L2-n2)*L1*n0 zero rows trail the whole block.  For n2 = 1 this
     degenerates to [u; 0].
     """
-    arr, vector = _as_columns(u)
-    if arr.shape[0] != n2 * n1 * n0:
-        raise ShapeError(f"rows {arr.shape[0]} != n2*n1*n0 = {n2 * n1 * n0}")
+    arr = as_columns(u, n2 * n1 * n0)
     l2, l1, w = _embed_len(n2), _embed_len(n1), arr.shape[1]
     out = np.zeros((l2 * l1 * n0, w), dtype=np.complex128)
     out.reshape(l2, l1, n0, w)[:n2, :n1] = arr.reshape(n2, n1, n0, w)
-    return out[:, 0] if vector else out
+    return out
 
 
 def extract_result(v, n2: int, n1: int, n0: int) -> np.ndarray:
-    """Collect the payload rows of a circulant-length vector, dropping scratch.
+    """Collect the payload rows of a circulant-length column block, dropping scratch.
 
     With L = next_fast_len(2n-1) per level, segment n lives at rows
     n*L1*n0 .. n*L1*n0 + n1*n0 - 1.
     """
-    arr, vector = _as_columns(v)
-    l2, l1, w = _embed_len(n2), _embed_len(n1), arr.shape[1]
-    if arr.shape[0] != l2 * l1 * n0:
-        raise ShapeError(f"rows {arr.shape[0]} != circulant length {l2 * l1 * n0}")
-    out = arr.reshape(l2, l1, n0, w)[:n2, :n1].reshape(n2 * n1 * n0, w)
-    return out[:, 0] if vector else out
+    l2, l1 = _embed_len(n2), _embed_len(n1)
+    arr = as_columns(v, l2 * l1 * n0)
+    w = arr.shape[1]
+    return arr.reshape(l2, l1, n0, w)[:n2, :n1].reshape(n2 * n1 * n0, w)
 
 
 def matvec(op: SpectralOperator, u, transpose: bool = False) -> np.ndarray:
@@ -283,11 +268,9 @@ def matvec(op: SpectralOperator, u, transpose: bool = False) -> np.ndarray:
     transpose is F D^T F^-1; padding and extraction are transposes of each
     other because they address the same rows.  The transposed matvec is
     therefore the same pipeline with the transform directions swapped and
-    each diagonal block transposed.
+    each diagonal block transposed.  ``u`` is an (op.dim, columns) block.
     """
-    arr, vector = _as_columns(u)
-    if arr.shape[0] != op.dim:
-        raise ShapeError(f"rows {arr.shape[0]} != operator dim {op.dim}")
+    arr = as_columns(u, op.dim)
     l2, l1 = _embed_len(op.n2), _embed_len(op.n1)
     first, second = ("inverse", "forward") if transpose else ("forward", "inverse")
     blocks = np.swapaxes(op.diag_blocks, 1, 2) if transpose else op.diag_blocks
@@ -295,8 +278,7 @@ def matvec(op: SpectralOperator, u, transpose: bool = False) -> np.ndarray:
     hat = block_fft_2l(padded, l2, l1, op.n0, first)
     prod = blocks @ hat.reshape(l2 * l1, op.n0, -1)
     back = block_fft_2l(prod.reshape(l2 * l1 * op.n0, -1), l2, l1, op.n0, second)
-    out = extract_result(back, op.n2, op.n1, op.n0)
-    return out[:, 0] if vector else out
+    return extract_result(back, op.n2, op.n1, op.n0)
 
 
 def assemble_dense_1l(gen: BlockGenerator1L) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from helpers import BAD_HEADERS, rewrite_header
 from toepsolve import cli
+from toepsolve.problems import assemble_full, build_excitations, load
 
 DIM = 2 * 2 * 3 + 4  # ny * nx * ne + nb
 COLUMNS = 4  # one excitation per element
@@ -57,6 +59,28 @@ def test_iteration_cap_is_no_convergence(problem):
     assert cli.main(["solve", str(problem), "--tol", "1e-14", "--max-iter", "1"]) == 3
     report = json.loads(problem.with_name("p.tbz.sol.json").read_text())
     assert not report["record"]["ok"]
+
+
+@pytest.mark.parametrize("multi", ["vec", "seq"])
+def test_no_convergence_record_carries_the_true_residual(problem, multi):
+    argv = ["solve", str(problem), "--multi", multi, "--tol", "1e-14", "--max-iter", "1"]
+    assert cli.main(argv) == 3
+    record = json.loads(problem.with_name("p.tbz.sol.json").read_text())["record"]
+    assert not record["ok"] and record["mem_krylov"] > 0
+    sys_ = load(problem)
+    v = build_excitations(sys_, 0).matrix
+    x = np.fromfile(problem.with_name("p.tbz.sol"), dtype="<c16").reshape(DIM, COLUMNS)
+    want = np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v)
+    assert abs(record["residual"] - want) <= 1e-12 * want
+
+
+def test_verify_checks_every_method_against_the_oracle(capsys):
+    assert cli.main(["verify", "--ny", "3", "--nx", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    methods = [m for m in cli.BENCH_METHODS if m != "dense"]
+    assert [line.split()[0] for line in lines[1:-1]] == methods
+    assert all(line.endswith(" ok") for line in lines[1:-1])
+    assert lines[-1] == "verify: PASS"
 
 
 def test_verify_above_oracle_cap(problem):

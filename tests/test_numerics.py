@@ -19,7 +19,7 @@ def test_lu_identity_trivial():
 def test_lu_permutation_swaps_rows():
     f = lu_factor([[0, 1], [1, 0]])
     a, b = 2.0 + 1j, -3.0
-    x = lu_solve(f, np.array([a, b]))
+    x = lu_solve(f, np.array([a, b])[:, None])[:, 0]
     assert np.allclose(x, [b, a], rtol=0, atol=0)
 
 
@@ -33,7 +33,7 @@ def test_lu_roundtrip_random_8x8():
 
 def test_lu_solve_scaling():
     f = lu_factor(2 * np.eye(4))
-    b = np.arange(4.0) + 1j
+    b = (np.arange(4.0) + 1j)[:, None]
     assert np.allclose(lu_solve(f, b), b / 2, rtol=1e-15)
 
 

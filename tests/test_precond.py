@@ -78,7 +78,7 @@ class TestBuildPk:
         sys_ = small_system()
         p = build_pk(sys_)
         rng = np.random.default_rng(2)
-        v = random_complex(rng, sys_.dim)
+        v = random_complex(rng, sys_.dim)[:, None]
         dense = block_diag_dense(sys_, sys_.spec.ne)
         assert rel_err(p.apply_adjoint(v), np.linalg.solve(dense.conj().T, v)) <= 1e-12
 
@@ -123,11 +123,11 @@ class TestApply:
         sys_ = small_system()
         p = build_pk(sys_)
         rng = np.random.default_rng(6)
-        w = random_complex(rng, sys_.dim)
+        w = random_complex(rng, sys_.dim)[:, None]
         dense = block_diag_dense(sys_, sys_.spec.ne)
         assert rel_err(p.apply(dense @ w), w) <= 1e-12
 
     def test_shape_error(self):
         p = build_pk(small_system())
         with pytest.raises(ShapeError):
-            p.apply(np.ones(5))
+            p.apply(np.ones((5, 1)))

@@ -40,7 +40,7 @@ class TestRybicki:
         rng = np.random.default_rng(1)
         for n in (2, 6, 17, 32):
             blocks = random_block_toeplitz(rng, n, 1)
-            y = random_complex(rng, n)
+            y = random_complex(rng, n)[:, None]
             got = rybicki_solve(blocks, y)
             want = np.linalg.solve(dense_from_blocks(blocks), y)
             assert rel_err(got, want) <= 1e-11
@@ -88,7 +88,7 @@ class TestRybicki:
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         blocks = random_block_toeplitz(rng, 3, 4)
-        y = random_complex(rng, 12)
+        y = random_complex(rng, 12)[:, None]
         assert np.array_equal(rybicki_solve(blocks, y), rybicki_solve(blocks, y))
 
     def test_singular_self_block(self):
@@ -96,20 +96,20 @@ class TestRybicki:
         blocks[1] = np.eye(2)
         blocks[2] = np.eye(2)
         with pytest.raises(SingularBlock):
-            rybicki_solve(blocks, np.ones(4))
+            rybicki_solve(blocks, np.ones((4, 1)))
 
     def test_singular_denominator_reports_step(self):
         # scalars r0 = r1 = r-1 = 1: D1 = r1*r0^-1*r-1 - r0 = 0 at step 1
         blocks = np.ones((3, 1, 1), dtype=complex)
         with pytest.raises(SingularDenominator) as err:
-            rybicki_solve(blocks, np.ones(2))
+            rybicki_solve(blocks, np.ones((2, 1)))
         assert err.value.step == 1
 
     def test_shape_contracts(self):
         with pytest.raises(ShapeError):
-            rybicki_solve(np.ones((4, 2, 2)), np.ones(4))  # even block count
+            rybicki_solve(np.ones((4, 2, 2)), np.ones((4, 1)))  # even block count
         with pytest.raises(ShapeError):
-            rybicki_solve(np.ones((3, 2, 2)), np.ones(5))
+            rybicki_solve(np.ones((3, 2, 2)), np.ones((5, 1)))
 
 
 class TestAssembleLevel1:
@@ -145,6 +145,6 @@ class TestAssembleLevel1:
 
 def test_schur_reports_wide_stack_bytes():
     sys_ = generate(ArrayProblemSpec(ny=3, nx=4, ne=2, nb=4, seed=7))
-    _, report = schur_solve(sys_, build_excitations(sys_, 0))
+    _, report = schur_solve(sys_, build_excitations(sys_, 0).matrix)
     n, side = sys_.gen.n2, sys_.gen.n1 * sys_.gen.n0
     assert report.memory_estimate["level1_wide"] == 4 * (n - 1) * side**2 * 16

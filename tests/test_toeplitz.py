@@ -64,7 +64,7 @@ class TestBlockFft2L:
 
     def test_f2_kron_f2(self):
         rng = np.random.default_rng(5)
-        u = random_complex(rng, 4)
+        u = random_complex(rng, 4)[:, None]
         f2 = dft_matrix(2)
         want = np.kron(f2, f2) @ u
         assert rel_err(block_fft_2l(u, 2, 2, 1), want) <= 1e-13
@@ -119,16 +119,16 @@ class TestPrecomputeSpectral:
 
 class TestPadExtract:
     def test_pad_1d_layout(self):
-        got = pad_rhs(np.array([1.0, 2.0]), 1, 2, 1)
+        got = pad_rhs(np.array([1.0, 2.0])[:, None], 1, 2, 1)[:, 0]
         assert np.array_equal(got, [1, 2, 0])
 
     def test_pad_2l_layout(self):
-        got = pad_rhs(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2, 1)
+        got = pad_rhs(np.array([1.0, 2.0, 3.0, 4.0])[:, None], 2, 2, 1)[:, 0]
         assert np.array_equal(got, [1, 2, 0, 3, 4, 0, 0, 0, 0])
 
     def test_pad_to_fast_length(self):
         # n1 = 7: 2*n1-1 = 13 is not a fast length, the circulant has 14 rows
-        got = pad_rhs(np.arange(1.0, 8.0), 1, 7, 1)
+        got = pad_rhs(np.arange(1.0, 8.0)[:, None], 1, 7, 1)[:, 0]
         assert np.array_equal(got, [1, 2, 3, 4, 5, 6, 7] + [0] * 7)
 
     def test_roundtrip(self):
@@ -143,18 +143,18 @@ class TestPadExtract:
         v = np.zeros(15)
         positions = [0, 1, 3, 4, 6, 7]
         v[positions] = np.arange(1, 7)
-        assert np.array_equal(extract_result(v, 3, 2, 1), np.arange(1, 7))
+        assert np.array_equal(extract_result(v[:, None], 3, 2, 1)[:, 0], np.arange(1, 7))
 
     def test_extract_drops_scratch_1l(self):
         # n2=1, n1=3, n0=1: first n1*n0 rows are payload, (n1-1)*n0 scratch
         v = np.array([1.0, 2.0, 3.0, 99.0, 98.0])
-        assert np.array_equal(extract_result(v, 1, 3, 1), [1, 2, 3])
+        assert np.array_equal(extract_result(v[:, None], 1, 3, 1)[:, 0], [1, 2, 3])
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            pad_rhs(np.ones(5), 2, 2, 1)
+            pad_rhs(np.ones((5, 1)), 2, 2, 1)
         with pytest.raises(ShapeError):
-            extract_result(np.ones(5), 2, 2, 1)
+            extract_result(np.ones((5, 1)), 2, 2, 1)
 
 
 class TestMatvec:
@@ -204,7 +204,7 @@ class TestMatvec:
         rng = np.random.default_rng(15)
         gen = random_generator(rng, 2, 3, 2)
         op = precompute_spectral(gen)
-        u, w = random_complex(rng, gen.dim), random_complex(rng, gen.dim)
+        u, w = random_complex(rng, gen.dim)[:, None], random_complex(rng, gen.dim)[:, None]
         a, b = 1.3 - 0.7j, -2.1 + 0.4j
         lhs = matvec(op, a * u + b * w)
         rhs = a * matvec(op, u) + b * matvec(op, w)
@@ -218,7 +218,7 @@ class TestMatvec:
         op = precompute_spectral(gen)
         u = random_complex(rng, gen.dim, 6)
         full = matvec(op, u)
-        cols = np.column_stack([matvec(op, u[:, w]) for w in range(6)])
+        cols = np.column_stack([matvec(op, u[:, w : w + 1]) for w in range(6)])
         assert rel_err(full, cols) <= 1e-14
 
     def test_oracle_sweep_random_generators(self):
@@ -251,7 +251,7 @@ class TestMatvec:
     def test_shape_error(self):
         gen = random_generator(np.random.default_rng(18), 2, 2, 2)
         with pytest.raises(ShapeError):
-            matvec(precompute_spectral(gen), np.ones(5))
+            matvec(precompute_spectral(gen), np.ones((5, 1)))
 
 
 class TestAssembleDense:
