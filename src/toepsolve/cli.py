@@ -6,12 +6,54 @@ exceeded, 5 I/O or file-format failure.  Timed scaling sweeps (warm-up,
 repeats, crossovers and an environment block) are run by the
 repository's ``perfbench/sweep.py``, which calls ``run_method``.
 
+``solve`` writes the report JSON ``{"schema_version": 3, "record": R}``,
+where R is the ``SolveRecord`` of the run as a dict.  Its ``solve_s`` is
+the wall time of the solve; ``phases`` holds the seconds of only the
+phases the method ran, and they add up to ``solve_s``; ``memory`` holds
+the bytes (16 per complex128 scalar) of only what the method holds.
+``groups`` has one entry per Krylov group, with its ``iterations``,
+``converged``, ``residual_history`` and ``final_residual``: one for a
+block solve (``vec``, ``gmres-dense``), one per column for ``seq``, none
+for ``dense`` and ``rybicki``.  ``residual`` is the true relative residual
+||V - ZX||_F / ||V||_F, and a non-converged run (exit 3) writes its
+record too, with ``ok`` false.
+
+    method       phases                          memory
+    dense        dense_fill lu_factor lu_solve   generator dense_equivalent dense
+    gmres-dense  dense_fill precond_build        generator dense_equivalent dense
+                 matvec precond_apply krylov     precond krylov
+    rybicki      level1_fill recursion border    generator dense_equivalent level1
+                                                 level1_wide
+    mlfft-*      spectral_precompute             generator dense_equivalent spectral
+                 precond_build matvec            precond krylov
+                 precond_apply krylov
+
+Phases: ``dense_fill`` assembles the dense Z; ``lu_factor`` and
+``lu_solve`` factor it and back-substitute; ``spectral_precompute``
+transforms the generator for the FFT matvec; ``precond_build`` forms the
+preconditioner; ``matvec`` and ``precond_apply`` are the operator and
+preconditioner applications inside GMRES, summed over the whole solve;
+``krylov`` is the rest of the GMRES wall time (orthogonalization,
+rotations, iterate updates), the quantity ``perfbench`` reports as
+``gmres.self_s``; ``level1_fill`` assembles the level-1 blocks,
+``recursion`` is the Rybicki solve and ``border`` the rest of the Schur
+elimination.  Memory: ``generator`` is the raw generator,
+(2ny-1)(2nx-1)ne^2 scalars; ``dense_equivalent`` is what a dense Z would
+take, dim^2 scalars; ``dense`` is the dense Z the method allocated;
+``spectral`` is the transformed generator of the FFT operator;
+``precond`` is the preconditioner's two inverses; ``krylov`` is the
+Krylov bases held at once, iterations * width * dim scalars per group,
+summed over the groups of a lockstep block of ``SEQUENTIAL_BLOCK``
+columns and maximized over blocks; ``level1`` is the level-1 blocks,
+(2ny-1)(nx*ne)^2 scalars, and ``level1_wide`` the recursion's four row
+concatenations of them.
+
 BLAS threads are capped by setting ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` before the process starts; the BLAS reads them once,
 when numpy is first imported.  The default thread count can make small
 solves slower: on a 2-core host a 70-column ``mlfft-pk-seq`` solve of a
-7x10 grid (ne = 2) took 0.18-0.27 s with 2 OpenBLAS threads and 0.07 s
-with ``OPENBLAS_NUM_THREADS=1``.
+7x10 grid (ne = 2) took 0.06-0.10 s with 2 OpenBLAS threads and
+0.033-0.035 s with ``OPENBLAS_NUM_THREADS=1`` (medians of 15 solves).
 """
 
 from __future__ import annotations
@@ -22,7 +64,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,8 +101,9 @@ from .solvers import (
     solve_multi_rhs_vectorized,
     spectrum_estimate,
 )
+from .solvers.rybicki import wide_stack_bytes
 
-__all__ = ["main", "BenchRecord", "run_method", "BENCH_METHODS"]
+__all__ = ["main", "SolveRecord", "run_method", "BENCH_METHODS"]
 
 BENCH_METHODS = ("dense", "gmres-dense", "rybicki", "mlfft-pk-vec", "mlfft-pz-vec", "mlfft-pk-seq",
                  "mlfft-pz-seq")
@@ -70,10 +114,15 @@ _EXIT_NO_CONVERGENCE = 3
 _EXIT_ORACLE_CAP = 4
 _EXIT_IO = 5
 
+_BYTES_PER_SCALAR = 16
+
+# version of the report JSON that ``solve`` writes
+SCHEMA_VERSION = 3
+
 
 @dataclass
-class BenchRecord:
-    """Outcome of one solve by one method: time, residual and storage."""
+class SolveRecord:
+    """Outcome of one solve by one method; the keys are in the module docstring."""
 
     method: str
     elements: int
@@ -82,63 +131,41 @@ class BenchRecord:
     ne: int
     nb: int
     tol: float
+    rhs_columns: int
     solve_s: float = 0.0
-    iterations: int = 0
     residual: float = 0.0
-    mem_generator: int = 0
-    mem_dense_equivalent: int = 0
-    mem_krylov: int = 0
-    mem_precond: int = 0
-    mem_level1: int = 0
-    dense_allocated: bool = False
+    phases: dict[str, float] = field(default_factory=dict)
+    memory: dict[str, int] = field(default_factory=dict)
+    groups: list[SolveReport] = field(default_factory=list)
     ok: bool = True
     error: str = ""
 
-
-# version of the record and report JSON that ``solve`` writes
-SCHEMA_VERSION = 2
-
-
-def _blank_record(sys_: BorderedSystem, method: str, tol: float) -> BenchRecord:
-    """Record with the exact storage formulas pre-filled from the system."""
-    spec = sys_.spec
-    rec = BenchRecord(
-        method=method,
-        elements=spec.elements,
-        ny=spec.ny,
-        nx=spec.nx,
-        ne=spec.ne,
-        nb=spec.nb,
-        tol=tol,
-    )
-    rec.mem_generator = sys_.gen.stored_scalars * 16
-    rec.mem_dense_equivalent = sys_.dim**2 * 16
-    return rec
+    @property
+    def iterations(self) -> int:
+        """Iterations of the slowest Krylov group; 0 for a direct method."""
+        return max((g.iterations for g in self.groups), default=0)
 
 
-def _gmres_record(rec: BenchRecord, reports: list[SolveReport], v: np.ndarray, t0: float) -> BenchRecord:
-    """Fill the GMRES fields of ``rec`` from a solve that started at ``t0``.
+def _finish_gmres(rec: SolveRecord, reports: list[SolveReport], v: np.ndarray,
+                  t0: float, t_gmres: float) -> None:
+    """Fill ``rec`` from the reports of a GMRES solve that started at ``t_gmres``.
 
-    ``reports`` is the one report of a block solve or the per-column
-    reports of a sequential one, from its return value or from its
-    NoConvergence.  The residual is the true ||V - ZX||_F / ||V||_F.
+    The residual is the true ||V - ZX||_F / ||V||_F, formed from the exit
+    residual of every group of k = columns / groups adjacent columns.
     """
-    rec.solve_s = time.perf_counter() - t0
-    rec.iterations = max(r.iterations for r in reports)
-    krylov = [r.memory_estimate["krylov"] for r in reports]
+    end = time.perf_counter()
+    rec.solve_s = end - t0
+    rec.phases["krylov"] = end - t_gmres - rec.phases["matvec"] - rec.phases["precond_apply"]
+    rec.groups = reports
+    n, w = v.shape
+    k = w // len(reports)
+    b_norms = np.linalg.norm(v.reshape(n, len(reports), k), axis=(0, 2))
+    r_norms = np.array([r.final_residual for r in reports]) * b_norms
+    rec.residual = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms))
+    its = [r.iterations for r in reports]
     # a sequential solve holds the bases of one lockstep block at a time
-    rec.mem_krylov = max(sum(krylov[i : i + SEQUENTIAL_BLOCK])
-                         for i in range(0, len(krylov), SEQUENTIAL_BLOCK))
-    memory = reports[0].memory_estimate
-    rec.mem_generator = memory["generator"] or rec.mem_generator  # 0 for a dense operator
-    rec.mem_precond = memory["preconditioner"]
-    if len(reports) == 1:
-        rec.residual = reports[0].final_residual
-    else:
-        b_norms = np.linalg.norm(v, axis=0)
-        r_norms = np.array([r.final_residual for r in reports]) * b_norms
-        rec.residual = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms))
-    return rec
+    rec.memory["krylov"] = max(sum(its[i : i + SEQUENTIAL_BLOCK])
+                               for i in range(0, len(its), SEQUENTIAL_BLOCK)) * k * n * _BYTES_PER_SCALAR
 
 
 def run_method(
@@ -148,54 +175,81 @@ def run_method(
     tol: float,
     max_iter: int = 2000,
     cap: int = DEFAULT_ORACLE_CAP,
-) -> tuple[np.ndarray, BenchRecord, SolveReport | None]:
-    """Solve the (dim, columns) block ``v`` with one named method and fill its record.
+) -> tuple[np.ndarray, SolveRecord, list[SolveReport]]:
+    """Solve the (dim, columns) block ``v`` with one named method.
 
-    Solve time follows the usual accounting: the dense methods include
-    the dense fill, the bordering method includes the level-1 fill, the
-    FFT methods include the spectral precompute and preconditioner
-    build.  Residuals are true unpreconditioned relative residuals; the
-    GMRES methods take them from the residual the solve computes at exit.
+    Returns the solution, its ``SolveRecord`` and the record's Krylov
+    groups.  Solve time covers every phase of the method: the dense fill,
+    the level-1 fill, the spectral precompute and the preconditioner
+    build included.  The residual is the true unpreconditioned relative
+    residual; the GMRES methods take it from the residual the solve
+    computes at exit.  A GMRES NoConvergence is re-raised with the
+    finished record attached as ``record``.
     """
     if method not in BENCH_METHODS:
         raise InvalidSpec(f"unknown method {method!r} (choose from {', '.join(BENCH_METHODS)})")
-    rec = _blank_record(sys_, method, tol)
+    spec = sys_.spec
+    rec = SolveRecord(method, spec.elements, spec.ny, spec.nx, spec.ne, spec.nb, tol, v.shape[1])
+    rec.memory.update(generator=sys_.gen.stored_scalars * _BYTES_PER_SCALAR,
+                      dense_equivalent=sys_.dim**2 * _BYTES_PER_SCALAR)
+    phases = rec.phases
+
+    def timed(phase, fn, *args):
+        t = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            phases[phase] = phases.get(phase, 0.0) + time.perf_counter() - t
 
     t0 = time.perf_counter()
     if method == "dense":
-        full = assemble_full(sys_, cap)
-        x = numerics.lu_solve(numerics.lu_factor(full), v)
-        rec.dense_allocated = True
+        full = timed("dense_fill", assemble_full, sys_, cap)
+        factors = timed("lu_factor", numerics.lu_factor, full)
+        x = timed("lu_solve", numerics.lu_solve, factors, v)
         rec.solve_s = time.perf_counter() - t0
+        rec.memory["dense"] = full.nbytes
         rec.residual = float(np.linalg.norm(full @ x - v) / np.linalg.norm(v))
-        return x, rec, None
+        return x, rec, rec.groups
 
     if method == "rybicki":
-        x, report = schur_solve(sys_, v)
+        x, schur_phases = schur_solve(sys_, v)
         rec.solve_s = time.perf_counter() - t0
-        rec.mem_level1 = report.memory_estimate["level1"]
+        phases.update(schur_phases)
+        g = sys_.gen
+        side = g.n1 * g.n0
+        rec.memory.update(level1=(2 * g.n2 - 1) * side**2 * _BYTES_PER_SCALAR,
+                          level1_wide=wide_stack_bytes(g.n2, side))
         op = BorderedOperator.from_system(sys_)
         rec.residual = float(np.linalg.norm(bordered_matvec(op, x) - v) / np.linalg.norm(v))
-        return x, rec, report
+        return x, rec, rec.groups
 
     # gmres-dense, or mlfft-<precond>-<mode>
     if method == "gmres-dense":
-        op, precond_name, mode = assemble_full(sys_, cap).__matmul__, "pk", "vec"
-        rec.dense_allocated = True
+        full = timed("dense_fill", assemble_full, sys_, cap)
+        rec.memory["dense"] = full.nbytes
+        precond_name, mode = "pk", "vec"
+        operator = full.__matmul__
     else:
         _, precond_name, mode = method.split("-")
-        op = BorderedOperator.from_system(sys_)
-    t_pre = time.perf_counter()
-    p = build_pk(sys_) if precond_name == "pk" else build_pz(sys_)
-    precond_build = time.perf_counter() - t_pre
-    cfg = GmresConfig(tol=tol, max_iter=max_iter)
-    if mode == "vec":
-        x, report = solve_multi_rhs_vectorized(op, p, v, cfg, method=method)
-        reports = [report]
-    else:
-        x, reports = solve_multi_rhs_sequential(op, p, v, cfg, method=method)
-    reports[0].phase_timings["precond_build"] = precond_build
-    return x, _gmres_record(rec, reports, v, t0), reports[0]
+        op = timed("spectral_precompute", BorderedOperator.from_system, sys_)
+        rec.memory["spectral"] = op.spectral.diag_blocks.nbytes
+        operator = lambda u: bordered_matvec(op, u)
+    p = timed("precond_build", build_pk if precond_name == "pk" else build_pz, sys_)
+    rec.memory["precond"] = p.stored_bytes
+    phases.update(matvec=0.0, precond_apply=0.0)
+    solve = solve_multi_rhs_vectorized if mode == "vec" else solve_multi_rhs_sequential
+    t_gmres = time.perf_counter()
+    try:
+        x, reports = solve(lambda u: timed("matvec", operator, u),
+                           SimpleNamespace(apply=lambda u: timed("precond_apply", p.apply, u)),
+                           v, GmresConfig(tol=tol, max_iter=max_iter))
+    except NoConvergence as exc:
+        _finish_gmres(rec, exc.reports, v, t0, t_gmres)
+        rec.ok, rec.error = False, str(exc)
+        exc.record = rec
+        raise
+    _finish_gmres(rec, reports, v, t0, t_gmres)
+    return x, rec, rec.groups
 
 
 def _spec_from_args(args) -> ArrayProblemSpec:
@@ -265,24 +319,15 @@ def _cmd_solve(args) -> int:
     report_path = args.report or (out_path + ".json")
 
     status = _EXIT_OK
-    t0 = time.perf_counter()
     try:
-        x, rec, report = run_method(sys_, v, tag, args.tol, args.max_iter, args.cap)
+        x, rec, _ = run_method(sys_, v, tag, args.tol, args.max_iter, args.cap)
     except NoConvergence as exc_nc:
-        x = exc_nc.solution
-        reports = exc_nc.reports or [exc_nc.report]
-        report = reports[0]
-        rec = _gmres_record(_blank_record(sys_, tag, args.tol), reports, v, t0)
-        rec.ok = False
-        rec.error = str(exc_nc)
+        x, rec = exc_nc.solution, exc_nc.record
         status = _EXIT_NO_CONVERGENCE
 
-    if x is not None:
-        np.ascontiguousarray(x, dtype="<c16").tofile(out_path)
-    payload = {"record": asdict(rec), "report": report.as_dict() if report else None,
-               "rhs_columns": int(v.shape[1]), "schema_version": SCHEMA_VERSION}
+    np.ascontiguousarray(x, dtype="<c16").tofile(out_path)
     with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump({"schema_version": SCHEMA_VERSION, "record": asdict(rec)}, fh, indent=2)
     print(
         f"{tag}: dim={sys_.dim}, rhs={v.shape[1]}, iterations={rec.iterations}, "
         f"residual={rec.residual:.3e}, solve={rec.solve_s:.3f}s -> {out_path}"
@@ -297,7 +342,7 @@ def _cmd_verify(args) -> int:
     v = build_excitations(sys_, args.feed).matrix
     full = assemble_full(sys_, args.cap)
     x_ref = numerics.lu_solve(numerics.lu_factor(full), v)
-    ref_norm = np.linalg.norm(x_ref)
+    ref_norm, v_norm = np.linalg.norm(x_ref), np.linalg.norm(v)
 
     ok = True
     print(f"verify: dim={sys_.dim}, rhs={v.shape[1]}, tol={args.tol:g}")
@@ -306,15 +351,19 @@ def _cmd_verify(args) -> int:
             continue
         bound = 1e-10 if method == "rybicki" else 10.0 * args.tol
         try:
-            x, _, _ = run_method(sys_, v, method, args.tol, args.max_iter, args.cap)
-            dev = float(np.linalg.norm(x - x_ref) / ref_norm)
-            line_ok = dev <= bound
+            x, rec, _ = run_method(sys_, v, method, args.tol, args.max_iter, args.cap)
         except ToepsolveError as exc:
-            dev, line_ok = float("nan"), False
+            line_ok = False
             print(f"  {method:<14} FAILED ({type(exc).__name__}: {exc})")
         else:
-            print(f"  {method:<14} rms deviation {dev:.3e} (bound {bound:.1e}) "
-                  f"{'ok' if line_ok else 'FAIL'}")
+            dev = float(np.linalg.norm(x - x_ref) / ref_norm)
+            # the record's residual must be the dense true residual of x; Rybicki's
+            # is itself at rounding level, hence the absolute term
+            true_res = float(np.linalg.norm(full @ x - v) / v_norm)
+            res_ok = abs(rec.residual - true_res) <= 1e-8 * true_res + 1e-12
+            line_ok = dev <= bound and res_ok
+            print(f"  {method:<14} rms deviation {dev:.3e} (bound {bound:.1e}), record residual "
+                  f"{rec.residual:.3e} (dense {true_res:.3e}) {'ok' if line_ok else 'FAIL'}")
         ok &= line_ok
     print("verify:", "PASS" if ok else "FAIL")
     return _EXIT_OK if ok else 1
@@ -363,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "solve", help="solve a TBZ problem and write currents + report",
         description="Solve a TBZ problem and write the currents and a JSON report.  Small solves "
         "can run faster with one BLAS thread: on a 2-core host a 70-column mlfft-pk-seq solve "
-        "of a 7x10 grid (ne 2) took 0.18-0.27 s with 2 OpenBLAS threads and 0.07 s with "
+        "of a 7x10 grid (ne 2) took 0.06-0.10 s with 2 OpenBLAS threads and 0.033-0.035 s with "
         "OPENBLAS_NUM_THREADS=1.",
     )
     p.add_argument("input", help="input TBZ path")

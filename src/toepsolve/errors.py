@@ -76,12 +76,13 @@ class ChecksumMismatch(FormatError):
 class NoConvergence(ToepsolveError):
     """An iterative solve stopped at the iteration cap above tolerance.
 
-    The best iterate and its report are attached so callers can inspect,
-    persist or retry.
+    The best iterate and the report of every Krylov group are attached so
+    callers can inspect, persist or retry.  ``cli.run_method`` also
+    attaches the finished record of the run as ``record``.
     """
 
-    def __init__(self, msg, solution=None, report=None, reports=None):
+    def __init__(self, msg, solution=None, reports=None):
         super().__init__(msg)
         self.solution = solution
-        self.report = report
         self.reports = reports
+        self.record = None

@@ -79,7 +79,7 @@ def lu_factor(a) -> LUFactors:
     return LUFactors(lu, piv)
 
 
-def lu_solve(f: LUFactors, rhs, adjoint: bool = False) -> np.ndarray:
-    """Back-substitute A·X = RHS (or Aᴴ·X = RHS) for a 2-D block of columns."""
+def lu_solve(f: LUFactors, rhs) -> np.ndarray:
+    """Back-substitute A·X = RHS for a 2-D block of columns."""
     arr = as_columns(rhs, f.side)
-    return scipy.linalg.lu_solve((f.lu, f.piv), arr, trans=2 if adjoint else 0, check_finite=False)
+    return scipy.linalg.lu_solve((f.lu, f.piv), arr, check_finite=False)

@@ -128,11 +128,6 @@ class ExcitationSet:
     """One unit-feed excitation column per array element; border rows zero."""
 
     matrix: np.ndarray  # (dim, ny*nx)
-    feed_index: int
-
-    @property
-    def columns(self) -> int:
-        return self.matrix.shape[1]
 
 
 def _kernel(dist2: np.ndarray, k: float, a: float) -> np.ndarray:
@@ -216,7 +211,7 @@ def build_excitations(sys: BorderedSystem, feed_index: int = 0) -> ExcitationSet
     m = sys.spec.elements
     v = np.zeros((sys.dim, m), dtype=np.complex128)
     v[np.arange(m) * ne + feed_index, np.arange(m)] = 1.0
-    return ExcitationSet(v, feed_index)
+    return ExcitationSet(v)
 
 
 def fnv1a64(data: bytes) -> int:

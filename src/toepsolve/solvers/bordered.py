@@ -53,11 +53,6 @@ class BorderedOperator:
     def dim(self) -> int:
         return self.array_dim + self.nb
 
-    @property
-    def generator_bytes(self) -> int:
-        """Bytes of the transformed generator this operator holds."""
-        return self.spectral.diag_blocks.nbytes
-
 
 def bordered_matvec(op: BorderedOperator, x, transpose: bool = False) -> np.ndarray:
     """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for an (op.dim, columns) block.

@@ -38,13 +38,12 @@ recomputed once at exit, by one matvec over the whole block.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import NoConvergence, ShapeError
-from .bordered import BorderedOperator, bordered_matvec
+from .bordered import bordered_matvec
 
 __all__ = [
     "GmresConfig",
@@ -53,8 +52,6 @@ __all__ = [
     "solve_multi_rhs_sequential",
     "SEQUENTIAL_BLOCK",
 ]
-
-_BYTES_PER_SCALAR = 16
 
 # columns per lockstep block of the sequential solve (see the module docstring)
 SEQUENTIAL_BLOCK = 32
@@ -75,37 +72,14 @@ class GmresConfig:
             raise ValueError(f"restart must be >= 1, got {self.restart}")
 
 
-def _new_timings() -> dict:
-    return {"precond_build": 0.0, "precond_apply": 0.0, "matvec_total": 0.0,
-            "orthogonalization": 0.0, "total": 0.0}
-
-
-def _new_memory() -> dict:
-    return {"generator": 0, "krylov": 0, "preconditioner": 0}
-
-
 @dataclass
 class SolveReport:
-    """Bookkeeping of one solve: residuals, timings, memory tallies."""
+    """Outcome of one Krylov group: its iterations, stopping result and residuals."""
 
-    method: str = ""
     iterations: int = 0
     converged: bool = True
     residual_history: list[float] = field(default_factory=list)
     final_residual: float = 0.0
-    phase_timings: dict = field(default_factory=_new_timings)
-    memory_estimate: dict = field(default_factory=_new_memory)
-
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "residual_history": list(self.residual_history),
-            "final_residual": self.final_residual,
-            "phase_timings": dict(self.phase_timings),
-            "memory_estimate": dict(self.memory_estimate),
-        }
 
 
 def _to_groups(block: np.ndarray, groups: int) -> np.ndarray:
@@ -155,24 +129,16 @@ def _gmres_block(
 ) -> tuple[np.ndarray, list[SolveReport]]:
     """Lockstep GMRES on ``groups`` equal column groups of b (n, W).
 
-    Returns the (n, W) iterate and one report per group; every report
-    carries the phase timings of the whole block.
+    Returns the (n, W) iterate and one report per group.
     """
-    t_start = time.perf_counter()
-    timings = _new_timings()
     n, w = b.shape
     k = w // groups
 
     def operator(rows):
-        t0 = time.perf_counter()
-        out = apply_operator(_to_block(rows, n))
-        timings["matvec_total"] += time.perf_counter() - t0
-        return out
+        return apply_operator(_to_block(rows, n))
 
     def precondition(block, count):
-        t0 = time.perf_counter()
         out = block if preconditioner is None else preconditioner.apply(block)
-        timings["precond_apply"] += time.perf_counter() - t0
         return _to_groups(out, count)
 
     bg = _to_groups(b, groups)
@@ -210,14 +176,12 @@ def _gmres_block(
         j = 0
         while True:
             v = precondition(operator(basis[j]), active.size)
-            t0 = time.perf_counter()
             hcol = np.empty((active.size, j + 2), dtype=np.complex128)
             for i in range(j + 1):
                 hcol[:, i] = np.vecdot(basis[i], v)
                 v -= hcol[:, i, None] * basis[i]
             hnext = _norms(v)
             hcol[:, j + 1] = hnext
-            timings["orthogonalization"] += time.perf_counter() - t0
 
             for i in range(j):
                 hi, hi1 = hcol[:, i], hcol[:, i + 1]
@@ -271,22 +235,10 @@ def _gmres_block(
     if live.size:
         residual = bg[live] - _to_groups(operator(x[live]), live.size)
         final[live] = _norms(residual) / _norms(bg[live])
-    timings["total"] = time.perf_counter() - t_start
 
-    reports = []
-    for its, conv, hist, res in zip(iterations.tolist(), converged.tolist(), history, final.tolist()):
-        rep = SolveReport(iterations=its, converged=conv, residual_history=hist,
-                          final_residual=res, phase_timings=dict(timings))
-        rep.memory_estimate["krylov"] = its * k * n * _BYTES_PER_SCALAR
-        reports.append(rep)
+    reports = [SolveReport(its, conv, hist, res) for its, conv, hist, res
+               in zip(iterations.tolist(), converged.tolist(), history, final.tolist())]
     return _to_block(x, n), reports
-
-
-def _operator_memory(op, p, report: SolveReport) -> None:
-    if isinstance(op, BorderedOperator):
-        report.memory_estimate["generator"] = op.generator_bytes
-    if p is not None:
-        report.memory_estimate["preconditioner"] = p.stored_bytes
 
 
 def _prepare(op, rhs):
@@ -297,48 +249,41 @@ def _prepare(op, rhs):
     return (op if callable(op) else (lambda x: bordered_matvec(op, x))), arr
 
 
-def solve_multi_rhs_vectorized(
-    op, p, rhs, cfg: GmresConfig, method: str = "vectorized"
-) -> tuple[np.ndarray, SolveReport]:
+def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
     """Solve A X = B with one left-preconditioned global-Krylov GMRES.
 
     ``op`` is a BorderedOperator or a callable acting on column blocks;
     ``p`` is a preconditioner with an ``apply`` method, or None.  All
-    columns of the 2-D ``rhs`` are iterated jointly as one group; the
-    Krylov memory tally is iterations * M * dim * 16 bytes, since every
-    basis vector spans all M columns.  Stops when the preconditioned
-    relative residual drops below ``cfg.tol``; raises NoConvergence (with
-    the best iterate and report attached) at the iteration cap.
+    columns of the 2-D ``rhs`` are iterated jointly as one group, whose
+    report is the one entry of the returned list.  Stops when the
+    preconditioned relative residual drops below ``cfg.tol``; raises
+    NoConvergence (with the best iterate and the report attached) at the
+    iteration cap.
     """
     apply_op, arr = _prepare(op, rhs)
-    x, (report,) = _gmres_block(apply_op, p, arr, cfg, groups=1)
-    report.method = method
-    _operator_memory(op, p, report)
+    x, reports = _gmres_block(apply_op, p, arr, cfg, groups=1)
+    (report,) = reports
     if not report.converged:
         raise NoConvergence(
             f"GMRES stopped after {report.iterations} iterations at relative "
             f"preconditioned residual {report.residual_history[-1]:.3e} > tol {cfg.tol:.1e}",
             solution=x,
-            report=report,
+            reports=reports,
         )
-    return x, report
+    return x, reports
 
 
-def solve_multi_rhs_sequential(
-    op, p, rhs, cfg: GmresConfig, method: str = "sequential"
-) -> tuple[np.ndarray, list[SolveReport]]:
+def solve_multi_rhs_sequential(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
     """Independent GMRES per column, run in lockstep column blocks.
 
     Every column is its own Krylov group with its own inner products,
     rotations, stopping test and restarts, so its iterates are those of a
     solve of that column alone up to rounding.  The columns run in blocks
     of ``SEQUENTIAL_BLOCK``; within a block each step applies the operator
-    and the preconditioner once to the columns still iterating.  Each
-    report's Krylov tally is iterations * dim * 16 bytes, a block holds at
-    most the sum over its columns, and its ``phase_timings`` are those of
-    its whole block.  All columns are solved even when some fail; a
-    NoConvergence carrying every per-column report and the full iterate
-    is raised at the end if any column missed the tolerance.
+    and the preconditioner once to the columns still iterating.  All
+    columns are solved even when some fail; a NoConvergence carrying
+    every per-column report and the full iterate is raised at the end if
+    any column missed the tolerance.
     """
     apply_op, arr = _prepare(op, rhs)
     x = np.empty_like(arr)
@@ -350,12 +295,7 @@ def solve_multi_rhs_sequential(
         )
         reports.extend(block_reports)
 
-    failed: list[int] = []
-    for col, rep in enumerate(reports):
-        rep.method = method
-        _operator_memory(op, p, rep)
-        if not rep.converged:
-            failed.append(col)
+    failed = [col for col, rep in enumerate(reports) if not rep.converged]
     if failed:
         raise NoConvergence(
             f"columns {failed} did not converge within {cfg.max_iter} iterations",

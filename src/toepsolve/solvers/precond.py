@@ -7,9 +7,11 @@ Two variants exploit the strong self interaction of the array:
 * row kind ("pz"): the diagonal block is the assembled self interaction
   of a whole array row (side nx*ne), a 1-level block-Toeplitz matrix.
 
-Both are completed by the LU of the border self block Z_C, giving the
-block-diagonal preconditioner diag(P'_X, ..., P'_X, Z_C).  Application
-is pure back substitution, batched over segments and columns.
+Both are completed by the border self block Z_C, giving the
+block-diagonal preconditioner diag(P'_X, ..., P'_X, Z_C).  The inverses of
+the shared block and of Z_C are formed once, from their LU factors, so
+applying the preconditioner is one GEMM per block: every array segment
+of every column is multiplied by the shared inverse at once.
 """
 
 from __future__ import annotations
@@ -27,69 +29,71 @@ __all__ = ["Preconditioner", "build_pk", "build_pz"]
 
 @dataclass(frozen=True)
 class Preconditioner:
-    """Shared-LU block-diagonal preconditioner over array segments + border."""
+    """Shared-inverse block-diagonal preconditioner over array segments + border."""
 
-    kind: str  # "pk" | "pz"
-    element_lu: numerics.LUFactors
-    border_lu: numerics.LUFactors | None
+    block_inverse: np.ndarray  # (side, side), shared by every array segment
+    border_inverse: np.ndarray  # (nb, nb)
     array_dim: int
-    nb: int
 
     def __post_init__(self):
-        if self.kind not in ("pk", "pz"):
-            raise ValueError(f"unknown preconditioner kind {self.kind!r}")
-        if self.array_dim % self.element_lu.side:
+        if self.array_dim % self.block_inverse.shape[0]:
             raise ShapeError(
-                f"array dim {self.array_dim} not divisible by block side {self.element_lu.side}"
+                f"array dim {self.array_dim} not divisible by block side {self.block_inverse.shape[0]}"
             )
 
     @property
     def dim(self) -> int:
-        return self.array_dim + self.nb
+        return self.array_dim + self.border_inverse.shape[0]
 
     @property
     def stored_bytes(self) -> int:
-        """Scalar storage of the diagonal blocks (one shared LU + border LU)."""
-        n = self.element_lu.side**2 + (self.border_lu.side**2 if self.border_lu else 0)
-        return n * 16
+        """Bytes of the two stored inverses."""
+        return self.block_inverse.nbytes + self.border_inverse.nbytes
 
-    def _solve_segments(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
-        side = self.element_lu.side
-        segments = self.array_dim // side
-        w = v.shape[1]
-        stacked = v.reshape(segments, side, w).transpose(1, 0, 2).reshape(side, segments * w)
-        solved = numerics.lu_solve(self.element_lu, stacked, adjoint=adjoint)
-        return solved.reshape(side, segments, w).transpose(1, 0, 2).reshape(self.array_dim, w)
-
-    def _apply(self, v, adjoint: bool) -> np.ndarray:
+    def _apply(self, v, block: np.ndarray, border: np.ndarray) -> np.ndarray:
         arr = numerics.as_columns(v, self.dim)
-        top = self._solve_segments(arr[: self.array_dim], adjoint)
-        if not self.nb:
-            return top
-        bottom = numerics.lu_solve(self.border_lu, arr[self.array_dim :], adjoint=adjoint)
-        return np.vstack([top, bottom])
+        side = block.shape[0]
+        segments = self.array_dim // side
+        w = arr.shape[1]
+        # one GEMM over every segment of every column side by side, written
+        # straight back into the (segments, side, w) row layout
+        stacked = arr[: self.array_dim].reshape(segments, side, w).transpose(1, 0, 2)
+        out = np.empty((self.dim, w), dtype=np.complex128)
+        out[: self.array_dim].reshape(segments, side, w).transpose(1, 0, 2)[...] = (
+            (block @ stacked.reshape(side, -1)).reshape(side, segments, w))
+        out[self.array_dim :] = border @ arr[self.array_dim :]
+        return out
 
     def apply(self, v) -> np.ndarray:
-        """P^-1 v by blockwise back substitution, for a (dim, columns) block v."""
-        return self._apply(v, adjoint=False)
+        """P^-1 v for a (dim, columns) block v."""
+        return self._apply(v, self.block_inverse, self.border_inverse)
 
     def apply_adjoint(self, v) -> np.ndarray:
         """P^-H v, needed by the adjoint matvec of the spectrum estimator."""
-        return self._apply(v, adjoint=True)
+        return self._apply(v, self.block_inverse.conj().T, self.border_inverse.conj().T)
 
 
-def _border_lu(sys) -> numerics.LUFactors | None:
-    return numerics.lu_factor(sys.zc) if sys.nb else None
+def _inverse(a) -> np.ndarray:
+    """a^-1 as a C-order block, by LU and back substitution against I.
+
+    Raises SingularMatrix if a is singular.
+    """
+    f = numerics.lu_factor(a)
+    return numerics.as_block(numerics.lu_solve(f, np.eye(f.side)))
+
+
+def _build(sys, block) -> Preconditioner:
+    border = _inverse(sys.zc) if sys.nb else np.zeros((0, 0), dtype=np.complex128)
+    return Preconditioner(_inverse(block), border, sys.array_dim)
 
 
 def build_pk(sys) -> Preconditioner:
     """Element-block preconditioner from the level-0 self block.
 
-    The self block is shared by every element, so a single LU (ne^2
+    The self block is shared by every element, so a single inverse (ne^2
     stored scalars) is applied to all segments.
     """
-    r00 = sys.gen.block(0, 0)
-    return Preconditioner("pk", numerics.lu_factor(r00), _border_lu(sys), sys.array_dim, sys.nb)
+    return _build(sys, sys.gen.block(0, 0))
 
 
 def build_pz(sys) -> Preconditioner:
@@ -99,5 +103,4 @@ def build_pz(sys) -> Preconditioner:
     (side nx*ne, nx^2*ne^2 stored scalars); for nx = 1 it coincides with
     the element-block preconditioner.
     """
-    row_self = assemble_dense_1l(sys.gen.column(0))
-    return Preconditioner("pz", numerics.lu_factor(row_self), _border_lu(sys), sys.array_dim, sys.nb)
+    return _build(sys, assemble_dense_1l(sys.gen.column(0)))

@@ -70,10 +70,9 @@ def assemble_level1(gen: BlockGenerator2L) -> np.ndarray:
     return np.stack([assemble_dense_1l(col) for col in gen.columns])
 
 
-def wide_stack_bytes(blocks: np.ndarray) -> int:
-    """Bytes of the four row concatenations ``rybicki_solve`` builds from ``blocks``."""
-    n = (blocks.shape[0] + 1) // 2
-    return 4 * (n - 1) * blocks.shape[1] ** 2 * np.dtype(np.complex128).itemsize
+def wide_stack_bytes(n: int, side: int) -> int:
+    """Bytes of the four row concatenations ``rybicki_solve`` builds for n blocks of ``side``."""
+    return 4 * (n - 1) * side**2 * np.dtype(np.complex128).itemsize
 
 
 def rybicki_solve(blocks: np.ndarray, y, step_hook=None) -> np.ndarray:

@@ -21,38 +21,30 @@ import numpy as np
 from .. import numerics
 from ..errors import SingularMatrix, SingularSchurComplement
 from ..problems import BorderedSystem
-from .gmres import SolveReport
-from .rybicki import assemble_level1, rybicki_solve, wide_stack_bytes
+from .rybicki import assemble_level1, rybicki_solve
 
 __all__ = ["schur_solve"]
 
-_BYTES_PER_SCALAR = 16
 
-
-def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SolveReport]:
+def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, dict[str, float]]:
     """Solve Z I = V for every column of the 2-D (dim, columns) block ``v``.
 
-    The level-1 assembly is part of the solve and has its own timing.
+    Returns the solution and the seconds spent in each phase:
+    ``level1_fill`` (the level-1 assembly), ``recursion`` (the Rybicki
+    solve) and ``border`` (the rest: stacking the right-hand sides and
+    eliminating the border).
     """
-    v = numerics.as_columns(v, sys.dim)
-
-    report = SolveReport(method="schur-rybicki")
-    report.memory_estimate["generator"] = sys.gen.stored_scalars * _BYTES_PER_SCALAR
-    timings = report.phase_timings
     t_start = time.perf_counter()
-
+    v = numerics.as_columns(v, sys.dim)
     va, vc = v[: sys.array_dim], v[sys.array_dim :]
     ncols = v.shape[1]
     rhs = np.hstack([va, sys.zb.T]) if sys.nb else va
 
     t0 = time.perf_counter()
     level1 = assemble_level1(sys.gen)
-    timings["level1_fill"] = time.perf_counter() - t0
-    report.memory_estimate["level1"] = level1.size * _BYTES_PER_SCALAR
-    report.memory_estimate["level1_wide"] = wide_stack_bytes(level1)
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     uf = rybicki_solve(level1, rhs)
-    timings["recursion"] = time.perf_counter() - t0
+    t2 = time.perf_counter()
 
     if sys.nb:
         u, f = uf[:, :ncols], uf[:, ncols:]
@@ -66,5 +58,5 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SolveReport]:
     else:
         solution = uf
 
-    timings["total"] = time.perf_counter() - t_start
-    return solution, report
+    border = time.perf_counter() - t_start - (t2 - t0)
+    return solution, {"level1_fill": t1 - t0, "recursion": t2 - t1, "border": border}

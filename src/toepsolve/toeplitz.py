@@ -86,10 +86,6 @@ class BlockGenerator1L:
             raise MissingOffset(f"offset {offset} outside +-{self.n1 - 1}")
         return self.column[offset % (2 * self.n1 - 1)]
 
-    @property
-    def stored_scalars(self) -> int:
-        return (2 * self.n1 - 1) * self.n0 * self.n0
-
 
 @dataclass(frozen=True)
 class BlockGenerator2L:
@@ -155,10 +151,6 @@ class SpectralOperator:
     @property
     def dim(self) -> int:
         return self.n2 * self.n1 * self.n0
-
-    @property
-    def stored_scalars(self) -> int:
-        return self.diag_blocks.size
 
 
 def embed_1l(blocks: Mapping[int, np.ndarray], n1: int, n0: int) -> BlockGenerator1L:

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import BAD_HEADERS, rewrite_header
 from toepsolve import cli
-from toepsolve.problems import assemble_full, build_excitations, load
+from toepsolve.problems import ArrayProblemSpec, assemble_full, build_excitations, generate, load
 
 DIM = 2 * 2 * 3 + 4  # ny * nx * ne + nb
 COLUMNS = 4  # one excitation per element
@@ -26,7 +26,7 @@ def test_generate_then_solve_writes_solution_and_report(problem):
     sol = problem.with_name("p.tbz.sol")
     assert sol.stat().st_size == DIM * COLUMNS * 16
     report = json.loads(problem.with_name("p.tbz.sol.json").read_text())
-    assert report["record"]["ok"] and report["rhs_columns"] == COLUMNS
+    assert report["record"]["ok"] and report["record"]["rhs_columns"] == COLUMNS
 
 
 def test_rhs_out_of_range_is_invalid_input(problem):
@@ -65,8 +65,12 @@ def test_iteration_cap_is_no_convergence(problem):
 def test_no_convergence_record_carries_the_true_residual(problem, multi):
     argv = ["solve", str(problem), "--multi", multi, "--tol", "1e-14", "--max-iter", "1"]
     assert cli.main(argv) == 3
-    record = json.loads(problem.with_name("p.tbz.sol.json").read_text())["record"]
-    assert not record["ok"] and record["mem_krylov"] > 0
+    report = json.loads(problem.with_name("p.tbz.sol.json").read_text())
+    assert report["schema_version"] == 3 and list(report) == ["schema_version", "record"]
+    record = report["record"]
+    assert not record["ok"] and record["memory"]["krylov"] > 0
+    assert len(record["groups"]) == (COLUMNS if multi == "seq" else 1)
+    assert record["phases"]["precond_build"] > 0
     sys_ = load(problem)
     v = build_excitations(sys_, 0).matrix
     x = np.fromfile(problem.with_name("p.tbz.sol"), dtype="<c16").reshape(DIM, COLUMNS)
@@ -74,13 +78,58 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
     assert abs(record["residual"] - want) <= 1e-12 * want
 
 
-def test_verify_checks_every_method_against_the_oracle(capsys):
-    assert cli.main(["verify", "--ny", "3", "--nx", "3"]) == 0
+GMRES_PHASES = {"precond_build", "matvec", "precond_apply", "krylov"}
+# method -> (phases, memory keys, Krylov groups of the 36-column solve)
+RECORD_KEYS = {
+    "dense": ({"dense_fill", "lu_factor", "lu_solve"}, {"dense"}, 0),
+    "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense", "precond", "krylov"}, 1),
+    "rybicki": ({"level1_fill", "recursion", "border"}, {"level1", "level1_wide"}, 0),
+    "mlfft-pk-vec": ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"}, 1),
+    "mlfft-pz-vec": ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"}, 1),
+    "mlfft-pk-seq": ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"}, 36),
+    "mlfft-pz-seq": ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"}, 36),
+}
+
+
+@pytest.fixture(scope="module")
+def grid6():
+    sys_ = generate(ArrayProblemSpec(ny=6, nx=6, ne=8))
+    return sys_, build_excitations(sys_, 0).matrix
+
+
+@pytest.mark.parametrize("method", cli.BENCH_METHODS)
+def test_record_holds_only_what_the_method_ran(grid6, method):
+    phases, memory, groups = RECORD_KEYS[method]
+    _, rec, _ = cli.run_method(*grid6, method, tol=1e-3)
+    assert set(rec.phases) == phases
+    assert set(rec.memory) == {"generator", "dense_equivalent"} | memory
+    assert len(rec.groups) == groups
+    # the phases cover the solve; the absolute floor keeps a fast solve from flaking
+    assert abs(sum(rec.phases.values()) - rec.solve_s) <= max(0.05 * rec.solve_s, 1e-3)
+
+
+@pytest.mark.parametrize("side", ["3", "6"])
+def test_verify_checks_every_method_against_the_oracle(capsys, side):
+    assert cli.main(["verify", "--ny", side, "--nx", side]) == 0
     lines = capsys.readouterr().out.splitlines()
     methods = [m for m in cli.BENCH_METHODS if m != "dense"]
     assert [line.split()[0] for line in lines[1:-1]] == methods
     assert all(line.endswith(" ok") for line in lines[1:-1])
     assert lines[-1] == "verify: PASS"
+
+
+def test_verify_fails_a_record_residual_that_is_not_the_true_one(monkeypatch, capsys):
+    run_method = cli.run_method
+
+    def residual_off(*args, **kwargs):
+        x, rec, groups = run_method(*args, **kwargs)
+        rec.residual += 1e-6
+        return x, rec, groups
+
+    monkeypatch.setattr(cli, "run_method", residual_off)
+    assert cli.main(["verify", "--ny", "3", "--nx", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith(" FAIL") for line in lines[1:-1])
 
 
 def test_verify_above_oracle_cap(problem):

@@ -26,20 +26,20 @@ def dense_op(a):
 class TestGmresCore:
     def test_identity_converges_first_iteration(self):
         b = np.array([[1.0], [2.0], [-1j]])
-        x, report = solve_multi_rhs_vectorized(dense_op(np.eye(3)), None, b, GmresConfig(tol=1e-12))
+        x, (report,) = solve_multi_rhs_vectorized(dense_op(np.eye(3)), None, b, GmresConfig(tol=1e-12))
         assert report.iterations == 1
         assert rel_err(x, b) <= 1e-14
 
     def test_diagonal_two_step_exactness(self):
         a = np.diag([1.0, 2.0])
-        x, report = solve_multi_rhs_vectorized(
+        x, (report,) = solve_multi_rhs_vectorized(
             dense_op(a), None, np.array([[1.0], [1.0]]), GmresConfig(tol=1e-13)
         )
         assert report.iterations <= 2
         assert np.allclose(x, [[1.0], [0.5]], rtol=1e-12)
 
     def test_zero_rhs_returns_zero(self):
-        x, report = solve_multi_rhs_vectorized(
+        x, (report,) = solve_multi_rhs_vectorized(
             dense_op(np.eye(3)), None, np.zeros((3, 1)), GmresConfig(tol=1e-8)
         )
         assert not x.any() and report.converged
@@ -50,9 +50,10 @@ class TestGmresCore:
         b = random_complex(rng, 30, 1)
         with pytest.raises(NoConvergence) as err:
             solve_multi_rhs_vectorized(dense_op(a), None, b, GmresConfig(tol=1e-14, max_iter=3))
-        assert err.value.report.iterations == 3
+        (report,) = err.value.reports
+        assert report.iterations == 3
         assert err.value.solution.shape == (30, 1)
-        assert monotone_nonincreasing(err.value.report.residual_history)
+        assert monotone_nonincreasing(report.residual_history)
 
     def test_restarted_reaches_tolerance(self):
         rng = np.random.default_rng(1)
@@ -60,7 +61,7 @@ class TestGmresCore:
         a = random_complex(rng, 40, 40) + 12 * np.eye(40)
         b = random_complex(rng, 40, 1)
         cfg = GmresConfig(tol=1e-9, max_iter=200, restart=5)
-        x, report = solve_multi_rhs_vectorized(dense_op(a), None, b, cfg)
+        x, (report,) = solve_multi_rhs_vectorized(dense_op(a), None, b, cfg)
         assert rel_err(a @ x, b) <= 1e-8
         assert report.converged
 
@@ -68,7 +69,7 @@ class TestGmresCore:
         rng = np.random.default_rng(2)
         a = random_complex(rng, 25, 25) + 3 * np.eye(25)
         b = random_complex(rng, 25, 1)
-        _, report = solve_multi_rhs_vectorized(dense_op(a), None, b, GmresConfig(tol=1e-10, max_iter=100))
+        _, (report,) = solve_multi_rhs_vectorized(dense_op(a), None, b, GmresConfig(tol=1e-10, max_iter=100))
         hist = report.residual_history
         assert hist[0] == 1.0
         assert monotone_nonincreasing(hist)
@@ -81,7 +82,7 @@ class TestPreconditionedSolve:
         op = BorderedOperator.from_system(sys_)
         p = build_pk(sys_)
         b = build_excitations(sys_, 0).matrix[:, :1]
-        x, report = solve_multi_rhs_vectorized(
+        x, (report,) = solve_multi_rhs_vectorized(
             lambda v: bordered_matvec(op, v), p, b, GmresConfig(tol=1e-3, max_iter=200)
         )
         full = assemble_full(sys_)
@@ -92,13 +93,15 @@ class TestPreconditionedSolve:
         # 2*7-1 = 13 and 2*9-1 = 17 embed at the fast lengths 14 and 18
         sys_ = generate(ArrayProblemSpec(ny=7, nx=9, ne=3, seed=5))
         v = build_excitations(sys_, 0).matrix
-        x, rec, report = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-10)
+        x, rec, _ = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-10)
         want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(assemble_full(sys_)), v)
-        assert report.converged
+        (group,) = rec.groups
+        assert group.converged
         assert rel_err(x, want) <= 1e-8
         # the spectral operator GMRES holds: 14 x 18 blocks of 3 x 3 complex128
-        assert report.memory_estimate["generator"] == 14 * 18 * 3 * 3 * 16
-        assert rec.mem_generator == 14 * 18 * 3 * 3 * 16
+        assert rec.memory["spectral"] == 14 * 18 * 3 * 3 * 16
+        # next to the raw generator: 13 x 17 blocks of 3 x 3
+        assert rec.memory["generator"] == 13 * 17 * 3 * 3 * 16
 
     @pytest.mark.parametrize("method", ["mlfft-pk-vec", "mlfft-pk-seq", "mlfft-pz-seq"])
     def test_record_residual_is_the_true_residual(self, method):
@@ -118,7 +121,7 @@ class TestPreconditionedSolve:
         )
         its = [r.iterations for r in reports]
         assert len(its) == 36
-        assert rec.mem_krylov == max(sum(its[:32]), sum(its[32:])) * sys_.dim * 16
+        assert rec.memory["krylov"] == max(sum(its[:32]), sum(its[32:])) * sys_.dim * 16
 
 
 class TestMultiRhs:
@@ -136,8 +139,8 @@ class TestMultiRhs:
     def test_single_column_vectorized_identical_to_sequential(self, problem):
         sys_, op, p, v, _ = problem
         cfg = GmresConfig(tol=1e-8, max_iter=200)
-        x1, r1 = solve_multi_rhs_vectorized(lambda u: bordered_matvec(op, u), p, v[:, 0:1], cfg)
-        x2, r2 = solve_multi_rhs_vectorized(op, p, v[:, 0:1], cfg)
+        x1, (r1,) = solve_multi_rhs_vectorized(lambda u: bordered_matvec(op, u), p, v[:, 0:1], cfg)
+        x2, (r2,) = solve_multi_rhs_vectorized(op, p, v[:, 0:1], cfg)
         assert np.array_equal(x1, x2)
         assert r1.residual_history == r2.residual_history
         x3, reports = solve_multi_rhs_sequential(op, p, v[:, 0:1], cfg)
@@ -147,22 +150,20 @@ class TestMultiRhs:
     def test_stacked_residual_per_column(self, problem):
         _, op, p, v, full = problem
         tol = 1e-3
-        x, report = solve_multi_rhs_vectorized(op, p, v, GmresConfig(tol=tol, max_iter=300))
+        x, (report,) = solve_multi_rhs_vectorized(op, p, v, GmresConfig(tol=tol, max_iter=300))
         per_col = np.linalg.norm(full @ x - v, axis=0) / np.linalg.norm(v, axis=0)
         assert per_col.max() <= 10 * tol
         assert monotone_nonincreasing(report.residual_history)
 
     def test_krylov_memory_formulas(self, problem):
-        sys_, op, p, v, _ = problem
-        cfg = GmresConfig(tol=1e-4, max_iter=300)
-        _, rv = solve_multi_rhs_vectorized(op, p, v, cfg)
+        sys_, _, _, v, _ = problem
+        _, rv, _ = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-4, max_iter=300)
         m = v.shape[1]
-        assert rv.memory_estimate["krylov"] == rv.iterations * m * sys_.dim * 16
-        _, reports = solve_multi_rhs_sequential(op, p, v, cfg)
-        for rep in reports:
-            assert rep.memory_estimate["krylov"] == rep.iterations * sys_.dim * 16
-        peak_seq = max(rep.memory_estimate["krylov"] for rep in reports)
-        assert peak_seq < rv.memory_estimate["krylov"]
+        assert rv.memory["krylov"] == rv.iterations * m * sys_.dim * 16
+        _, rs, _ = cli.run_method(sys_, v, "mlfft-pk-seq", tol=1e-4, max_iter=300)
+        # the 9 columns run as one lockstep block, which holds every column's basis
+        assert rs.memory["krylov"] == sum(g.iterations for g in rs.groups) * sys_.dim * 16
+        assert rs.memory["krylov"] < rv.memory["krylov"]
 
     def test_sequential_agrees_with_vectorized(self, problem):
         _, op, p, v, full = problem
@@ -183,8 +184,6 @@ class TestMultiRhs:
 
 class CountingJacobi:
     """Jacobi preconditioner that records the width of every apply."""
-
-    stored_bytes = 0
 
     def __init__(self, a):
         self.inverse_diagonal = 1.0 / np.diag(a)
@@ -303,5 +302,5 @@ class TestLockstep:
         a = random_complex(rng, 30, 30) + 8 * np.eye(30)
         p = CountingJacobi(a)
         v = random_complex(rng, 30, 5)
-        _, report = solve_multi_rhs_vectorized(dense_op(a), p, v, GmresConfig(tol=1e-8))
+        _, (report,) = solve_multi_rhs_vectorized(dense_op(a), p, v, GmresConfig(tol=1e-8))
         assert p.widths == [5] * (report.iterations + 1)

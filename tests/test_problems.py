@@ -95,7 +95,7 @@ class TestGenerate:
         full = assemble_full(sys_)
         b = build_excitations(sys_, 0).matrix[:, :1]
         cfg = GmresConfig(tol=1e-6, max_iter=sys_.dim)
-        _, report = solve_multi_rhs_vectorized(lambda v: full @ v, None, b, cfg)
+        _, (report,) = solve_multi_rhs_vectorized(lambda v: full @ v, None, b, cfg)
         assert report.converged and report.iterations <= sys_.dim // 2
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import random_complex, random_generator, rel_err
+from toepsolve import cli
 from toepsolve.errors import ShapeError, SingularBlock, SingularDenominator
 from toepsolve.problems import ArrayProblemSpec, build_excitations, generate
-from toepsolve.solvers import assemble_level1, rybicki_solve, schur_solve
+from toepsolve.solvers import assemble_level1, rybicki_solve
 from toepsolve.toeplitz import assemble_dense, circulant_offsets
 
 
@@ -145,6 +146,6 @@ class TestAssembleLevel1:
 
 def test_schur_reports_wide_stack_bytes():
     sys_ = generate(ArrayProblemSpec(ny=3, nx=4, ne=2, nb=4, seed=7))
-    _, report = schur_solve(sys_, build_excitations(sys_, 0).matrix)
+    _, rec, _ = cli.run_method(sys_, build_excitations(sys_, 0).matrix, "rybicki", tol=1e-3)
     n, side = sys_.gen.n2, sys_.gen.n1 * sys_.gen.n0
-    assert report.memory_estimate["level1_wide"] == 4 * (n - 1) * side**2 * 16
+    assert rec.memory["level1_wide"] == 4 * (n - 1) * side**2 * 16
