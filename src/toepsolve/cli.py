@@ -1,10 +1,11 @@
 """Command line: generate | solve | verify | spectrum.
 
 Every run is reproducible from its seed in all non-timing fields.  Exit
-codes: 0 success, 2 invalid input, 3 no convergence, 4 dense oracle cap
-exceeded, 5 I/O or file-format failure.  Timed scaling sweeps (warm-up,
-repeats, crossovers and an environment block) are run by the
-repository's ``perfbench/sweep.py``, which calls ``run_method``.
+codes: 0 success, 2 invalid input (an out-of-range index or a singular
+system included), 3 no convergence, 4 dense oracle cap exceeded, 5 I/O
+or file-format failure.  Timed scaling sweeps (warm-up, repeats,
+crossovers and an environment block) are run by the repository's
+``perfbench/sweep.py``, which calls ``run_method``.
 
 ``solve`` writes the report JSON ``{"schema_version": 3, "record": R}``,
 where R is the ``SolveRecord`` of the run as a dict.  Its ``solve_s`` is
@@ -65,16 +66,17 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import numerics
 from .errors import (
     FormatError,
+    IndexOutOfRange,
     InvalidSpec,
     NoConvergence,
     ShapeError,
+    SingularMatrix,
     ToepsolveError,
     TooLargeForOracle,
 )
@@ -168,6 +170,21 @@ def _finish_gmres(rec: SolveRecord, reports: list[SolveReport], v: np.ndarray,
                                for i in range(0, len(its), SEQUENTIAL_BLOCK)) * k * n * _BYTES_PER_SCALAR
 
 
+def _preconditioner(name: str, sys_: BorderedSystem):
+    """The preconditioner ``name`` ("none", "pk" or "pz") of ``sys_``; None for "none".
+
+    The builders are looked up as module attributes at call time, so a
+    wrapped ``build_pk`` (as ``perfbench``'s trace installs) is the one run.
+    """
+    if name == "none":
+        return None
+    if name == "pk":
+        return build_pk(sys_)
+    if name == "pz":
+        return build_pz(sys_)
+    raise InvalidSpec(f"unknown preconditioner {name!r} (choose from none, pk, pz)")
+
+
 def run_method(
     sys_: BorderedSystem,
     v: np.ndarray,
@@ -234,14 +251,14 @@ def run_method(
         op = timed("spectral_precompute", BorderedOperator.from_system, sys_)
         rec.memory["spectral"] = op.spectral.diag_blocks.nbytes
         operator = lambda u: bordered_matvec(op, u)
-    p = timed("precond_build", build_pk if precond_name == "pk" else build_pz, sys_)
+    p = timed("precond_build", _preconditioner, precond_name, sys_)
     rec.memory["precond"] = p.stored_bytes
     phases.update(matvec=0.0, precond_apply=0.0)
     solve = solve_multi_rhs_vectorized if mode == "vec" else solve_multi_rhs_sequential
     t_gmres = time.perf_counter()
     try:
         x, reports = solve(lambda u: timed("matvec", operator, u),
-                           SimpleNamespace(apply=lambda u: timed("precond_apply", p.apply, u)),
+                           lambda u: timed("precond_apply", p.apply, u),
                            v, GmresConfig(tol=tol, max_iter=max_iter))
     except NoConvergence as exc:
         _finish_gmres(rec, exc.reports, v, t0, t_gmres)
@@ -375,16 +392,8 @@ def _cmd_spectrum(args) -> int:
     preconds = [t.strip() for t in args.precond.split(",") if t.strip()]
     rows = []
     for name in preconds:
-        if name == "none":
-            p = None
-        elif name == "pk":
-            p = build_pk(sys_)
-        elif name == "pz":
-            p = build_pz(sys_)
-        else:
-            raise InvalidSpec(f"unknown preconditioner {name!r}")
         values = spectrum_estimate(
-            op, p, count=args.count, oversample=args.oversample,
+            op, _preconditioner(name, sys_), count=args.count, oversample=args.oversample,
             power_iters=args.power_iters, seed=args.seed,
         )
         rows.extend((name, rank, float(val)) for rank, val in enumerate(values, start=1))
@@ -454,7 +463,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSpec, ShapeError, ValueError) as exc:
+    except (InvalidSpec, ShapeError, ValueError, IndexOutOfRange, SingularMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
     except NoConvergence as exc:

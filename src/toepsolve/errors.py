@@ -18,7 +18,7 @@ class BlockShapeMismatch(ShapeError):
 
 
 class MissingOffset(ToepsolveError, LookupError):
-    """A generator constructor received an incomplete or stray offset set."""
+    """An offset outside a generator's range was looked up."""
 
 
 class SingularMatrix(ToepsolveError, ArithmeticError):

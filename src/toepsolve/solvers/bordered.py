@@ -1,10 +1,13 @@
 """Fast matvec for bordered systems [[Z_A, Z_B^T], [Z_B, Z_C]].
 
 The structured part is applied through its spectral operator; the border
-blocks are small and multiply densely.  Transpose and adjoint actions
-are provided for the randomized spectrum estimator: the transpose of the
-bordered matrix is again bordered, with the structured part transposed
-and the same coupling block.
+blocks are small and multiply densely.  The adjoint of a bordered matrix
+is again bordered,
+
+    [[Z_A, Z_B^T], [Z_B, Z_C]]^H = [[Z_A^H, conj(Z_B)^T], [conj(Z_B), Z_C^H]],
+
+so ``BorderedOperator.adjoint()`` is an operator of the same type, applied
+by the same ``bordered_matvec``; the randomized spectrum estimator uses it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from ..errors import ShapeError
 from ..numerics import as_columns
 from ..toeplitz import SpectralOperator, matvec, precompute_spectral
 
-__all__ = ["BorderedOperator", "bordered_matvec", "bordered_matvec_adjoint"]
+__all__ = ["BorderedOperator", "bordered_matvec"]
 
 
 @dataclass(frozen=True)
@@ -53,22 +56,17 @@ class BorderedOperator:
     def dim(self) -> int:
         return self.array_dim + self.nb
 
+    def adjoint(self) -> "BorderedOperator":
+        """The operator of the conjugate-transposed matrix (module docstring)."""
+        return BorderedOperator(self.spectral.adjoint(), self.zb.conj(), self.zc.conj().T)
 
-def bordered_matvec(op: BorderedOperator, x, transpose: bool = False) -> np.ndarray:
-    """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for an (op.dim, columns) block.
 
-    With ``transpose`` the plain (non-conjugated) transpose acts instead:
-    Z_A and Z_C are transposed, the coupling terms stay as they are.
-    """
+def bordered_matvec(op: BorderedOperator, x) -> np.ndarray:
+    """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for an (op.dim, columns) block."""
     arr = as_columns(x, op.dim)
     xa, xc = arr[: op.array_dim], arr[op.array_dim :]
-    top = matvec(op.spectral, xa, transpose)
-    bottom = op.zb @ xa + (op.zc.T if transpose else op.zc) @ xc
+    top = matvec(op.spectral, xa)
+    bottom = op.zb @ xa + op.zc @ xc
     if op.nb:
         top = top + op.zb.T @ xc
     return np.vstack([top, bottom])
-
-
-def bordered_matvec_adjoint(op: BorderedOperator, x) -> np.ndarray:
-    """Conjugate-transpose action, via the transpose of the conjugate."""
-    return np.conj(bordered_matvec(op, np.conj(x), transpose=True))

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NoConvergence, ShapeError
-from .bordered import bordered_matvec
 
 __all__ = [
     "GmresConfig",
@@ -124,9 +123,7 @@ def _back_substitute(r_cols: list[np.ndarray], g: np.ndarray) -> np.ndarray:
     return y
 
 
-def _gmres_block(
-    apply_operator, preconditioner, b, cfg: GmresConfig, groups: int
-) -> tuple[np.ndarray, list[SolveReport]]:
+def _gmres_block(op, p, b, cfg: GmresConfig, groups: int) -> tuple[np.ndarray, list[SolveReport]]:
     """Lockstep GMRES on ``groups`` equal column groups of b (n, W).
 
     Returns the (n, W) iterate and one report per group.
@@ -135,11 +132,10 @@ def _gmres_block(
     k = w // groups
 
     def operator(rows):
-        return apply_operator(_to_block(rows, n))
+        return op(_to_block(rows, n))
 
     def precondition(block, count):
-        out = block if preconditioner is None else preconditioner.apply(block)
-        return _to_groups(out, count)
+        return _to_groups(block if p is None else p(block), count)
 
     bg = _to_groups(b, groups)
     pr = precondition(b, groups)
@@ -241,27 +237,26 @@ def _gmres_block(
     return _to_block(x, n), reports
 
 
-def _prepare(op, rhs):
-    """The operator as a callable on column blocks, and rhs as a 2-D complex block."""
+def _rhs_block(rhs) -> np.ndarray:
+    """rhs as a 2-D complex column block."""
     arr = np.asarray(rhs, dtype=np.complex128)
     if arr.ndim != 2:
         raise ShapeError(f"rhs must be a column block, got ndim={arr.ndim}")
-    return (op if callable(op) else (lambda x: bordered_matvec(op, x))), arr
+    return arr
 
 
 def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
     """Solve A X = B with one left-preconditioned global-Krylov GMRES.
 
-    ``op`` is a BorderedOperator or a callable acting on column blocks;
-    ``p`` is a preconditioner with an ``apply`` method, or None.  All
+    ``op`` applies A and ``p`` applies P^-1 (or is None for no
+    preconditioner); both are callables on (n, columns) blocks.  All
     columns of the 2-D ``rhs`` are iterated jointly as one group, whose
     report is the one entry of the returned list.  Stops when the
     preconditioned relative residual drops below ``cfg.tol``; raises
     NoConvergence (with the best iterate and the report attached) at the
     iteration cap.
     """
-    apply_op, arr = _prepare(op, rhs)
-    x, reports = _gmres_block(apply_op, p, arr, cfg, groups=1)
+    x, reports = _gmres_block(op, p, _rhs_block(rhs), cfg, groups=1)
     (report,) = reports
     if not report.converged:
         raise NoConvergence(
@@ -276,22 +271,24 @@ def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray
 def solve_multi_rhs_sequential(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
     """Independent GMRES per column, run in lockstep column blocks.
 
-    Every column is its own Krylov group with its own inner products,
-    rotations, stopping test and restarts, so its iterates are those of a
-    solve of that column alone up to rounding.  The columns run in blocks
+    ``op`` and ``p`` are callables on column blocks, as for
+    ``solve_multi_rhs_vectorized``.  Every column is its own Krylov group
+    with its own inner products, rotations, stopping test and restarts,
+    so its iterates are those of a solve of that column alone up to
+    rounding.  The columns run in blocks
     of ``SEQUENTIAL_BLOCK``; within a block each step applies the operator
     and the preconditioner once to the columns still iterating.  All
     columns are solved even when some fail; a NoConvergence carrying
     every per-column report and the full iterate is raised at the end if
     any column missed the tolerance.
     """
-    apply_op, arr = _prepare(op, rhs)
+    arr = _rhs_block(rhs)
     x = np.empty_like(arr)
     reports: list[SolveReport] = []
     for start in range(0, arr.shape[1], SEQUENTIAL_BLOCK):
         block = arr[:, start : start + SEQUENTIAL_BLOCK]
         x[:, start : start + block.shape[1]], block_reports = _gmres_block(
-            apply_op, p, block, cfg, groups=block.shape[1]
+            op, p, block, cfg, groups=block.shape[1]
         )
         reports.extend(block_reports)
 

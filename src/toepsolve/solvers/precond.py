@@ -50,9 +50,10 @@ class Preconditioner:
         """Bytes of the two stored inverses."""
         return self.block_inverse.nbytes + self.border_inverse.nbytes
 
-    def _apply(self, v, block: np.ndarray, border: np.ndarray) -> np.ndarray:
+    def apply(self, v) -> np.ndarray:
+        """P^-1 v for a (dim, columns) block v."""
         arr = numerics.as_columns(v, self.dim)
-        side = block.shape[0]
+        side = self.block_inverse.shape[0]
         segments = self.array_dim // side
         w = arr.shape[1]
         # one GEMM over every segment of every column side by side, written
@@ -60,17 +61,13 @@ class Preconditioner:
         stacked = arr[: self.array_dim].reshape(segments, side, w).transpose(1, 0, 2)
         out = np.empty((self.dim, w), dtype=np.complex128)
         out[: self.array_dim].reshape(segments, side, w).transpose(1, 0, 2)[...] = (
-            (block @ stacked.reshape(side, -1)).reshape(side, segments, w))
-        out[self.array_dim :] = border @ arr[self.array_dim :]
+            (self.block_inverse @ stacked.reshape(side, -1)).reshape(side, segments, w))
+        out[self.array_dim :] = self.border_inverse @ arr[self.array_dim :]
         return out
 
-    def apply(self, v) -> np.ndarray:
-        """P^-1 v for a (dim, columns) block v."""
-        return self._apply(v, self.block_inverse, self.border_inverse)
-
-    def apply_adjoint(self, v) -> np.ndarray:
-        """P^-H v, needed by the adjoint matvec of the spectrum estimator."""
-        return self._apply(v, self.block_inverse.conj().T, self.border_inverse.conj().T)
+    def adjoint(self) -> "Preconditioner":
+        """The preconditioner applying P^-H, for the spectrum estimator's adjoint."""
+        return Preconditioner(self.block_inverse.conj().T, self.border_inverse.conj().T, self.array_dim)
 
 
 def _inverse(a) -> np.ndarray:

@@ -36,28 +36,13 @@ denominator to be invertible and aborts with a diagnostic otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import numerics
 from ..errors import ShapeError, SingularBlock, SingularDenominator, SingularMatrix
 from ..toeplitz import BlockGenerator2L, assemble_dense_1l
 
-__all__ = ["RybickiWorkspace", "rybicki_solve", "assemble_level1", "wide_stack_bytes"]
-
-
-@dataclass
-class RybickiWorkspace:
-    """Solution and generator blocks after a recursion stage."""
-
-    x: np.ndarray  # (M, side, W)
-    g: np.ndarray  # (M, side, side)
-    h: np.ndarray  # (M, side, side)
-
-    @property
-    def stage(self) -> int:
-        return self.x.shape[0]
+__all__ = ["rybicki_solve", "assemble_level1", "wide_stack_bytes"]
 
 
 def assemble_level1(gen: BlockGenerator2L) -> np.ndarray:
@@ -75,16 +60,13 @@ def wide_stack_bytes(n: int, side: int) -> int:
     return 4 * (n - 1) * side**2 * np.dtype(np.complex128).itemsize
 
 
-def rybicki_solve(blocks: np.ndarray, y, step_hook=None) -> np.ndarray:
+def rybicki_solve(blocks: np.ndarray, y) -> np.ndarray:
     """Solve the block-Toeplitz system generated by ``blocks``.
 
     ``blocks`` holds the 2*N-1 square coefficient blocks in circulant
     order (index n % (2N-1) is the block for signed offset n), so that
     block (i, j) of the system matrix is ``blocks[(i - j) % (2N - 1)]``.
     ``y`` is the stacked (N*side, columns) right-hand side block.
-
-    ``step_hook(stage, workspace)`` is invoked after every stage with a
-    view of the current blocks (used by invariant tests).
     """
     blocks = np.asarray(blocks, dtype=np.complex128)
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
@@ -114,8 +96,6 @@ def rybicki_solve(blocks: np.ndarray, y, step_hook=None) -> np.ndarray:
     if n > 1:
         g[0] = numerics.lu_solve(lu0, rb(-1))
         h[0] = numerics.lu_solve(lu0, rb(1))
-    if step_hook is not None:
-        step_hook(1, RybickiWorkspace(x[:1], g[: min(1, n - 1)], h[: min(1, n - 1)]))
 
     def wide(stack: np.ndarray) -> np.ndarray:
         # [stack[0] ... stack[-1]] side by side, (side, len(stack)*side)
@@ -158,9 +138,5 @@ def rybicki_solve(blocks: np.ndarray, y, step_hook=None) -> np.ndarray:
             g[m] = g_new
             h[:m] -= h_upd
             h[m] = h_new
-
-        if step_hook is not None:
-            stage = m + 1
-            step_hook(stage, RybickiWorkspace(x[:stage], g[: min(stage, n - 1)], h[: min(stage, n - 1)]))
 
     return x.reshape(n * side, w)

@@ -3,9 +3,9 @@
 A randomized range finder with subspace (power) iterations samples the
 dominant range of P^-1 Z using only the fast matvec and its adjoint;
 the singular values of the projected sketch approximate the leading
-singular values.  The adjoint (P^-1 Z)^H = Z^H P^-H is available because
-both the bordered matvec and the blockwise preconditioner solve expose
-conjugate-transpose actions.
+singular values.  The adjoint (P^-1 Z)^H = Z^H P^-H is composed from the
+adjoint operator and the adjoint preconditioner, which are of the same
+types as the forward ones.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .bordered import BorderedOperator, bordered_matvec, bordered_matvec_adjoint
+from .bordered import BorderedOperator, bordered_matvec
 
 __all__ = ["spectrum_estimate"]
 
@@ -26,18 +26,24 @@ def spectrum_estimate(
     power_iters: int = 2,
     seed: int = 0,
 ) -> np.ndarray:
-    """Top ``count`` singular values of P^-1 Z, in non-increasing order."""
+    """Top ``count`` singular values of P^-1 Z, in non-increasing order.
+
+    ``p`` is a ``Preconditioner`` or None (P = I); its ``adjoint()`` gives P^-H.
+    """
     n = op.dim
     if not 1 <= count <= n:
         raise ShapeError(f"count {count} outside 1..{n}")
+
+    op_h = op.adjoint()
+    p_h = None if p is None else p.adjoint()
 
     def forward(x):
         y = bordered_matvec(op, x)
         return y if p is None else p.apply(y)
 
     def adjoint(x):
-        y = x if p is None else p.apply_adjoint(x)
-        return bordered_matvec_adjoint(op, y)
+        y = x if p_h is None else p_h.apply(x)
+        return bordered_matvec(op_h, y)
 
     rng = np.random.default_rng(seed)
     samples = min(count + oversample, n)

@@ -24,12 +24,18 @@ costs ``O(n0**2*n2*n1 + n0*n1*n2*(log n1 + log n2))`` per column.
 
 The block-wise transform of either direction is one ``scipy.fft`` call
 over the two grid axes of the ``(L2, L1, n0, columns)`` view.
+
+The adjoint runs the same pipeline.  F^H = L2*L1 F^-1, so the adjoint of
+the embedded circulant F^-1 D F is F^-1 D^H F: the forward pipeline with
+every diagonal block conjugate-transposed.  Padding and extraction are
+real and transposes of each other, so they carry over unchanged, and
+``SpectralOperator.adjoint()`` is the operator of the conjugate-transposed
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 import scipy.fft
@@ -42,8 +48,6 @@ __all__ = [
     "BlockGenerator2L",
     "SpectralOperator",
     "circulant_offsets",
-    "embed_1l",
-    "embed_2l",
     "block_fft_2l",
     "precompute_spectral",
     "pad_rhs",
@@ -152,44 +156,9 @@ class SpectralOperator:
     def dim(self) -> int:
         return self.n2 * self.n1 * self.n0
 
-
-def embed_1l(blocks: Mapping[int, np.ndarray], n1: int, n0: int) -> BlockGenerator1L:
-    """Build a 1-level generator from a map of signed offsets to blocks.
-
-    The offsets must cover exactly -(n1-1)..(n1-1).  The first column of
-    the circulant embedding is formed by appending the reversed
-    upper-triangular offsets after the lower ones:
-    [R_0, R_1, ..., R_{n1-1}, R_{-n1+1}, ..., R_{-1}].
-    """
-    if n1 < 1 or n0 < 1:
-        raise ShapeError("n1 and n0 must be positive")
-    expected = set(range(-(n1 - 1), n1))
-    got = set(blocks)
-    if got != expected:
-        missing = sorted(expected - got)
-        stray = sorted(got - expected)
-        raise MissingOffset(f"offset set mismatch: missing {missing}, stray {stray}")
-    column = np.empty((2 * n1 - 1, n0, n0), dtype=np.complex128)
-    for off, blk in blocks.items():
-        arr = np.asarray(blk, dtype=np.complex128)
-        if arr.shape != (n0, n0):
-            raise BlockShapeMismatch(f"block at offset {off} has shape {arr.shape}, want {(n0, n0)}")
-        column[off % (2 * n1 - 1)] = arr
-    return BlockGenerator1L(n1, n0, column)
-
-
-def embed_2l(
-    blocks: Mapping[tuple[int, int], np.ndarray], n2: int, n1: int, n0: int
-) -> BlockGenerator2L:
-    """Build a 2-level generator from a map of (offset2, offset1) to blocks."""
-    cols = []
-    for off2 in circulant_offsets(n2):
-        level1 = {o1: b for (o2, o1), b in blocks.items() if o2 == off2}
-        cols.append(embed_1l(level1, n1, n0))
-    stray = {o2 for o2, _ in blocks} - set(circulant_offsets(n2).tolist())
-    if stray:
-        raise MissingOffset(f"stray level-2 offsets {sorted(stray)}")
-    return BlockGenerator2L(n2, n1, n0, tuple(cols))
+    def adjoint(self) -> "SpectralOperator":
+        """The operator of the conjugate-transposed matrix: F^-1 D^H F."""
+        return SpectralOperator(self.n2, self.n1, self.n0, self.diag_blocks.conj().swapaxes(1, 2))
 
 
 _TRANSFORMS = {"forward": scipy.fft.fftn, "inverse": scipy.fft.ifftn}
@@ -249,27 +218,19 @@ def extract_result(v, n2: int, n1: int, n0: int) -> np.ndarray:
     return arr.reshape(l2, l1, n0, w)[:n2, :n1].reshape(n2 * n1 * n0, w)
 
 
-def matvec(op: SpectralOperator, u, transpose: bool = False) -> np.ndarray:
-    """Apply the represented block-Toeplitz matrix, or its transpose.
+def matvec(op: SpectralOperator, u) -> np.ndarray:
+    """Apply the represented block-Toeplitz matrix to an (op.dim, columns) block.
 
     pad -> forward transform -> per-block multiply by ``diag_blocks`` ->
     inverse transform -> extract.  Columns are batched through every
     stage.
-
-    The embedded circulant is F^-1 D F with symmetric DFT factors, so its
-    transpose is F D^T F^-1; padding and extraction are transposes of each
-    other because they address the same rows.  The transposed matvec is
-    therefore the same pipeline with the transform directions swapped and
-    each diagonal block transposed.  ``u`` is an (op.dim, columns) block.
     """
     arr = as_columns(u, op.dim)
     l2, l1 = _embed_len(op.n2), _embed_len(op.n1)
-    first, second = ("inverse", "forward") if transpose else ("forward", "inverse")
-    blocks = np.swapaxes(op.diag_blocks, 1, 2) if transpose else op.diag_blocks
     padded = pad_rhs(arr, op.n2, op.n1, op.n0)
-    hat = block_fft_2l(padded, l2, l1, op.n0, first)
-    prod = blocks @ hat.reshape(l2 * l1, op.n0, -1)
-    back = block_fft_2l(prod.reshape(l2 * l1 * op.n0, -1), l2, l1, op.n0, second)
+    hat = block_fft_2l(padded, l2, l1, op.n0, "forward")
+    prod = op.diag_blocks @ hat.reshape(l2 * l1, op.n0, -1)
+    back = block_fft_2l(prod.reshape(l2 * l1 * op.n0, -1), l2, l1, op.n0, "inverse")
     return extract_result(back, op.n2, op.n1, op.n0)
 
 

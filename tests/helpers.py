@@ -11,27 +11,33 @@ import struct
 import numpy as np
 
 from toepsolve.problems import ArrayProblemSpec
-from toepsolve.toeplitz import BlockGenerator2L, embed_2l
+from toepsolve.toeplitz import BlockGenerator1L, BlockGenerator2L
 
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def wrap_generator(blocks4) -> BlockGenerator2L:
+    """The generator of a (2n2-1, 2n1-1, n0, n0) circulant-order block array."""
+    blocks4 = np.asarray(blocks4, dtype=np.complex128)
+    n2, n1, n0 = (blocks4.shape[0] + 1) // 2, (blocks4.shape[1] + 1) // 2, blocks4.shape[2]
+    return BlockGenerator2L(n2, n1, n0, tuple(BlockGenerator1L(n1, n0, col) for col in blocks4))
+
+
 def random_generator(rng, n2, n1, n0, symmetric=False, diag_boost=0.0) -> BlockGenerator2L:
-    """Random 2-level generator; optionally transpose-symmetric or diagonally boosted."""
-    blocks = {}
-    for o2 in range(-(n2 - 1), n2):
-        for o1 in range(-(n1 - 1), n1):
-            blocks[(o2, o1)] = random_complex(rng, n0, n0)
+    """Random 2-level generator; optionally transpose-symmetric or diagonally boosted.
+
+    The symmetric generator is B + B'^T, where B' holds the blocks of B at
+    the negated offsets, so its block at (-o2, -o1) is exactly the
+    transpose of its block at (o2, o1).
+    """
+    blocks4 = random_complex(rng, 2 * n2 - 1, 2 * n1 - 1, n0, n0)
     if symmetric:
-        blocks[(0, 0)] = blocks[(0, 0)] + blocks[(0, 0)].T
-        for key in list(blocks):
-            if key > (0, 0):
-                blocks[(-key[0], -key[1])] = blocks[key].T.copy()
-    if diag_boost:
-        blocks[(0, 0)] = blocks[(0, 0)] + diag_boost * np.eye(n0)
-    return embed_2l(blocks, n2, n1, n0)
+        neg2, neg1 = (-np.arange(2 * n2 - 1)) % (2 * n2 - 1), (-np.arange(2 * n1 - 1)) % (2 * n1 - 1)
+        blocks4 = blocks4 + blocks4[neg2][:, neg1].swapaxes(2, 3)
+    blocks4[0, 0] += diag_boost * np.eye(n0)
+    return wrap_generator(blocks4)
 
 
 def naive_dft(x, inverse=False):

@@ -1,13 +1,25 @@
 """Exit codes of the ``toepsolve`` command line on a 2x2 problem."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from helpers import BAD_HEADERS, rewrite_header
+from helpers import BAD_HEADERS, rewrite_header, smooth_spec_2x2, wrap_generator
 from toepsolve import cli
-from toepsolve.problems import ArrayProblemSpec, assemble_full, build_excitations, generate, load
+from toepsolve.problems import (
+    ArrayProblemSpec,
+    BorderedSystem,
+    assemble_full,
+    build_excitations,
+    generate,
+    load,
+    save,
+)
+from toepsolve.solvers import Preconditioner, bordered
+from toepsolve.toeplitz import assemble_dense_1l
 
 DIM = 2 * 2 * 3 + 4  # ny * nx * ne + nb
 COLUMNS = 4  # one excitation per element
@@ -31,6 +43,37 @@ def test_generate_then_solve_writes_solution_and_report(problem):
 
 def test_rhs_out_of_range_is_invalid_input(problem):
     assert cli.main(["solve", str(problem), "--rhs", "99"]) == 2
+
+
+@pytest.fixture
+def singular(tmp_path):
+    """TBZ of the 2x1 grid, ne 1, nb 0, whose three generator blocks are all 1.
+
+    Z = [[1, 1], [1, 1]] is singular.
+    """
+    path = tmp_path / "singular.tbz"
+    gen = wrap_generator(np.ones((3, 1, 1, 1)))
+    spec = ArrayProblemSpec(ny=2, nx=1, ne=1, nb=0)
+    save(BorderedSystem(gen, np.zeros((0, 2)), np.zeros((0, 0)), spec), path)
+    return path
+
+
+# an out-of-range feed index, and a singular system for the Rybicki recursion and for LU
+INVALID_INPUTS = {
+    "solve-feed": ("problem", ["solve", "{}", "--feed", "99"]),
+    "verify-feed": ("problem", ["verify", "{}", "--feed", "7"]),
+    "singular-rybicki": ("singular", ["solve", "{}", "--method", "rybicki"]),
+    "singular-dense": ("singular", ["solve", "{}", "--method", "dense"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INPUTS))
+def test_out_of_range_index_and_singular_system_are_invalid_input(request, capsys, case):
+    fixture, argv = INVALID_INPUTS[case]
+    path = request.getfixturevalue(fixture)
+    assert cli.main([arg.format(path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not path.with_name(path.name + ".sol").exists()
 
 
 def test_precond_none_is_not_a_solve_choice(problem):
@@ -151,3 +194,66 @@ def test_corrupted_file_is_io_error(problem):
 def test_bad_header_is_io_error(problem, case):
     rewrite_header(problem, BAD_HEADERS[case])
     assert cli.main(["solve", str(problem)]) == 5
+
+
+def test_spectrum_matches_the_dense_svd(tmp_path):
+    # count + oversample = dim: the sketch spans everything and the values are exact
+    spec = smooth_spec_2x2()
+    sys_ = generate(spec)
+    assert sys_.dim == 44
+    out = tmp_path / "spectrum.csv"
+    argv = ["spectrum", "--ny", str(spec.ny), "--nx", str(spec.nx), "--ne", str(spec.ne),
+            "--shift", str(spec.diagonal_shift), "--reg", str(spec.regularization),
+            "--seed", str(spec.seed), "--precond", "none,pk,pz", "--count", "8",
+            "--oversample", "36", "--csv", str(out)]
+    assert cli.main(argv) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    full = assemble_full(sys_)
+    segments = {"pk": (sys_.gen.block(0, 0), spec.ny * spec.nx),
+                "pz": (assemble_dense_1l(sys_.gen.column(0)), spec.ny)}
+    for name in ("none", "pk", "pz"):
+        if name == "none":
+            dense = full
+        else:
+            block, reps = segments[name]
+            dense = np.linalg.solve(scipy.linalg.block_diag(*[block] * reps, sys_.zc), full)
+        want = np.linalg.svd(dense, compute_uv=False)[:8]
+        got = np.array([float(r["value"]) for r in rows if r["precond"] == name])
+        assert [int(r["rank"]) for r in rows if r["precond"] == name] == list(range(1, 9))
+        assert np.abs(got - want).max() <= 1e-10 * want[0]
+
+
+def test_spectrum_unknown_preconditioner_is_invalid_input(tmp_path):
+    argv = ["spectrum", "--ny", "2", "--nx", "2", "--ne", "3", "--precond", "bogus",
+            "--csv", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 2
+
+
+# (owner, attribute, a method whose run calls it): the bindings perfbench's trace wraps,
+# so a refactor that stops calling one is caught here instead of reading 0 in the trace
+TRACED = [
+    (cli, "build_pk", "mlfft-pk-vec"),
+    (cli, "bordered_matvec", "mlfft-pk-vec"),
+    (cli, "solve_multi_rhs_vectorized", "mlfft-pk-vec"),
+    (cli, "solve_multi_rhs_sequential", "mlfft-pk-seq"),
+    (cli, "schur_solve", "rybicki"),
+    (bordered, "matvec", "mlfft-pk-seq"),
+    (Preconditioner, "apply", "mlfft-pk-vec"),
+]
+
+
+@pytest.mark.parametrize("owner, attr, method", TRACED,
+                         ids=[f"{o.__name__.rsplit('.', 1)[-1]}.{a}" for o, a, _ in TRACED])
+def test_run_method_calls_the_traced_bindings(monkeypatch, owner, attr, method):
+    original = getattr(owner, attr)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+    sys_ = generate(ArrayProblemSpec(ny=3, nx=3, ne=2))
+    cli.run_method(sys_, build_excitations(sys_, 0).matrix, method, tol=1e-3)
+    assert calls

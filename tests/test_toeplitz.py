@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from helpers import dft_matrix, naive_dft, random_complex, random_generator, rel_err
+from helpers import dft_matrix, naive_dft, random_complex, random_generator, rel_err, wrap_generator
 from toepsolve.errors import BlockShapeMismatch, MissingOffset, ShapeError
 from toepsolve.toeplitz import (
+    BlockGenerator1L,
     assemble_dense,
     assemble_dense_1l,
     block_fft_2l,
-    embed_1l,
-    embed_2l,
     extract_result,
     matvec,
     pad_rhs,
@@ -19,39 +18,47 @@ from toepsolve.toeplitz import (
 )
 
 
+def single_block(r0) -> np.ndarray:
+    """The (1, 1, n0, n0) block array of a one-element grid."""
+    return np.asarray(r0, dtype=np.complex128)[None, None]
+
+
 class TestEmbed:
+    """The circulant-order layout of a generator column, which the embedding reads."""
+
     def test_scalar_circulant_order(self):
-        t = {off: np.array([[10.0 + off]]) for off in range(-2, 3)}
-        gen = embed_1l(t, n1=3, n0=1)
-        got = gen.column[:, 0, 0]
-        assert np.array_equal(got, [10, 11, 12, 8, 9])  # [t0, t1, t2, t-2, t-1]
+        # [t0, t1, t2, t-2, t-1] with t_k = 10 + k
+        gen = BlockGenerator1L(3, 1, np.array([10.0, 11, 12, 8, 9]).reshape(5, 1, 1))
+        assert [gen.block(off)[0, 0] for off in range(-2, 3)] == [8, 9, 10, 11, 12]
 
     def test_single_block(self):
         r0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-        gen = embed_1l({0: r0}, n1=1, n0=2)
-        assert gen.column.shape == (1, 2, 2)
-        assert np.array_equal(gen.column[0], r0)
+        gen = BlockGenerator1L(1, 2, r0[None])
+        assert np.array_equal(gen.block(0), r0)
 
     def test_zero_offdiagonals_decouple(self):
         rng = np.random.default_rng(0)
         r0 = random_complex(rng, 3, 3)
-        gen2 = embed_2l(
-            {(0, 0): r0, (0, 1): np.zeros((3, 3)), (0, -1): np.zeros((3, 3))}, 1, 2, 3
-        )
-        op = precompute_spectral(gen2)
+        blocks4 = np.zeros((1, 3, 3, 3), dtype=complex)
+        blocks4[0, 0] = r0
+        op = precompute_spectral(wrap_generator(blocks4))
         u = random_complex(rng, 6, 2)
         want = np.vstack([r0 @ u[:3], r0 @ u[3:]])
         assert rel_err(matvec(op, u), want) <= 1e-14
 
     def test_missing_and_stray_offsets(self):
-        with pytest.raises(MissingOffset):
-            embed_1l({0: np.eye(1)}, n1=2, n0=1)
-        with pytest.raises(MissingOffset):
-            embed_1l({0: np.eye(1), 1: np.eye(1), -1: np.eye(1), 5: np.eye(1)}, n1=2, n0=1)
+        gen = random_generator(np.random.default_rng(1), 2, 2, 1)
+        for off in (-2, 2, 5):
+            with pytest.raises(MissingOffset):
+                gen.column(off)
+            with pytest.raises(MissingOffset):
+                gen.block(0, off)
 
     def test_block_shape_mismatch(self):
         with pytest.raises(BlockShapeMismatch):
-            embed_1l({0: np.eye(3)}, n1=1, n0=2)
+            BlockGenerator1L(1, 2, np.eye(3)[None])
+        with pytest.raises(BlockShapeMismatch):
+            BlockGenerator1L(2, 1, np.ones((4, 1, 1)))
 
 
 class TestBlockFft2L:
@@ -98,21 +105,17 @@ class TestBlockFft2L:
 class TestPrecomputeSpectral:
     def test_zero_generator(self):
         gen = random_generator(np.random.default_rng(8), 2, 3, 2)
-        zero = embed_2l(
-            {(o2, o1): np.zeros((2, 2)) for o2 in (-1, 0, 1) for o1 in (-2, -1, 0, 1, 2)}, 2, 3, 2
-        )
+        zero = wrap_generator(np.zeros((3, 5, 2, 2)))
         assert not precompute_spectral(zero).diag_blocks.any()
         assert precompute_spectral(gen).diag_blocks.shape == (3 * 5, 2, 2)
 
     def test_trivial_grid_keeps_block(self):
         r0 = np.array([[1.0 + 2j, 0.5], [0.25, -1j]])
-        gen = embed_2l({(0, 0): r0}, 1, 1, 2)
+        gen = wrap_generator(single_block(r0))
         assert np.allclose(precompute_spectral(gen).diag_blocks[0], r0, rtol=1e-15)
 
     def test_three_point_dft(self):
-        gen = embed_2l(
-            {(0, 0): [[1.0]], (0, 1): [[2.0]], (0, -1): [[3.0]]}, 1, 2, 1
-        )
+        gen = wrap_generator(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1))  # offsets 0, 1, -1
         got = precompute_spectral(gen).diag_blocks[:, 0, 0]
         assert rel_err(got, naive_dft(np.array([1.0, 2.0, 3.0]))) <= 1e-14
 
@@ -160,12 +163,9 @@ class TestPadExtract:
 class TestMatvec:
     def test_identity_generator(self):
         n2, n1, n0 = 2, 3, 4
-        blocks = {
-            (o2, o1): np.eye(n0) if (o2, o1) == (0, 0) else np.zeros((n0, n0))
-            for o2 in range(-(n2 - 1), n2)
-            for o1 in range(-(n1 - 1), n1)
-        }
-        op = precompute_spectral(embed_2l(blocks, n2, n1, n0))
+        blocks4 = np.zeros((2 * n2 - 1, 2 * n1 - 1, n0, n0))
+        blocks4[0, 0] = np.eye(n0)
+        op = precompute_spectral(wrap_generator(blocks4))
         rng = np.random.default_rng(10)
         u = random_complex(rng, n2 * n1 * n0, 2)
         assert rel_err(matvec(op, u), u) <= 1e-14
@@ -173,7 +173,7 @@ class TestMatvec:
     def test_single_cell_exact(self):
         rng = np.random.default_rng(11)
         r0 = random_complex(rng, 4, 4)
-        op = precompute_spectral(embed_2l({(0, 0): r0}, 1, 1, 4))
+        op = precompute_spectral(wrap_generator(single_block(r0)))
         u = random_complex(rng, 4, 3)
         assert rel_err(matvec(op, u), r0 @ u) <= 1e-15
 
@@ -193,12 +193,12 @@ class TestMatvec:
         u = random_complex(rng, gen.dim, 2)
         assert rel_err(matvec(op, u), dense @ u) <= 1e-12
 
-    def test_transpose_matvec_oracle(self):
+    def test_adjoint_matvec_oracle(self):
         rng = np.random.default_rng(14)
         gen = random_generator(rng, 3, 2, 3)
         op = precompute_spectral(gen)
         u = random_complex(rng, gen.dim, 2)
-        assert rel_err(matvec(op, u, transpose=True), assemble_dense(gen).T @ u) <= 1e-12
+        assert rel_err(matvec(op.adjoint(), u), assemble_dense(gen).conj().T @ u) <= 1e-12
 
     def test_linearity(self):
         rng = np.random.default_rng(15)
@@ -246,7 +246,7 @@ class TestMatvec:
         dense = assemble_dense(gen)
         u = random_complex(rng, gen.dim, 2)
         assert rel_err(matvec(op, u), dense @ u) <= 1e-12
-        assert rel_err(matvec(op, u, transpose=True), dense.T @ u) <= 1e-12
+        assert rel_err(matvec(op.adjoint(), u), dense.conj().T @ u) <= 1e-12
 
     def test_shape_error(self):
         gen = random_generator(np.random.default_rng(18), 2, 2, 2)
@@ -257,18 +257,18 @@ class TestMatvec:
 class TestAssembleDense:
     def test_single_cell(self):
         r0 = np.array([[1.0, 2j], [3.0, 4.0]])
-        gen = embed_2l({(0, 0): r0}, 1, 1, 2)
+        gen = wrap_generator(single_block(r0))
         assert np.array_equal(assemble_dense(gen), r0)
 
     def test_2x1_grid_layout(self):
         rng = np.random.default_rng(19)
-        blocks = {(o, 0): random_complex(rng, 2, 2) for o in (-1, 0, 1)}
-        gen = embed_2l(blocks, 2, 1, 2)
+        r0, r1, r_1 = (random_complex(rng, 2, 2) for _ in range(3))
+        gen = wrap_generator(np.stack([r0, r1, r_1])[:, None])  # level-2 offsets 0, 1, -1
         dense = assemble_dense(gen)
-        assert np.array_equal(dense[:2, :2], blocks[(0, 0)])
-        assert np.array_equal(dense[:2, 2:], blocks[(-1, 0)])
-        assert np.array_equal(dense[2:, :2], blocks[(1, 0)])
-        assert np.array_equal(dense[2:, 2:], blocks[(0, 0)])
+        assert np.array_equal(dense[:2, :2], r0)
+        assert np.array_equal(dense[:2, 2:], r_1)
+        assert np.array_equal(dense[2:, :2], r1)
+        assert np.array_equal(dense[2:, 2:], r0)
 
     def test_toeplitz_property_exhaustive(self):
         rng = np.random.default_rng(20)
