@@ -392,10 +392,7 @@ def _cmd_spectrum(args) -> int:
     preconds = [t.strip() for t in args.precond.split(",") if t.strip()]
     rows = []
     for name in preconds:
-        values = spectrum_estimate(
-            op, _preconditioner(name, sys_), count=args.count, oversample=args.oversample,
-            power_iters=args.power_iters, seed=args.seed,
-        )
+        values = spectrum_estimate(op, _preconditioner(name, sys_), count=args.count, seed=args.seed)
         rows.extend((name, rank, float(val)) for rank, val in enumerate(values, start=1))
     with open(args.csv, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -451,8 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     p.add_argument("--precond", default="none", help="comma list from none,pk,pz")
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--oversample", type=int, default=10)
-    p.add_argument("--power-iters", type=int, default=2)
     p.add_argument("--csv", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_spectrum)
 

@@ -10,7 +10,7 @@ on the stacked problem (identity (x) A) vec(X) = vec(B) without ever
 forming that matrix.
 
 Each group has its own inner products, norms, Givens rotations, stopping
-test, breakdown handling, restarts and back substitution.  The groups
+test, breakdown handling and back substitution.  The groups
 share only the operator and preconditioner applications: each step
 applies both once, to the columns of every group still iterating.  The
 basis is kept group-major, one (G, n*k) array per Krylov vector, so one
@@ -29,11 +29,14 @@ columns the solve has.  On a 12x20 grid with 240 right-hand sides
 5.5, 4.9, 4.4, 5.2 and 5.3 s on a 2-core host, against about 12 s for
 one column at a time.
 
-Full (non-restarted) by default; an optional restart length is honored.
-The per-iteration residual estimates come from the Givens recurrence, so
-the recorded history is the relative *preconditioned* residual and is
-non-increasing by construction.  The true unpreconditioned residual is
-recomputed once at exit, by one matvec over the whole block.
+This is full GMRES in one Arnoldi cycle: a group runs at most
+min(max_iter, n*k) steps, since the Krylov space of an (n, k) iterate
+has at most n*k dimensions, and forms its iterate x = V y once, when it
+leaves.  The per-iteration residual estimates come from the Givens
+recurrence, so the recorded history is the relative *preconditioned*
+residual and is non-increasing by construction.  The true
+unpreconditioned residual is recomputed once at exit, by one matvec over
+the whole block.
 """
 
 from __future__ import annotations
@@ -58,17 +61,20 @@ SEQUENTIAL_BLOCK = 32
 
 @dataclass
 class GmresConfig:
+    """Stopping rule: a group stops once its relative *preconditioned*
+    residual ||P^-1 (b - A x)|| / ||P^-1 b|| is at most ``tol``, or after
+    ``max_iter`` Arnoldi steps.  The true residual is not what ``tol``
+    bounds; each report records it as ``final_residual``.
+    """
+
     tol: float = 1e-3
     max_iter: int = 500
-    restart: int | None = None
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.restart is not None and self.restart < 1:
-            raise ValueError(f"restart must be >= 1, got {self.restart}")
 
 
 @dataclass
@@ -144,87 +150,70 @@ def _gmres_block(op, p, b, cfg: GmresConfig, groups: int) -> tuple[np.ndarray, l
     x = np.zeros_like(bg)
     history = [[0.0] if z else [1.0] for z in zero]
     iterations = np.zeros(groups, dtype=int)
-    converged = zero.copy()
-    active = np.flatnonzero(~zero)
-    pr = pr[active]
+    # every other estimate starts at 1, so a tol >= 1 is met at x = 0 too
+    converged = zero | (cfg.tol >= 1.0)
+    active = np.flatnonzero(~converged)
+    pr, beta = pr[active], beta0[active]
+    # full GMRES terminates within n*k steps
+    steps = min(cfg.max_iter, n * k)
 
-    # full GMRES terminates within n*k steps; restarted GMRES may need more
-    max_total = min(cfg.max_iter, n * k) if cfg.restart is None else cfg.max_iter
-    cycle_len = max_total if cfg.restart is None else min(cfg.restart, max_total)
-    total = 0
+    basis = [pr / beta[:, None]]
+    r_cols: list[np.ndarray] = []  # rotated Hessenberg columns (upper triangle)
+    cos: list[np.ndarray] = []
+    sin: list[np.ndarray] = []
+    g = [beta.astype(np.complex128)]
 
+    j = 0
     while active.size:
-        if total:  # restart from the current iterate
-            pr = precondition(_to_block(bg[active], n) - operator(x[active]), active.size)
-        beta = _norms(pr)
-        done = beta / beta0[active] <= cfg.tol
+        v = precondition(operator(basis[j]), active.size)
+        hcol = np.empty((active.size, j + 2), dtype=np.complex128)
+        for i in range(j + 1):
+            hcol[:, i] = np.vecdot(basis[i], v)
+            v -= hcol[:, i, None] * basis[i]
+        hnext = _norms(v)
+        hcol[:, j + 1] = hnext
+
+        for i in range(j):
+            hi, hi1 = hcol[:, i], hcol[:, i + 1]
+            hcol[:, i], hcol[:, i + 1] = (cos[i] * hi + sin[i] * hi1,
+                                          -np.conj(sin[i]) * hi + cos[i] * hi1)
+        c, s, hcol[:, j] = _givens(hcol[:, j], hnext)
+        cos.append(c)
+        sin.append(s)
+        g.append(-np.conj(s) * g[j])
+        g[j] = c * g[j]
+        r_cols.append(hcol[:, : j + 1])
+
+        j += 1
+        iterations[active] += 1
+        estimate = np.abs(g[j]) / beta0[active]
+        for group, e in zip(active, estimate.tolist()):
+            history[group].append(e)
+
+        # At an Arnoldi breakdown (hnext = 0) the Krylov space is invariant:
+        # the rotation has s = 0, so the estimate is 0 and the group leaves
+        # with its exact least-squares iterate before v / hnext is formed.
+        done = estimate <= cfg.tol
         converged[active[done]] = True
-        active, pr, beta = active[~done], pr[~done], beta[~done]
-        if not active.size:
-            break
-
-        basis = [pr / beta[:, None]]
-        r_cols: list[np.ndarray] = []  # rotated Hessenberg columns (upper triangle)
-        cos: list[np.ndarray] = []
-        sin: list[np.ndarray] = []
-        g = [beta.astype(np.complex128)]
-
-        j = 0
-        while True:
-            v = precondition(operator(basis[j]), active.size)
-            hcol = np.empty((active.size, j + 2), dtype=np.complex128)
-            for i in range(j + 1):
-                hcol[:, i] = np.vecdot(basis[i], v)
-                v -= hcol[:, i, None] * basis[i]
-            hnext = _norms(v)
-            hcol[:, j + 1] = hnext
-
+        leave = done | (j == steps)
+        if leave.any():
+            # x = V y with R y = g for every group leaving
+            sel = slice(None) if leave.all() else leave  # a view when all leave
+            y = _back_substitute([h[sel] for h in r_cols], np.stack(g[:j], axis=1)[sel])
+            rows = active[leave]
+            update = x[rows]  # still 0
             for i in range(j):
-                hi, hi1 = hcol[:, i], hcol[:, i + 1]
-                hcol[:, i], hcol[:, i + 1] = (cos[i] * hi + sin[i] * hi1,
-                                              -np.conj(sin[i]) * hi + cos[i] * hi1)
-            c, s, hcol[:, j] = _givens(hcol[:, j], hnext)
-            cos.append(c)
-            sin.append(s)
-            g.append(-np.conj(s) * g[j])
-            g[j] = c * g[j]
-            r_cols.append(hcol[:, : j + 1])
-
-            total += 1
-            j += 1
-            iterations[active] += 1
-            estimate = np.abs(g[j]) / beta0[active]
-            for group, e in zip(active, estimate.tolist()):
-                history[group].append(e)
-
-            # At an Arnoldi breakdown (hnext = 0) the Krylov space is invariant:
-            # the rotation has s = 0, so the estimate is 0 and the group leaves
-            # with its exact least-squares iterate before v / hnext is formed.
-            done = estimate <= cfg.tol
-            converged[active[done]] = True
-            cycle_end = j == cycle_len or total >= max_total
-            leave = done | cycle_end
-            if leave.any():
-                # x += V y with R y = g for every group leaving the cycle
-                sel = slice(None) if leave.all() else leave  # a view when all leave
-                y = _back_substitute([h[sel] for h in r_cols], np.stack(g[:j], axis=1)[sel])
-                rows = active[leave]
-                update = x[rows]
-                for i in range(j):
-                    update += y[:, i, None] * basis[i][sel]
-                x[rows] = update
-            if done.any():
-                keep = ~done
-                active, v, hnext = active[keep], v[keep], hnext[keep]
-                basis, r_cols, cos, sin, g = (
-                    [a[keep] for a in seq] for seq in (basis, r_cols, cos, sin, g)
-                )
-            if cycle_end or not active.size:
-                break
-            basis.append(v / hnext[:, None])
-
-        if total >= max_total:
+                update += y[:, i, None] * basis[i][sel]
+            x[rows] = update
+        if j == steps:
             break
+        if done.any():
+            keep = ~done
+            active, v, hnext = active[keep], v[keep], hnext[keep]
+            basis, r_cols, cos, sin, g = (
+                [a[keep] for a in seq] for seq in (basis, r_cols, cos, sin, g)
+            )
+        basis.append(v / hnext[:, None])
 
     final = np.zeros(groups)
     live = np.flatnonzero(~zero)
@@ -235,6 +224,21 @@ def _gmres_block(op, p, b, cfg: GmresConfig, groups: int) -> tuple[np.ndarray, l
     reports = [SolveReport(its, conv, hist, res) for its, conv, hist, res
                in zip(iterations.tolist(), converged.tolist(), history, final.tolist())]
     return _to_block(x, n), reports
+
+
+def _finish(x: np.ndarray, reports: list[SolveReport], cfg: GmresConfig):
+    """``(x, reports)``, or NoConvergence carrying both if a group missed ``cfg.tol``."""
+    failed = [i for i, rep in enumerate(reports) if not rep.converged]
+    if failed:
+        its = [reports[i].iterations for i in failed]
+        worst = max(reports[i].residual_history[-1] for i in failed)
+        raise NoConvergence(
+            f"GMRES groups {failed} stopped after {its} iterations at relative "
+            f"preconditioned residual up to {worst:.3e} > tol {cfg.tol:.1e}",
+            solution=x,
+            reports=reports,
+        )
+    return x, reports
 
 
 def _rhs_block(rhs) -> np.ndarray:
@@ -257,15 +261,7 @@ def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray
     iteration cap.
     """
     x, reports = _gmres_block(op, p, _rhs_block(rhs), cfg, groups=1)
-    (report,) = reports
-    if not report.converged:
-        raise NoConvergence(
-            f"GMRES stopped after {report.iterations} iterations at relative "
-            f"preconditioned residual {report.residual_history[-1]:.3e} > tol {cfg.tol:.1e}",
-            solution=x,
-            reports=reports,
-        )
-    return x, reports
+    return _finish(x, reports, cfg)
 
 
 def solve_multi_rhs_sequential(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
@@ -273,14 +269,13 @@ def solve_multi_rhs_sequential(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray
 
     ``op`` and ``p`` are callables on column blocks, as for
     ``solve_multi_rhs_vectorized``.  Every column is its own Krylov group
-    with its own inner products, rotations, stopping test and restarts,
-    so its iterates are those of a solve of that column alone up to
-    rounding.  The columns run in blocks
-    of ``SEQUENTIAL_BLOCK``; within a block each step applies the operator
-    and the preconditioner once to the columns still iterating.  All
-    columns are solved even when some fail; a NoConvergence carrying
-    every per-column report and the full iterate is raised at the end if
-    any column missed the tolerance.
+    with its own inner products, rotations and stopping test, so its
+    iterates are those of a solve of that column alone up to rounding.
+    The columns run in blocks of ``SEQUENTIAL_BLOCK``; within a block
+    each step applies the operator and the preconditioner once to the
+    columns still iterating.  All columns are solved even when some
+    fail; a NoConvergence carrying every per-column report and the full
+    iterate is raised at the end if any column missed the tolerance.
     """
     arr = _rhs_block(rhs)
     x = np.empty_like(arr)
@@ -292,11 +287,4 @@ def solve_multi_rhs_sequential(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray
         )
         reports.extend(block_reports)
 
-    failed = [col for col, rep in enumerate(reports) if not rep.converged]
-    if failed:
-        raise NoConvergence(
-            f"columns {failed} did not converge within {cfg.max_iter} iterations",
-            solution=x,
-            reports=reports,
-        )
-    return x, reports
+    return _finish(x, reports, cfg)

@@ -17,18 +17,23 @@ from .bordered import BorderedOperator, bordered_matvec
 
 __all__ = ["spectrum_estimate"]
 
+# extra sketch columns beyond ``count``, and power iterations on the sketch
+OVERSAMPLE = 10
+POWER_ITERS = 2
+
 
 def spectrum_estimate(
     op: BorderedOperator,
     p=None,
     count: int = 100,
-    oversample: int = 10,
-    power_iters: int = 2,
     seed: int = 0,
 ) -> np.ndarray:
     """Top ``count`` singular values of P^-1 Z, in non-increasing order.
 
     ``p`` is a ``Preconditioner`` or None (P = I); its ``adjoint()`` gives P^-H.
+    The sketch has ``min(count + OVERSAMPLE, dim)`` columns, so at
+    ``count = dim`` it spans everything and the values are exact up to
+    rounding.
     """
     n = op.dim
     if not 1 <= count <= n:
@@ -46,13 +51,13 @@ def spectrum_estimate(
         return bordered_matvec(op_h, y)
 
     rng = np.random.default_rng(seed)
-    samples = min(count + oversample, n)
+    samples = min(count + OVERSAMPLE, n)
     omega = (
         rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
     ) / np.sqrt(2.0)
 
     q, _ = np.linalg.qr(forward(omega))
-    for _ in range(power_iters):
+    for _ in range(POWER_ITERS):
         q, _ = np.linalg.qr(adjoint(q))
         q, _ = np.linalg.qr(forward(q))
 

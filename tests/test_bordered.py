@@ -61,7 +61,8 @@ def test_spectrum_exact_when_sketch_spans_everything(system, precond):
         p = build_pk(sys_)
         blocks = [sys_.gen.block(0, 0)] * (sys_.array_dim // sys_.spec.ne) + [sys_.zc]
         dense = np.linalg.solve(scipy.linalg.block_diag(*blocks), full)
-    count = 8
-    got = spectrum_estimate(op, p, count=count, oversample=op.dim - count, seed=1)
-    want = np.linalg.svd(dense, compute_uv=False)[:count]
+    # count = dim: the sketch spans everything and every value is exact
+    got = spectrum_estimate(op, p, count=op.dim, seed=1)
+    want = np.linalg.svd(dense, compute_uv=False)
+    assert got.shape == want.shape == (17,)
     assert np.abs(got - want).max() <= 1e-10 * want[0]

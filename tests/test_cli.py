@@ -45,6 +45,20 @@ def test_rhs_out_of_range_is_invalid_input(problem):
     assert cli.main(["solve", str(problem), "--rhs", "99"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--method", "rybicki"], ["--multi", "seq"]])
+def test_rhs_writes_that_column_of_the_all_column_solve(problem, flags):
+    def solve(*extra):
+        out = problem.with_name("x.sol")
+        assert cli.main(["solve", str(problem), *flags, *extra, "-o", str(out)]) == 0
+        return np.fromfile(out, dtype="<c16").reshape(DIM, -1)
+
+    every = solve()
+    assert every.shape == (DIM, COLUMNS)
+    one = solve("--rhs", "1")
+    assert one.shape == (DIM, 1)
+    assert np.linalg.norm(one[:, 0] - every[:, 1]) <= 1e-12 * np.linalg.norm(every[:, 1])
+
+
 @pytest.fixture
 def singular(tmp_path):
     """TBZ of the 2x1 grid, ne 1, nb 0, whose three generator blocks are all 1.
@@ -197,15 +211,15 @@ def test_bad_header_is_io_error(problem, case):
 
 
 def test_spectrum_matches_the_dense_svd(tmp_path):
-    # count + oversample = dim: the sketch spans everything and the values are exact
+    # count = dim: the sketch spans everything and every value is exact
     spec = smooth_spec_2x2()
     sys_ = generate(spec)
     assert sys_.dim == 44
     out = tmp_path / "spectrum.csv"
     argv = ["spectrum", "--ny", str(spec.ny), "--nx", str(spec.nx), "--ne", str(spec.ne),
             "--shift", str(spec.diagonal_shift), "--reg", str(spec.regularization),
-            "--seed", str(spec.seed), "--precond", "none,pk,pz", "--count", "8",
-            "--oversample", "36", "--csv", str(out)]
+            "--seed", str(spec.seed), "--precond", "none,pk,pz", "--count", "44",
+            "--csv", str(out)]
     assert cli.main(argv) == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -218,9 +232,9 @@ def test_spectrum_matches_the_dense_svd(tmp_path):
         else:
             block, reps = segments[name]
             dense = np.linalg.solve(scipy.linalg.block_diag(*[block] * reps, sys_.zc), full)
-        want = np.linalg.svd(dense, compute_uv=False)[:8]
+        want = np.linalg.svd(dense, compute_uv=False)
         got = np.array([float(r["value"]) for r in rows if r["precond"] == name])
-        assert [int(r["rank"]) for r in rows if r["precond"] == name] == list(range(1, 9))
+        assert [int(r["rank"]) for r in rows if r["precond"] == name] == list(range(1, 45))
         assert np.abs(got - want).max() <= 1e-10 * want[0]
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from helpers import random_complex, random_generator, rel_err
 from toepsolve import cli
-from toepsolve.errors import ShapeError, SingularBlock, SingularDenominator
-from toepsolve.problems import ArrayProblemSpec, build_excitations, generate
-from toepsolve.solvers import assemble_level1, rybicki_solve
+from toepsolve.errors import ShapeError, SingularBlock, SingularDenominator, SingularSchurComplement
+from toepsolve.problems import ArrayProblemSpec, BorderedSystem, build_excitations, generate
+from toepsolve.solvers import assemble_level1, rybicki_solve, schur_solve
 from toepsolve.toeplitz import assemble_dense, circulant_offsets
 
 
@@ -145,3 +145,16 @@ def test_schur_reports_wide_stack_bytes():
     _, rec, _ = cli.run_method(sys_, build_excitations(sys_, 0).matrix, "rybicki", tol=1e-3)
     n, side = sys_.gen.n2, sys_.gen.n1 * sys_.gen.n0
     assert rec.memory["level1_wide"] == 4 * (n - 1) * side**2 * 16
+
+
+def test_singular_border_is_a_singular_schur_complement():
+    # Z_B = 0 and Z_C = 0: the reduced border operator Z_C - Z_B F is exactly 0
+    rng = np.random.default_rng(12)
+    gen = random_generator(rng, 3, 2, 2, diag_boost=4.0)
+    sys_ = BorderedSystem(gen, np.zeros((1, gen.dim)), np.zeros((1, 1)),
+                          ArrayProblemSpec(ny=3, nx=2, ne=2, nb=1))
+    v = build_excitations(sys_, 0).matrix
+    with pytest.raises(SingularSchurComplement):
+        schur_solve(sys_, v)
+    with pytest.raises(SingularSchurComplement):
+        cli.run_method(sys_, v, "rybicki", tol=1e-3)
