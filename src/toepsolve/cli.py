@@ -3,7 +3,8 @@
 Every run is reproducible from its seed in all non-timing fields.  Exit
 codes: 0 success, 2 invalid input (an out-of-range index or a singular
 system included), 3 no convergence, 4 dense oracle cap exceeded, 5 I/O
-or file-format failure.  Timed scaling sweeps (warm-up, repeats,
+or file-format failure: an unreadable file, or a TBZ2 or TBZ1 file with
+a bad magic, version, header, size or checksum.  Timed scaling sweeps (warm-up, repeats,
 crossovers and an environment block) are run by the repository's
 ``perfbench/sweep.py``, which calls ``run_method``.
 

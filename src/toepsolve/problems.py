@@ -14,11 +14,22 @@ and invertible.  Border DOFs live on the array perimeter and couple to
 everything through the same kernel, giving the bordered layout
 
     Z = [[Z_A, Z_B^T], [Z_B, Z_C]].
+
+A system is stored as a TBZ2 file: the magic ``b"TBZ2\\n"``, the header
+length as ``<u4``, a UTF-8 JSON header with ``"version": 2``, the payload
+(the generator blocks, Z_B and Z_C as little-endian ``c16`` scalars) and
+an 8-byte trailer, ``blake2b(payload, digest_size=8)``.  Files of the
+older TBZ1 format (the same layout with the magic ``b"TBZ1\\n"``,
+``"version": 1`` and a ``<u8`` FNV-1a trailer) are read but never
+written.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -50,8 +61,7 @@ __all__ = [
 
 DEFAULT_ORACLE_CAP = 20_000
 
-_MAGIC = b"TBZ1\n"
-_VERSION = 1
+_TRAILER = 8  # checksum bytes after the payload
 _HEADER_INTS = ("ny", "nx", "ne", "nb", "seed")
 _HEADER_REALS = ("k", "pitch", "a", "shift")
 
@@ -215,28 +225,39 @@ def build_excitations(sys: BorderedSystem, feed_index: int = 0) -> ExcitationSet
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
+    """64-bit FNV-1a hash of a byte string: the TBZ1 checksum."""
     h = 0xCBF29CE484222325
     for b in data:
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
-def _payload_bytes(sys: BorderedSystem) -> bytes:
-    parts = [
-        np.ascontiguousarray(sys.gen.stacked4(), dtype="<c16").tobytes(),
-        np.ascontiguousarray(sys.zb, dtype="<c16").tobytes(),
-        np.ascontiguousarray(sys.zc, dtype="<c16").tobytes(),
-    ]
-    return b"".join(parts)
+def _blake2b64(payload: np.ndarray) -> bytes:
+    return hashlib.blake2b(payload, digest_size=_TRAILER).digest()
+
+
+def _fnv1a64_trailer(payload: np.ndarray) -> bytes:
+    return struct.pack("<Q", fnv1a64(payload.view(np.uint8).data))
+
+
+_MAGIC, _VERSION = b"TBZ2\n", 2  # the one format save writes
+# magic -> (header version, trailer of the payload); TBZ1 is only read
+_FORMATS = {
+    _MAGIC: (_VERSION, _blake2b64),
+    b"TBZ1\n": (1, _fnv1a64_trailer),
+}
 
 
 def save(sys: BorderedSystem, path) -> None:
-    """Write a TBZ1 file: magic, JSON header, raw scalars, FNV-1a checksum.
+    """Write a TBZ2 file: magic, JSON header, raw scalars, blake2b-64 checksum.
 
-    Scalars are little-endian interleaved (re, im) float64; generator
+    The file is the magic ``b"TBZ2\\n"``, the header length as ``<u4``,
+    the UTF-8 JSON header (``"version": 2``), the payload and an 8-byte
+    trailer, ``blake2b(payload, digest_size=8)``.  The payload is
+    little-endian interleaved (re, im) float64 scalars: the generator
     blocks in circulant order (level 2 outer, level 1 inner, each block
-    row-major), then Z_B and Z_C row-major.
+    row-major), then Z_B and Z_C row-major.  Each part is hashed and
+    written as it is, without joining them.
     """
     s = sys.spec
     header = {
@@ -255,42 +276,27 @@ def save(sys: BorderedSystem, path) -> None:
         "endian": "little",
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = _payload_bytes(sys)
+    h = hashlib.blake2b(digest_size=_TRAILER)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(payload)
-        fh.write(struct.pack("<Q", fnv1a64(payload)))
+        for part in (sys.gen.stacked4(), sys.zb, sys.zc):
+            part = np.ascontiguousarray(part, dtype="<c16")
+            h.update(part)
+            fh.write(part)
+        fh.write(h.digest())
 
 
-def load(path) -> BorderedSystem:
-    """Read a TBZ1 file back into a BorderedSystem.
-
-    Raises FormatVersionMismatch for foreign magics or header versions,
-    FormatError for an undecodable header, a missing header key, a
-    header value of the wrong type or a size out of range, and
-    ChecksumMismatch for truncated or corrupted payloads.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise FormatVersionMismatch(f"bad magic {blob[:5]!r}")
-    off = len(_MAGIC)
-    if len(blob) < off + 4:
-        raise ChecksumMismatch("file truncated inside header length")
-    (hlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if len(blob) < off + hlen:
-        raise ChecksumMismatch("file truncated inside header")
+def _header_spec(raw: bytes, version: int) -> ArrayProblemSpec:
+    """The problem spec a TBZ header describes; FormatError if it describes none."""
     try:
-        header = json.loads(blob[off : off + hlen].decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise FormatError(f"unreadable header: {exc}") from None
-    off += hlen
     if not isinstance(header, dict):
         raise FormatError(f"header is a JSON {type(header).__name__}, not an object")
-    if header.get("version") != _VERSION:
+    if header.get("version") != version:
         raise FormatVersionMismatch(f"unsupported version {header.get('version')!r}")
     for key in _HEADER_INTS + _HEADER_REALS:
         if key not in header:
@@ -299,38 +305,66 @@ def load(path) -> BorderedSystem:
         kinds = int if key in _HEADER_INTS else (int, float)
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise FormatError(f"header {key!r} has type {type(value).__name__}: {value!r}")
-
-    ny, nx, ne, nb = header["ny"], header["nx"], header["ne"], header["nb"]
-    if min(ny, nx, ne) < 1 or nb < 0:
-        raise FormatError(f"header sizes out of range: ny={ny}, nx={nx}, ne={ne}, nb={nb}")
-    n_gen = (2 * ny - 1) * (2 * nx - 1) * ne * ne
-    n_zb = nb * ny * nx * ne
-    n_zc = nb * nb
-    expect = (n_gen + n_zb + n_zc) * 16
-    if len(blob) != off + expect + 8:
-        raise ChecksumMismatch(
-            f"payload size mismatch: have {len(blob) - off - 8} bytes, expected {expect}"
+        if not -math.inf < value < math.inf:  # json reads NaN and Infinity
+            raise FormatError(f"header {key!r} is not finite: {value!r}")
+    try:
+        return ArrayProblemSpec(
+            ny=header["ny"],
+            nx=header["nx"],
+            ne=header["ne"],
+            nb=header["nb"],
+            wavenumber=header["k"],
+            pitch=header["pitch"],
+            regularization=header["a"],
+            diagonal_shift=header["shift"],
+            seed=header["seed"],
         )
-    payload = blob[off : off + expect]
-    (stored,) = struct.unpack_from("<Q", blob, off + expect)
-    if fnv1a64(payload) != stored:
-        raise ChecksumMismatch("payload checksum mismatch")
+    except InvalidSpec as exc:
+        raise FormatError(f"header rejected: {exc}") from None
 
-    scalars = np.frombuffer(payload, dtype="<c16")
-    blocks4 = scalars[:n_gen].reshape(2 * ny - 1, 2 * nx - 1, ne, ne).astype(np.complex128)
-    zb = scalars[n_gen : n_gen + n_zb].reshape(nb, ny * nx * ne).astype(np.complex128)
-    zc = scalars[n_gen + n_zb :].reshape(nb, nb).astype(np.complex128)
 
-    spec = ArrayProblemSpec(
-        ny=ny,
-        nx=nx,
-        ne=ne,
-        nb=nb,
-        wavenumber=header["k"],
-        pitch=header["pitch"],
-        regularization=header["a"],
-        diagonal_shift=header["shift"],
-        seed=header["seed"],
-    )
+def load(path) -> BorderedSystem:
+    """Read a TBZ2 file, or a read-only TBZ1 file, back into a BorderedSystem.
+
+    TBZ1 is the TBZ2 layout (see ``save``) with the magic ``b"TBZ1\\n"``,
+    ``"version": 1`` and a ``<u8`` FNV-1a trailer; it is read, never
+    written.  The file size is checked against the header before the
+    payload is read, in one pass, into one array whose views are
+    returned.
+
+    Raises FormatVersionMismatch for foreign magics or a header version
+    that does not match the magic, FormatError for an undecodable
+    header, a missing header key, a header value of the wrong type, a
+    non-finite real or a value the spec rejects, and ChecksumMismatch for
+    truncated, overlong or corrupted files.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(len(_MAGIC))
+        if magic not in _FORMATS:
+            raise FormatVersionMismatch(f"bad magic {magic!r}")
+        version, checksum = _FORMATS[magic]
+        length = fh.read(4)
+        if len(length) < 4:
+            raise ChecksumMismatch("file truncated inside header length")
+        (hlen,) = struct.unpack("<I", length)
+        if size < fh.tell() + hlen:
+            raise ChecksumMismatch("file truncated inside header")
+        spec = _header_spec(fh.read(hlen), version)
+
+        ny, nx, ne, nb = spec.ny, spec.nx, spec.ne, spec.nb
+        n_gen = (2 * ny - 1) * (2 * nx - 1) * ne * ne
+        n_zb = nb * spec.array_dim
+        n = n_gen + n_zb + nb * nb
+        have = size - fh.tell() - _TRAILER
+        if have != 16 * n:
+            raise ChecksumMismatch(f"payload size mismatch: have {have} bytes, expected {16 * n}")
+        scalars = np.empty(n, dtype="<c16")
+        if fh.readinto(scalars) != have or checksum(scalars) != fh.read(_TRAILER):
+            raise ChecksumMismatch("payload checksum mismatch")
+
+    blocks4 = scalars[:n_gen].reshape(2 * ny - 1, 2 * nx - 1, ne, ne)
+    zb = scalars[n_gen : n_gen + n_zb].reshape(nb, spec.array_dim)
+    zc = scalars[n_gen + n_zb :].reshape(nb, nb)
     cols = tuple(BlockGenerator1L(nx, ne, blocks4[i]) for i in range(2 * ny - 1))
     return BorderedSystem(BlockGenerator2L(ny, nx, ne, cols), zb, zc, spec)

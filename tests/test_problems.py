@@ -1,11 +1,13 @@
 """Synthetic problem generation, excitations and TBZ serialization."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from helpers import BAD_HEADERS, json_edit, rewrite_header
+from helpers import BAD_HEADERS, json_edit, rewrite_header, write_tbz1
+from toepsolve import problems
 from toepsolve.errors import (
     ChecksumMismatch,
     FormatError,
@@ -149,7 +151,11 @@ class TestExcitations:
 
 
 class TestSerialization:
-    def test_roundtrip_bit_exact(self, tmp_path):
+    def test_roundtrip_bit_exact(self, tmp_path, monkeypatch):
+        def refuse(data):
+            raise AssertionError("the TBZ2 path ran the TBZ1 checksum")
+
+        monkeypatch.setattr(problems, "fnv1a64", refuse)
         sys_ = small_system()
         path = tmp_path / "p.tbz"
         save(sys_, path)
@@ -158,6 +164,8 @@ class TestSerialization:
         assert np.array_equal(back.zb, sys_.zb)
         assert np.array_equal(back.zc, sys_.zc)
         assert back.spec == sys_.spec
+        for arr in [col.column for col in back.gen.columns] + [back.zb, back.zc]:
+            assert arr.flags.writeable and arr.flags.c_contiguous
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.tbz", tmp_path / "b.tbz"
@@ -186,7 +194,7 @@ class TestSerialization:
         path = tmp_path / "p.tbz"
         save(small_system(), path)
         blob = path.read_bytes()
-        patched = blob.replace(b'"version": 1', b'"version": 9', 1)
+        patched = blob.replace(b'"version": 2', b'"version": 9', 1)
         assert patched != blob
         path.write_bytes(patched)
         with pytest.raises(FormatVersionMismatch):
@@ -220,13 +228,76 @@ class TestSerialization:
         save(small_system(), path)
         rewrite_header(path, json_edit(lambda f: f.update(ny=0, nx=0, ne=1, nb=0)))
         blob = path.read_bytes()
-        start = len(b"TBZ1\n") + 4
+        start = len(b"TBZ2\n") + 4
         (hlen,) = struct.unpack_from("<I", blob, start - 4)
         payload = bytes(16)
-        path.write_bytes(blob[: start + hlen] + payload + struct.pack("<Q", fnv1a64(payload)))
+        trailer = hashlib.blake2b(payload, digest_size=8).digest()
+        path.write_bytes(blob[: start + hlen] + payload + trailer)
         with pytest.raises(FormatError) as err:
             load(path)
         assert type(err.value) is FormatError
+
+    @pytest.mark.parametrize("resize", [lambda b: b[:7], lambda b: b[:20], lambda b: b[:-3],
+                                        lambda b: b + b"\x00"],
+                             ids=["cut-in-header-length", "cut-in-header", "cut-in-trailer",
+                                  "trailing-byte"])
+    def test_wrong_file_size(self, tmp_path, resize):
+        path = tmp_path / "p.tbz"
+        save(small_system(), path)
+        path.write_bytes(resize(path.read_bytes()))
+        with pytest.raises(ChecksumMismatch):
+            load(path)
+
+    def test_oversized_header_fails_before_allocating(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.tbz"
+        save(small_system(), path)
+        rewrite_header(path, json_edit(lambda f: f.update(ny=10**6, nx=10**6)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("payload buffer allocated before the size check")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(ChecksumMismatch):
+            load(path)
+
+    def test_trailer_is_blake2b_of_the_payload(self, tmp_path):
+        sys_ = small_system()
+        path = tmp_path / "p.tbz"
+        save(sys_, path)
+        blob = path.read_bytes()
+        payload = b"".join(np.asarray(part, dtype="<c16").tobytes()
+                           for part in (sys_.gen.stacked4(), sys_.zb, sys_.zc))
+        assert blob[:5] == b"TBZ2\n"
+        assert blob[-8 - len(payload) : -8] == payload
+        assert blob[-8:] == hashlib.blake2b(payload, digest_size=8).digest()
+
+    def test_tbz1_loads_bit_exactly(self, tmp_path):
+        sys_ = small_system()
+        old, new = tmp_path / "old.tbz", tmp_path / "new.tbz"
+        write_tbz1(sys_, old)
+        save(sys_, new)
+        a, b = load(old), load(new)
+        assert np.array_equal(a.gen.stacked4(), b.gen.stacked4())
+        assert np.array_equal(a.zb, b.zb)
+        assert np.array_equal(a.zc, b.zc)
+        assert a.spec == b.spec == sys_.spec
+
+    def test_tbz1_corrupted_payload(self, tmp_path):
+        path = tmp_path / "p.tbz"
+        write_tbz1(small_system(), path)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ChecksumMismatch):
+            load(path)
+
+    @pytest.mark.parametrize("old_magic", [False, True], ids=["tbz2-magic", "tbz1-magic"])
+    def test_magic_and_version_must_agree(self, tmp_path, old_magic):
+        path = tmp_path / "p.tbz"
+        (write_tbz1 if old_magic else save)(small_system(), path)
+        rewrite_header(path, json_edit(lambda f: f.update(version=2 if old_magic else 1)))
+        with pytest.raises(FormatVersionMismatch):
+            load(path)
 
     def test_fnv1a64_reference_values(self):
         # standard FNV-1a test vectors
