@@ -3,7 +3,7 @@
 The package bundles an FFT-accelerated preconditioned GMRES, a direct
 block bordering solver with Schur border elimination, a deterministic
 synthetic problem generator with a binary file format, and a command
-line (``toepsolve``) to generate, solve, verify and estimate spectra.
+line (``toepsolve``) to generate, solve and verify.
 Timed scaling sweeps are run by the repository's ``perfbench/sweep.py``.
 """
 

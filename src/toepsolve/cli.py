@@ -1,4 +1,4 @@
-"""Command line: generate | solve | verify | spectrum.
+"""Command line: generate | solve | verify.
 
 Every run is reproducible from its seed in all non-timing fields.  Exit
 codes: 0 success, 2 invalid input (an out-of-range index or a singular
@@ -61,7 +61,6 @@ solves slower: on a 2-core host a 70-column ``mlfft-pk-seq`` solve of a
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -102,7 +101,6 @@ from .solvers import (
     schur_solve,
     solve_multi_rhs_sequential,
     solve_multi_rhs_vectorized,
-    spectrum_estimate,
 )
 from .solvers.rybicki import wide_stack_bytes
 
@@ -171,21 +169,6 @@ def _finish_gmres(rec: SolveRecord, reports: list[SolveReport], v: np.ndarray,
                                for i in range(0, len(its), SEQUENTIAL_BLOCK)) * k * n * _BYTES_PER_SCALAR
 
 
-def _preconditioner(name: str, sys_: BorderedSystem):
-    """The preconditioner ``name`` ("none", "pk" or "pz") of ``sys_``; None for "none".
-
-    The builders are looked up as module attributes at call time, so a
-    wrapped ``build_pk`` (as ``perfbench``'s trace installs) is the one run.
-    """
-    if name == "none":
-        return None
-    if name == "pk":
-        return build_pk(sys_)
-    if name == "pz":
-        return build_pz(sys_)
-    raise InvalidSpec(f"unknown preconditioner {name!r} (choose from none, pk, pz)")
-
-
 def run_method(
     sys_: BorderedSystem,
     v: np.ndarray,
@@ -252,7 +235,9 @@ def run_method(
         op = timed("spectral_precompute", BorderedOperator.from_system, sys_)
         rec.memory["spectral"] = op.spectral.diag_blocks.nbytes
         operator = lambda u: bordered_matvec(op, u)
-    p = timed("precond_build", _preconditioner, precond_name, sys_)
+    # the builder is read from the module globals here, so a wrapped ``build_pk``
+    # (as ``perfbench``'s trace installs) is the one run
+    p = timed("precond_build", build_pk if precond_name == "pk" else build_pz, sys_)
     rec.memory["precond"] = p.stored_bytes
     phases.update(matvec=0.0, precond_apply=0.0)
     solve = solve_multi_rhs_vectorized if mode == "vec" else solve_multi_rhs_sequential
@@ -270,36 +255,33 @@ def run_method(
     return x, rec, rec.groups
 
 
-def _spec_from_args(args) -> ArrayProblemSpec:
-    return ArrayProblemSpec(
-        ny=args.ny,
-        nx=args.nx,
-        ne=args.ne,
-        nb=args.nb,
-        wavenumber=args.k,
-        pitch=args.pitch,
-        regularization=args.reg,
-        diagonal_shift=args.shift,
-        seed=args.seed,
-    )
+# flag -> (ArrayProblemSpec field, type, help).  A flag not given is absent from
+# the parsed namespace, so ``verify`` can tell it was not given and the spec
+# supplies its own default; the grid, which the spec does not default, takes
+# _GRID_DEFAULTS.
+_SPEC_FLAGS = {
+    "--ny": ("ny", int, "array rows (default 3)"),
+    "--nx": ("nx", int, "array columns (default 3)"),
+    "--ne": ("ne", int, "unknowns per element (default 8)"),
+    "--nb": ("nb", int, "border unknowns (default 8*(nx+ny))"),
+    "--k": ("wavenumber", float, "wavenumber"),
+    "--pitch": ("pitch", float, "element spacing"),
+    "--reg": ("regularization", float, "kernel smoothing length (default pitch/10)"),
+    "--shift": ("diagonal_shift", float, "diagonal shift of self blocks"),
+    "--seed": ("seed", int, "generator seed"),
+}
+_GRID_DEFAULTS = {"ny": 3, "nx": 3, "ne": 8}
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ny", type=int, default=3, help="array rows")
-    p.add_argument("--nx", type=int, default=3, help="array columns")
-    p.add_argument("--ne", type=int, default=8, help="unknowns per element")
-    p.add_argument("--nb", type=int, default=None, help="border unknowns (default 8*(nx+ny))")
-    p.add_argument("--k", type=float, default=3.0, help="wavenumber")
-    p.add_argument("--pitch", type=float, default=1.0, help="element spacing")
-    p.add_argument("--reg", type=float, default=None, help="kernel smoothing length (default pitch/10)")
-    p.add_argument("--shift", type=float, default=1.0, help="diagonal shift of self blocks")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    for flag, (dest, kind, text) in _SPEC_FLAGS.items():
+        p.add_argument(flag, dest=dest, type=kind, default=argparse.SUPPRESS, metavar=flag[2:].upper(),
+                       help=text)
 
 
-def _load_or_generate(args) -> BorderedSystem:
-    if getattr(args, "input", None):
-        return load(args.input)
-    return generate(_spec_from_args(args))
+def _spec_from_args(args) -> ArrayProblemSpec:
+    given = {dest: getattr(args, dest) for dest, _, _ in _SPEC_FLAGS.values() if dest in vars(args)}
+    return ArrayProblemSpec(**(_GRID_DEFAULTS | given))
 
 
 def _cmd_generate(args) -> int:
@@ -356,7 +338,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sys_ = _load_or_generate(args)
+    # checked up front: the method loop below reports a ToepsolveError as a FAILED
+    # line, and a bad --tol or --max-iter is invalid input (exit 2)
+    GmresConfig(tol=args.tol, max_iter=args.max_iter)
+    if args.input is None:
+        sys_ = generate(_spec_from_args(args))
+    elif given := [flag for flag, (dest, _, _) in _SPEC_FLAGS.items() if dest in vars(args)]:
+        raise InvalidSpec(f"{', '.join(given)}: spec flags apply only without an input file")
+    else:
+        sys_ = load(args.input)
     v = build_excitations(sys_, args.feed).matrix
     full = assemble_full(sys_, args.cap)
     x_ref = numerics.lu_solve(numerics.lu_factor(full), v)
@@ -385,22 +375,6 @@ def _cmd_verify(args) -> int:
         ok &= line_ok
     print("verify:", "PASS" if ok else "FAIL")
     return _EXIT_OK if ok else 1
-
-
-def _cmd_spectrum(args) -> int:
-    sys_ = _load_or_generate(args)
-    op = BorderedOperator.from_system(sys_)
-    preconds = [t.strip() for t in args.precond.split(",") if t.strip()]
-    rows = []
-    for name in preconds:
-        values = spectrum_estimate(op, _preconditioner(name, sys_), count=args.count, seed=args.seed)
-        rows.extend((name, rank, float(val)) for rank, val in enumerate(values, start=1))
-    with open(args.csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["precond", "rank", "value"])
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} singular values to {args.csv}")
-    return _EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -443,14 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("spectrum", help="estimate singular values of the preconditioned operator")
-    p.add_argument("input", nargs="?", default=None, help="optional TBZ path (else --ny/--nx/... flags)")
-    _add_spec_flags(p)
-    p.add_argument("--precond", default="none", help="comma list from none,pk,pz")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--csv", required=True, help="output CSV path")
-    p.set_defaults(func=_cmd_spectrum)
 
     return parser
 

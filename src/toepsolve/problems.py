@@ -89,6 +89,9 @@ class ArrayProblemSpec:
             self.nb = 8 * (self.nx + self.ny)
         if self.regularization is None:
             self.regularization = self.pitch / 10.0
+        reals = (self.wavenumber, self.pitch, self.regularization, self.diagonal_shift)
+        if not all(-math.inf < r < math.inf for r in reals):
+            raise InvalidSpec(f"wavenumber, pitch, regularization and shift must be finite, got {reals}")
         if min(self.ny, self.nx, self.ne) < 1:
             raise InvalidSpec(f"ny, nx, ne must be >= 1, got {(self.ny, self.nx, self.ne)}")
         if self.nb < 0:
@@ -305,8 +308,6 @@ def _header_spec(raw: bytes, version: int) -> ArrayProblemSpec:
         kinds = int if key in _HEADER_INTS else (int, float)
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise FormatError(f"header {key!r} has type {type(value).__name__}: {value!r}")
-        if not -math.inf < value < math.inf:  # json reads NaN and Infinity
-            raise FormatError(f"header {key!r} is not finite: {value!r}")
     try:
         return ArrayProblemSpec(
             ny=header["ny"],

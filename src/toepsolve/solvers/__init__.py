@@ -11,7 +11,6 @@ from .gmres import (
 from .precond import Preconditioner, build_pk, build_pz
 from .rybicki import assemble_level1, rybicki_solve
 from .schur import schur_solve
-from .spectrum import spectrum_estimate
 
 __all__ = [
     "BorderedOperator",
@@ -27,5 +26,4 @@ __all__ = [
     "assemble_level1",
     "rybicki_solve",
     "schur_solve",
-    "spectrum_estimate",
 ]

@@ -1,13 +1,7 @@
 """Fast matvec for bordered systems [[Z_A, Z_B^T], [Z_B, Z_C]].
 
 The structured part is applied through its spectral operator; the border
-blocks are small and multiply densely.  The adjoint of a bordered matrix
-is again bordered,
-
-    [[Z_A, Z_B^T], [Z_B, Z_C]]^H = [[Z_A^H, conj(Z_B)^T], [conj(Z_B), Z_C^H]],
-
-so ``BorderedOperator.adjoint()`` is an operator of the same type, applied
-by the same ``bordered_matvec``; the randomized spectrum estimator uses it.
+blocks are small and multiply densely.
 """
 
 from __future__ import annotations
@@ -55,10 +49,6 @@ class BorderedOperator:
     @property
     def dim(self) -> int:
         return self.array_dim + self.nb
-
-    def adjoint(self) -> "BorderedOperator":
-        """The operator of the conjugate-transposed matrix (module docstring)."""
-        return BorderedOperator(self.spectral.adjoint(), self.zb.conj(), self.zc.conj().T)
 
 
 def bordered_matvec(op: BorderedOperator, x) -> np.ndarray:

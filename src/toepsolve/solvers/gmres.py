@@ -41,11 +41,12 @@ the whole block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import NoConvergence, ShapeError
+from ..errors import InvalidSpec, NoConvergence, ShapeError
 
 __all__ = [
     "GmresConfig",
@@ -71,10 +72,10 @@ class GmresConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise InvalidSpec(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise InvalidSpec(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass

@@ -65,10 +65,6 @@ class Preconditioner:
         out[self.array_dim :] = self.border_inverse @ arr[self.array_dim :]
         return out
 
-    def adjoint(self) -> "Preconditioner":
-        """The preconditioner applying P^-H, for the spectrum estimator's adjoint."""
-        return Preconditioner(self.block_inverse.conj().T, self.border_inverse.conj().T, self.array_dim)
-
 
 def _inverse(a) -> np.ndarray:
     """a^-1 as a C-order block, by LU and back substitution against I.

@@ -24,13 +24,6 @@ costs ``O(n0**2*n2*n1 + n0*n1*n2*(log n1 + log n2))`` per column.
 
 The block-wise transform of either direction is one ``scipy.fft`` call
 over the two grid axes of the ``(L2, L1, n0, columns)`` view.
-
-The adjoint runs the same pipeline.  F^H = L2*L1 F^-1, so the adjoint of
-the embedded circulant F^-1 D F is F^-1 D^H F: the forward pipeline with
-every diagonal block conjugate-transposed.  Padding and extraction are
-real and transposes of each other, so they carry over unchanged, and
-``SpectralOperator.adjoint()`` is the operator of the conjugate-transposed
-matrix.
 """
 
 from __future__ import annotations
@@ -155,10 +148,6 @@ class SpectralOperator:
     @property
     def dim(self) -> int:
         return self.n2 * self.n1 * self.n0
-
-    def adjoint(self) -> "SpectralOperator":
-        """The operator of the conjugate-transposed matrix: F^-1 D^H F."""
-        return SpectralOperator(self.n2, self.n1, self.n0, self.diag_blocks.conj().swapaxes(1, 2))
 
 
 _TRANSFORMS = {"forward": scipy.fft.fftn, "inverse": scipy.fft.ifftn}

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from toepsolve.problems import ArrayProblemSpec, fnv1a64
+from toepsolve.problems import fnv1a64
 from toepsolve.toeplitz import BlockGenerator1L, BlockGenerator2L
 
 
@@ -67,24 +67,6 @@ def rel_err(got, want):
 
 def monotone_nonincreasing(history):
     return all(history[i + 1] <= history[i] for i in range(len(history) - 1))
-
-
-def reference_spec_6x6(**overrides) -> ArrayProblemSpec:
-    """The 6x6 reference problem used by convergence and spectrum tests."""
-    params = dict(ny=6, nx=6, ne=8, seed=2024)
-    params.update(overrides)
-    return ArrayProblemSpec(**params)
-
-
-def smooth_spec_2x2(**overrides) -> ArrayProblemSpec:
-    """Small smooth-kernel problem whose singular values decay fast.
-
-    Used by the randomized-SVD accuracy tests: the shift is tiny so the
-    kernel dominates and the spectrum is far from flat.
-    """
-    params = dict(ny=2, nx=2, ne=3, diagonal_shift=1e-3, regularization=0.3, seed=11)
-    params.update(overrides)
-    return ArrayProblemSpec(**params)
 
 
 def rewrite_header(path, edit):

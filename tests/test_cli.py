@@ -1,13 +1,11 @@
 """Exit codes of the ``toepsolve`` command line on a 2x2 problem."""
 
-import csv
 import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from helpers import BAD_HEADERS, rewrite_header, smooth_spec_2x2, wrap_generator
+from helpers import BAD_HEADERS, rewrite_header, wrap_generator
 from toepsolve import cli
 from toepsolve.problems import (
     ArrayProblemSpec,
@@ -18,8 +16,7 @@ from toepsolve.problems import (
     load,
     save,
 )
-from toepsolve.solvers import Preconditioner, bordered
-from toepsolve.toeplitz import assemble_dense_1l
+from toepsolve.solvers import Preconditioner, bordered, build_pk, build_pz
 
 DIM = 2 * 2 * 3 + 4  # ny * nx * ne + nb
 COLUMNS = 4  # one excitation per element
@@ -72,10 +69,14 @@ def singular(tmp_path):
     return path
 
 
-# an out-of-range feed index, and a singular system for the Rybicki recursion and for LU
+# an out-of-range feed index, a non-finite tolerance, a spec flag that a file would
+# override, and a singular system for the Rybicki recursion and for LU
 INVALID_INPUTS = {
     "solve-feed": ("problem", ["solve", "{}", "--feed", "99"]),
     "verify-feed": ("problem", ["verify", "{}", "--feed", "7"]),
+    "solve-tol-inf": ("problem", ["solve", "{}", "--tol", "inf"]),
+    "verify-tol-inf": ("problem", ["verify", "{}", "--tol", "inf"]),
+    "verify-file-and-spec-flag": ("problem", ["verify", "{}", "--ny", "7"]),
     "singular-rybicki": ("singular", ["solve", "{}", "--method", "rybicki"]),
     "singular-dense": ("singular", ["solve", "{}", "--method", "dense"]),
 }
@@ -88,6 +89,15 @@ def test_out_of_range_index_and_singular_system_are_invalid_input(request, capsy
     assert cli.main([arg.format(path) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not path.with_name(path.name + ".sol").exists()
+
+
+@pytest.mark.parametrize("flag", [["--pitch", "inf"], ["--nb", "0", "--k", "nan"]],
+                         ids=["pitch-inf", "k-nan"])
+def test_non_finite_spec_is_invalid_input(tmp_path, capsys, flag):
+    out = tmp_path / "p.tbz"
+    assert cli.main(["generate", "--ny", "2", "--nx", "2", "--ne", "3", *flag, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_precond_none_is_not_a_solve_choice(problem):
@@ -136,15 +146,17 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
 
 
 GMRES_PHASES = {"precond_build", "matvec", "precond_apply", "krylov"}
-# method -> (phases, memory keys, Krylov groups of the 36-column solve)
+FFT_KEYS = ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"})
+# method -> (phases, memory keys, Krylov groups of the 36-column solve, preconditioner
+# builder); on the 6x6 grid, ne 8, pk stores 8^2 + nb^2 scalars and pz 48^2 + nb^2
 RECORD_KEYS = {
-    "dense": ({"dense_fill", "lu_factor", "lu_solve"}, {"dense"}, 0),
-    "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense", "precond", "krylov"}, 1),
-    "rybicki": ({"level1_fill", "recursion", "border"}, {"level1", "level1_wide"}, 0),
-    "mlfft-pk-vec": ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"}, 1),
-    "mlfft-pz-vec": ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"}, 1),
-    "mlfft-pk-seq": ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"}, 36),
-    "mlfft-pz-seq": ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"}, 36),
+    "dense": ({"dense_fill", "lu_factor", "lu_solve"}, {"dense"}, 0, None),
+    "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense", "precond", "krylov"}, 1, build_pk),
+    "rybicki": ({"level1_fill", "recursion", "border"}, {"level1", "level1_wide"}, 0, None),
+    "mlfft-pk-vec": (*FFT_KEYS, 1, build_pk),
+    "mlfft-pz-vec": (*FFT_KEYS, 1, build_pz),
+    "mlfft-pk-seq": (*FFT_KEYS, 36, build_pk),
+    "mlfft-pz-seq": (*FFT_KEYS, 36, build_pz),
 }
 
 
@@ -156,11 +168,13 @@ def grid6():
 
 @pytest.mark.parametrize("method", cli.BENCH_METHODS)
 def test_record_holds_only_what_the_method_ran(grid6, method):
-    phases, memory, groups = RECORD_KEYS[method]
+    phases, memory, groups, build = RECORD_KEYS[method]
     _, rec, _ = cli.run_method(*grid6, method, tol=1e-3)
     assert set(rec.phases) == phases
     assert set(rec.memory) == {"generator", "dense_equivalent"} | memory
     assert len(rec.groups) == groups
+    if build is not None:
+        assert rec.memory["precond"] == build(grid6[0]).stored_bytes
     # the phases cover the solve; the absolute floor keeps a fast solve from flaking
     assert abs(sum(rec.phases.values()) - rec.solve_s) <= max(0.05 * rec.solve_s, 1e-3)
 
@@ -208,40 +222,6 @@ def test_corrupted_file_is_io_error(problem):
 def test_bad_header_is_io_error(problem, case):
     rewrite_header(problem, BAD_HEADERS[case])
     assert cli.main(["solve", str(problem)]) == 5
-
-
-def test_spectrum_matches_the_dense_svd(tmp_path):
-    # count = dim: the sketch spans everything and every value is exact
-    spec = smooth_spec_2x2()
-    sys_ = generate(spec)
-    assert sys_.dim == 44
-    out = tmp_path / "spectrum.csv"
-    argv = ["spectrum", "--ny", str(spec.ny), "--nx", str(spec.nx), "--ne", str(spec.ne),
-            "--shift", str(spec.diagonal_shift), "--reg", str(spec.regularization),
-            "--seed", str(spec.seed), "--precond", "none,pk,pz", "--count", "44",
-            "--csv", str(out)]
-    assert cli.main(argv) == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    full = assemble_full(sys_)
-    segments = {"pk": (sys_.gen.block(0, 0), spec.ny * spec.nx),
-                "pz": (assemble_dense_1l(sys_.gen.column(0)), spec.ny)}
-    for name in ("none", "pk", "pz"):
-        if name == "none":
-            dense = full
-        else:
-            block, reps = segments[name]
-            dense = np.linalg.solve(scipy.linalg.block_diag(*[block] * reps, sys_.zc), full)
-        want = np.linalg.svd(dense, compute_uv=False)
-        got = np.array([float(r["value"]) for r in rows if r["precond"] == name])
-        assert [int(r["rank"]) for r in rows if r["precond"] == name] == list(range(1, 45))
-        assert np.abs(got - want).max() <= 1e-10 * want[0]
-
-
-def test_spectrum_unknown_preconditioner_is_invalid_input(tmp_path):
-    argv = ["spectrum", "--ny", "2", "--nx", "2", "--ne", "3", "--precond", "bogus",
-            "--csv", str(tmp_path / "s.csv")]
-    assert cli.main(argv) == 2
 
 
 # (owner, attribute, a method whose run calls it): the bindings perfbench's trace wraps,

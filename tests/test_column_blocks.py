@@ -32,7 +32,6 @@ ENTRY_POINTS = {
     "matvec": (SYS.array_dim, lambda u: matvec(OP.spectral, u)),
     "bordered_matvec": (SYS.dim, lambda u: bordered_matvec(OP, u)),
     "Preconditioner.apply": (SYS.dim, PK.apply),
-    "Preconditioner.adjoint.apply": (SYS.dim, PK.adjoint().apply),
     "lu_solve": (SYS.zc.shape[0], lambda u: lu_solve(lu_factor(SYS.zc), u)),
     "rybicki_solve": (SYS.array_dim, lambda u: rybicki_solve(assemble_level1(SYS.gen), u)),
     "schur_solve": (SYS.dim, lambda u: schur_solve(SYS, u)[0]),

@@ -1,12 +1,14 @@
 """GMRES core, global-Krylov multi-RHS and convergence bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from helpers import monotone_nonincreasing, random_complex, rel_err
 from toepsolve import cli
-from toepsolve.errors import NoConvergence
+from toepsolve.errors import InvalidSpec, NoConvergence
 from toepsolve.problems import ArrayProblemSpec, assemble_full, build_excitations, generate
 from toepsolve.solvers import (
     SEQUENTIAL_BLOCK,
@@ -43,6 +45,12 @@ class TestGmresCore:
             dense_op(np.eye(3)), None, np.zeros((3, 1)), GmresConfig(tol=1e-8)
         )
         assert not x.any() and report.converged
+
+    @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": math.inf}, {"tol": math.nan}, {"max_iter": 0}],
+                             ids=["tol-0", "tol-inf", "tol-nan", "max_iter-0"])
+    def test_config_out_of_range_is_invalid_spec(self, bad):
+        with pytest.raises(InvalidSpec):
+            GmresConfig(**bad)
 
     def test_no_convergence_carries_report(self):
         rng = np.random.default_rng(0)

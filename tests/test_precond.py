@@ -73,14 +73,6 @@ class TestBuildPk:
         dense = block_diag_dense(sys_, sys_.spec.ne)
         assert rel_err(p.apply(v), np.linalg.solve(dense, v)) <= 1e-12
 
-    def test_adjoint_apply(self):
-        sys_ = small_system()
-        p = build_pk(sys_)
-        rng = np.random.default_rng(2)
-        v = random_complex(rng, sys_.dim)[:, None]
-        dense = block_diag_dense(sys_, sys_.spec.ne)
-        assert rel_err(p.adjoint().apply(v), np.linalg.solve(dense.conj().T, v)) <= 1e-12
-
     def test_stored_bytes(self):
         sys_ = small_system()
         assert build_pk(sys_).stored_bytes == (4**2 + 8**2) * 16

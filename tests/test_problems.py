@@ -1,6 +1,7 @@
 """Synthetic problem generation, excitations and TBZ serialization."""
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -51,6 +52,10 @@ class TestSpec:
             ArrayProblemSpec(ny=1, nx=1, ne=1, nb=-1)
         with pytest.raises(InvalidSpec):
             ArrayProblemSpec(ny=1, nx=1, ne=1, pitch=0.0)
+        for real in ("wavenumber", "pitch", "regularization", "diagonal_shift"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(InvalidSpec, match="finite"):
+                    ArrayProblemSpec(ny=1, nx=1, ne=1, **{real: value})
 
 
 class TestGenerate:
