@@ -1,12 +1,15 @@
 """Command line: generate | solve | verify.
 
 Every run is reproducible from its seed in all non-timing fields.  Exit
-codes: 0 success, 2 invalid input (an out-of-range index or a singular
-system included), 3 no convergence, 4 dense oracle cap exceeded, 5 I/O
-or file-format failure: an unreadable file, or a TBZ2 or TBZ1 file with
-a bad magic, version, header, size or checksum.  Timed scaling sweeps (warm-up, repeats,
-crossovers and an environment block) are run by the repository's
-``perfbench/sweep.py``, which calls ``run_method``.
+codes: 0 success, 1 verify: a check failed, 2 invalid input (an
+out-of-range index or a singular system included), 3 no convergence, 4
+dense oracle cap exceeded, 5 I/O or file-format failure: an unreadable
+file, or a TBZ2 or TBZ1 file with a bad magic, version, header, size or
+checksum.  ``verify`` reports a method that raises, a GMRES
+``NoConvergence`` included, as a failed check (exit 1), not as exit 3.
+Timed scaling sweeps (warm-up, repeats, crossovers and an environment
+block) are run by the repository's ``perfbench/sweep.py``, which calls
+``run_method``.
 
 ``solve`` writes the report JSON ``{"schema_version": 3, "record": R}``,
 where R is the ``SolveRecord`` of the run as a dict.  Its ``solve_s`` is
@@ -110,6 +113,7 @@ BENCH_METHODS = ("dense", "gmres-dense", "rybicki", "mlfft-pk-vec", "mlfft-pz-ve
                  "mlfft-pz-seq")
 
 _EXIT_OK = 0
+_EXIT_CHECK_FAILED = 1
 _EXIT_INVALID = 2
 _EXIT_NO_CONVERGENCE = 3
 _EXIT_ORACLE_CAP = 4
@@ -304,15 +308,21 @@ def _method_tag(args) -> str:
     return f"mlfft-{args.precond or 'pk'}-{args.multi or 'vec'}"
 
 
+def _rhs_arg(text: str) -> str | int:
+    """``--rhs``: "all" or a non-negative column index."""
+    if text != "all" and not text.isdecimal():
+        raise argparse.ArgumentTypeError(f'expected "all" or a non-negative column index, got {text!r}')
+    return text if text == "all" else int(text)
+
+
 def _cmd_solve(args) -> int:
     sys_ = load(args.input)
     exc = build_excitations(sys_, args.feed)
     v = exc.matrix
     if args.rhs != "all":
-        col = int(args.rhs)
-        if not 0 <= col < v.shape[1]:
-            raise InvalidSpec(f"rhs column {col} outside 0..{v.shape[1] - 1}")
-        v = v[:, col : col + 1]
+        if args.rhs >= v.shape[1]:
+            raise InvalidSpec(f"rhs column {args.rhs} outside 0..{v.shape[1] - 1}")
+        v = v[:, args.rhs : args.rhs + 1]
 
     tag = _method_tag(args)
     out_path = args.output or (args.input + ".sol")
@@ -374,7 +384,7 @@ def _cmd_verify(args) -> int:
                   f"{rec.residual:.3e} (dense {true_res:.3e}) {'ok' if line_ok else 'FAIL'}")
         ok &= line_ok
     print("verify:", "PASS" if ok else "FAIL")
-    return _EXIT_OK if ok else 1
+    return _EXIT_OK if ok else _EXIT_CHECK_FAILED
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -402,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multi", choices=["vec", "seq"], default=None, help="mlfft only (default vec)")
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--rhs", default="all", help='"all" or a single column index')
+    p.add_argument("--rhs", type=_rhs_arg, default="all", help='"all" or a single column index')
     p.add_argument("--feed", type=int, default=0, help="feed unknown within an element")
     p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.add_argument("-o", "--output", default=None, help="solution file (raw complex128)")

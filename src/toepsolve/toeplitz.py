@@ -24,6 +24,23 @@ costs ``O(n0**2*n2*n1 + n0*n1*n2*(log n1 + log n2))`` per column.
 
 The block-wise transform of either direction is one ``scipy.fft`` call
 over the two grid axes of the ``(L2, L1, n0, columns)`` view.
+
+``matvec`` runs that pipeline on panels of ``MATVEC_PANEL`` = 16
+columns and writes each into its slice of the one output array.  Pushed
+through at full width, 256 columns of a 16x16 grid (ne = 8) make four
+``(L2*L1*n0, columns)`` temporaries of 33.5 MB each, every stage streams
+from main memory, and the tracemalloc peak of the matvec is 17x its
+output.  A 16-column panel's temporaries are 2.1 MB each, about the size
+of a core's L2 cache, and the transients stay O(panel) whatever the
+width: the same matvec peaks at 2.25x its output.  Each column goes
+through the same operations as at full width, and the results were
+bitwise equal on the grids tried.  Interleaved medians of 25 matvecs
+with one BLAS thread on a 2-core host, in ms:
+
+    grid, columns   full width    32     16      8
+    16x16, 256         142.9    100.0   93.4   94.2
+    12x20, 240          86.3     83.8   79.6   75.4
+    30x30, 128         297.4    246.2  231.1  235.0
 """
 
 from __future__ import annotations
@@ -33,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import BlockShapeMismatch, MissingOffset, ShapeError
+from .errors import BlockShapeMismatch, InvalidSpec, MissingOffset, ShapeError
 from .numerics import as_columns
 
 __all__ = [
@@ -46,9 +63,14 @@ __all__ = [
     "pad_rhs",
     "extract_result",
     "matvec",
+    "MATVEC_PANEL",
     "assemble_dense_1l",
     "assemble_dense",
 ]
+
+# columns per panel of the FFT matvec (see the module docstring)
+MATVEC_PANEL = 16
+
 
 def circulant_offsets(n: int) -> np.ndarray:
     """Signed offsets in circulant order: [0, 1, ..., n-1, -(n-1), ..., -1]."""
@@ -163,7 +185,7 @@ def block_fft_2l(data, n2: int, n1: int, n0: int, direction: str = "forward") ->
     levels.  The input is never overwritten.
     """
     if direction not in _TRANSFORMS:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        raise InvalidSpec(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if min(n2, n1, n0) < 1:
         raise ShapeError(f"grid sides must be positive, got {(n2, n1, n0)}")
     arr = as_columns(data, n2 * n1 * n0)
@@ -210,17 +232,22 @@ def extract_result(v, n2: int, n1: int, n0: int) -> np.ndarray:
 def matvec(op: SpectralOperator, u) -> np.ndarray:
     """Apply the represented block-Toeplitz matrix to an (op.dim, columns) block.
 
-    pad -> forward transform -> per-block multiply by ``diag_blocks`` ->
-    inverse transform -> extract.  Columns are batched through every
-    stage.
+    The output is allocated once.  Each panel of ``MATVEC_PANEL`` columns
+    runs pad -> forward transform -> per-block multiply by
+    ``diag_blocks`` -> inverse transform -> extract and is written into
+    its slice of the output, so the temporaries are panel-sized whatever
+    the width.
     """
     arr = as_columns(u, op.dim)
-    l2, l1 = _embed_len(op.n2), _embed_len(op.n1)
-    padded = pad_rhs(arr, op.n2, op.n1, op.n0)
-    hat = block_fft_2l(padded, l2, l1, op.n0, "forward")
-    prod = op.diag_blocks @ hat.reshape(l2 * l1, op.n0, -1)
-    back = block_fft_2l(prod.reshape(l2 * l1 * op.n0, -1), l2, l1, op.n0, "inverse")
-    return extract_result(back, op.n2, op.n1, op.n0)
+    l2, l1, n0 = _embed_len(op.n2), _embed_len(op.n1), op.n0
+    out = np.empty(arr.shape, dtype=np.complex128)
+    for j in range(0, arr.shape[1], MATVEC_PANEL):
+        cols = slice(j, j + MATVEC_PANEL)
+        hat = block_fft_2l(pad_rhs(arr[:, cols], op.n2, op.n1, n0), l2, l1, n0, "forward")
+        prod = op.diag_blocks @ hat.reshape(l2 * l1, n0, -1)
+        back = block_fft_2l(prod.reshape(l2 * l1 * n0, -1), l2, l1, n0, "inverse")
+        out[:, cols] = extract_result(back, op.n2, op.n1, n0)
+    return out
 
 
 def assemble_dense_1l(gen: BlockGenerator1L) -> np.ndarray:

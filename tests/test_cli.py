@@ -38,8 +38,14 @@ def test_generate_then_solve_writes_solution_and_report(problem):
     assert report["record"]["ok"] and report["record"]["rhs_columns"] == COLUMNS
 
 
-def test_rhs_out_of_range_is_invalid_input(problem):
+def test_rhs_out_of_range_is_invalid_input(problem, capsys):
     assert cli.main(["solve", str(problem), "--rhs", "99"]) == 2
+    for bad in ("1.5", "x"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["solve", str(problem), "--rhs", bad])
+        assert err.value.code == 2
+        want = f'argument --rhs: expected "all" or a non-negative column index, got {bad!r}'
+        assert want in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--method", "rybicki"], ["--multi", "seq"]])
@@ -187,6 +193,19 @@ def test_verify_checks_every_method_against_the_oracle(capsys, side):
     assert [line.split()[0] for line in lines[1:-1]] == methods
     assert all(line.endswith(" ok") for line in lines[1:-1])
     assert lines[-1] == "verify: PASS"
+
+
+def test_verify_counts_no_convergence_as_a_failed_check(capsys):
+    # one GMRES step cannot reach the tolerance: exit 1 (a failed check), not 3
+    assert cli.main(["verify", "--ny", "2", "--nx", "2", "--ne", "2", "--max-iter", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for line in lines[1:-1]:
+        if line.split()[0] == "rybicki":
+            assert line.endswith(" ok")
+        else:
+            assert " FAILED (NoConvergence: " in line
+    assert len(lines) == len(cli.BENCH_METHODS) + 1
+    assert lines[-1] == "verify: FAIL"
 
 
 def test_verify_fails_a_record_residual_that_is_not_the_true_one(monkeypatch, capsys):

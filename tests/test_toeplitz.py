@@ -1,12 +1,16 @@
 """Generators, block-wise FFTs, padding and the fast matvec."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
 from helpers import dft_matrix, naive_dft, random_complex, random_generator, rel_err, wrap_generator
-from toepsolve.errors import BlockShapeMismatch, MissingOffset, ShapeError
+from toepsolve import problems
+from toepsolve.errors import BlockShapeMismatch, InvalidSpec, MissingOffset, ShapeError
 from toepsolve.toeplitz import (
+    MATVEC_PANEL,
     BlockGenerator1L,
     assemble_dense,
     assemble_dense_1l,
@@ -98,7 +102,7 @@ class TestBlockFft2L:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             block_fft_2l(np.ones((11, 1)), 2, 3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             block_fft_2l(np.ones((12, 1)), 2, 3, 2, direction="sideways")
 
 
@@ -213,6 +217,44 @@ class TestMatvec:
         full = matvec(op, u)
         cols = np.column_stack([matvec(op, u[:, w : w + 1]) for w in range(6)])
         assert rel_err(full, cols) <= 1e-14
+
+    @pytest.mark.parametrize("width", [0, 1, MATVEC_PANEL - 1, MATVEC_PANEL,
+                                       MATVEC_PANEL + 1, 2 * MATVEC_PANEL + 3])
+    def test_dense_oracle_across_panel_boundaries(self, width):
+        rng = np.random.default_rng(width)
+        gen = random_generator(rng, 3, 4, 2)
+        u = random_complex(rng, gen.dim, width)
+        got = matvec(precompute_spectral(gen), u)
+        assert got.shape == (gen.dim, width)
+        assert rel_err(got, assemble_dense(gen) @ u) <= 1e-12
+
+    def test_input_layout_does_not_change_bits(self):
+        rng = np.random.default_rng(19)
+        gen = random_generator(rng, 3, 4, 2)
+        op = precompute_spectral(gen)
+        width = 2 * MATVEC_PANEL + 3
+        wide = random_complex(rng, gen.dim, width + 5)
+        u = np.ascontiguousarray(wide[:, 2 : 2 + width])
+        kept = u.copy()
+        want = matvec(op, u)
+        assert np.array_equal(u, kept)
+        assert np.array_equal(matvec(op, np.asfortranarray(u)), want)
+        assert np.array_equal(matvec(op, wide[:, 2 : 2 + width]), want)
+        assert np.array_equal(wide[:, 2 : 2 + width], kept)
+
+    def test_transient_memory_is_panel_sized(self):
+        # the transients scale with the panel, not the width: one pass over
+        # all 256 columns at once peaks at 17x the output
+        spec = problems.ArrayProblemSpec(ny=16, nx=16, ne=8, nb=0)
+        op = precompute_spectral(problems.generate(spec).gen)
+        u = random_complex(np.random.default_rng(20), op.dim, 256)
+        tracemalloc.start()
+        try:
+            out = matvec(op, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.nbytes
 
     def test_oracle_sweep_random_generators(self):
         rng = np.random.default_rng(17)
