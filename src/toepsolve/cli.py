@@ -11,11 +11,16 @@ Timed scaling sweeps (warm-up, repeats, crossovers and an environment
 block) are run by the repository's ``perfbench/sweep.py``, which calls
 ``run_method``.
 
-``solve`` writes the report JSON ``{"schema_version": 3, "record": R}``,
-where R is the ``SolveRecord`` of the run as a dict.  Its ``solve_s`` is
-the wall time of the solve; ``phases`` holds the seconds of only the
+``solve`` writes the report JSON ``{"schema_version": 4, "record": R}``,
+where R is the ``SolveRecord`` of the run as a dict.  Its ``precision``
+is the dtype of the GMRES Krylov basis and of the blocks its Arnoldi
+steps hand to the operator: ``complex64`` when ``tol`` >=
+``SINGLE_PRECISION_TOL`` (1e-5, in ``solvers/gmres.py``), else
+``complex128``; ``dense`` and ``rybicki`` are always ``complex128``, and
+so is every ``residual``.  Its ``solve_s`` is the wall time of the solve; ``phases`` holds the seconds of only the
 phases the method ran, and they add up to ``solve_s``; ``memory`` holds
-the bytes (16 per complex128 scalar) of only what the method holds.
+the bytes (16 per complex128 scalar, 8 per complex64 scalar) of only
+what the method holds.
 ``groups`` has one entry per Krylov group, with its ``iterations``,
 ``converged``, ``residual_history`` and ``final_residual``: one for a
 block solve (``vec``, ``gmres-dense``), one per column for ``seq``, none
@@ -45,13 +50,15 @@ rotations, iterate updates), the quantity ``perfbench`` reports as
 elimination.  Memory: ``generator`` is the raw generator,
 (2ny-1)(2nx-1)ne^2 scalars; ``dense_equivalent`` is what a dense Z would
 take, dim^2 scalars; ``dense`` is the dense Z the method allocated;
-``spectral`` is the transformed generator of the FFT operator;
-``precond`` is the preconditioner's two inverses; ``krylov`` is the
-Krylov bases held at once, iterations * width * dim scalars per group,
-summed over the groups of a lockstep block of ``SEQUENTIAL_BLOCK``
-columns and maximized over blocks; ``level1`` is the level-1 blocks,
-(2ny-1)(nx*ne)^2 scalars, and ``level1_wide`` the recursion's four row
-concatenations of them.
+``spectral`` is the transformed generator of the FFT operator, plus the
+complex64 copies of it and of the border blocks that a complex64 solve
+forms; ``precond`` is the preconditioner's two inverses, plus their
+complex64 copies when a complex64 solve forms them; ``krylov`` is the
+Krylov bases held at once, iterations * width * dim scalars of the
+record's ``precision`` per group, summed over the groups of a lockstep
+block of ``SEQUENTIAL_BLOCK`` columns and maximized over blocks;
+``level1`` is the level-1 blocks, (2ny-1)(nx*ne)^2 scalars, and
+``level1_wide`` the recursion's four row concatenations of them.
 
 BLAS threads are capped by setting ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` before the process starts; the BLAS reads them once,
@@ -122,7 +129,7 @@ _EXIT_IO = 5
 _BYTES_PER_SCALAR = 16
 
 # version of the report JSON that ``solve`` writes
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -137,6 +144,7 @@ class SolveRecord:
     nb: int
     tol: float
     rhs_columns: int
+    precision: str  # "complex64" or "complex128"
     solve_s: float = 0.0
     residual: float = 0.0
     phases: dict[str, float] = field(default_factory=dict)
@@ -152,11 +160,13 @@ class SolveRecord:
 
 
 def _finish_gmres(rec: SolveRecord, reports: list[SolveReport], v: np.ndarray,
-                  t0: float, t_gmres: float) -> None:
+                  t0: float, t_gmres: float, held: dict) -> None:
     """Fill ``rec`` from the reports of a GMRES solve that started at ``t_gmres``.
 
     The residual is the true ||V - ZX||_F / ||V||_F, formed from the exit
     residual of every group of k = columns / groups adjacent columns.
+    ``held`` maps memory keys to the operators the solve held; their bytes
+    are read after the solve, so they count the complex64 copies it formed.
     """
     end = time.perf_counter()
     rec.solve_s = end - t0
@@ -167,10 +177,11 @@ def _finish_gmres(rec: SolveRecord, reports: list[SolveReport], v: np.ndarray,
     b_norms = np.linalg.norm(v.reshape(n, len(reports), k), axis=(0, 2))
     r_norms = np.array([r.final_residual for r in reports]) * b_norms
     rec.residual = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms))
+    rec.memory.update((key, obj.stored_bytes) for key, obj in held.items())
     its = [r.iterations for r in reports]
     # a sequential solve holds the bases of one lockstep block at a time
-    rec.memory["krylov"] = max(sum(its[i : i + SEQUENTIAL_BLOCK])
-                               for i in range(0, len(its), SEQUENTIAL_BLOCK)) * k * n * _BYTES_PER_SCALAR
+    block_its = max(sum(its[i : i + SEQUENTIAL_BLOCK]) for i in range(0, len(its), SEQUENTIAL_BLOCK))
+    rec.memory["krylov"] = block_its * k * n * np.dtype(rec.precision).itemsize
 
 
 def run_method(
@@ -194,7 +205,10 @@ def run_method(
     if method not in BENCH_METHODS:
         raise InvalidSpec(f"unknown method {method!r} (choose from {', '.join(BENCH_METHODS)})")
     spec = sys_.spec
-    rec = SolveRecord(method, spec.elements, spec.ny, spec.nx, spec.ne, spec.nb, tol, v.shape[1])
+    cfg = None if method in ("dense", "rybicki") else GmresConfig(tol=tol, max_iter=max_iter)
+    precision = "complex128" if cfg is None else cfg.basis_dtype.name
+    rec = SolveRecord(method, spec.elements, spec.ny, spec.nx, spec.ne, spec.nb, tol, v.shape[1],
+                      precision)
     rec.memory.update(generator=sys_.gen.stored_scalars * _BYTES_PER_SCALAR,
                       dense_equivalent=sys_.dim**2 * _BYTES_PER_SCALAR)
     phases = rec.phases
@@ -229,6 +243,7 @@ def run_method(
         return x, rec, rec.groups
 
     # gmres-dense, or mlfft-<precond>-<mode>
+    held = {}
     if method == "gmres-dense":
         full = timed("dense_fill", assemble_full, sys_, cap)
         rec.memory["dense"] = full.nbytes
@@ -237,25 +252,25 @@ def run_method(
     else:
         _, precond_name, mode = method.split("-")
         op = timed("spectral_precompute", BorderedOperator.from_system, sys_)
-        rec.memory["spectral"] = op.spectral.diag_blocks.nbytes
+        held["spectral"] = op
         operator = lambda u: bordered_matvec(op, u)
     # the builder is read from the module globals here, so a wrapped ``build_pk``
     # (as ``perfbench``'s trace installs) is the one run
     p = timed("precond_build", build_pk if precond_name == "pk" else build_pz, sys_)
-    rec.memory["precond"] = p.stored_bytes
+    held["precond"] = p
     phases.update(matvec=0.0, precond_apply=0.0)
     solve = solve_multi_rhs_vectorized if mode == "vec" else solve_multi_rhs_sequential
     t_gmres = time.perf_counter()
     try:
         x, reports = solve(lambda u: timed("matvec", operator, u),
                            lambda u: timed("precond_apply", p.apply, u),
-                           v, GmresConfig(tol=tol, max_iter=max_iter))
+                           v, cfg)
     except NoConvergence as exc:
-        _finish_gmres(rec, exc.reports, v, t0, t_gmres)
+        _finish_gmres(rec, exc.reports, v, t0, t_gmres, held)
         rec.ok, rec.error = False, str(exc)
         exc.record = rec
         raise
-    _finish_gmres(rec, reports, v, t0, t_gmres)
+    _finish_gmres(rec, reports, v, t0, t_gmres, held)
     return x, rec, rec.groups
 
 

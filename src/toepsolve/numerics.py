@@ -1,8 +1,11 @@
-"""Double-precision complex block arithmetic used by every solver layer.
+"""Complex block arithmetic used by every solver layer.
 
 A *block* is a plain 2-D ``numpy`` array of ``complex128`` in row-major
-(C) order.  The helpers here add the shape/singularity contracts the
-solvers rely on; the heavy lifting is LAPACK via ``scipy.linalg``.
+(C) order.  A column block handed to an operator may also be
+``complex64``: GMRES runs its Krylov basis in single precision at loose
+tolerances, and the operators then compute in the dtype they receive.
+The helpers here add the shape/singularity contracts the solvers rely
+on; the heavy lifting is LAPACK via ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -48,12 +51,16 @@ def as_block(a, square: bool = False) -> np.ndarray:
 
 
 def as_columns(a, rows: int) -> np.ndarray:
-    """View a (rows, k) column block as complex128; there is no 1-D form.
+    """View a (rows, k) column block as complex64 or complex128; there is no 1-D form.
 
-    Raises ShapeError unless the input is 2-D and DimensionMismatch unless
-    it has ``rows`` rows.  A complex128 input is returned without a copy.
+    A complex64 block stays complex64 and anything else becomes
+    complex128.  Raises ShapeError unless the input is 2-D and
+    DimensionMismatch unless it has ``rows`` rows.  A complex64 or
+    complex128 input is returned without a copy.
     """
-    arr = np.asarray(a, dtype=np.complex128)
+    arr = np.asarray(a)
+    if arr.dtype != np.complex64:
+        arr = np.asarray(arr, dtype=np.complex128)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D column block, got ndim={arr.ndim}")
     if arr.shape[0] != rows:

@@ -1,12 +1,15 @@
 """Fast matvec for bordered systems [[Z_A, Z_B^T], [Z_B, Z_C]].
 
 The structured part is applied through its spectral operator; the border
-blocks are small and multiply densely.
+blocks are small and multiply densely.  A complex64 block is multiplied
+in complex64 throughout, by the copy ``BorderedOperator.single`` forms
+once, on first use; anything else runs in complex128.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,10 +53,33 @@ class BorderedOperator:
     def dim(self) -> int:
         return self.array_dim + self.nb
 
+    @cached_property
+    def single(self) -> "BorderedOperator":
+        """This operator in complex64, formed once, on first use."""
+        return BorderedOperator(self.spectral.single, self.zb.astype(np.complex64, copy=False),
+                                self.zc.astype(np.complex64, copy=False))
+
+    @property
+    def stored_bytes(self) -> int:
+        """Bytes of ``spectral.diag_blocks``, plus the complex64 copies ``single`` holds once formed.
+
+        The complex128 border blocks belong to the system and are not counted.
+        """
+        single = vars(self).get("single")
+        held = [self.spectral.diag_blocks]
+        if single is not None:
+            held += [single.spectral.diag_blocks, single.zb, single.zc]
+        return sum(a.nbytes for a in held)
+
 
 def bordered_matvec(op: BorderedOperator, x) -> np.ndarray:
-    """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for an (op.dim, columns) block."""
+    """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for an (op.dim, columns) block.
+
+    The result has the input's dtype: complex64 runs against ``op.single``.
+    """
     arr = as_columns(x, op.dim)
+    if arr.dtype == np.complex64:
+        op = op.single
     xa, xc = arr[: op.array_dim], arr[op.array_dim :]
     top = matvec(op.spectral, xa)
     bottom = op.zb @ xa + op.zc @ xc

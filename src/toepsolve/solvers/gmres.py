@@ -37,6 +37,33 @@ recurrence, so the recorded history is the relative *preconditioned*
 residual and is non-increasing by construction.  The true
 unpreconditioned residual is recomputed once at exit, by one matvec over
 the whole block.
+
+Precision.  When ``tol >= SINGLE_PRECISION_TOL`` (1e-5) the Krylov basis
+is complex64, and so is every block the Arnoldi steps hand to the
+operator.  The FFT operator and the preconditioner compute in the dtype
+they receive, so the FFTs, the block multiply, the border GEMMs and the
+preconditioner GEMMs run in complex64 too.  That halves the basis memory
+and most of the matvec time.  The preconditioned right-hand side and its
+norm, the Hessenberg columns, the rotations, the least-squares solution,
+the iterate and the exit true residual stay complex128, so
+``final_residual`` is measured in double precision whatever the basis
+(Simoncini & Szyld, SIAM J. Sci. Comput. 25, 2003, on inexact Krylov
+methods).  Below 1e-5 everything is complex128.  The threshold comes
+from sweeps of the pk-preconditioned solve (ne = 8, wavenumber 3) over
+64 columns of a 16x16 grid and 32 columns of a 30x30 grid, each column
+also solved in complex128:
+
+* at tol 1e-3, 1e-4 and 1e-5 both precisions took the same iterations
+  on both grids, seq and vec (seq at 1e-5: 1805 in total on 16x16, 1183
+  on 30x30), and the largest true residuals agreed to 0.2%;
+* at 1e-6 seq took 2220 iterations against 2218 (16x16) and 1475
+  against 1450 (30x30), and the median true residual of vec rose 7%
+  (16x16) and 5% (30x30);
+* at 1e-7 seq and vec stagnated in complex64 at true residuals of
+  2e-7 to 8e-7 and ran to the iteration cap (200 on 16x16, 150 on
+  30x30), where complex128 converged within 43 and 55 steps.
+
+The complex64 bordered matvec is accurate to about 1.5e-7 relative.
 """
 
 from __future__ import annotations
@@ -54,10 +81,15 @@ __all__ = [
     "solve_multi_rhs_vectorized",
     "solve_multi_rhs_sequential",
     "SEQUENTIAL_BLOCK",
+    "SINGLE_PRECISION_TOL",
 ]
 
 # columns per lockstep block of the sequential solve (see the module docstring)
 SEQUENTIAL_BLOCK = 32
+
+# a tolerance at or above this runs the Krylov basis in complex64 (see the
+# module docstring)
+SINGLE_PRECISION_TOL = 1e-5
 
 
 @dataclass
@@ -65,7 +97,12 @@ class GmresConfig:
     """Stopping rule: a group stops once its relative *preconditioned*
     residual ||P^-1 (b - A x)|| / ||P^-1 b|| is at most ``tol``, or after
     ``max_iter`` Arnoldi steps.  The true residual is not what ``tol``
-    bounds; each report records it as ``final_residual``.
+    bounds; each report records it as ``final_residual``, computed in
+    complex128.
+
+    ``tol`` also sets the precision of the Krylov basis, ``basis_dtype``:
+    complex64 when ``tol >= SINGLE_PRECISION_TOL`` (1e-5), else
+    complex128 (the module docstring gives the measurements).
     """
 
     tol: float = 1e-3
@@ -76,6 +113,11 @@ class GmresConfig:
             raise InvalidSpec(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise InvalidSpec(f"max_iter must be >= 1, got {self.max_iter}")
+
+    @property
+    def basis_dtype(self) -> np.dtype:
+        """dtype of the Krylov basis and of the blocks the operator receives."""
+        return np.dtype(np.complex64 if self.tol >= SINGLE_PRECISION_TOL else np.complex128)
 
 
 @dataclass
@@ -137,6 +179,7 @@ def _gmres_block(op, p, b, cfg: GmresConfig, groups: int) -> tuple[np.ndarray, l
     """
     n, w = b.shape
     k = w // groups
+    dtype = cfg.basis_dtype
 
     def operator(rows):
         return op(_to_block(rows, n))
@@ -158,7 +201,7 @@ def _gmres_block(op, p, b, cfg: GmresConfig, groups: int) -> tuple[np.ndarray, l
     # full GMRES terminates within n*k steps
     steps = min(cfg.max_iter, n * k)
 
-    basis = [pr / beta[:, None]]
+    basis = [(pr / beta[:, None]).astype(dtype, copy=False)]
     r_cols: list[np.ndarray] = []  # rotated Hessenberg columns (upper triangle)
     cos: list[np.ndarray] = []
     sin: list[np.ndarray] = []
@@ -166,12 +209,13 @@ def _gmres_block(op, p, b, cfg: GmresConfig, groups: int) -> tuple[np.ndarray, l
 
     j = 0
     while active.size:
-        v = precondition(operator(basis[j]), active.size)
+        v = precondition(operator(basis[j]), active.size).astype(dtype, copy=False)
         hcol = np.empty((active.size, j + 2), dtype=np.complex128)
         for i in range(j + 1):
-            hcol[:, i] = np.vecdot(basis[i], v)
-            v -= hcol[:, i, None] * basis[i]
-        hnext = _norms(v)
+            h = np.vecdot(basis[i], v)
+            hcol[:, i] = h
+            v -= h[:, None] * basis[i]
+        hnext = _norms(v)  # in the basis precision, so v / hnext stays in it
         hcol[:, j + 1] = hnext
 
         for i in range(j):
@@ -271,7 +315,8 @@ def solve_multi_rhs_sequential(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray
     ``op`` and ``p`` are callables on column blocks, as for
     ``solve_multi_rhs_vectorized``.  Every column is its own Krylov group
     with its own inner products, rotations and stopping test, so its
-    iterates are those of a solve of that column alone up to rounding.
+    iterates are those of a solve of that column alone up to the rounding
+    of the working precision (``GmresConfig.basis_dtype``).
     The columns run in blocks of ``SEQUENTIAL_BLOCK``; within a block
     each step applies the operator and the preconditioner once to the
     columns still iterating.  All columns are solved even when some

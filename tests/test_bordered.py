@@ -31,3 +31,15 @@ def test_forward_matches_dense(system):
     x = random_complex(np.random.default_rng(31), op.dim, 3)
     assert rel_err(bordered_matvec(op, x), full @ x) <= 1e-12
 
+
+
+def test_complex64_input_runs_in_complex64(system):
+    _, op, full = system
+    x = random_complex(np.random.default_rng(32), op.dim, 3)
+    got = bordered_matvec(op, x.astype(np.complex64))
+    assert got.dtype == np.complex64
+    assert rel_err(got, full @ x) <= 1e-6
+    # the complex64 copy is formed once and reused
+    single = op.single
+    bordered_matvec(op, x.astype(np.complex64))
+    assert op.single is single and op.spectral.single is single.spectral

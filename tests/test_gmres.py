@@ -1,6 +1,7 @@
 """GMRES core, global-Krylov multi-RHS and convergence bookkeeping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from toepsolve.solvers import (
     GmresConfig,
     bordered_matvec,
     build_pk,
+    gmres,
     solve_multi_rhs_sequential,
     solve_multi_rhs_vectorized,
 )
@@ -120,7 +122,8 @@ class TestPreconditionedSolve:
         )
         its = [r.iterations for r in reports]
         assert len(its) == 36
-        assert rec.memory["krylov"] == max(sum(its[:32]), sum(its[32:])) * sys_.dim * 16
+        # tol 1e-3 keeps a complex64 basis: 8 bytes per scalar
+        assert rec.memory["krylov"] == max(sum(its[:32]), sum(its[32:])) * sys_.dim * 8
 
 
 class TestMultiRhs:
@@ -157,10 +160,12 @@ class TestMultiRhs:
         sys_, _, _, v, _ = problem
         _, rv, _ = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-4, max_iter=300)
         m = v.shape[1]
-        assert rv.memory["krylov"] == rv.iterations * m * sys_.dim * 16
+        # tol 1e-4 keeps a complex64 basis: 8 bytes per scalar
+        assert rv.precision == "complex64"
+        assert rv.memory["krylov"] == rv.iterations * m * sys_.dim * 8
         _, rs, _ = cli.run_method(sys_, v, "mlfft-pk-seq", tol=1e-4, max_iter=300)
         # the 9 columns run as one lockstep block, which holds every column's basis
-        assert rs.memory["krylov"] == sum(g.iterations for g in rs.groups) * sys_.dim * 16
+        assert rs.memory["krylov"] == sum(g.iterations for g in rs.groups) * sys_.dim * 8
         assert rs.memory["krylov"] < rv.memory["krylov"]
 
     def test_sequential_agrees_with_vectorized(self, problem):
@@ -312,3 +317,77 @@ class TestLockstep:
         v = random_complex(rng, 30, 5)
         _, (report,) = solve_multi_rhs_vectorized(dense_op(a), p.apply, v, GmresConfig(tol=1e-8))
         assert p.widths == [5] * (report.iterations + 1)
+
+
+class TestPrecision:
+    """tol picks the Krylov basis dtype; the exit residual is always complex128."""
+
+    @pytest.mark.parametrize("solve", [solve_multi_rhs_vectorized, solve_multi_rhs_sequential],
+                             ids=["vec", "seq"])
+    @pytest.mark.parametrize("tol, arnoldi", [
+        (1e-3, np.complex64),
+        (gmres.SINGLE_PRECISION_TOL, np.complex64),
+        (gmres.SINGLE_PRECISION_TOL / 10, np.complex128),
+    ], ids=["1e-3", "at-threshold", "below-threshold"])
+    def test_arnoldi_dtype_follows_tol(self, solve, tol, arnoldi):
+        rng = np.random.default_rng(40)
+        a = random_complex(rng, 12, 12) + 6.0 * np.eye(12)
+        b = random_complex(rng, 12, 3)
+        seen = {"op": [], "p": []}
+
+        def recording(name, matrix):
+            def apply(u):
+                seen[name].append(u.dtype)
+                return (matrix @ u).astype(u.dtype)  # computes in the dtype it receives
+            return apply
+
+        inverse_diagonal = np.diag(1.0 / np.diag(a))
+        x, reports = solve(recording("op", a), recording("p", inverse_diagonal), b, GmresConfig(tol=tol))
+        assert GmresConfig(tol=tol).basis_dtype == arnoldi
+        # P^-1 b, then one operator and one preconditioner apply per Arnoldi step,
+        # then the exit residual A x
+        assert seen["p"][0] == np.complex128
+        assert seen["p"][1:] == [arnoldi] * (len(seen["p"]) - 1) and len(seen["p"]) > 1
+        assert seen["op"][:-1] == [arnoldi] * (len(seen["op"]) - 1)
+        assert seen["op"][-1] == np.complex128
+        assert x.dtype == np.complex128
+        # final_residual is the complex128 true residual of the returned iterate
+        if solve is solve_multi_rhs_vectorized:
+            true = [np.linalg.norm(a @ x - b) / np.linalg.norm(b)]
+        else:
+            true = np.linalg.norm(a @ x - b, axis=0) / np.linalg.norm(b, axis=0)
+        assert np.allclose([r.final_residual for r in reports], true, rtol=1e-12, atol=0)
+
+    def test_basis_stays_complex64_when_the_operator_widens(self):
+        # like gmres-dense's complex128 matrix, this operator returns complex128
+        # whatever it is given; the next basis vector must still be complex64
+        rng = np.random.default_rng(41)
+        a = random_complex(rng, 12, 12) + 6.0 * np.eye(12)
+        seen = []
+
+        def op(u):
+            seen.append(u.dtype)
+            return a @ u
+
+        solve_multi_rhs_vectorized(op, None, random_complex(rng, 12, 2), GmresConfig(tol=1e-3))
+        assert len(seen) > 2 and seen[:-1] == [np.complex64] * (len(seen) - 1)
+
+    def test_complex64_basis_cuts_the_peak(self, monkeypatch):
+        sys_ = generate(ArrayProblemSpec(ny=8, nx=8, ne=8))
+        v = build_excitations(sys_, 0).matrix
+
+        def peak():
+            tracemalloc.start()
+            try:
+                _, rec, _ = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-3)
+                return tracemalloc.get_traced_memory()[1], rec
+            finally:
+                tracemalloc.stop()
+
+        single, rec64 = peak()
+        monkeypatch.setattr(gmres, "SINGLE_PRECISION_TOL", 1.0)  # tol 1e-3 is now below it
+        double, rec128 = peak()
+        assert (rec64.precision, rec128.precision) == ("complex64", "complex128")
+        assert rec64.iterations == rec128.iterations
+        assert rec64.memory["krylov"] * 2 == rec128.memory["krylov"]
+        assert single <= 0.75 * double

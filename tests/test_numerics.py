@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_complex, rel_err
 from toepsolve.errors import DimensionMismatch, ShapeError, SingularMatrix
-from toepsolve.numerics import lu_factor, lu_solve
+from toepsolve.numerics import as_columns, lu_factor, lu_solve
 
 
 def test_lu_identity_trivial():
@@ -85,3 +85,15 @@ def test_lu_shape_contracts():
     f = lu_factor(np.eye(3))
     with pytest.raises(DimensionMismatch):
         lu_solve(f, np.ones((4, 1)))
+
+
+def test_as_columns_keeps_complex64_and_widens_everything_else():
+    c64 = np.ones((3, 2), dtype=np.complex64)
+    assert as_columns(c64, 3) is c64
+    c128 = np.ones((3, 2), dtype=np.complex128)
+    assert as_columns(c128, 3) is c128
+    for other in (np.ones((3, 2), dtype=np.float32), np.ones((3, 2)), np.ones((3, 2), dtype=int),
+                  [[1j, 2], [3, 4], [5, 6]]):
+        got = as_columns(other, 3)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, np.asarray(other))

@@ -73,6 +73,22 @@ class TestBuildPk:
         dense = block_diag_dense(sys_, sys_.spec.ne)
         assert rel_err(p.apply(v), np.linalg.solve(dense, v)) <= 1e-12
 
+    @pytest.mark.parametrize("build", [build_pk, build_pz])
+    def test_complex64_apply_stays_complex64(self, build):
+        sys_ = small_system()
+        p = build(sys_)
+        v = random_complex(np.random.default_rng(2), sys_.dim, 3)
+        dense = block_diag_dense(sys_, p.block_inverse.shape[0])
+        complex128_bytes = p.stored_bytes
+        got = p.apply(v.astype(np.complex64))
+        assert got.dtype == np.complex64
+        assert rel_err(got, np.linalg.solve(dense, v)) <= 1e-6
+        # the complex64 inverses are formed once, and count in the stored bytes
+        assert p.stored_bytes == complex128_bytes * 3 // 2
+        single = p.single
+        p.apply(v.astype(np.complex64))
+        assert p.single is single
+
     def test_stored_bytes(self):
         sys_ = small_system()
         assert build_pk(sys_).stored_bytes == (4**2 + 8**2) * 16

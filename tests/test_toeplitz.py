@@ -22,6 +22,23 @@ from toepsolve.toeplitz import (
 )
 
 
+# matvec error against the dense complex128 product, by the input dtype
+MATVEC_BOUND = {np.complex128: 1e-12, np.complex64: 1e-6}
+
+
+def panel_columns(dtype) -> int:
+    """Columns per matvec panel: MATVEC_PANEL counts complex128 columns' bytes."""
+    return MATVEC_PANEL * 16 // np.dtype(dtype).itemsize
+
+
+def _panel_boundary_cases():
+    """Widths around each dtype's panel; the complex128 cases keep their plain width ids."""
+    for dtype in (np.complex128, np.complex64):
+        panel = panel_columns(dtype)
+        for width in (0, 1, panel - 1, panel, panel + 1, 2 * panel + 3):
+            yield pytest.param(dtype, width, id=str(width) if dtype == np.complex128 else f"complex64-{width}")
+
+
 def single_block(r0) -> np.ndarray:
     """The (1, 1, n0, n0) block array of a one-element grid."""
     return np.asarray(r0, dtype=np.complex128)[None, None]
@@ -218,22 +235,22 @@ class TestMatvec:
         cols = np.column_stack([matvec(op, u[:, w : w + 1]) for w in range(6)])
         assert rel_err(full, cols) <= 1e-14
 
-    @pytest.mark.parametrize("width", [0, 1, MATVEC_PANEL - 1, MATVEC_PANEL,
-                                       MATVEC_PANEL + 1, 2 * MATVEC_PANEL + 3])
-    def test_dense_oracle_across_panel_boundaries(self, width):
+    @pytest.mark.parametrize("dtype, width", list(_panel_boundary_cases()))
+    def test_dense_oracle_across_panel_boundaries(self, dtype, width):
         rng = np.random.default_rng(width)
         gen = random_generator(rng, 3, 4, 2)
         u = random_complex(rng, gen.dim, width)
-        got = matvec(precompute_spectral(gen), u)
-        assert got.shape == (gen.dim, width)
-        assert rel_err(got, assemble_dense(gen) @ u) <= 1e-12
+        got = matvec(precompute_spectral(gen), u.astype(dtype))
+        assert got.shape == (gen.dim, width) and got.dtype == dtype
+        assert rel_err(got, assemble_dense(gen) @ u) <= MATVEC_BOUND[dtype]
 
-    def test_input_layout_does_not_change_bits(self):
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["complex128", "complex64"])
+    def test_input_layout_does_not_change_bits(self, dtype):
         rng = np.random.default_rng(19)
         gen = random_generator(rng, 3, 4, 2)
         op = precompute_spectral(gen)
-        width = 2 * MATVEC_PANEL + 3
-        wide = random_complex(rng, gen.dim, width + 5)
+        width = 2 * panel_columns(dtype) + 3
+        wide = random_complex(rng, gen.dim, width + 5).astype(dtype)
         u = np.ascontiguousarray(wide[:, 2 : 2 + width])
         kept = u.copy()
         want = matvec(op, u)
