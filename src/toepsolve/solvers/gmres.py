@@ -1,67 +1,102 @@
-"""Left-preconditioned GMRES with modified Gram-Schmidt Arnoldi.
+"""GMRES for many right-hand sides: block GMRES and lockstep one-column GMRES.
 
-One solve runs G independent Krylov *groups* in lockstep.  The (n, W)
-right-hand side block is cut into G groups of k = W/G adjacent columns.
-A group's Krylov iterate is its whole (n, k) column block, and its inner
-product is the Frobenius one over all entries.  With k = 1 this is
-standard GMRES; with one group of W = M columns it is the global-Krylov
-method for M simultaneous right-hand sides, equivalent to running GMRES
-on the stacked problem (identity (x) A) vec(X) = vec(B) without ever
-forming that matrix.
+Both modes cut the (n, W) right-hand side block into consecutive blocks
+of ``SEQUENTIAL_BLOCK`` = 32 columns and solve one block after another,
+so the Krylov memory stays at one block's worth however many columns the
+solve has.  One matvec on 32 columns costs far less than 32 one-column
+matvecs: the border products run as GEMMs instead of GEMVs, and the
+per-call overhead is paid once.
 
-Each group has its own inner products, norms, Givens rotations, stopping
-test, breakdown handling and back substitution.  The groups
-share only the operator and preconditioner applications: each step
-applies both once, to the columns of every group still iterating.  The
-basis is kept group-major, one (G, n*k) array per Krylov vector, so one
-``np.vecdot`` forms every group's inner product; for one group it gives
-the same bits as ``np.vdot``.  A group that meets the tolerance forms its
-iterate at once and leaves the active set, so it costs no more matvecs.
+``solve_multi_rhs_vectorized`` (``vec``) runs right-preconditioned block
+GMRES on each block (Simoncini & Gallopoulos, SIAM J. Sci. Comput. 16,
+1995; Gutknecht, "Block Krylov space methods for linear systems with
+multiple right-hand sides: an introduction", 2007).  The block iterates
+on A P^-1 in one block Krylov space shared by its columns, and every
+column's residual is minimized over that whole space.  A step applies
+P^-1 and then A to the newest s-column panel of the basis, orthogonalizes
+the result against the basis by one classical Gram-Schmidt pass (two
+GEMMs against the columns the steps so far have built), and
+orthonormalizes it by a Cholesky QR of its Gram matrix.  When that Gram
+matrix is not safely positive definite (a zero or repeated column, or an
+invariant subspace), a column-pivoted Householder QR takes over and
+zeroes the directions it finds dependent, so every nonzero basis column
+stays orthonormal.  The block Hessenberg matrix is reduced as it grows,
+by one QR of a (2s, s) block per step, which also gives every column's
+residual norm.  The iterate x = P^-1 (V Y) is formed once, when the
+block stops.
 
-``solve_multi_rhs_vectorized`` is one group of all columns.
-``solve_multi_rhs_sequential`` gives every column its own group and runs
-the columns in blocks of ``SEQUENTIAL_BLOCK`` = 32.  One matvec on 32
-columns costs far less than 32 one-column matvecs: the border products
-run as GEMMs instead of GEMVs, and the per-call overhead is paid once.
-The Krylov memory of a block stays at 32 columns' worth however many
-columns the solve has.  On a 12x20 grid with 240 right-hand sides
-(ne = 8, one BLAS thread), widths of 8, 16, 32, 64 and 240 gave about
-5.5, 4.9, 4.4, 5.2 and 5.3 s on a 2-core host, against about 12 s for
-one column at a time.
+Stopping rules.  A ``vec`` block stops when every column's estimate
+||b_j - A x_j|| / ||b_j|| is at most ``tol``.  Under right
+preconditioning that estimate is the column's true residual, up to the
+rounding of the basis.  The true residual is then formed in complex128 as
+a guard: a column still above ``tol`` sends the block through one more
+cycle, started from its iterate, on the columns that missed.  A block
+fails only when ``max_iter`` steps (summed over its cycles) run out.
+``solve_multi_rhs_sequential`` (``seq``) gives every column its own
+left-preconditioned GMRES, run in lockstep within a block: a column stops
+once its *preconditioned* relative residual ||P^-1 (b - A x)|| /
+||P^-1 b|| is at most ``tol``, so its true residual can end above
+``tol``.
 
-This is full GMRES in one Arnoldi cycle: a group runs at most
-min(max_iter, n*k) steps, since the Krylov space of an (n, k) iterate
-has at most n*k dimensions, and forms its iterate x = V y once, when it
-leaves.  The per-iteration residual estimates come from the Givens
-recurrence, so the recorded history is the relative *preconditioned*
-residual and is non-increasing by construction.  The true
-unpreconditioned residual is recomputed once at exit, by one matvec over
-the whole block.
+Measurements (16x16 grid, ne = 8, wavenumber 3, 256 right-hand sides,
+pk, one BLAS thread, 2-core host).  At tol 1e-3, block widths 16, 32 and
+64 took 12-13, 10 and 9 steps per block and 2.00-2.28, 1.70-2.06 and
+2.02-2.14 s per solve, so the width is the lockstep block of ``seq``.
+One Gram-Schmidt pass leaves the complex64 basis of a 32-column block
+with ||I - V^H V||_2 of 3.3e-3 to 7.9e-3; a second pass brings that to
+6e-7 to 8e-7 but costs about 0.27 s a solve (a pass triggered by a norm
+drop of 1/sqrt(2) fires on every step), and took the same steps to the
+same residuals on 64 columns at every tol from 1e-3 to 1e-13, even where
+one pass left ||I - V^H V||_2 at 1.2 (complex64, tol 1e-5) or 0.85
+(complex128, tol 1e-13).  Against the global-Krylov
+method this mode replaced (one Krylov iterate spanning all 256 columns,
+stopped on the Frobenius norm over them), the block solve applies the
+operator to 2816 columns instead of 4096, its basis is a tenth the size,
+and no column ends above ``tol`` (122 did).
+
+``seq`` runs the columns of a block as independent Krylov groups in
+lockstep: each has its own modified Gram-Schmidt inner products, norms,
+Givens rotations, stopping test, breakdown handling and back
+substitution, and they share only the operator and preconditioner
+applications, one per step, to the columns still iterating.  The basis
+is kept column-major, one (G, n) array per Krylov vector, so one
+``np.vecdot`` forms every column's inner product.  A column that meets
+the tolerance forms its iterate at once and leaves the active set.  This
+is full GMRES in one Arnoldi cycle of at most min(max_iter, n) steps;
+the estimates come from the Givens recurrence and are non-increasing,
+and the true unpreconditioned residual is computed once at exit.  On a
+12x20 grid with 240 right-hand sides (ne = 8, one BLAS thread), lockstep
+widths of 8, 16, 32, 64 and 240 gave about 5.5, 4.9, 4.4, 5.2 and 5.3 s
+on a 2-core host, against about 12 s for one column at a time.
 
 Precision.  When ``tol >= SINGLE_PRECISION_TOL`` (1e-5) the Krylov basis
 is complex64, and so is every block the Arnoldi steps hand to the
-operator.  The FFT operator and the preconditioner compute in the dtype
-they receive, so the FFTs, the block multiply, the border GEMMs and the
-preconditioner GEMMs run in complex64 too.  That halves the basis memory
-and most of the matvec time.  The preconditioned right-hand side and its
-norm, the Hessenberg columns, the rotations, the least-squares solution,
-the iterate and the exit true residual stay complex128, so
+operator and the preconditioner.  The FFT operator and the preconditioner
+compute in the dtype they receive, so the FFTs, the block multiply, the
+border GEMMs and the preconditioner GEMMs run in complex64 too.  That
+halves the basis memory and most of the matvec time.  A dense operator
+that returns complex128 whatever it is given (``gmres-dense``'s Z) runs
+its product in complex128, and its output is rounded to the basis dtype.
+The Gram matrices and factors of the panel QRs, the Hessenberg, its
+reduction, the least-squares solution, the iterate, ``P^-1 b`` of
+``seq`` and the exit true residual stay complex128, so
 ``final_residual`` is measured in double precision whatever the basis
 (Simoncini & Szyld, SIAM J. Sci. Comput. 25, 2003, on inexact Krylov
 methods).  Below 1e-5 everything is complex128.  The threshold comes
 from sweeps of the pk-preconditioned solve (ne = 8, wavenumber 3) over
 64 columns of a 16x16 grid and 32 columns of a 30x30 grid, each column
-also solved in complex128:
+also solved in complex128, with the left-preconditioned lockstep (seq)
+and global-Krylov methods:
 
 * at tol 1e-3, 1e-4 and 1e-5 both precisions took the same iterations
-  on both grids, seq and vec (seq at 1e-5: 1805 in total on 16x16, 1183
-  on 30x30), and the largest true residuals agreed to 0.2%;
+  on both grids, seq and global (seq at 1e-5: 1805 in total on 16x16,
+  1183 on 30x30), and the largest true residuals agreed to 0.2%;
 * at 1e-6 seq took 2220 iterations against 2218 (16x16) and 1475
-  against 1450 (30x30), and the median true residual of vec rose 7%
-  (16x16) and 5% (30x30);
-* at 1e-7 seq and vec stagnated in complex64 at true residuals of
-  2e-7 to 8e-7 and ran to the iteration cap (200 on 16x16, 150 on
-  30x30), where complex128 converged within 43 and 55 steps.
+  against 1450 (30x30), and the median true residual of the global
+  method rose 7% (16x16) and 5% (30x30);
+* at 1e-7 both stagnated in complex64 at true residuals of 2e-7 to
+  8e-7 and ran to the iteration cap (200 on 16x16, 150 on 30x30), where
+  complex128 converged within 43 and 55 steps.
 
 The complex64 bordered matvec is accurate to about 1.5e-7 relative.
 """
@@ -72,6 +107,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from ..errors import InvalidSpec, NoConvergence, ShapeError
 
@@ -84,21 +120,25 @@ __all__ = [
     "SINGLE_PRECISION_TOL",
 ]
 
-# columns per lockstep block of the sequential solve (see the module docstring)
+# columns per block of both modes (see the module docstring)
 SEQUENTIAL_BLOCK = 32
 
 # a tolerance at or above this runs the Krylov basis in complex64 (see the
 # module docstring)
 SINGLE_PRECISION_TOL = 1e-5
 
-
 @dataclass
 class GmresConfig:
-    """Stopping rule: a group stops once its relative *preconditioned*
-    residual ||P^-1 (b - A x)|| / ||P^-1 b|| is at most ``tol``, or after
-    ``max_iter`` Arnoldi steps.  The true residual is not what ``tol``
-    bounds; each report records it as ``final_residual``, computed in
-    complex128.
+    """Stopping rule and precision of both modes.
+
+    ``vec`` (block GMRES): a block stops once every column's relative
+    residual ||b_j - A x_j|| / ||b_j|| is at most ``tol``; the complex128
+    true residual at exit must confirm it, or the block runs another
+    cycle on the columns that missed.  ``seq``: a column stops once its
+    relative *preconditioned* residual ||P^-1 (b - A x)|| / ||P^-1 b|| is
+    at most ``tol``; its true residual is not what ``tol`` bounds.  Both
+    stop after ``max_iter`` steps, and each report records the complex128
+    true residual as ``final_residual``.
 
     ``tol`` also sets the precision of the Krylov basis, ``basis_dtype``:
     complex64 when ``tol >= SINGLE_PRECISION_TOL`` (1e-5), else
@@ -122,7 +162,15 @@ class GmresConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of one Krylov group: its iterations, stopping result and residuals."""
+    """Outcome of one Krylov group (a ``seq`` column or a ``vec`` block).
+
+    ``iterations`` counts Arnoldi steps (over every cycle of a block);
+    ``residual_history`` starts at 1 (0 for a zero right-hand side) and
+    holds the estimate after each step: a column's relative
+    preconditioned residual, or the largest relative residual among the
+    columns a block is iterating on; ``final_residual`` is the complex128
+    true residual ||B - A X||_F / ||B||_F of the group's columns.
+    """
 
     iterations: int = 0
     converged: bool = True
@@ -130,16 +178,147 @@ class SolveReport:
     final_residual: float = 0.0
 
 
-def _to_groups(block: np.ndarray, groups: int) -> np.ndarray:
-    """(n, G*k) column block -> (G, n*k) group-major rows."""
-    n, w = block.shape
-    return block.reshape(n, groups, w // groups).transpose(1, 0, 2).reshape(groups, -1)
+# ------------------------------------------------------------ block GMRES (vec)
 
 
-def _to_block(rows: np.ndarray, n: int) -> np.ndarray:
-    """(G, n*k) group-major rows -> (n, G*k) column block."""
-    groups = rows.shape[0]
-    return rows.reshape(groups, n, rows.shape[1] // n).transpose(1, 0, 2).reshape(n, -1)
+def _panel_qr(w: np.ndarray, scale: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """w = q r with q (n, t) orthonormal in ``dtype`` and r (t, s) complex128, t <= s.
+
+    Cholesky QR: the Gram matrix and q = w r^-1 are formed in ``dtype``,
+    the factor in complex128.  It loses about cond(w)^2 * eps of
+    orthogonality (cond of w with unit columns), so it is kept while that
+    stays below sqrt(eps), and while every column is above sqrt(eps) of
+    ``scale``, its norm before orthogonalization; a column below that is
+    noise.  Otherwise (a zero or repeated column, an invariant subspace, a
+    Gram matrix that is not positive definite) a column-pivoted
+    Householder QR of the columns divided by ``scale`` runs instead, and
+    the directions at or below sqrt(eps) are dropped: q keeps the others
+    and r their rows, so q r = w up to the dropped noise.
+    """
+    eps = np.finfo(dtype).eps
+    floor = math.sqrt(eps)
+    gram = w.conj().T @ w
+    norms = np.sqrt(gram.diagonal().real)
+    if np.all(norms > floor * scale):
+        try:
+            chol = np.linalg.cholesky(gram.astype(np.complex128))
+        except np.linalg.LinAlgError:
+            chol = None
+        if chol is not None and np.linalg.cond(chol / norms[:, None]) ** 2 * eps <= floor:
+            r = chol.conj().T
+            q = w @ scipy.linalg.solve_triangular(r, np.eye(len(r))).astype(dtype)
+            return q, r
+    unit = np.where(scale > 0.0, scale, 1.0)
+    q, rp, perm = scipy.linalg.qr(w.astype(np.complex128) / unit, mode="economic", pivoting=True)
+    kept = np.abs(rp.diagonal()) > floor
+    r = np.empty_like(rp[kept])
+    r[:, perm] = rp[kept] * unit[perm]
+    return q[:, kept].astype(dtype), r
+
+
+def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
+    """One block Arnoldi cycle on A P^-1 from the (n, s) residual block ``r0``.
+
+    Runs until every column's estimate ||g_j|| / ``b_norms`` is at most
+    ``tol``, the basis spans R^n or an invariant subspace, or for
+    ``steps`` steps.  Returns V Y, the combination of the basis that
+    minimizes every column's residual, and the largest estimate after
+    each step.  A panel is as wide as the directions its QR kept, so a
+    dependent direction leaves the block for the rest of the cycle.
+    """
+    n, s = r0.shape
+    q, g0 = _panel_qr(r0, np.linalg.norm(r0, axis=0), dtype)
+    # basis vector i is row i, so V = rows[:k].T, and the array grows in place
+    # as the steps need it, without a copy beside it
+    rows = np.empty((min(8, steps + 1) * s, n), dtype=dtype)
+    rows[: q.shape[1]] = q.T
+    starts = [0, q.shape[1]]  # panel j is rows[starts[j] : starts[j + 1]]
+    g = [g0]  # the reduced right-hand side, one block row per panel
+    reductions: list[np.ndarray] = []  # the unitary of each step's QR
+    r_cols: list[np.ndarray] = []  # block column j of the triangular factor
+    estimates: list[float] = []
+    for j in range(steps):
+        k0, k = starts[j], starts[j + 1]
+        # the panel goes out as a copy: an operator may keep its input, and the
+        # basis must own its memory to grow in place
+        w = op(p(np.ascontiguousarray(rows[k0:k].T))).astype(dtype, copy=False)
+        scale = np.linalg.norm(w, axis=0)
+        h = (w.conj().T @ rows[:k].T).conj().T  # V^H W, one GEMM
+        w -= rows[:k].T @ h
+        q, sub = _panel_qr(w, scale, dtype)
+        width = q.shape[1]
+        if len(rows) < k + width:
+            rows.resize((len(rows) + max(width, len(rows) // 2), n))
+        rows[k : k + width] = q.T
+        starts.append(k + width)
+
+        col = np.concatenate([h.astype(np.complex128), sub])
+        for i, omega in enumerate(reductions):
+            col[starts[i] : starts[i + 2]] = omega @ col[starts[i] : starts[i + 2]]
+        unitary, tri = np.linalg.qr(col[k0:], mode="complete")
+        omega = unitary.conj().T
+        reductions.append(omega)
+        col[k0:] = tri
+        r_cols.append(col[:k])
+        top_bottom = omega @ np.concatenate([g[j], np.zeros((width, s), dtype=np.complex128)])
+        g[j] = top_bottom[: k - k0]
+        g.append(top_bottom[k - k0 :])
+
+        estimate = np.linalg.norm(g[j + 1], axis=0) / b_norms
+        estimates.append(float(estimate.max()))
+        # no new direction (an invariant search space), or a search space of all
+        # of R^n: the estimates are exact and another step adds nothing
+        if np.all(estimate <= tol) or width == 0 or k >= n:
+            break
+
+    m = starts[len(r_cols)]
+    t = np.zeros((m, m), dtype=np.complex128)
+    for j, rc in enumerate(r_cols):
+        t[: len(rc), starts[j] : starts[j + 1]] = rc
+    # an exactly singular A P^-1 leaves a zero on the diagonal; 1 there keeps
+    # the back substitution finite
+    zero = np.flatnonzero(t.diagonal() == 0.0)
+    t[zero, zero] = 1.0
+    y = scipy.linalg.solve_triangular(t, np.concatenate(g[: len(r_cols)]))
+    return (rows[:m].T @ y.astype(dtype)).astype(np.complex128, copy=False), estimates
+
+
+def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, float]:
+    """Right-preconditioned block GMRES on the columns of b (n, s).
+
+    Returns the iterate, the block's report and its largest column
+    residual at exit.
+    """
+    dtype = cfg.basis_dtype
+    precondition = (lambda u: u) if p is None else p
+    b_norms = np.linalg.norm(b, axis=0)
+    x = np.zeros_like(b)
+    r = b.copy()
+    r_norms = b_norms.copy()
+    history = [1.0 if b_norms.any() else 0.0]
+    iterations = 0
+    while True:
+        # a zero column is solved by x = 0, and tol >= 1 is met at x = 0
+        active = np.flatnonzero(r_norms > cfg.tol * b_norms)
+        if not active.size or iterations == cfg.max_iter:
+            break
+        cols = slice(None) if active.size == len(b_norms) else active  # a view when all iterate
+        z, estimates = _block_cycle(op, precondition, r[:, cols], b_norms[cols],
+                                    cfg.max_iter - iterations, cfg.tol, dtype)
+        iterations += len(estimates)
+        history += estimates
+        x[:, cols] += precondition(z)
+        r[:, cols] = b[:, cols] - op(x[:, cols])
+        r_norms[cols] = np.linalg.norm(r[:, cols], axis=0)
+
+    live = b_norms > 0.0
+    final = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms)) if live.any() else 0.0
+    worst = float((r_norms[live] / b_norms[live]).max()) if live.any() else 0.0
+    converged = not active.size
+    return x, SolveReport(iterations, converged, history, final), worst
+
+
+# ------------------------------------------------------------ lockstep GMRES (seq)
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -172,23 +351,23 @@ def _back_substitute(r_cols: list[np.ndarray], g: np.ndarray) -> np.ndarray:
     return y
 
 
-def _gmres_block(op, p, b, cfg: GmresConfig, groups: int) -> tuple[np.ndarray, list[SolveReport]]:
-    """Lockstep GMRES on ``groups`` equal column groups of b (n, W).
+def _lockstep_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
+    """Left-preconditioned GMRES on every column of b (n, G) at once, each its own group.
 
-    Returns the (n, W) iterate and one report per group.
+    Returns the (n, G) iterate and one report per column.  The (G, n)
+    rows are the transposes of the column blocks the operator takes.
     """
-    n, w = b.shape
-    k = w // groups
+    n, groups = b.shape
     dtype = cfg.basis_dtype
 
     def operator(rows):
-        return op(_to_block(rows, n))
+        return op(rows.T)
 
-    def precondition(block, count):
-        return _to_groups(block if p is None else p(block), count)
+    def precondition(block):
+        return (block if p is None else p(block)).T
 
-    bg = _to_groups(b, groups)
-    pr = precondition(b, groups)
+    bg = b.T
+    pr = precondition(b)
     beta0 = _norms(pr)
     zero = beta0 == 0.0  # solved by x = 0
     x = np.zeros_like(bg)
@@ -198,8 +377,8 @@ def _gmres_block(op, p, b, cfg: GmresConfig, groups: int) -> tuple[np.ndarray, l
     converged = zero | (cfg.tol >= 1.0)
     active = np.flatnonzero(~converged)
     pr, beta = pr[active], beta0[active]
-    # full GMRES terminates within n*k steps
-    steps = min(cfg.max_iter, n * k)
+    # full GMRES terminates within n steps
+    steps = min(cfg.max_iter, n)
 
     basis = [(pr / beta[:, None]).astype(dtype, copy=False)]
     r_cols: list[np.ndarray] = []  # rotated Hessenberg columns (upper triangle)
@@ -209,7 +388,7 @@ def _gmres_block(op, p, b, cfg: GmresConfig, groups: int) -> tuple[np.ndarray, l
 
     j = 0
     while active.size:
-        v = precondition(operator(basis[j]), active.size).astype(dtype, copy=False)
+        v = precondition(operator(basis[j])).astype(dtype, copy=False)
         hcol = np.empty((active.size, j + 2), dtype=np.complex128)
         for i in range(j + 1):
             h = np.vecdot(basis[i], v)
@@ -263,27 +442,15 @@ def _gmres_block(op, p, b, cfg: GmresConfig, groups: int) -> tuple[np.ndarray, l
     final = np.zeros(groups)
     live = np.flatnonzero(~zero)
     if live.size:
-        residual = bg[live] - _to_groups(operator(x[live]), live.size)
+        residual = bg[live] - operator(x[live]).T
         final[live] = _norms(residual) / _norms(bg[live])
 
     reports = [SolveReport(its, conv, hist, res) for its, conv, hist, res
                in zip(iterations.tolist(), converged.tolist(), history, final.tolist())]
-    return _to_block(x, n), reports
+    return x.T, reports
 
 
-def _finish(x: np.ndarray, reports: list[SolveReport], cfg: GmresConfig):
-    """``(x, reports)``, or NoConvergence carrying both if a group missed ``cfg.tol``."""
-    failed = [i for i, rep in enumerate(reports) if not rep.converged]
-    if failed:
-        its = [reports[i].iterations for i in failed]
-        worst = max(reports[i].residual_history[-1] for i in failed)
-        raise NoConvergence(
-            f"GMRES groups {failed} stopped after {its} iterations at relative "
-            f"preconditioned residual up to {worst:.3e} > tol {cfg.tol:.1e}",
-            solution=x,
-            reports=reports,
-        )
-    return x, reports
+# ------------------------------------------------------------ entry points
 
 
 def _rhs_block(rhs) -> np.ndarray:
@@ -295,22 +462,40 @@ def _rhs_block(rhs) -> np.ndarray:
 
 
 def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
-    """Solve A X = B with one left-preconditioned global-Krylov GMRES.
+    """Solve A X = B by right-preconditioned block GMRES on blocks of ``SEQUENTIAL_BLOCK`` columns.
 
     ``op`` applies A and ``p`` applies P^-1 (or is None for no
-    preconditioner); both are callables on (n, columns) blocks.  All
-    columns of the 2-D ``rhs`` are iterated jointly as one group, whose
-    report is the one entry of the returned list.  Stops when the
-    preconditioned relative residual drops below ``cfg.tol``; raises
-    NoConvergence (with the best iterate and the report attached) at the
-    iteration cap.
+    preconditioner); both are callables on (n, columns) blocks.  The
+    blocks are consecutive columns of the 2-D ``rhs``, solved one after
+    another; each returns one report.  Every column of a converged block
+    has a complex128 true relative residual of at most ``cfg.tol``.  All
+    blocks are solved even when some fail; a NoConvergence carrying every
+    block's report and the full iterate is raised at the end if a block
+    ran out of ``cfg.max_iter`` steps.
     """
-    x, reports = _gmres_block(op, p, _rhs_block(rhs), cfg, groups=1)
-    return _finish(x, reports, cfg)
+    arr = _rhs_block(rhs)
+    x = np.empty_like(arr)
+    reports: list[SolveReport] = []
+    worst: list[float] = []
+    for start in range(0, arr.shape[1], SEQUENTIAL_BLOCK):
+        stop = start + SEQUENTIAL_BLOCK
+        x[:, start:stop], report, block_worst = _block_gmres(op, p, arr[:, start:stop], cfg)
+        reports.append(report)
+        worst.append(block_worst)
+    failed = [i for i, rep in enumerate(reports) if not rep.converged]
+    if failed:
+        raise NoConvergence(
+            f"block GMRES blocks {failed} of {SEQUENTIAL_BLOCK} columns stopped after "
+            f"{[reports[i].iterations for i in failed]} iterations with a column at relative "
+            f"residual up to {max(worst[i] for i in failed):.3e} > tol {cfg.tol:.1e}",
+            solution=x,
+            reports=reports,
+        )
+    return x, reports
 
 
 def solve_multi_rhs_sequential(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
-    """Independent GMRES per column, run in lockstep column blocks.
+    """Independent left-preconditioned GMRES per column, run in lockstep column blocks.
 
     ``op`` and ``p`` are callables on column blocks, as for
     ``solve_multi_rhs_vectorized``.  Every column is its own Krylov group
@@ -327,10 +512,17 @@ def solve_multi_rhs_sequential(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray
     x = np.empty_like(arr)
     reports: list[SolveReport] = []
     for start in range(0, arr.shape[1], SEQUENTIAL_BLOCK):
-        block = arr[:, start : start + SEQUENTIAL_BLOCK]
-        x[:, start : start + block.shape[1]], block_reports = _gmres_block(
-            op, p, block, cfg, groups=block.shape[1]
-        )
+        stop = start + SEQUENTIAL_BLOCK
+        x[:, start:stop], block_reports = _lockstep_gmres(op, p, arr[:, start:stop], cfg)
         reports.extend(block_reports)
-
-    return _finish(x, reports, cfg)
+    failed = [i for i, rep in enumerate(reports) if not rep.converged]
+    if failed:
+        its = [reports[i].iterations for i in failed]
+        worst = max(reports[i].residual_history[-1] for i in failed)
+        raise NoConvergence(
+            f"GMRES groups {failed} stopped after {its} iterations at relative "
+            f"preconditioned residual up to {worst:.3e} > tol {cfg.tol:.1e}",
+            solution=x,
+            reports=reports,
+        )
+    return x, reports

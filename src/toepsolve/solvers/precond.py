@@ -1,4 +1,4 @@
-"""Block-diagonal left preconditioners for the bordered iterative solver.
+"""Block-diagonal preconditioners for the bordered iterative solver.
 
 Two variants exploit the strong self interaction of the array:
 

@@ -160,14 +160,15 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
 
 GMRES_PHASES = {"precond_build", "matvec", "precond_apply", "krylov"}
 FFT_KEYS = ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"})
-# method -> (phases, memory keys, Krylov groups of the 36-column solve, preconditioner
-# builder); on the 6x6 grid, ne 8, pk stores 8^2 + nb^2 scalars and pz 48^2 + nb^2
+# method -> (phases, memory keys, Krylov groups of the 36-column solve: two blocks of
+# 32 and 4 columns, or one group per column, preconditioner builder); on the 6x6
+# grid, ne 8, pk stores 8^2 + nb^2 scalars and pz 48^2 + nb^2
 RECORD_KEYS = {
     "dense": ({"dense_fill", "lu_factor", "lu_solve"}, {"dense"}, 0, None),
-    "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense", "precond", "krylov"}, 1, build_pk),
+    "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense", "precond", "krylov"}, 2, build_pk),
     "rybicki": ({"level1_fill", "recursion", "border"}, {"level1", "level1_wide"}, 0, None),
-    "mlfft-pk-vec": (*FFT_KEYS, 1, build_pk),
-    "mlfft-pz-vec": (*FFT_KEYS, 1, build_pz),
+    "mlfft-pk-vec": (*FFT_KEYS, 2, build_pk),
+    "mlfft-pz-vec": (*FFT_KEYS, 2, build_pz),
     "mlfft-pk-seq": (*FFT_KEYS, 36, build_pk),
     "mlfft-pz-seq": (*FFT_KEYS, 36, build_pz),
 }
@@ -189,13 +190,10 @@ def test_record_holds_only_what_the_method_ran(grid6, method):
     # tol 1e-3 runs GMRES in complex64; the direct methods are complex128
     assert rec.precision == ("complex64" if groups else "complex128")
     if build is not None:
+        # every GMRES method hands complex64 blocks to the preconditioner, which
+        # forms complex64 copies of its inverses (half their bytes)
         want = build(grid6[0]).stored_bytes
-        # the FFT methods hand complex64 blocks to the preconditioner, which
-        # forms complex64 copies of its inverses (half their bytes); the dense
-        # operator of gmres-dense returns complex128 blocks
-        if method.startswith("mlfft"):
-            want += want // 2
-        assert rec.memory["precond"] == want
+        assert rec.memory["precond"] == want + want // 2
     # the phases cover the solve; the absolute floor keeps a fast solve from flaking
     assert abs(sum(rec.phases.values()) - rec.solve_s) <= max(0.05 * rec.solve_s, 1e-3)
 
@@ -235,6 +233,37 @@ def test_verify_fails_a_record_residual_that_is_not_the_true_one(monkeypatch, ca
     assert cli.main(["verify", "--ny", "3", "--nx", "3"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert all(line.endswith(" FAIL") for line in lines[1:-1])
+
+
+def test_verify_fails_a_block_method_column_above_tol(monkeypatch, capsys):
+    run_method = cli.run_method
+
+    def column_off(sys_, v, method, *args, **kwargs):
+        x, rec, groups = run_method(sys_, v, method, *args, **kwargs)
+        if method == "rybicki":  # whose deviation bound is 1e-10
+            return x, rec, groups
+        # column 0's residual grows by about 3e-3 of its right-hand side, and the
+        # record residual is made the dense true residual of the changed x; the
+        # seq lines, which bound no column, stay ok
+        x[:, 0] *= 1.003
+        rec.residual = float(np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v))
+        return x, rec, groups
+
+    monkeypatch.setattr(cli, "run_method", column_off)
+    assert cli.main(["verify", "--ny", "3", "--nx", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()[1:-1]
+    failed = {line.split()[0] for line in lines if line.endswith(" FAIL")}
+    assert failed == {"gmres-dense", "mlfft-pk-vec", "mlfft-pz-vec"}
+    assert all("worst column" in line for line in lines if line.split()[0] in failed)
+
+
+@pytest.mark.parametrize("method", ["gmres-dense", "mlfft-pk-vec", "mlfft-pz-vec"])
+def test_block_methods_bound_every_column_by_tol(grid6, method):
+    sys_, v = grid6
+    x, rec, _ = cli.run_method(sys_, v, method, tol=1e-3)
+    per_col = np.linalg.norm(assemble_full(sys_) @ x - v, axis=0) / np.linalg.norm(v, axis=0)
+    assert per_col.max() <= 1e-3
+    assert all(g.converged for g in rec.groups)
 
 
 def test_verify_above_oracle_cap(problem):
