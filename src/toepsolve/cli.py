@@ -40,7 +40,7 @@ record too, with ``ok`` false.
     gmres-dense  dense_fill precond_build        generator dense_equivalent dense
                  matvec precond_apply krylov     precond krylov
     rybicki      level1_fill recursion border    generator dense_equivalent level1
-                                                 level1_wide
+                                                 level1_wide rhs stacks
     mlfft-*      spectral_precompute             generator dense_equivalent spectral
                  precond_build matvec            precond krylov
                  precond_apply krylov
@@ -65,8 +65,13 @@ Krylov bases held at once, iterations * columns * dim scalars of the
 record's ``precision`` per group, summed over the groups of a block of
 ``SEQUENTIAL_BLOCK`` columns (one group for ``vec``) and maximized over
 blocks;
-``level1`` is the level-1 blocks, (2ny-1)(nx*ne)^2 scalars, and
-``level1_wide`` the recursion's four row concatenations of them.
+``level1`` is the level-1 blocks, (2ny-1)(nx*ne)^2 scalars;
+``level1_wide`` the recursion's four row concatenations of them;
+``rhs`` the block [V_A  Z_B^T] that the recursion solves in place,
+array_dim * (columns + nb) scalars; and ``stacks`` its G and H
+generator stacks, 2(ny-1)(nx*ne)^2 scalars.  Beyond these a rybicki
+solve holds its solution and temporaries of at most two block rows of
+``rhs``, one panel of ``RHS_PANEL`` (64) columns and a few blocks.
 
 BLAS threads are capped by setting ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` before the process starts; the BLAS reads them once,
@@ -121,6 +126,7 @@ from .solvers import (
     solve_multi_rhs_vectorized,
 )
 from .solvers.rybicki import wide_stack_bytes
+from .solvers.schur import RHS_PANEL
 
 __all__ = ["main", "SolveRecord", "run_method", "BENCH_METHODS"]
 
@@ -250,9 +256,14 @@ def run_method(
         g = sys_.gen
         side = g.n1 * g.n0
         rec.memory.update(level1=(2 * g.n2 - 1) * side**2 * _BYTES_PER_SCALAR,
-                          level1_wide=wide_stack_bytes(g.n2, side))
+                          level1_wide=wide_stack_bytes(g.n2, side),
+                          rhs=sys_.array_dim * (v.shape[1] + sys_.nb) * _BYTES_PER_SCALAR,
+                          stacks=2 * (g.n2 - 1) * side**2 * _BYTES_PER_SCALAR)
         op = BorderedOperator.from_system(sys_)
-        rec.residual = float(np.linalg.norm(bordered_matvec(op, x) - v) / np.linalg.norm(v))
+        # summed over column panels, so the residual is never formed at full width
+        panels = (slice(c, c + RHS_PANEL) for c in range(0, v.shape[1], RHS_PANEL))
+        squares = sum(np.linalg.norm(bordered_matvec(op, x[:, p]) - v[:, p]) ** 2 for p in panels)
+        rec.residual = float(np.sqrt(squares) / np.linalg.norm(v))
         return x, rec, rec.groups
 
     # gmres-dense, or mlfft-<precond>-<mode>

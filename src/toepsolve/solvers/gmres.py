@@ -248,7 +248,11 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
         q, sub = _panel_qr(w, scale, dtype)
         width = q.shape[1]
         if len(rows) < k + width:
-            rows.resize((len(rows) + max(width, len(rows) // 2), n))
+            # no view of rows is alive here: the operator got a copy, and h, w and
+            # q are products, so the reference check is not needed; it also fails
+            # whenever a profiler or tracer (sys.setprofile, sys.settrace) holds
+            # an extra reference to the array
+            rows.resize((len(rows) + max(width, len(rows) // 2), n), refcheck=False)
         rows[k : k + width] = q.T
         starts.append(k + width)
 

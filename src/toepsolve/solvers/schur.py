@@ -10,6 +10,14 @@ after which the border currents follow from the small reduced system
 I_A = U - F I_C.  Z_A is inverted by the block bordering (Rybicki)
 recursion on its assembled level-1 blocks.  For an empty border this
 degenerates to the recursion alone.
+
+The recursion solves [V_A  Z_B^T] in place, in the block that stacks
+them, so [U  F] takes no memory of its own; with an empty border that
+block is a copy of V_A, since V_A is a view of the caller's V.  The
+solution [I_A; I_C] is allocated once, and I_A = U - F I_C is written
+into it one panel of ``RHS_PANEL`` = 64 columns at a time, so the border
+elimination forms no temporary wider than a panel.  ``run_method`` sums
+the record residual of a rybicki solve over the same panels.
 """
 
 from __future__ import annotations
@@ -23,7 +31,10 @@ from ..errors import SingularMatrix, SingularSchurComplement
 from ..problems import BorderedSystem
 from .rybicki import assemble_level1, rybicki_solve
 
-__all__ = ["schur_solve"]
+__all__ = ["schur_solve", "RHS_PANEL"]
+
+# columns of I_A that one step of the border elimination forms
+RHS_PANEL = 64
 
 
 def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, dict[str, float]]:
@@ -36,15 +47,18 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, dict[str, float]]:
     """
     t_start = time.perf_counter()
     v = numerics.as_columns(v, sys.dim)
-    va, vc = v[: sys.array_dim], v[sys.array_dim :]
+    adim = sys.array_dim
+    va, vc = v[:adim], v[adim:]
     ncols = v.shape[1]
-    rhs = np.hstack([va, sys.zb.T]) if sys.nb else va
+    # a new block either way: the recursion overwrites it, and va is a view of v
+    rhs = np.hstack([va, sys.zb.T]) if sys.nb else np.array(va, dtype=np.complex128)
 
     t0 = time.perf_counter()
     level1 = assemble_level1(sys.gen)
     t1 = time.perf_counter()
     uf = rybicki_solve(level1, rhs)
     t2 = time.perf_counter()
+    del level1  # freed before the solution is allocated
 
     if sys.nb:
         u, f = uf[:, :ncols], uf[:, ncols:]
@@ -53,8 +67,11 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, dict[str, float]]:
         except SingularMatrix as exc:
             raise SingularSchurComplement("reduced border operator is singular") from exc
         ic = numerics.lu_solve(lu_s, vc - sys.zb @ u)
-        ia = u - f @ ic
-        solution = np.vstack([ia, ic])
+        solution = np.empty((sys.dim, ncols), dtype=np.complex128)
+        solution[adim:] = ic
+        for c in range(0, ncols, RHS_PANEL):
+            cols = slice(c, c + RHS_PANEL)
+            np.subtract(u[:, cols], f @ ic[:, cols], out=solution[:adim, cols])
     else:
         solution = uf
 

@@ -1,6 +1,7 @@
 """GMRES: block GMRES (vec), lockstep one-column GMRES (seq) and convergence bookkeeping."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -372,6 +373,25 @@ class TestBlock:
         x, (report,) = solve_multi_rhs_vectorized(dense_op(a), None, v, GmresConfig(tol=1e-10))
         assert report.converged and report.iterations > 5
         assert column_residuals(a, x, v).max() <= 1e-10
+
+    def test_basis_grows_under_a_profiler(self):
+        # past 8 steps the basis array grows in place; a profile function holds
+        # extra references to it, which a reference check would refuse
+        rng = np.random.default_rng(26)
+        q, _ = np.linalg.qr(random_complex(rng, 60, 60))
+        a = q @ np.diag(np.linspace(1.0, 30.0, 60)) @ q.conj().T
+        v = random_complex(rng, 60, 2)
+        cfg = GmresConfig(tol=1e-10)
+        x_plain, (r_plain,) = solve_multi_rhs_vectorized(dense_op(a), None, v, cfg)
+        events = []
+        sys.setprofile(lambda frame, event, arg: events.append(event))
+        try:
+            x_prof, (r_prof,) = solve_multi_rhs_vectorized(dense_op(a), None, v, cfg)
+        finally:
+            sys.setprofile(None)
+        assert events and r_prof.iterations > 8
+        assert np.array_equal(x_prof, x_plain) and r_prof.iterations == r_plain.iterations
+        assert column_residuals(a, x_prof, v).max() <= 1e-10
 
     def test_none_preconditioner_matches_the_identity(self):
         rng = np.random.default_rng(24)

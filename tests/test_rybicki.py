@@ -1,13 +1,22 @@
 """Block bordering recursion and level-1 assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import random_complex, random_generator, rel_err
 from toepsolve import cli
 from toepsolve.errors import ShapeError, SingularBlock, SingularDenominator, SingularSchurComplement
-from toepsolve.problems import ArrayProblemSpec, BorderedSystem, build_excitations, generate
+from toepsolve.problems import (
+    ArrayProblemSpec,
+    BorderedSystem,
+    assemble_full,
+    build_excitations,
+    generate,
+)
 from toepsolve.solvers import assemble_level1, rybicki_solve, schur_solve
+from toepsolve.solvers.schur import RHS_PANEL
 from toepsolve.toeplitz import assemble_dense, circulant_offsets
 
 
@@ -34,7 +43,7 @@ class TestRybicki:
         rng = np.random.default_rng(0)
         r0 = random_complex(rng, 5, 5) + 2 * np.eye(5)
         y = random_complex(rng, 5, 2)
-        got = rybicki_solve(r0[None], y)
+        got = rybicki_solve(r0[None], y.copy())
         assert rel_err(got, np.linalg.solve(r0, y)) <= 1e-12
 
     def test_scalar_blocks_match_dense(self):
@@ -42,7 +51,7 @@ class TestRybicki:
         for n in (2, 6, 17, 32):
             blocks = random_block_toeplitz(rng, n, 1)
             y = random_complex(rng, n)[:, None]
-            got = rybicki_solve(blocks, y)
+            got = rybicki_solve(blocks, y.copy())
             want = np.linalg.solve(dense_from_blocks(blocks), y)
             assert rel_err(got, want) <= 1e-11
 
@@ -54,7 +63,7 @@ class TestRybicki:
             blocks[-off % 7] = blocks[off].T.copy()
         dense = dense_from_blocks(blocks)
         y = random_complex(rng, 24, 3)
-        x = rybicki_solve(blocks, y)
+        x = rybicki_solve(blocks, y.copy())
         assert np.linalg.norm(dense @ x - y) / np.linalg.norm(y) <= 1e-10
 
     @pytest.mark.parametrize("n, side, w", [(9, 5, 40), (2, 4, 3)])
@@ -64,7 +73,7 @@ class TestRybicki:
         rng = np.random.default_rng(10 + n)
         blocks = random_block_toeplitz(rng, n, side)
         y = random_complex(rng, n * side, w)
-        got = rybicki_solve(blocks, y)
+        got = rybicki_solve(blocks, y.copy())
         want = np.linalg.solve(dense_from_blocks(blocks), y)
         assert rel_err(got, want) <= 1e-10
 
@@ -78,7 +87,7 @@ class TestRybicki:
         y = random_complex(rng, n * side, 2)
         for m in range(1, n + 1):
             lead = slice(0, m * side)
-            xm = rybicki_solve(blocks[circulant_offsets(m) % (2 * n - 1)], y[lead])
+            xm = rybicki_solve(blocks[circulant_offsets(m) % (2 * n - 1)], y[lead].copy())
             res = np.linalg.norm(dense[lead, lead] @ xm - y[lead]) / np.linalg.norm(y)
             assert res <= 1e-10
 
@@ -86,7 +95,7 @@ class TestRybicki:
         rng = np.random.default_rng(4)
         blocks = random_block_toeplitz(rng, 3, 4)
         y = random_complex(rng, 12)[:, None]
-        assert np.array_equal(rybicki_solve(blocks, y), rybicki_solve(blocks, y))
+        assert np.array_equal(rybicki_solve(blocks, y.copy()), rybicki_solve(blocks, y.copy()))
 
     def test_singular_self_block(self):
         blocks = np.zeros((3, 2, 2), dtype=complex)
@@ -101,6 +110,30 @@ class TestRybicki:
         with pytest.raises(SingularDenominator) as err:
             rybicki_solve(blocks, np.ones((2, 1)))
         assert err.value.step == 1
+
+    def test_c_contiguous_complex128_block_is_solved_in_place(self):
+        rng = np.random.default_rng(13)
+        blocks = random_block_toeplitz(rng, 5, 3)
+        y = random_complex(rng, 15, 4)
+        want = np.linalg.solve(dense_from_blocks(blocks), y)
+        got = rybicki_solve(blocks, y)
+        assert got is y
+        assert rel_err(got, want) <= 1e-10
+
+    @pytest.mark.parametrize("form", ["fortran", "strided", "complex64", "float", "read-only"])
+    def test_other_blocks_are_copied_and_left_unchanged(self, form):
+        rng = np.random.default_rng(14)
+        blocks = random_block_toeplitz(rng, 5, 3)
+        base = random_complex(rng, 15, 6)
+        y = {"fortran": np.asfortranarray(base), "strided": base[:, ::2],
+             "complex64": base.astype(np.complex64), "float": base.real.copy(),
+             "read-only": base.copy()}[form]
+        y.flags.writeable = form != "read-only"
+        before = y.copy()
+        got = rybicki_solve(blocks, y)
+        assert np.array_equal(y, before) and not np.shares_memory(got, y)
+        want = np.linalg.solve(dense_from_blocks(blocks), before.astype(np.complex128))
+        assert rel_err(got, want) <= (1e-5 if form == "complex64" else 1e-10)
 
     def test_shape_contracts(self):
         with pytest.raises(ShapeError):
@@ -145,6 +178,30 @@ def test_schur_reports_wide_stack_bytes():
     _, rec, _ = cli.run_method(sys_, build_excitations(sys_, 0).matrix, "rybicki", tol=1e-3)
     n, side = sys_.gen.n2, sys_.gen.n1 * sys_.gen.n0
     assert rec.memory["level1_wide"] == 4 * (n - 1) * side**2 * 16
+    # [V_A  Z_B^T]: one excitation per element and one column per border unknown
+    assert rec.memory["rhs"] == sys_.array_dim * (sys_.spec.elements + 4) * 16
+    assert rec.memory["stacks"] == 2 * (n - 1) * side**2 * 16
+
+
+def test_schur_solve_holds_the_recursion_data_and_a_panel():
+    # the peak of a solve is what the record lists under level1, level1_wide, rhs
+    # and stacks, plus two block rows of the right-hand side, one panel of the
+    # array rows, a few blocks and numpy's ufunc buffers (three operands of
+    # getbufsize() elements); a second block the size of rhs breaks it
+    sys_ = generate(ArrayProblemSpec(ny=8, nx=4, ne=8, nb=8, seed=3))
+    v = random_complex(np.random.default_rng(15), sys_.dim, 256)
+    _, rec, _ = cli.run_method(sys_, v, "rybicki", tol=1e-3)
+    held = sum(rec.memory[key] for key in ("level1", "level1_wide", "rhs", "stacks"))
+    side, width = sys_.gen.n1 * sys_.gen.n0, v.shape[1] + sys_.nb
+    slack = (2 * side * width + sys_.array_dim * RHS_PANEL + 8 * side**2 + 3 * np.getbufsize()) * 16
+    assert rec.memory["rhs"] > slack
+    tracemalloc.start()
+    try:
+        schur_solve(sys_, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= held + slack
 
 
 def test_singular_border_is_a_singular_schur_complement():
@@ -158,3 +215,35 @@ def test_singular_border_is_a_singular_schur_complement():
         schur_solve(sys_, v)
     with pytest.raises(SingularSchurComplement):
         cli.run_method(sys_, v, "rybicki", tol=1e-3)
+
+
+@pytest.mark.parametrize("nb", [0, 4])
+def test_caller_block_is_left_unchanged(nb):
+    # with an empty border V_A is a view of V, so the recursion must not solve in it
+    sys_ = generate(ArrayProblemSpec(ny=3, nx=4, ne=2, nb=nb, seed=7))
+    v = random_complex(np.random.default_rng(16), sys_.dim, 70)
+    before = v.copy()
+    x, _ = schur_solve(sys_, v)
+    assert np.array_equal(v, before)
+    x_rec, _, _ = cli.run_method(sys_, v, "rybicki", tol=1e-3)
+    assert np.array_equal(v, before) and np.array_equal(x_rec, x)
+    assert np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v) <= 1e-12
+
+
+@pytest.mark.parametrize("nb", [0, 4])
+def test_record_residual_is_the_dense_residual_over_every_panel(monkeypatch, nb):
+    # the record residual is summed over column panels; an error in the last
+    # column, past the first panel, must show in it as in the dense residual
+    sys_ = generate(ArrayProblemSpec(ny=3, nx=4, ne=2, nb=nb, seed=7))
+    v = random_complex(np.random.default_rng(17), sys_.dim, RHS_PANEL + 6)
+
+    def off_in_the_last_column(sys, v):
+        x, phases = schur_solve(sys, v)
+        x[:, -1] += 1e-3
+        return x, phases
+
+    monkeypatch.setattr(cli, "schur_solve", off_in_the_last_column)
+    x, rec, _ = cli.run_method(sys_, v, "rybicki", tol=1e-3)
+    dense = np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v)
+    assert dense > 1e-6
+    assert abs(rec.residual - dense) <= 1e-8 * dense
