@@ -24,7 +24,9 @@ so is every ``residual``.  ``gmres-dense``'s dense Z product runs in
 complex128 whatever ``precision`` says: Z is complex128, and its output
 is rounded to the basis dtype.  Its ``solve_s`` is the wall time of the
 solve; ``phases`` holds the seconds of only the
-phases the method ran, and they add up to ``solve_s``; ``memory`` holds
+phases the method ran, and they add up to ``solve_s`` by construction:
+each phase is timed from the end of the one before, and ``krylov`` and
+rybicki's ``border`` are the remainders; ``memory`` holds
 the bytes (16 per complex128 scalar, 8 per complex64 scalar) of only
 what the method holds.
 ``groups`` has one entry per Krylov group, with its ``iterations``,
@@ -57,9 +59,12 @@ rotations, iterate updates), the quantity ``perfbench`` reports as
 elimination.  Memory: ``generator`` is the raw generator,
 (2ny-1)(2nx-1)ne^2 scalars; ``dense_equivalent`` is what a dense Z would
 take, dim^2 scalars; ``dense`` is the dense Z the method allocated;
-``spectral`` is the transformed generator of the FFT operator, plus the
-complex64 copies of it and of the border blocks that a complex64 solve
-forms; ``precond`` is the preconditioner's two inverses, plus their
+``spectral`` is the transformed generator of the FFT operator, the same
+(2ny-1)(2nx-1)ne^2 scalars as ``generator`` since its circulant is
+exactly 2n-1 long on each level, plus the complex64 copies of it and of
+the border blocks that a complex64 solve forms (the DFT matrices, 2Ln
+scalars per level side n, are shared by every operator and not
+counted); ``precond`` is the preconditioner's two inverses, plus their
 complex64 copies when a complex64 solve forms them; ``krylov`` is the
 Krylov bases held at once, iterations * columns * dim scalars of the
 record's ``precision`` per group, summed over the groups of a block of
@@ -233,18 +238,27 @@ def run_method(
     phases = rec.phases
 
     def timed(phase, fn, *args):
+        """Run a call inside GMRES, adding its seconds to ``phase``."""
         t = time.perf_counter()
         try:
             return fn(*args)
         finally:
             phases[phase] = phases.get(phase, 0.0) + time.perf_counter() - t
 
-    t0 = time.perf_counter()
+    def sequential(phase, fn, *args):
+        """Run a phase timed from the end of the one before, so the phases telescope."""
+        nonlocal last
+        out = fn(*args)
+        now = time.perf_counter()
+        phases[phase], last = now - last, now
+        return out
+
+    t0 = last = time.perf_counter()
     if method == "dense":
-        full = timed("dense_fill", assemble_full, sys_, cap)
-        factors = timed("lu_factor", numerics.lu_factor, full)
-        x = timed("lu_solve", numerics.lu_solve, factors, v)
-        rec.solve_s = time.perf_counter() - t0
+        full = sequential("dense_fill", assemble_full, sys_, cap)
+        factors = sequential("lu_factor", numerics.lu_factor, full)
+        x = sequential("lu_solve", numerics.lu_solve, factors, v)
+        rec.solve_s = last - t0
         rec.memory["dense"] = full.nbytes
         rec.residual = float(np.linalg.norm(full @ x - v) / np.linalg.norm(v))
         return x, rec, rec.groups
@@ -253,6 +267,8 @@ def run_method(
         x, schur_phases = schur_solve(sys_, v)
         rec.solve_s = time.perf_counter() - t0
         phases.update(schur_phases)
+        # the border is the remainder, so the phases sum to solve_s
+        phases["border"] = rec.solve_s - phases["level1_fill"] - phases["recursion"]
         g = sys_.gen
         side = g.n1 * g.n0
         rec.memory.update(level1=(2 * g.n2 - 1) * side**2 * _BYTES_PER_SCALAR,
@@ -269,23 +285,23 @@ def run_method(
     # gmres-dense, or mlfft-<precond>-<mode>
     held = {}
     if method == "gmres-dense":
-        full = timed("dense_fill", assemble_full, sys_, cap)
+        full = sequential("dense_fill", assemble_full, sys_, cap)
         rec.memory["dense"] = full.nbytes
         precond_name, mode = "pk", "vec"
         operator = full.__matmul__
     else:
         _, precond_name, mode = method.split("-")
-        op = timed("spectral_precompute", BorderedOperator.from_system, sys_)
+        op = sequential("spectral_precompute", BorderedOperator.from_system, sys_)
         held["spectral"] = op
         operator = lambda u: bordered_matvec(op, u)
     # the builder is read from the module globals here, so a wrapped ``build_pk``
     # (as ``perfbench``'s trace installs) is the one run
-    p = timed("precond_build", build_pk if precond_name == "pk" else build_pz, sys_)
+    p = sequential("precond_build", build_pk if precond_name == "pk" else build_pz, sys_)
     held["precond"] = p
     phases.update(matvec=0.0, precond_apply=0.0)
     solve, group = ((solve_multi_rhs_vectorized, SEQUENTIAL_BLOCK) if mode == "vec"
                     else (solve_multi_rhs_sequential, 1))
-    t_gmres = time.perf_counter()
+    t_gmres = last
     try:
         x, reports = solve(lambda u: timed("matvec", operator, u),
                            lambda u: timed("precond_apply", p.apply, u),

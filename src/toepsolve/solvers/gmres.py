@@ -72,8 +72,8 @@ on a 2-core host, against about 12 s for one column at a time.
 Precision.  When ``tol >= SINGLE_PRECISION_TOL`` (1e-5) the Krylov basis
 is complex64, and so is every block the Arnoldi steps hand to the
 operator and the preconditioner.  The FFT operator and the preconditioner
-compute in the dtype they receive, so the FFTs, the block multiply, the
-border GEMMs and the preconditioner GEMMs run in complex64 too.  That
+compute in the dtype they receive, so the transforms, the block multiply,
+the border GEMMs and the preconditioner GEMMs run in complex64 too.  That
 halves the basis memory and most of the matvec time.  A dense operator
 that returns complex128 whatever it is given (``gmres-dense``'s Z) runs
 its product in complex128, and its output is rounded to the basis dtype.
@@ -98,7 +98,8 @@ and global-Krylov methods:
   8e-7 and ran to the iteration cap (200 on 16x16, 150 on 30x30), where
   complex128 converged within 43 and 55 steps.
 
-The complex64 bordered matvec is accurate to about 1.5e-7 relative.
+The complex64 bordered matvec is accurate to 1.4e-7 to 1.8e-7 relative
+(32 random columns of 7x9, 16x16, 12x20 and 30x30 grids, ne = 8).
 """
 
 from __future__ import annotations

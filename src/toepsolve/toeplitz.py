@@ -1,4 +1,4 @@
-"""Two-level block-Toeplitz generators and the FFT-accelerated matvec.
+"""Two-level block-Toeplitz generators and the fast circulant-embedding matvec.
 
 A two-level block-Toeplitz matrix is constant along block diagonals on
 both levels: level-2 blocks are themselves block-Toeplitz and level-0
@@ -6,59 +6,89 @@ blocks are unstructured ``n0 x n0`` matrices.  Such a matrix is fully
 determined by its *generator*: the unique blocks arranged in circulant
 order ``[0, +1, ..., +(N-1), -(N-1), ..., -1]`` on each level.
 
-Each level of side N is embedded in a block circulant of length
-``L = next_fast_len(2N-1)``: the generator blocks for offsets
-``0..N-1`` fill positions ``0..N-1``, those for ``-(N-1)..-1`` fill
-``L-N+1..L-1``, and the positions between are zero.  Any ``L >= 2N-1``
-keeps the embedding exact (Chan & Ng, "Conjugate gradient methods for
-Toeplitz systems", SIAM Review 38, 1996), so ``L`` is picked as a length
-the FFT library transforms fast instead of the often prime ``2N-1``.
-The circulant is block-diagonalized by the block-wise multilevel DFT
+Each level of side N is embedded in a block circulant of length exactly
+``L = 2N-1``: the generator blocks for offsets ``0..N-1`` fill positions
+``0..N-1`` and those for ``-(N-1)..-1`` fill ``N..2N-2``, so the
+generator in circulant order *is* the circulant's first block column,
+with no zero fill (Chan & Ng, "Conjugate gradient methods for Toeplitz
+systems", SIAM Review 38, 1996).  The circulant is block-diagonalized by
+the block-wise multilevel DFT
 
     F = F_{L2} (x) F_{L1} (x) I_{n0}
 
-which turns a matvec into: zero-pad, forward transform, one small dense
-multiply per transformed block row, inverse transform, extract.  Storage
-is ``L2*L1*n0**2`` scalars instead of ``(n2*n1*n0)**2`` and the matvec
-costs ``O(n0**2*n2*n1 + n0*n1*n2*(log n1 + log n2))`` per column.
+which turns a matvec into: forward transform, one small dense multiply
+per transformed block row, inverse transform.  Storage is
+``L2*L1*n0**2`` scalars, the generator's own count, instead of
+``(n2*n1*n0)**2``.
 
-The block-wise transform of either direction is one ``scipy.fft`` call
-over the two grid axes of the ``(L2, L1, n0, columns)`` view.
+The transforms are pruned (Markel, "FFT pruning", IEEE Trans. Audio
+Electroacoust. 19, 1971; Sorensen & Burrus, IEEE Trans. Signal Process.
+41, 1993): of each level's L inputs only the first n are nonzero, and of
+its L outputs only the first n are kept, so no zero-padded grid is ever
+formed.  Each level is one dense GEMM with its pruned DFT matrix, (L, n)
+forward and (n, L) inverse, formed once per side and dtype.  A panel of
+w columns runs five GEMMs with no FFT call:
+
+    1. F1 (L1 x n1) @ x viewed as (n2, n1, n0*w)    -> (n2, L1, n0*w)
+    2. F2 (L2 x n2) @ (n2, L1*n0*w)                 -> (L2, L1*n0*w)
+    3. diag_blocks (L2*L1, n0, n0) @ (L2*L1, n0, w)  -> (L2*L1, n0, w)
+    4. G2 (n2 x L2) @ (L2, L1*n0*w)                 -> (n2, L1*n0*w)
+    5. G1 (n1 x L1) @ (n2, L1, n0*w)                -> (n2, n1, n0*w)
+
+That is about ``4*n2*n1*(n1 + 2*n2)`` complex multiply-adds per level-0
+row and column for the transforms, against ``O(n2*n1*log(n2*n1))`` for
+FFTs of the padded grid, but on the grids of this package (sides up to
+30) the GEMMs run at BLAS speed and the FFTs did not: a 32-column
+complex64 matvec of a 16x16 grid (ne = 8) took 11.5-12.7 ms through
+``scipy.fft`` at the fast lengths 32x32 and 5.2-5.9 ms as GEMMs (30x30:
+39.5-41.1 against 19.8-22.7 ms; 12x20: 4.5-6.6 against 2.5-2.9 ms),
+alternating processes, one BLAS thread, 2-core host.  A level needs no
+fast FFT length, so L stays 2n-1 even where that is prime.  Against the
+complex128 FFT matvec the complex128 GEMM matvec differs by 4-5e-16 and
+the complex64 one by 1.1-1.7e-7 (the complex64 FFT matvec: 1.1-1.4e-7).
 
 The pipeline runs in the dtype of the block it receives: a complex64
-block is padded, transformed and multiplied in complex64, against a
-complex64 copy of ``diag_blocks`` that the operator forms once, on first
-use (``SpectralOperator.single``); anything else runs in complex128.
+block is transformed and multiplied in complex64, with complex64 DFT
+matrices and a complex64 copy of ``diag_blocks`` that the operator forms
+once, on first use (``SpectralOperator.single``); anything else runs in
+complex128.
 
 ``matvec`` runs that pipeline on panels of ``MATVEC_PANEL`` = 16
 complex128 columns, the same bytes as 32 complex64 columns, and writes
-each into its slice of the one output array.  Pushed
-through at full width, 256 columns of a 16x16 grid (ne = 8) make four
-``(L2*L1*n0, columns)`` temporaries of 33.5 MB each, every stage streams
-from main memory, and the tracemalloc peak of the matvec is 17x its
-output.  A 16-column panel's temporaries are 2.1 MB each, about the size
-of a core's L2 cache, and the transients stay O(panel) whatever the
-width: the same matvec peaks at 2.25x its output.  Each column goes
-through the same operations as at full width, and the results were
-bitwise equal on the grids tried.  Interleaved medians of 25 matvecs
-with one BLAS thread on a 2-core host, in ms:
+each into its slice of the one output array.  Pushed through at full
+width, 256 complex128 columns of a 16x16 grid make (L2*L1*n0, columns)
+temporaries of 31.5 MB, every stage streams from main memory, and the
+tracemalloc peak of the matvec is 8.5x its output; a panel's peaks at
+1.65x (2.4x in complex64).  Each column goes through the same operations
+whatever the panel, and the results were bitwise equal at every panel on
+the grids below.  Interleaved medians of 25 matvecs with one BLAS thread
+on a 2-core host, in ms, over three runs (ne = 8):
 
-    grid, columns   full width    32     16      8
-    16x16, 256         142.9    100.0   93.4   94.2
-    12x20, 240          86.3     83.8   79.6   75.4
-    30x30, 128         297.4    246.2  231.1  235.0
+    grid, dtype, columns       full width     32          16          8
+    16x16, complex128, 256    71.1-73.8   54.9-58.1   51.1-53.8   60.6-64.7
+    12x20, complex128, 240    60.5-64.0   48.2-50.4   44.5-46.2   51.9-56.4
+    30x30, complex128, 128   152.7-157.2 140.0-142.7 133.5-141.1 145.2-151.5
+    16x16, complex64, 256     27.5-29.3   26.3-27.1   27.7-28.9   32.9-35.0
+    16x16, complex64, 32       3.1-3.3     3.1-3.2     3.1-3.2     3.9-4.0
+    30x30, complex64, 32      15.9-16.8   15.8-16.8   15.7-16.5   16.6-17.4
 
-The panel is counted in bytes, not columns, because the cache is: in
-complex64, interleaved medians of 25 matvecs with panels of 16 against
-32 columns were 62.9 against 58.2 ms (16x16, 256 columns), 7.3 against
-6.8 ms (12x20, 32 columns) and 150.3 against 148.6 ms (30x30, 128
-columns), same host and settings.
+16 wins every complex128 row; in complex64, 16 and 32 are one panel at
+the 32 columns a GMRES block hands over, and 32 gains about 4% at 256.
+Fresh transients can cost as much as the arithmetic: when the C
+allocator hands their pages back between calls, every call faults them
+in again.  A fresh process timing 32-column complex64 matvecs of a 16x16
+grid in a loop took about 1160 page faults a call (1990 through
+``scipy.fft``), which is why those calls took 5.2-5.9 ms and not the
+3.1 ms above; inside a GMRES solve the same matvec took 19 faults a
+call (39 through ``scipy.fft``).  So each step frees the one before it
+as soon as it is formed, and at most two grid-sized transients are
+alive at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -81,7 +111,7 @@ __all__ = [
     "assemble_dense",
 ]
 
-# complex128 columns per panel of the FFT matvec, so twice as many complex64
+# complex128 columns per panel of the matvec, so twice as many complex64
 # columns (see the module docstring)
 MATVEC_PANEL = 16
 
@@ -91,9 +121,23 @@ def circulant_offsets(n: int) -> np.ndarray:
     return np.concatenate([np.arange(n), np.arange(-(n - 1), 0)])
 
 
-def _embed_len(n: int) -> int:
-    """Circulant length of a level of side n: the first fast FFT length >= 2n-1."""
-    return scipy.fft.next_fast_len(2 * n - 1)
+@lru_cache(maxsize=64)  # a few sides and two dtypes per process
+def _dft_pair(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The pruned DFT matrices of a level of side n, at circulant length L = 2n-1.
+
+    The forward (L, n) matrix, exp(-2 pi i k j / L), takes the n nonzero
+    entries of a length-L sequence to all L frequencies; the inverse
+    (n, L) matrix, exp(+2 pi i j k / L) / L, gives only the n entries the
+    matvec keeps.  Formed in complex128 from exactly reduced phases
+    ``k j mod L`` and cast to ``dtype``; read-only, since they are shared.
+    """
+    length = 2 * n - 1
+    phase = np.outer(np.arange(length), np.arange(n)) % length
+    fwd = np.exp(-2j * np.pi / length * phase)
+    pair = (fwd.astype(dtype), (fwd.conj().T / length).astype(dtype, order="C"))
+    for a in pair:
+        a.setflags(write=False)
+    return pair
 
 
 @dataclass(frozen=True)
@@ -168,18 +212,15 @@ class SpectralOperator:
     """Transformed generator: one dense n0 x n0 block per circulant grid point.
 
     ``diag_blocks[i]`` is block row ``i`` of the forward multilevel DFT of
-    the zero-filled circulant embedding of the generator; the embedded
-    circulant acts on a transformed vector as the block-diagonal matrix of
-    these blocks.
+    the generator, which is the first block column of the circulant; the
+    circulant acts on a transformed vector as the block-diagonal matrix
+    of these blocks.
     """
 
     n2: int
     n1: int
     n0: int
-    # (L2*L1, n0, n0) with L = next_fast_len(2n-1) per level; a circulant
-    # longer than 2n-1 is exact because the gap between the positive and
-    # negative offsets is zero-filled (Chan & Ng, SIAM Review 38, 1996)
-    diag_blocks: np.ndarray
+    diag_blocks: np.ndarray  # (L2*L1, n0, n0) with L = 2n-1 per level
 
     @property
     def dim(self) -> int:
@@ -191,46 +232,53 @@ class SpectralOperator:
         return replace(self, diag_blocks=self.diag_blocks.astype(np.complex64, copy=False))
 
 
-_TRANSFORMS = {"forward": scipy.fft.fftn, "inverse": scipy.fft.ifftn}
-
-
 def block_fft_2l(data, n2: int, n1: int, n0: int, direction: str = "forward") -> np.ndarray:
-    """Two-level block-wise DFT realizing F_{n2} (x) F_{n1} (x) I_{n0}.
+    """Pruned two-level block-wise DFT at the circulant lengths L = 2n-1.
 
-    ``data`` is an (n2*n1*n0, columns) block.  One 2-D transform runs
-    over the first two axes of the (n2, n1, n0, columns) view, so each
-    level-0 row class and column is transformed on its own.  The matvec
-    calls this with the circulant lengths L = next_fast_len(2n-1) of both
-    levels.  The input is never overwritten.
+    ``forward`` maps an (n2*n1*n0, columns) block, the nonzero rows of a
+    zero-padded (L2, L1, n0, columns) grid, to all L2*L1*n0 rows of that
+    grid's transform by F_{L2} (x) F_{L1} (x) I_{n0}.  ``inverse`` maps
+    an (L2*L1*n0, columns) block back through the inverse transform and
+    returns only the n2*n1*n0 rows the matvec keeps.  Each level is one
+    GEMM with its pruned DFT matrix, level 1 first; the block runs in
+    complex64 if it is complex64 and in complex128 otherwise.  The input
+    is never overwritten.
     """
-    if direction not in _TRANSFORMS:
+    if direction not in ("forward", "inverse"):
         raise InvalidSpec(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if min(n2, n1, n0) < 1:
         raise ShapeError(f"grid sides must be positive, got {(n2, n1, n0)}")
-    arr = as_columns(data, n2 * n1 * n0)
-    return _TRANSFORMS[direction](arr.reshape(n2, n1, n0, -1), axes=(0, 1)).reshape(arr.shape)
+    l2, l1 = 2 * n2 - 1, 2 * n1 - 1
+    inverse = direction == "inverse"
+    arr = as_columns(data, (l2 * l1 if inverse else n2 * n1) * n0)
+    (f2, g2), (f1, g1) = _dft_pair(n2, arr.dtype), _dft_pair(n1, arr.dtype)
+    w = arr.shape[1]
+    row = n0 * w  # the level-0 rows and the columns of one grid point
+    x = np.ascontiguousarray(arr)
+    if inverse:
+        y = (g2 @ x.reshape(l2, l1 * row)).reshape(n2, l1, row)
+        return (g1 @ y).reshape(n2 * n1 * n0, w)
+    y = (f1 @ x.reshape(n2, n1, row)).reshape(n2, l1 * row)
+    return (f2 @ y).reshape(l2 * l1 * n0, w)
 
 
 def precompute_spectral(gen: BlockGenerator2L) -> SpectralOperator:
-    """Forward-transform the zero-filled circulant embedding into diagonal blocks."""
-    l2, l1, n0 = _embed_len(gen.n2), _embed_len(gen.n1), gen.n0
-    embedded = np.zeros((l2, l1, n0, n0), dtype=np.complex128)
-    rows2, rows1 = circulant_offsets(gen.n2) % l2, circulant_offsets(gen.n1) % l1
-    embedded[np.ix_(rows2, rows1)] = gen.stacked4()
-    transformed = block_fft_2l(embedded.reshape(l2 * l1 * n0, n0), l2, l1, n0, "forward")
-    return SpectralOperator(gen.n2, gen.n1, n0, transformed.reshape(l2 * l1, n0, n0))
+    """Forward-transform the generator, the circulant's first block column, into diagonal blocks."""
+    blocks = scipy.fft.fftn(gen.stacked4(), axes=(0, 1))
+    return SpectralOperator(gen.n2, gen.n1, gen.n0, blocks.reshape(-1, gen.n0, gen.n0))
 
 
 def pad_rhs(u, n2: int, n1: int, n0: int) -> np.ndarray:
     """Zero-pad a stacked column block to the circulant grid, level by level.
 
-    With L = next_fast_len(2n-1) per level, each of the n2 level-2
-    segments (n1*n0 rows) is followed by (L1-n1)*n0 zero rows, and
-    (L2-n2)*L1*n0 zero rows trail the whole block.  For n2 = 1 this
-    degenerates to [u; 0].
+    With L = 2n-1 per level, each of the n2 level-2 segments (n1*n0 rows)
+    is followed by (n1-1)*n0 zero rows, and (n2-1)*L1*n0 zero rows trail
+    the whole block.  For n2 = 1 this degenerates to [u; 0].  The matvec
+    never forms this grid: ``block_fft_2l`` transforms only its nonzero
+    rows, and gives the full transform of this layout.
     """
     arr = as_columns(u, n2 * n1 * n0)
-    l2, l1, w = _embed_len(n2), _embed_len(n1), arr.shape[1]
+    l2, l1, w = 2 * n2 - 1, 2 * n1 - 1, arr.shape[1]
     out = np.zeros((l2 * l1 * n0, w), dtype=arr.dtype)
     out.reshape(l2, l1, n0, w)[:n2, :n1] = arr.reshape(n2, n1, n0, w)
     return out
@@ -239,10 +287,10 @@ def pad_rhs(u, n2: int, n1: int, n0: int) -> np.ndarray:
 def extract_result(v, n2: int, n1: int, n0: int) -> np.ndarray:
     """Collect the payload rows of a circulant-length column block, dropping scratch.
 
-    With L = next_fast_len(2n-1) per level, segment n lives at rows
-    n*L1*n0 .. n*L1*n0 + n1*n0 - 1.
+    With L = 2n-1 per level, segment n lives at rows n*L1*n0 ..
+    n*L1*n0 + n1*n0 - 1: the rows the inverse ``block_fft_2l`` keeps.
     """
-    l2, l1 = _embed_len(n2), _embed_len(n1)
+    l2, l1 = 2 * n2 - 1, 2 * n1 - 1
     arr = as_columns(v, l2 * l1 * n0)
     w = arr.shape[1]
     return arr.reshape(l2, l1, n0, w)[:n2, :n1].reshape(n2 * n1 * n0, w)
@@ -253,23 +301,23 @@ def matvec(op: SpectralOperator, u) -> np.ndarray:
 
     The output is allocated once, in the input's dtype: complex64 runs
     against ``op.single``, anything else in complex128.  Each panel of
-    ``MATVEC_PANEL`` complex128 columns' bytes runs pad -> forward
-    transform -> per-block multiply by ``diag_blocks`` -> inverse
-    transform -> extract and is written into its slice of the output, so
-    the temporaries are panel-sized whatever the width.
+    ``MATVEC_PANEL`` complex128 columns' bytes runs the pruned forward
+    transform -> per-block multiply by ``diag_blocks`` -> pruned inverse
+    transform and is written into its slice of the output, so the
+    temporaries are panel-sized whatever the width.
     """
     arr = as_columns(u, op.dim)
     if arr.dtype == np.complex64:
         op = op.single
-    l2, l1, n0 = _embed_len(op.n2), _embed_len(op.n1), op.n0
+    n2, n1, n0 = op.n2, op.n1, op.n0
+    points = op.diag_blocks.shape[0]
     out = np.empty(arr.shape, dtype=arr.dtype)
     panel = MATVEC_PANEL * 16 // arr.itemsize
     for j in range(0, arr.shape[1], panel):
         cols = slice(j, j + panel)
-        hat = block_fft_2l(pad_rhs(arr[:, cols], op.n2, op.n1, n0), l2, l1, n0, "forward")
-        prod = op.diag_blocks @ hat.reshape(l2 * l1, n0, -1)
-        back = block_fft_2l(prod.reshape(l2 * l1 * n0, -1), l2, l1, n0, "inverse")
-        out[:, cols] = extract_result(back, op.n2, op.n1, n0)
+        hat = block_fft_2l(arr[:, cols], n2, n1, n0, "forward").reshape(points, n0, -1)
+        hat = op.diag_blocks @ hat  # the rebinding frees the transform at once
+        out[:, cols] = block_fft_2l(hat.reshape(points * n0, -1), n2, n1, n0, "inverse")
     return out
 
 

@@ -21,12 +21,14 @@ SYS = generate(ArrayProblemSpec(ny=2, nx=3, ne=2, nb=3, seed=5))
 OP = BorderedOperator.from_system(SYS)
 PK = build_pk(SYS)
 N2, N1, N0 = SYS.gen.n2, SYS.gen.n1, SYS.gen.n0
-# circulant rows of the embedded grid, as extract_result expects them
-CIRCULANT_ROWS = pad_rhs(np.zeros((SYS.array_dim, 1)), N2, N1, N0).shape[0]
+# rows of the circulant grid, L = 2n-1 per level, as the inverse transform and
+# extract_result expect them
+CIRCULANT_ROWS = (2 * N2 - 1) * (2 * N1 - 1) * N0
 
 # name -> (rows of the input, call on that input)
 ENTRY_POINTS = {
     "block_fft_2l": (SYS.array_dim, lambda u: block_fft_2l(u, N2, N1, N0)),
+    "block_fft_2l-inverse": (CIRCULANT_ROWS, lambda u: block_fft_2l(u, N2, N1, N0, "inverse")),
     "pad_rhs": (SYS.array_dim, lambda u: pad_rhs(u, N2, N1, N0)),
     "extract_result": (CIRCULANT_ROWS, lambda u: extract_result(u, N2, N1, N0)),
     "matvec": (SYS.array_dim, lambda u: matvec(OP.spectral, u)),

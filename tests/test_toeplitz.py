@@ -1,13 +1,13 @@
-"""Generators, block-wise FFTs, padding and the fast matvec."""
+"""Generators, the pruned block-wise DFT, padding and the fast matvec."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
+import scipy.fft
 
 from helpers import dft_matrix, naive_dft, random_complex, random_generator, rel_err, wrap_generator
-from toepsolve import problems
+from toepsolve import problems, toeplitz
 from toepsolve.errors import BlockShapeMismatch, InvalidSpec, MissingOffset, ShapeError
 from toepsolve.toeplitz import (
     MATVEC_PANEL,
@@ -24,6 +24,8 @@ from toepsolve.toeplitz import (
 
 # matvec error against the dense complex128 product, by the input dtype
 MATVEC_BOUND = {np.complex128: 1e-12, np.complex64: 1e-6}
+# pruned DFT error against its explicit dense matrix, by the input dtype
+DFT_BOUND = {np.complex128: 1e-13, np.complex64: 1e-6}
 
 
 def panel_columns(dtype) -> int:
@@ -37,6 +39,16 @@ def _panel_boundary_cases():
         panel = panel_columns(dtype)
         for width in (0, 1, panel - 1, panel, panel + 1, 2 * panel + 3):
             yield pytest.param(dtype, width, id=str(width) if dtype == np.complex128 else f"complex64-{width}")
+
+
+def pruned_dft(n, inverse=False) -> np.ndarray:
+    """Explicit rows of the pruned DFT of a level of side n at length L = 2n-1.
+
+    Forward: the first n columns of the L-point DFT, exp(-2 pi i k j / L).
+    Inverse: the first n rows of the inverse, exp(+2 pi i j k / L) / L.
+    """
+    f = dft_matrix(2 * n - 1, inverse=inverse)
+    return f[:n] if inverse else f[:, :n]
 
 
 def single_block(r0) -> np.ndarray:
@@ -83,18 +95,23 @@ class TestEmbed:
 
 
 class TestBlockFft2L:
+    """The pruned transform: n nonzero input rows, L = 2n-1 frequencies, n kept output rows."""
+
     def test_degenerate_level_equals_1l(self):
+        # n2 = 1: the level-1 FFT of the zero-padded length-9 sequence
         rng = np.random.default_rng(4)
         x = random_complex(rng, 10, 2)
         got = block_fft_2l(x, n2=1, n1=5, n0=2)
-        one_level = np.fft.fft(x.reshape(5, 2, 2), axis=0).reshape(x.shape)
-        assert np.allclose(got, one_level, rtol=1e-15)
+        padded = np.zeros((9, 2, 2), dtype=complex)
+        padded[:5] = x.reshape(5, 2, 2)
+        one_level = np.fft.fft(padded, axis=0).reshape(18, 2)
+        assert rel_err(got, one_level) <= 1e-15
 
     def test_f2_kron_f2(self):
+        # a 2x2 grid: the first two columns of the 3-point DFT on both levels
         rng = np.random.default_rng(5)
         u = random_complex(rng, 4)[:, None]
-        f2 = dft_matrix(2)
-        want = np.kron(f2, f2) @ u
+        want = np.kron(pruned_dft(2), pruned_dft(2)) @ u
         assert rel_err(block_fft_2l(u, 2, 2, 1), want) <= 1e-13
 
     def test_kronecker_identity_small_grids(self):
@@ -102,13 +119,42 @@ class TestBlockFft2L:
         grids = [(n2, n1, n0) for n2 in (1, 2, 3) for n1 in (1, 2, 3) for n0 in (1, 2)]
         for n2, n1, n0 in grids + [(1, 7, 1), (1, 12, 1)]:
             u = random_complex(rng, n2 * n1 * n0, 2)
-            mat = np.kron(dft_matrix(n2), np.kron(dft_matrix(n1), np.eye(n0)))
+            mat = np.kron(pruned_dft(n2), np.kron(pruned_dft(n1), np.eye(n0)))
             assert rel_err(block_fft_2l(u, n2, n1, n0), mat @ u) <= 1e-13
-            inv = np.kron(
-                dft_matrix(n2, inverse=True),
-                np.kron(dft_matrix(n1, inverse=True), np.eye(n0)),
-            )
-            assert rel_err(block_fft_2l(u, n2, n1, n0, "inverse"), inv @ u) <= 1e-13
+            w = random_complex(rng, (2 * n2 - 1) * (2 * n1 - 1) * n0, 2)
+            inv = np.kron(pruned_dft(n2, inverse=True), np.kron(pruned_dft(n1, inverse=True), np.eye(n0)))
+            assert rel_err(block_fft_2l(w, n2, n1, n0, "inverse"), inv @ w) <= 1e-13
+
+    # L = 2n-1 per level: 1 (n = 1), primes 3, 7, 13 and 31, composites 9, 15 and 21
+    @pytest.mark.parametrize("grid", [(1, 1, 2), (1, 4, 2), (5, 1, 1), (5, 2, 1), (8, 7, 1),
+                                      (11, 2, 2), (16, 1, 1)])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["complex128", "complex64"])
+    def test_dense_dft_oracle(self, grid, dtype):
+        n2, n1, n0 = grid
+        rng = np.random.default_rng(list(grid))
+        fwd = np.kron(pruned_dft(n2), np.kron(pruned_dft(n1), np.eye(n0)))
+        inv = np.kron(pruned_dft(n2, inverse=True), np.kron(pruned_dft(n1, inverse=True), np.eye(n0)))
+        u = random_complex(rng, n2 * n1 * n0, 3)
+        got = block_fft_2l(u.astype(dtype), n2, n1, n0, "forward")
+        assert got.dtype == dtype and got.shape == ((2 * n2 - 1) * (2 * n1 - 1) * n0, 3)
+        assert rel_err(got, fwd @ u) <= DFT_BOUND[dtype]
+        w = random_complex(rng, fwd.shape[0], 3)
+        got = block_fft_2l(w.astype(dtype), n2, n1, n0, "inverse")
+        assert got.dtype == dtype and got.shape == u.shape
+        assert rel_err(got, inv @ w) <= DFT_BOUND[dtype]
+
+    def test_full_transform_of_the_padded_grid(self):
+        # forward is the FFT of the zero-padded grid; inverse keeps the rows
+        # extract_result takes from the inverse FFT
+        rng = np.random.default_rng(8)
+        n2, n1, n0 = 4, 6, 2
+        shape = (2 * n2 - 1, 2 * n1 - 1, n0, 3)
+        u = random_complex(rng, n2 * n1 * n0, 3)
+        full = scipy.fft.fftn(pad_rhs(u, n2, n1, n0).reshape(shape), axes=(0, 1))
+        assert rel_err(block_fft_2l(u, n2, n1, n0), full.reshape(-1, 3)) <= 1e-14
+        w = random_complex(rng, np.prod(shape[:3]), 3)
+        back = scipy.fft.ifftn(w.reshape(shape), axes=(0, 1)).reshape(-1, 3)
+        assert rel_err(block_fft_2l(w, n2, n1, n0, "inverse"), extract_result(back, n2, n1, n0)) <= 1e-14
 
     def test_roundtrip(self):
         rng = np.random.default_rng(7)
@@ -119,6 +165,8 @@ class TestBlockFft2L:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             block_fft_2l(np.ones((11, 1)), 2, 3, 2)
+        with pytest.raises(ShapeError):  # the inverse takes the 3*5*2 circulant rows
+            block_fft_2l(np.ones((12, 1)), 2, 3, 2, direction="inverse")
         with pytest.raises(InvalidSpec):
             block_fft_2l(np.ones((12, 1)), 2, 3, 2, direction="sideways")
 
@@ -150,14 +198,14 @@ class TestPadExtract:
         got = pad_rhs(np.array([1.0, 2.0, 3.0, 4.0])[:, None], 2, 2, 1)[:, 0]
         assert np.array_equal(got, [1, 2, 0, 3, 4, 0, 0, 0, 0])
 
-    def test_pad_to_fast_length(self):
-        # n1 = 7: 2*n1-1 = 13 is not a fast length, the circulant has 14 rows
+    def test_pad_to_exact_length(self):
+        # n1 = 7: the circulant has exactly 2*n1-1 = 13 rows, a prime FFT length
         got = pad_rhs(np.arange(1.0, 8.0)[:, None], 1, 7, 1)[:, 0]
-        assert np.array_equal(got, [1, 2, 3, 4, 5, 6, 7] + [0] * 7)
+        assert np.array_equal(got, [1, 2, 3, 4, 5, 6, 7] + [0] * 6)
 
     def test_roundtrip(self):
         rng = np.random.default_rng(9)
-        for grid in [(3, 4, 2), (7, 12, 2)]:  # the second pads both levels
+        for grid in [(3, 4, 2), (7, 12, 2)]:
             u = random_complex(rng, int(np.prod(grid)), 5)
             assert np.array_equal(extract_result(pad_rhs(u, *grid), *grid), u)
 
@@ -261,7 +309,7 @@ class TestMatvec:
 
     def test_transient_memory_is_panel_sized(self):
         # the transients scale with the panel, not the width: one pass over
-        # all 256 columns at once peaks at 17x the output
+        # all 256 columns at once peaks at 8.5x the output
         spec = problems.ArrayProblemSpec(ny=16, nx=16, ne=8, nb=0)
         op = precompute_spectral(problems.generate(spec).gen)
         u = random_complex(np.random.default_rng(20), op.dim, 256)
@@ -284,17 +332,18 @@ class TestMatvec:
             want = assemble_dense(gen) @ u
             assert rel_err(matvec(op, u), want) <= 1e-12
 
-    # 2n-1 = 31, 17, 13 and 23 are not fast FFT lengths: the first two
-    # grids are padded on one level, the last two on both
+    # 2n-1 = 31, 17, 13 and 23 are not fast FFT lengths, and the circulant
+    # keeps each exactly: the first two grids have one such level, the last
+    # two have two
     @pytest.mark.parametrize("grid", [(1, 16, 3), (9, 1, 2), (7, 12, 2), (16, 16, 1)])
     def test_dense_oracle_padded_lengths(self, grid):
         n2, n1, n0 = grid
         rng = np.random.default_rng(list(grid))
         gen = random_generator(rng, n2, n1, n0)
         op = precompute_spectral(gen)
-        points = next_fast_len(2 * n2 - 1) * next_fast_len(2 * n1 - 1)
-        assert points > (2 * n2 - 1) * (2 * n1 - 1)
+        points = (2 * n2 - 1) * (2 * n1 - 1)
         assert op.diag_blocks.shape == (points, n0, n0)
+        assert op.diag_blocks.nbytes == gen.stored_scalars * 16
         dense = assemble_dense(gen)
         u = random_complex(rng, gen.dim, 2)
         assert rel_err(matvec(op, u), dense @ u) <= 1e-12
@@ -303,6 +352,16 @@ class TestMatvec:
         gen = random_generator(np.random.default_rng(18), 2, 2, 2)
         with pytest.raises(ShapeError):
             matvec(precompute_spectral(gen), np.ones((5, 1)))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["complex128", "complex64"])
+    def test_makes_no_fft_library_call(self, monkeypatch, dtype):
+        # the transforms are GEMMs: only precompute_spectral calls scipy.fft
+        rng = np.random.default_rng(23)
+        gen = random_generator(rng, 3, 4, 2)
+        op = precompute_spectral(gen)
+        monkeypatch.setattr(toeplitz, "scipy", None)
+        u = random_complex(rng, gen.dim, 3)
+        assert rel_err(matvec(op, u.astype(dtype)), assemble_dense(gen) @ u) <= MATVEC_BOUND[dtype]
 
 
 class TestAssembleDense:
