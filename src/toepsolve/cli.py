@@ -42,7 +42,7 @@ record too, with ``ok`` false.
     gmres-dense  dense_fill precond_build        generator dense_equivalent dense
                  matvec precond_apply krylov     precond krylov
     rybicki      level1_fill recursion border    generator dense_equivalent level1
-                                                 level1_wide rhs stacks
+                                                 rhs stacks
     mlfft-*      spectral_precompute             generator dense_equivalent spectral
                  precond_build matvec            precond krylov
                  precond_apply krylov
@@ -71,12 +71,11 @@ record's ``precision`` per group, summed over the groups of a block of
 ``SEQUENTIAL_BLOCK`` columns (one group for ``vec``) and maximized over
 blocks;
 ``level1`` is the level-1 blocks, (2ny-1)(nx*ne)^2 scalars;
-``level1_wide`` the recursion's four row concatenations of them;
 ``rhs`` the block [V_A  Z_B^T] that the recursion solves in place,
 array_dim * (columns + nb) scalars; and ``stacks`` its G and H
-generator stacks, 2(ny-1)(nx*ne)^2 scalars.  Beyond these a rybicki
-solve holds its solution and temporaries of at most two block rows of
-``rhs``, one panel of ``RHS_PANEL`` (64) columns and a few blocks.
+generator stacks, 2(ny-1)(nx*ne)^2 scalars.  The recursion also holds
+two block rows of ``rhs`` and a few blocks; the border elimination then
+holds ``rhs``, the solution and a ``RHS_PANEL`` (64) column panel.
 
 BLAS threads are capped by setting ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` before the process starts; the BLAS reads them once,
@@ -130,7 +129,6 @@ from .solvers import (
     solve_multi_rhs_sequential,
     solve_multi_rhs_vectorized,
 )
-from .solvers.rybicki import wide_stack_bytes
 from .solvers.schur import RHS_PANEL
 
 __all__ = ["main", "SolveRecord", "run_method", "BENCH_METHODS"]
@@ -267,12 +265,11 @@ def run_method(
         x, schur_phases = schur_solve(sys_, v)
         rec.solve_s = time.perf_counter() - t0
         phases.update(schur_phases)
-        # the border is the remainder, so the phases sum to solve_s
+        # schur_solve times fill and recursion; the border is the rest of solve_s
         phases["border"] = rec.solve_s - phases["level1_fill"] - phases["recursion"]
         g = sys_.gen
         side = g.n1 * g.n0
         rec.memory.update(level1=(2 * g.n2 - 1) * side**2 * _BYTES_PER_SCALAR,
-                          level1_wide=wide_stack_bytes(g.n2, side),
                           rhs=sys_.array_dim * (v.shape[1] + sys_.nb) * _BYTES_PER_SCALAR,
                           stacks=2 * (g.n2 - 1) * side**2 * _BYTES_PER_SCALAR)
         op = BorderedOperator.from_system(sys_)

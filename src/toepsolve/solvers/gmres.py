@@ -98,6 +98,10 @@ and global-Krylov methods:
   8e-7 and ran to the iteration cap (200 on 16x16, 150 on 30x30), where
   complex128 converged within 43 and 55 steps.
 
+The sweeps ran the default problem only; at 1e-5 one 32-column
+``mlfft-pk-vec`` block of a harder 12x12 grid (ne = 8, ``diagonal_shift``
+0.1) took 28 steps in complex64 against 20 in complex128, both converged.
+
 The complex64 bordered matvec is accurate to 1.4e-7 to 1.8e-7 relative
 (32 random columns of 7x9, 16x16, 12x20 and 30x30 grids, ne = 8).
 """

@@ -166,8 +166,7 @@ FFT_KEYS = ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "kry
 RECORD_KEYS = {
     "dense": ({"dense_fill", "lu_factor", "lu_solve"}, {"dense"}, 0, None),
     "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense", "precond", "krylov"}, 2, build_pk),
-    "rybicki": ({"level1_fill", "recursion", "border"}, {"level1", "level1_wide", "rhs", "stacks"},
-                0, None),
+    "rybicki": ({"level1_fill", "recursion", "border"}, {"level1", "rhs", "stacks"}, 0, None),
     "mlfft-pk-vec": (*FFT_KEYS, 2, build_pk),
     "mlfft-pz-vec": (*FFT_KEYS, 2, build_pz),
     "mlfft-pk-seq": (*FFT_KEYS, 36, build_pk),

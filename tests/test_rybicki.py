@@ -16,23 +16,22 @@ from toepsolve.problems import (
     generate,
 )
 from toepsolve.solvers import assemble_level1, rybicki_solve, schur_solve
+from toepsolve.solvers import schur
 from toepsolve.solvers.schur import RHS_PANEL
 from toepsolve.toeplitz import assemble_dense, circulant_offsets
 
 
 def random_block_toeplitz(rng, n, side, boost=4.0):
-    """Circulant-ordered random blocks with a dominant self block."""
-    blocks = np.empty((2 * n - 1, side, side), dtype=np.complex128)
-    for off in range(-(n - 1), n):
-        blocks[off % (2 * n - 1)] = random_complex(rng, side, side)
-    blocks[0] += boost * np.eye(side)
+    """Random blocks in decreasing offset order (blocks[k] = R_{n-1-k}), R_0 dominant."""
+    blocks = random_complex(rng, 2 * n - 1, side, side)
+    blocks[n - 1] += boost * np.eye(side)
     return blocks
 
 
 def dense_from_blocks(blocks):
-    k = blocks.shape[0]
-    n = (k + 1) // 2
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % k
+    """Block (i, j) is R_{i-j} = blocks[n-1-i+j]."""
+    n = (blocks.shape[0] + 1) // 2
+    idx = n - 1 - np.arange(n)[:, None] + np.arange(n)[None, :]
     full = blocks[idx]
     side = blocks.shape[1]
     return full.transpose(0, 2, 1, 3).reshape(n * side, n * side)
@@ -60,7 +59,7 @@ class TestRybicki:
         blocks = random_block_toeplitz(rng, 4, 6)
         # transpose-symmetric pairs, as the synthetic kernel produces
         for off in range(1, 4):
-            blocks[-off % 7] = blocks[off].T.copy()
+            blocks[3 + off] = blocks[3 - off].T.copy()
         dense = dense_from_blocks(blocks)
         y = random_complex(rng, 24, 3)
         x = rybicki_solve(blocks, y.copy())
@@ -68,7 +67,7 @@ class TestRybicki:
 
     @pytest.mark.parametrize("n, side, w", [(9, 5, 40), (2, 4, 3)])
     def test_general_blocks_match_dense(self, n, side, w):
-        # no R_-k = R_k^T pairing, so every wide-array column offset is exercised;
+        # no R_-k = R_k^T pairing, so a mixed-up window or stack slot shows;
         # n = 2 runs a single stage with no G/H update
         rng = np.random.default_rng(10 + n)
         blocks = random_block_toeplitz(rng, n, side)
@@ -79,7 +78,7 @@ class TestRybicki:
 
     def test_stagewise_leading_subsystem_invariant(self):
         # the leading M-block system of a block-Toeplitz matrix is block-Toeplitz,
-        # generated by the blocks of offsets -(M-1)..(M-1)
+        # generated by the blocks of offsets (M-1)..-(M-1), the middle 2M-1 blocks
         rng = np.random.default_rng(3)
         n, side = 5, 3
         blocks = random_block_toeplitz(rng, n, side)
@@ -87,7 +86,7 @@ class TestRybicki:
         y = random_complex(rng, n * side, 2)
         for m in range(1, n + 1):
             lead = slice(0, m * side)
-            xm = rybicki_solve(blocks[circulant_offsets(m) % (2 * n - 1)], y[lead].copy())
+            xm = rybicki_solve(blocks[n - m : n - 1 + m], y[lead].copy())
             res = np.linalg.norm(dense[lead, lead] @ xm - y[lead]) / np.linalg.norm(y)
             assert res <= 1e-10
 
@@ -98,8 +97,9 @@ class TestRybicki:
         assert np.array_equal(rybicki_solve(blocks, y.copy()), rybicki_solve(blocks, y.copy()))
 
     def test_singular_self_block(self):
+        # R_0 = 0, R_1 = R_-1 = I
         blocks = np.zeros((3, 2, 2), dtype=complex)
-        blocks[1] = np.eye(2)
+        blocks[0] = np.eye(2)
         blocks[2] = np.eye(2)
         with pytest.raises(SingularBlock):
             rybicki_solve(blocks, np.ones((4, 1)))
@@ -149,7 +149,7 @@ class TestAssembleLevel1:
         level1 = assemble_level1(gen)
         assert level1.shape == (7, 3, 3)
         for off in circulant_offsets(4):
-            assert np.array_equal(level1[off % 7], gen.block(off, 0))
+            assert np.array_equal(level1[3 - off], gen.block(off, 0))
 
     def test_entries_match_generator_blocks(self):
         rng = np.random.default_rng(6)
@@ -157,7 +157,7 @@ class TestAssembleLevel1:
         level1 = assemble_level1(gen)
         n0 = 2
         for off in circulant_offsets(3):
-            block = level1[off % 5]
+            block = level1[2 - off]
             for p in range(3):
                 for q in range(3):
                     got = block[p * n0 : (p + 1) * n0, q * n0 : (q + 1) * n0]
@@ -172,36 +172,81 @@ class TestAssembleLevel1:
         gen = random_generator(np.random.default_rng(8), 5, 3, 2)
         assert assemble_level1(gen).size == (2 * 5 - 1) * (3 * 2) ** 2
 
+    def test_block_rows_are_windows_of_one_row_array(self):
+        # the blocks lie side by side in one C-contiguous (side, (2N-1)*side) array,
+        # and block row i of the level-2 matrix is its window from (N-1-i)*side
+        gen = random_generator(np.random.default_rng(9), 4, 3, 2)
+        n, side = 4, 6
+        level1 = assemble_level1(gen)
+        row = level1.transpose(1, 0, 2).reshape(side, -1)
+        assert row.flags.c_contiguous and np.shares_memory(row, level1)
+        dense = assemble_dense(gen)
+        for i in range(n):
+            window = row[:, (n - 1 - i) * side : (2 * n - 1 - i) * side]
+            assert np.array_equal(window, dense[i * side : (i + 1) * side])
 
-def test_schur_reports_wide_stack_bytes():
+
+def test_recursion_reads_the_level1_blocks_in_place():
+    # beyond y, which it overwrites, the recursion allocates its G and H stacks,
+    # two block rows of y and about a dozen blocks (16 allowed); one more copy of
+    # the coefficients, 2N-1 blocks, does not fit in that slack
+    sys_ = generate(ArrayProblemSpec(ny=12, nx=4, ne=8, nb=0, seed=3))
+    n, side, w = sys_.gen.n2, sys_.gen.n1 * sys_.gen.n0, 32
+    level1 = assemble_level1(sys_.gen)
+    y = random_complex(np.random.default_rng(18), n * side, w)
+    stacks = 2 * (n - 1) * side**2 * 16
+    slack = (2 * side * w + 16 * side**2) * 16
+    assert level1.nbytes > slack
+    tracemalloc.start()
+    try:
+        rybicki_solve(level1, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stacks + slack
+
+
+def test_schur_reports_rhs_and_stack_bytes():
     sys_ = generate(ArrayProblemSpec(ny=3, nx=4, ne=2, nb=4, seed=7))
     _, rec, _ = cli.run_method(sys_, build_excitations(sys_, 0).matrix, "rybicki", tol=1e-3)
     n, side = sys_.gen.n2, sys_.gen.n1 * sys_.gen.n0
-    assert rec.memory["level1_wide"] == 4 * (n - 1) * side**2 * 16
     # [V_A  Z_B^T]: one excitation per element and one column per border unknown
     assert rec.memory["rhs"] == sys_.array_dim * (sys_.spec.elements + 4) * 16
     assert rec.memory["stacks"] == 2 * (n - 1) * side**2 * 16
 
 
-def test_schur_solve_holds_the_recursion_data_and_a_panel():
-    # the peak of a solve is what the record lists under level1, level1_wide, rhs
-    # and stacks, plus two block rows of the right-hand side, one panel of the
-    # array rows, a few blocks and numpy's ufunc buffers (three operands of
-    # getbufsize() elements); a second block the size of rhs breaks it
+def test_schur_solve_holds_the_recursion_data_and_a_panel(monkeypatch):
+    # each phase of a solve peaks at what it holds plus a few blocks and numpy's
+    # ufunc buffers (three operands of getbufsize() elements): the recursion at what
+    # the record lists under level1, rhs and stacks plus two block rows of the
+    # right-hand side, the border elimination (level1 and the stacks freed) at rhs,
+    # the solution and one panel of the array rows; a second block the size of rhs
+    # breaks either
     sys_ = generate(ArrayProblemSpec(ny=8, nx=4, ne=8, nb=8, seed=3))
     v = random_complex(np.random.default_rng(15), sys_.dim, 256)
     _, rec, _ = cli.run_method(sys_, v, "rybicki", tol=1e-3)
-    held = sum(rec.memory[key] for key in ("level1", "level1_wide", "rhs", "stacks"))
     side, width = sys_.gen.n1 * sys_.gen.n0, v.shape[1] + sys_.nb
-    slack = (2 * side * width + sys_.array_dim * RHS_PANEL + 8 * side**2 + 3 * np.getbufsize()) * 16
+    slack = (8 * side**2 + 3 * np.getbufsize()) * 16
+    recursion = sum(rec.memory[key] for key in ("level1", "rhs", "stacks")) + 2 * side * width * 16
+    border = rec.memory["rhs"] + (sys_.dim * v.shape[1] + sys_.array_dim * RHS_PANEL) * 16
     assert rec.memory["rhs"] > slack
+    peaks = []
+
+    def recursion_then_reset_peak(blocks, y):
+        x = rybicki_solve(blocks, y)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return x
+
+    monkeypatch.setattr(schur, "rybicki_solve", recursion_then_reset_peak)
     tracemalloc.start()
     try:
         schur_solve(sys_, v)
-        peak = tracemalloc.get_traced_memory()[1]
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peak <= held + slack
+    assert peaks[0] <= recursion + slack
+    assert peaks[1] <= border + slack
 
 
 def test_singular_border_is_a_singular_schur_complement():
