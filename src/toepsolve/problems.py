@@ -18,10 +18,7 @@ everything through the same kernel, giving the bordered layout
 A system is stored as a TBZ2 file: the magic ``b"TBZ2\\n"``, the header
 length as ``<u4``, a UTF-8 JSON header with ``"version": 2``, the payload
 (the generator blocks, Z_B and Z_C as little-endian ``c16`` scalars) and
-an 8-byte trailer, ``blake2b(payload, digest_size=8)``.  Files of the
-older TBZ1 format (the same layout with the magic ``b"TBZ1\\n"``,
-``"version": 1`` and a ``<u8`` FNV-1a trailer) are read but never
-written.
+an 8-byte trailer, ``blake2b(payload, digest_size=8)``.
 """
 
 from __future__ import annotations
@@ -55,15 +52,17 @@ __all__ = [
     "build_excitations",
     "save",
     "load",
-    "fnv1a64",
     "DEFAULT_ORACLE_CAP",
 ]
 
 DEFAULT_ORACLE_CAP = 20_000
 
+_MAGIC, _VERSION = b"TBZ2\n", 2
 _TRAILER = 8  # checksum bytes after the payload
+# TBZ header key -> ArrayProblemSpec field; the ints must be JSON integers
+_HEADER = {"ny": "ny", "nx": "nx", "ne": "ne", "nb": "nb", "seed": "seed",
+           "k": "wavenumber", "pitch": "pitch", "a": "regularization", "shift": "diagonal_shift"}
 _HEADER_INTS = ("ny", "nx", "ne", "nb", "seed")
-_HEADER_REALS = ("k", "pitch", "a", "shift")
 
 
 @dataclass
@@ -152,17 +151,11 @@ def _perimeter_points(rng: np.random.Generator, nb: int, wx: float, wy: float) -
     """nb seeded positions on the boundary of the rectangle [0,wx] x [0,wy]."""
     perim = 2.0 * (wx + wy)
     t = np.sort(rng.uniform(0.0, perim, size=nb))
-    pts = np.empty((nb, 2))
-    for i, ti in enumerate(t):
-        if ti < wx:
-            pts[i] = (ti, 0.0)
-        elif ti < wx + wy:
-            pts[i] = (wx, ti - wx)
-        elif ti < 2 * wx + wy:
-            pts[i] = (2 * wx + wy - ti, wy)
-        else:
-            pts[i] = (0.0, perim - ti)
-    return pts
+    # sides in arclength order: bottom, right, top, left
+    side = np.searchsorted([wx, wx + wy, 2 * wx + wy], t, side="right")
+    x = np.choose(side, [t, wx, 2 * wx + wy - t, 0.0])
+    y = np.choose(side, [0.0, t - wx, wy, perim - t])
+    return np.stack([x, y], axis=1)
 
 
 def generate(spec: ArrayProblemSpec) -> BorderedSystem:
@@ -227,30 +220,6 @@ def build_excitations(sys: BorderedSystem, feed_index: int = 0) -> ExcitationSet
     return ExcitationSet(v)
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string: the TBZ1 checksum."""
-    h = 0xCBF29CE484222325
-    for b in data:
-        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def _blake2b64(payload: np.ndarray) -> bytes:
-    return hashlib.blake2b(payload, digest_size=_TRAILER).digest()
-
-
-def _fnv1a64_trailer(payload: np.ndarray) -> bytes:
-    return struct.pack("<Q", fnv1a64(payload.view(np.uint8).data))
-
-
-_MAGIC, _VERSION = b"TBZ2\n", 2  # the one format save writes
-# magic -> (header version, trailer of the payload); TBZ1 is only read
-_FORMATS = {
-    _MAGIC: (_VERSION, _blake2b64),
-    b"TBZ1\n": (1, _fnv1a64_trailer),
-}
-
-
 def save(sys: BorderedSystem, path) -> None:
     """Write a TBZ2 file: magic, JSON header, raw scalars, blake2b-64 checksum.
 
@@ -262,22 +231,8 @@ def save(sys: BorderedSystem, path) -> None:
     row-major), then Z_B and Z_C row-major.  Each part is hashed and
     written as it is, without joining them.
     """
-    s = sys.spec
-    header = {
-        "version": _VERSION,
-        "ny": s.ny,
-        "nx": s.nx,
-        "ne": s.ne,
-        "nb": s.nb,
-        "seed": s.seed,
-        "k": s.wavenumber,
-        "pitch": s.pitch,
-        "a": s.regularization,
-        "shift": s.diagonal_shift,
-        "dtype": "c128",
-        "order": "row-major",
-        "endian": "little",
-    }
+    header = {key: getattr(sys.spec, name) for key, name in _HEADER.items()}
+    header.update(version=_VERSION, dtype="c128", order="row-major", endian="little")
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     h = hashlib.blake2b(digest_size=_TRAILER)
     with open(path, "wb") as fh:
@@ -291,7 +246,7 @@ def save(sys: BorderedSystem, path) -> None:
         fh.write(h.digest())
 
 
-def _header_spec(raw: bytes, version: int) -> ArrayProblemSpec:
+def _header_spec(raw: bytes) -> ArrayProblemSpec:
     """The problem spec a TBZ header describes; FormatError if it describes none."""
     try:
         header = json.loads(raw.decode("utf-8"))
@@ -299,9 +254,9 @@ def _header_spec(raw: bytes, version: int) -> ArrayProblemSpec:
         raise FormatError(f"unreadable header: {exc}") from None
     if not isinstance(header, dict):
         raise FormatError(f"header is a JSON {type(header).__name__}, not an object")
-    if header.get("version") != version:
+    if header.get("version") != _VERSION:
         raise FormatVersionMismatch(f"unsupported version {header.get('version')!r}")
-    for key in _HEADER_INTS + _HEADER_REALS:
+    for key in _HEADER:
         if key not in header:
             raise FormatError(f"header lacks {key!r}")
         value = header[key]
@@ -309,49 +264,35 @@ def _header_spec(raw: bytes, version: int) -> ArrayProblemSpec:
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise FormatError(f"header {key!r} has type {type(value).__name__}: {value!r}")
     try:
-        return ArrayProblemSpec(
-            ny=header["ny"],
-            nx=header["nx"],
-            ne=header["ne"],
-            nb=header["nb"],
-            wavenumber=header["k"],
-            pitch=header["pitch"],
-            regularization=header["a"],
-            diagonal_shift=header["shift"],
-            seed=header["seed"],
-        )
+        return ArrayProblemSpec(**{name: header[key] for key, name in _HEADER.items()})
     except InvalidSpec as exc:
         raise FormatError(f"header rejected: {exc}") from None
 
 
 def load(path) -> BorderedSystem:
-    """Read a TBZ2 file, or a read-only TBZ1 file, back into a BorderedSystem.
+    """Read a TBZ2 file (see ``save``) back into a BorderedSystem.
 
-    TBZ1 is the TBZ2 layout (see ``save``) with the magic ``b"TBZ1\\n"``,
-    ``"version": 1`` and a ``<u8`` FNV-1a trailer; it is read, never
-    written.  The file size is checked against the header before the
-    payload is read, in one pass, into one array whose views are
-    returned.
+    The file size is checked against the header before the payload is
+    read, in one pass, into one array whose views are returned.
 
-    Raises FormatVersionMismatch for foreign magics or a header version
-    that does not match the magic, FormatError for an undecodable
-    header, a missing header key, a header value of the wrong type, a
-    non-finite real or a value the spec rejects, and ChecksumMismatch for
-    truncated, overlong or corrupted files.
+    Raises FormatVersionMismatch for a foreign magic (that of the older
+    TBZ1 format included) or a header version other than 2, FormatError
+    for an undecodable header, a missing header key, a header value of
+    the wrong type, a non-finite real or a value the spec rejects, and
+    ChecksumMismatch for truncated, overlong or corrupted files.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
-        if magic not in _FORMATS:
+        if magic != _MAGIC:
             raise FormatVersionMismatch(f"bad magic {magic!r}")
-        version, checksum = _FORMATS[magic]
         length = fh.read(4)
         if len(length) < 4:
             raise ChecksumMismatch("file truncated inside header length")
         (hlen,) = struct.unpack("<I", length)
         if size < fh.tell() + hlen:
             raise ChecksumMismatch("file truncated inside header")
-        spec = _header_spec(fh.read(hlen), version)
+        spec = _header_spec(fh.read(hlen))
 
         ny, nx, ne, nb = spec.ny, spec.nx, spec.ne, spec.nb
         n_gen = (2 * ny - 1) * (2 * nx - 1) * ne * ne
@@ -361,7 +302,8 @@ def load(path) -> BorderedSystem:
         if have != 16 * n:
             raise ChecksumMismatch(f"payload size mismatch: have {have} bytes, expected {16 * n}")
         scalars = np.empty(n, dtype="<c16")
-        if fh.readinto(scalars) != have or checksum(scalars) != fh.read(_TRAILER):
+        if (fh.readinto(scalars) != have
+                or hashlib.blake2b(scalars, digest_size=_TRAILER).digest() != fh.read(_TRAILER)):
             raise ChecksumMismatch("payload checksum mismatch")
 
     blocks4 = scalars[:n_gen].reshape(2 * ny - 1, 2 * nx - 1, ne, ne)

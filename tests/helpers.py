@@ -10,7 +10,6 @@ import struct
 
 import numpy as np
 
-from toepsolve.problems import fnv1a64
 from toepsolve.toeplitz import BlockGenerator1L, BlockGenerator2L
 
 
@@ -76,28 +75,10 @@ def rewrite_header(path, edit):
     kept, so only the header decides whether the file loads.
     """
     blob = path.read_bytes()
-    start = len(b"TBZ2\n") + 4  # both magics are 5 bytes
+    start = len(b"TBZ2\n") + 4  # magic, then the header length
     (hlen,) = struct.unpack_from("<I", blob, start - 4)
     header = edit(blob[start : start + hlen])
     path.write_bytes(blob[: start - 4] + struct.pack("<I", len(header)) + header + blob[start + hlen :])
-
-
-def write_tbz1(sys_, path):
-    """Write ``sys_`` in the read-only TBZ1 layout, by hand.
-
-    Magic ``TBZ1``, a version-1 header, the payload of generator blocks,
-    Z_B and Z_C as little-endian c16, and a ``<Q`` FNV-1a trailer.
-    """
-    s = sys_.spec
-    header = json.dumps({
-        "version": 1, "ny": s.ny, "nx": s.nx, "ne": s.ne, "nb": s.nb, "seed": s.seed,
-        "k": s.wavenumber, "pitch": s.pitch, "a": s.regularization, "shift": s.diagonal_shift,
-        "dtype": "c128", "order": "row-major", "endian": "little",
-    }).encode("utf-8")
-    payload = b"".join(np.asarray(part, dtype="<c16").tobytes()
-                       for part in (sys_.gen.stacked4(), sys_.zb, sys_.zc))
-    path.write_bytes(b"TBZ1\n" + struct.pack("<I", len(header)) + header + payload
-                     + struct.pack("<Q", fnv1a64(payload)))
 
 
 def json_edit(change):

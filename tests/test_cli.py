@@ -1,11 +1,12 @@
 """Exit codes of the ``toepsolve`` command line on a 2x2 problem."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from helpers import BAD_HEADERS, rewrite_header, wrap_generator
+from helpers import BAD_HEADERS, json_edit, rewrite_header, wrap_generator
 from toepsolve import cli
 from toepsolve.problems import (
     ArrayProblemSpec,
@@ -183,9 +184,10 @@ def grid6():
 @pytest.mark.parametrize("method", cli.BENCH_METHODS)
 def test_record_holds_only_what_the_method_ran(grid6, method):
     phases, memory, groups, build = RECORD_KEYS[method]
-    _, rec, _ = cli.run_method(*grid6, method, tol=1e-3)
+    x, rec, _ = cli.run_method(*grid6, method, tol=1e-3)
     assert set(rec.phases) == phases
-    assert set(rec.memory) == {"generator", "dense_equivalent"} | memory
+    assert set(rec.memory) == {"generator", "dense_equivalent", "solution"} | memory
+    assert rec.memory["solution"] == x.nbytes == grid6[0].dim * 36 * 16
     assert len(rec.groups) == groups
     # tol 1e-3 runs GMRES in complex64; the direct methods are complex128
     assert rec.precision == ("complex64" if groups else "complex128")
@@ -206,6 +208,13 @@ def test_verify_checks_every_method_against_the_oracle(capsys, side):
     assert [line.split()[0] for line in lines[1:-1]] == methods
     assert all(line.endswith(" ok") for line in lines[1:-1])
     assert lines[-1] == "verify: PASS"
+    # every line names its worst column; a seq line says when that column is above tol
+    note = "above tol: seq bounds the preconditioned residual"
+    for line in lines[1:-1]:
+        worst = float(re.search(r", worst column \d+: ([^ ,]+)", line)[1])
+        assert (note in line) == (line.split()[0].endswith("-seq") and worst > 1e-3)
+    if side == "6":  # mlfft-pk-seq's worst column reads about 1.4e-3 here
+        assert note in lines[1 + methods.index("mlfft-pk-seq")]
 
 
 def test_verify_counts_no_convergence_as_a_failed_check(capsys):
@@ -279,6 +288,16 @@ def test_corrupted_file_is_io_error(problem):
     blob[len(blob) // 2] ^= 0xFF
     problem.write_bytes(bytes(blob))
     assert cli.main(["solve", str(problem)]) == 5
+
+
+def test_tbz1_file_is_io_error(problem, capsys):
+    # the retired TBZ1 format: its magic and a version-1 header
+    rewrite_header(problem, json_edit(lambda f: f.update(version=1)))
+    problem.write_bytes(b"TBZ1\n" + problem.read_bytes()[5:])
+    assert cli.main(["solve", str(problem)]) == 5
+    err = capsys.readouterr().err
+    assert err == "error: bad magic b'TBZ1\\n'\n"
+    assert not problem.with_name("p.tbz.sol").exists()
 
 
 @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
