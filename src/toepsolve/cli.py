@@ -8,11 +8,9 @@ file, a file without the TBZ2 magic (an older TBZ1 file included), or a
 TBZ2 file with a bad version, header, size or checksum.  ``verify``
 reports a method that raises, a GMRES ``NoConvergence`` included, as a
 failed check (exit 1), not as exit 3.
-It also fails a block method (``gmres-dense``, ``mlfft-*-vec``) if any
-column's dense true residual is above ``tol``: those methods bound every
-column, while ``seq`` bounds each column's preconditioned residual.
-Every line names its worst column; a ``seq`` line whose worst column is
-above ``tol`` says so, and passes on its deviation and record residual.
+It also fails a GMRES method (``gmres-dense``, ``mlfft-*``) if any
+column's dense true residual is above ``tol``, and every line names its
+worst column.
 Timed scaling sweeps (warm-up, repeats, crossovers and an environment
 block) are run by the repository's ``perfbench/sweep.py``, which calls
 ``run_method``.
@@ -32,13 +30,11 @@ each phase is timed from the end of the one before, and ``krylov`` and
 rybicki's ``border`` are the remainders; ``memory`` holds
 the bytes (16 per complex128 scalar, 8 per complex64 scalar) of only
 what the method holds.
-``groups`` has one entry per Krylov group, with its ``iterations``,
-``converged``, ``residual_history`` and ``final_residual``: one per
-block of ``SEQUENTIAL_BLOCK`` (32) columns for the block GMRES solves
-(``vec``, ``gmres-dense``), one per column for ``seq``, none for
-``dense`` and ``rybicki``.  ``residual`` is the true relative residual
-||V - ZX||_F / ||V||_F, and a non-converged run (exit 3) writes its
-record too, with ``ok`` false.
+``groups`` has one entry per GMRES block of ``BLOCK_WIDTH`` (32)
+columns, with its ``iterations``, ``converged``, ``residual_history``
+and ``final_residual``, and none for ``dense`` and ``rybicki``.
+``residual`` is the true relative residual ||V - ZX||_F / ||V||_F, and a
+non-converged run (exit 3) writes its record too, with ``ok`` false.
 
     method       phases                          memory
     dense        dense_fill lu_factor lu_solve   generator dense_equivalent solution
@@ -57,7 +53,7 @@ transforms the generator for the FFT matvec; ``precond_build`` forms the
 preconditioner; ``matvec`` and ``precond_apply`` are the operator and
 preconditioner applications inside GMRES, summed over the whole solve;
 ``krylov`` is the rest of the GMRES wall time (orthogonalization,
-rotations, iterate updates), the quantity ``perfbench`` reports as
+Hessenberg QR, iterate updates), the quantity ``perfbench`` reports as
 ``gmres.self_s``; ``level1_fill`` assembles the level-1 blocks,
 ``recursion`` is the Rybicki solve and ``border`` the rest of the Schur
 elimination.  Memory: ``generator`` is the raw generator,
@@ -73,10 +69,9 @@ the border blocks that a complex64 solve forms (the DFT matrices, 2Ln
 scalars per level side n, are shared by every operator and not
 counted); ``precond`` is the preconditioner's two inverses, plus their
 complex64 copies when a complex64 solve forms them; ``krylov`` is the
-Krylov bases held at once, iterations * columns * dim scalars of the
-record's ``precision`` per group, summed over the groups of a block of
-``SEQUENTIAL_BLOCK`` columns (one group for ``vec``) and maximized over
-blocks;
+Krylov basis of the largest block, iterations * columns * dim scalars
+of the record's ``precision`` (a solve holds one block's basis at a
+time);
 ``level1`` is the level-1 blocks, (2ny-1)(nx*ne)^2 scalars;
 ``rhs`` the block [V_A  Z_B^T] that the recursion solves in place,
 array_dim * (columns + nb) scalars; and ``stacks`` its G and H
@@ -87,9 +82,9 @@ holds ``rhs``, the solution and a ``RHS_PANEL`` (64) column panel.
 BLAS threads are capped by setting ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS`` before the process starts; the BLAS reads them once,
 when numpy is first imported.  The default thread count can make small
-solves slower: on a 2-core host a 70-column ``mlfft-pk-seq`` solve of a
-7x10 grid (ne = 2) took 0.06-0.10 s with 2 OpenBLAS threads and
-0.033-0.035 s with ``OPENBLAS_NUM_THREADS=1`` (medians of 15 solves).
+solves slower: on a 2-core host a 70-column ``mlfft-pk-vec`` solve of a
+7x10 grid (ne = 2) took 0.25-0.31 s with 2 OpenBLAS threads and
+0.030-0.036 s with ``OPENBLAS_NUM_THREADS=1`` (medians of 15 solves).
 """
 
 from __future__ import annotations
@@ -125,25 +120,24 @@ from .problems import (
     save,
 )
 from .solvers import (
+    BLOCK_WIDTH,
     BorderedOperator,
-    SEQUENTIAL_BLOCK,
     GmresConfig,
     SolveReport,
     bordered_matvec,
     build_pk,
     build_pz,
     schur_solve,
-    solve_multi_rhs_sequential,
     solve_multi_rhs_vectorized,
 )
 from .solvers.schur import RHS_PANEL
 
 __all__ = ["main", "SolveRecord", "run_method", "BENCH_METHODS"]
 
-BENCH_METHODS = ("dense", "gmres-dense", "rybicki", "mlfft-pk-vec", "mlfft-pz-vec", "mlfft-pk-seq",
-                 "mlfft-pz-seq")
-# the block GMRES methods, which bound every column's true residual by tol
-_BLOCK_METHODS = ("gmres-dense", "mlfft-pk-vec", "mlfft-pz-vec")
+BENCH_METHODS = ("dense", "gmres-dense", "rybicki", "mlfft-pk-vec", "mlfft-pz-vec")
+
+# a name perfbench's trace and tests still use, until ROADMAP D12 deletes it; no code calls it
+solve_multi_rhs_sequential = solve_multi_rhs_vectorized
 
 _EXIT_OK = 0
 _EXIT_CHECK_FAILED = 1
@@ -181,17 +175,18 @@ class SolveRecord:
 
     @property
     def iterations(self) -> int:
-        """Iterations of the slowest Krylov group; 0 for a direct method."""
+        """Iterations of the slowest GMRES block; 0 for a direct method."""
         return max((g.iterations for g in self.groups), default=0)
 
 
-def _finish_gmres(rec: SolveRecord, reports: list[SolveReport], v: np.ndarray, group: int,
+def _finish_gmres(rec: SolveRecord, reports: list[SolveReport], v: np.ndarray,
                   t0: float, t_gmres: float, held: dict) -> None:
     """Fill ``rec`` from the reports of a GMRES solve that started at ``t_gmres``.
 
-    Report i covers the ``group`` adjacent columns from column i * group
-    (fewer for the last).  The residual is the true ||V - ZX||_F / ||V||_F,
-    formed from every group's exit residual and its own columns.
+    Report i covers the ``BLOCK_WIDTH`` adjacent columns from column
+    i * ``BLOCK_WIDTH`` (fewer for the last).  The residual is the true
+    ||V - ZX||_F / ||V||_F, formed from every block's exit residual and
+    its own columns.
     ``held`` maps memory keys to the operators the solve held; their bytes
     are read after the solve, so they count the complex64 copies it formed.
     """
@@ -200,17 +195,14 @@ def _finish_gmres(rec: SolveRecord, reports: list[SolveReport], v: np.ndarray, g
     rec.phases["krylov"] = end - t_gmres - rec.phases["matvec"] - rec.phases["precond_apply"]
     rec.groups = reports
     n, w = v.shape
-    starts = range(0, w, group)
-    b_norms = np.array([np.linalg.norm(v[:, i : i + group]) for i in starts])
+    starts = range(0, w, BLOCK_WIDTH)
+    b_norms = np.array([np.linalg.norm(v[:, i : i + BLOCK_WIDTH]) for i in starts])
     r_norms = np.array([r.final_residual for r in reports]) * b_norms
     rec.residual = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms))
     rec.memory.update((key, obj.stored_bytes) for key, obj in held.items())
-    # basis columns of every group: iterations * its columns
-    cols = [r.iterations * min(group, w - i) for r, i in zip(reports, starts)]
-    # a solve holds the bases of one block of SEQUENTIAL_BLOCK columns at a time
-    per_block = SEQUENTIAL_BLOCK // group
-    block_cols = max(sum(cols[i : i + per_block]) for i in range(0, len(cols), per_block))
-    rec.memory["krylov"] = block_cols * n * np.dtype(rec.precision).itemsize
+    # a solve holds one block's basis at a time: iterations * its columns
+    cols = max(r.iterations * min(BLOCK_WIDTH, w - i) for r, i in zip(reports, starts))
+    rec.memory["krylov"] = cols * n * np.dtype(rec.precision).itemsize
 
 
 def run_method(
@@ -223,10 +215,10 @@ def run_method(
 ) -> tuple[np.ndarray, SolveRecord, list[SolveReport]]:
     """Solve the (dim, columns) block ``v`` with one named method.
 
-    Returns the solution, its ``SolveRecord`` and the record's Krylov
-    groups.  Solve time covers every phase of the method: the dense fill,
-    the level-1 fill, the spectral precompute and the preconditioner
-    build included.  The residual is the true unpreconditioned relative
+    Returns the solution, its ``SolveRecord`` and the record's GMRES
+    block reports.  Solve time covers every phase of the method: the
+    dense fill, the level-1 fill, the spectral precompute and the
+    preconditioner build included.  The residual is the true unpreconditioned relative
     residual; the GMRES methods take it from the residual the solve
     computes at exit.  A GMRES NoConvergence is re-raised with the
     finished record attached as ``record``.
@@ -287,15 +279,15 @@ def run_method(
         rec.residual = float(np.sqrt(squares) / np.linalg.norm(v))
         return x, rec, rec.groups
 
-    # gmres-dense, or mlfft-<precond>-<mode>
+    # gmres-dense, or mlfft-<precond>-vec
     held = {}
     if method == "gmres-dense":
         full = sequential("dense_fill", assemble_full, sys_, cap)
         rec.memory["dense"] = full.nbytes
-        precond_name, mode = "pk", "vec"
+        precond_name = "pk"
         operator = full.__matmul__
     else:
-        _, precond_name, mode = method.split("-")
+        precond_name = method.split("-")[1]
         op = sequential("spectral_precompute", BorderedOperator.from_system, sys_)
         held["spectral"] = op
         operator = lambda u: bordered_matvec(op, u)
@@ -304,19 +296,17 @@ def run_method(
     p = sequential("precond_build", build_pk if precond_name == "pk" else build_pz, sys_)
     held["precond"] = p
     phases.update(matvec=0.0, precond_apply=0.0)
-    solve, group = ((solve_multi_rhs_vectorized, SEQUENTIAL_BLOCK) if mode == "vec"
-                    else (solve_multi_rhs_sequential, 1))
     t_gmres = last
     try:
-        x, reports = solve(lambda u: timed("matvec", operator, u),
-                           lambda u: timed("precond_apply", p.apply, u),
-                           v, cfg)
+        x, reports = solve_multi_rhs_vectorized(lambda u: timed("matvec", operator, u),
+                                                lambda u: timed("precond_apply", p.apply, u),
+                                                v, cfg)
     except NoConvergence as exc:
-        _finish_gmres(rec, exc.reports, v, group, t0, t_gmres, held)
+        _finish_gmres(rec, exc.reports, v, t0, t_gmres, held)
         rec.ok, rec.error = False, str(exc)
         exc.record = rec
         raise
-    _finish_gmres(rec, reports, v, group, t0, t_gmres, held)
+    _finish_gmres(rec, reports, v, t0, t_gmres, held)
     return x, rec, rec.groups
 
 
@@ -366,7 +356,8 @@ def _method_tag(args) -> str:
         if args.precond is not None or args.multi is not None:
             raise InvalidSpec(f"--precond and --multi apply only to mlfft, not {args.method}")
         return args.method
-    return f"mlfft-{args.precond or 'pk'}-{args.multi or 'vec'}"
+    # --multi seq runs block GMRES too, until ROADMAP D12 deletes --multi
+    return f"mlfft-{args.precond or 'pk'}-vec"
 
 
 def _rhs_arg(text: str) -> str | int:
@@ -444,14 +435,11 @@ def _cmd_verify(args) -> int:
             line_ok = dev <= bound and res_ok
             columns = np.linalg.norm(residual, axis=0) / np.linalg.norm(v, axis=0)
             worst = int(np.argmax(columns))
-            note = ""
-            if method in _BLOCK_METHODS:
+            if method != "rybicki":  # GMRES bounds every column's true residual by tol
                 line_ok &= columns[worst] <= args.tol
-            elif columns[worst] > args.tol and method.endswith("-seq"):
-                note = ", above tol: seq bounds the preconditioned residual"
             print(f"  {method:<14} rms deviation {dev:.3e} (bound {bound:.1e}), record residual "
                   f"{rec.residual:.3e} (dense {true_res:.3e}), worst column {worst}: "
-                  f"{columns[worst]:.3e}{note} {'ok' if line_ok else 'FAIL'}")
+                  f"{columns[worst]:.3e} {'ok' if line_ok else 'FAIL'}")
         ok &= line_ok
     print("verify:", "PASS" if ok else "FAIL")
     return _EXIT_OK if ok else _EXIT_CHECK_FAILED
@@ -472,17 +460,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "solve", help="solve a TBZ problem and write currents + report",
         description="Solve a TBZ problem and write the currents and a JSON report.  Small solves "
-        "can run faster with one BLAS thread: on a 2-core host a 70-column mlfft-pk-seq solve "
-        "of a 7x10 grid (ne 2) took 0.06-0.10 s with 2 OpenBLAS threads and 0.033-0.035 s with "
+        "can run faster with one BLAS thread: on a 2-core host a 70-column mlfft-pk-vec solve "
+        "of a 7x10 grid (ne 2) took 0.25-0.31 s with 2 OpenBLAS threads and 0.030-0.036 s with "
         "OPENBLAS_NUM_THREADS=1.",
     )
     p.add_argument("input", help="input TBZ path")
     p.add_argument("--method", choices=["dense", "gmres-dense", "rybicki", "mlfft"], default="mlfft")
     p.add_argument("--precond", choices=["pk", "pz"], default=None, help="mlfft only (default pk)")
     p.add_argument("--multi", choices=["vec", "seq"], default=None,
-                   help="mlfft only: vec (default) runs block GMRES on blocks of 32 columns and "
-                   "bounds every column's true residual by --tol; seq runs one GMRES per column and "
-                   "bounds its preconditioned residual")
+                   help="mlfft only, and both choices run the same solver: block GMRES on blocks "
+                   "of 32 columns, bounding every column's true residual by --tol")
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--rhs", type=_rhs_arg, default="all", help='"all" or a single column index')

@@ -63,6 +63,8 @@ _TRAILER = 8  # checksum bytes after the payload
 _HEADER = {"ny": "ny", "nx": "nx", "ne": "ne", "nb": "nb", "seed": "seed",
            "k": "wavenumber", "pitch": "pitch", "a": "regularization", "shift": "diagonal_shift"}
 _HEADER_INTS = ("ny", "nx", "ne", "nb", "seed")
+# header key -> the one value this format has: the payload's scalar type and layout
+_HEADER_FIXED = {"dtype": "c128", "order": "row-major", "endian": "little"}
 
 
 @dataclass
@@ -232,7 +234,7 @@ def save(sys: BorderedSystem, path) -> None:
     written as it is, without joining them.
     """
     header = {key: getattr(sys.spec, name) for key, name in _HEADER.items()}
-    header.update(version=_VERSION, dtype="c128", order="row-major", endian="little")
+    header.update(version=_VERSION, **_HEADER_FIXED)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     h = hashlib.blake2b(digest_size=_TRAILER)
     with open(path, "wb") as fh:
@@ -256,6 +258,9 @@ def _header_spec(raw: bytes) -> ArrayProblemSpec:
         raise FormatError(f"header is a JSON {type(header).__name__}, not an object")
     if header.get("version") != _VERSION:
         raise FormatVersionMismatch(f"unsupported version {header.get('version')!r}")
+    for key, value in _HEADER_FIXED.items():
+        if header.get(key) != value:
+            raise FormatError(f"header {key!r} is {header.get(key)!r}, not {value!r}")
     for key in _HEADER:
         if key not in header:
             raise FormatError(f"header lacks {key!r}")
@@ -278,8 +283,10 @@ def load(path) -> BorderedSystem:
     Raises FormatVersionMismatch for a foreign magic (that of the older
     TBZ1 format included) or a header version other than 2, FormatError
     for an undecodable header, a missing header key, a header value of
-    the wrong type, a non-finite real or a value the spec rejects, and
-    ChecksumMismatch for truncated, overlong or corrupted files.
+    the wrong type, a non-finite real, a value the spec rejects or a
+    ``dtype``, ``order`` or ``endian`` other than the one ``save``
+    writes, and ChecksumMismatch for truncated, overlong or corrupted
+    files.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

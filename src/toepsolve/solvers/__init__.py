@@ -2,10 +2,9 @@
 
 from .bordered import BorderedOperator, bordered_matvec
 from .gmres import (
-    SEQUENTIAL_BLOCK,
+    BLOCK_WIDTH,
     GmresConfig,
     SolveReport,
-    solve_multi_rhs_sequential,
     solve_multi_rhs_vectorized,
 )
 from .precond import Preconditioner, build_pk, build_pz
@@ -15,10 +14,9 @@ from .schur import schur_solve
 __all__ = [
     "BorderedOperator",
     "bordered_matvec",
-    "SEQUENTIAL_BLOCK",
+    "BLOCK_WIDTH",
     "GmresConfig",
     "SolveReport",
-    "solve_multi_rhs_sequential",
     "solve_multi_rhs_vectorized",
     "Preconditioner",
     "build_pk",

@@ -1,73 +1,52 @@
-"""GMRES for many right-hand sides: block GMRES and lockstep one-column GMRES.
+"""Right-preconditioned block GMRES for many right-hand sides.
 
-Both modes cut the (n, W) right-hand side block into consecutive blocks
-of ``SEQUENTIAL_BLOCK`` = 32 columns and solve one block after another,
-so the Krylov memory stays at one block's worth however many columns the
-solve has.  One matvec on 32 columns costs far less than 32 one-column
-matvecs: the border products run as GEMMs instead of GEMVs, and the
-per-call overhead is paid once.
+``solve_multi_rhs_vectorized`` cuts the (n, W) right-hand side block
+into consecutive blocks of ``BLOCK_WIDTH`` = 32 columns and solves one
+block after another, so the Krylov memory stays at one block's worth
+however many columns the solve has.  One matvec on 32 columns costs far
+less than 32 one-column matvecs: the border products run as GEMMs
+instead of GEMVs, and the per-call overhead is paid once.
 
-``solve_multi_rhs_vectorized`` (``vec``) runs right-preconditioned block
-GMRES on each block (Simoncini & Gallopoulos, SIAM J. Sci. Comput. 16,
-1995; Gutknecht, "Block Krylov space methods for linear systems with
-multiple right-hand sides: an introduction", 2007).  The block iterates
-on A P^-1 in one block Krylov space shared by its columns, and every
-column's residual is minimized over that whole space.  A step applies
-P^-1 and then A to the newest s-column panel of the basis, orthogonalizes
-the result against the basis by one classical Gram-Schmidt pass (two
-GEMMs against the columns the steps so far have built), and
-orthonormalizes it by a Cholesky QR of its Gram matrix.  When that Gram
-matrix is not safely positive definite (a zero or repeated column, or an
-invariant subspace), a column-pivoted Householder QR takes over and
-zeroes the directions it finds dependent, so every nonzero basis column
-stays orthonormal.  The block Hessenberg matrix is reduced as it grows,
-by one QR of a (2s, s) block per step, which also gives every column's
-residual norm.  The iterate x = P^-1 (V Y) is formed once, when the
-block stops.
+Each block runs right-preconditioned block GMRES (Simoncini &
+Gallopoulos, SIAM J. Sci. Comput. 16, 1995; Gutknecht, "Block Krylov
+space methods for linear systems with multiple right-hand sides: an
+introduction", 2007).  The block iterates on A P^-1 in one block Krylov
+space shared by its columns, and every column's residual is minimized
+over that whole space.  A step applies P^-1 and then A to the newest
+s-column panel of the basis, orthogonalizes the result against the basis
+by one classical Gram-Schmidt pass (two GEMMs against the columns the
+steps so far have built), and orthonormalizes it by a Cholesky QR of its
+Gram matrix.  When that Gram matrix is not safely positive definite (a
+zero or repeated column, or an invariant subspace), a column-pivoted
+Householder QR takes over and zeroes the directions it finds dependent,
+so every nonzero basis column stays orthonormal.  The block Hessenberg
+matrix is reduced as it grows, by one QR of a (2s, s) block per step,
+which also gives every column's residual norm.  The iterate
+x = P^-1 (V Y) is formed once, when the block stops.
 
-Stopping rules.  A ``vec`` block stops when every column's estimate
+Stopping rule.  A block stops when every column's estimate
 ||b_j - A x_j|| / ||b_j|| is at most ``tol``.  Under right
 preconditioning that estimate is the column's true residual, up to the
 rounding of the basis.  The true residual is then formed in complex128 as
 a guard: a column still above ``tol`` sends the block through one more
 cycle, started from its iterate, on the columns that missed.  A block
 fails only when ``max_iter`` steps (summed over its cycles) run out.
-``solve_multi_rhs_sequential`` (``seq``) gives every column its own
-left-preconditioned GMRES, run in lockstep within a block: a column stops
-once its *preconditioned* relative residual ||P^-1 (b - A x)|| /
-||P^-1 b|| is at most ``tol``, so its true residual can end above
-``tol``.
 
-Measurements (16x16 grid, ne = 8, wavenumber 3, 256 right-hand sides,
-pk, one BLAS thread, 2-core host).  At tol 1e-3, block widths 16, 32 and
-64 took 12-13, 10 and 9 steps per block and 2.00-2.28, 1.70-2.06 and
-2.02-2.14 s per solve, so the width is the lockstep block of ``seq``.
+Measurements (block GMRES; 16x16 grid, ne = 8, wavenumber 3, 256
+right-hand sides, pk, one BLAS thread, 2-core host).  At tol 1e-3, block
+widths 16, 32 and 64 took 12-13, 10 and 9 steps per block and 2.00-2.28,
+1.70-2.06 and 2.02-2.14 s per solve, hence the width of 32.
 One Gram-Schmidt pass leaves the complex64 basis of a 32-column block
 with ||I - V^H V||_2 of 3.3e-3 to 7.9e-3; a second pass brings that to
 6e-7 to 8e-7 but costs about 0.27 s a solve (a pass triggered by a norm
 drop of 1/sqrt(2) fires on every step), and took the same steps to the
 same residuals on 64 columns at every tol from 1e-3 to 1e-13, even where
 one pass left ||I - V^H V||_2 at 1.2 (complex64, tol 1e-5) or 0.85
-(complex128, tol 1e-13).  Against the global-Krylov
-method this mode replaced (one Krylov iterate spanning all 256 columns,
-stopped on the Frobenius norm over them), the block solve applies the
-operator to 2816 columns instead of 4096, its basis is a tenth the size,
-and no column ends above ``tol`` (122 did).
-
-``seq`` runs the columns of a block as independent Krylov groups in
-lockstep: each has its own modified Gram-Schmidt inner products, norms,
-Givens rotations, stopping test, breakdown handling and back
-substitution, and they share only the operator and preconditioner
-applications, one per step, to the columns still iterating.  The basis
-is kept column-major, one (G, n) array per Krylov vector, so one
-``np.vecdot`` forms every column's inner product.  A column that meets
-the tolerance forms its iterate at once and leaves the active set.  This
-is full GMRES in one Arnoldi cycle of at most min(max_iter, n) steps;
-the estimates come from the Givens recurrence and are non-increasing,
-and the true unpreconditioned residual is computed once at exit.  On a
-12x20 grid with 240 right-hand sides (ne = 8, one BLAS thread), lockstep
-widths of 8, 16, 32, 64 and 240 gave about 5.5, 4.9, 4.4, 5.2 and 5.3 s
-on a 2-core host, against about 12 s for one column at a time.
+(complex128, tol 1e-13).  Against a global-Krylov method (one Krylov
+iterate spanning all 256 columns, stopped on the Frobenius norm over
+them), the block solve applies the operator to 2816 columns instead of
+4096, its basis is a tenth the size, and no column ends above ``tol``
+(122 did).
 
 Precision.  When ``tol >= SINGLE_PRECISION_TOL`` (1e-5) the Krylov basis
 is complex64, and so is every block the Arnoldi steps hand to the
@@ -78,15 +57,15 @@ halves the basis memory and most of the matvec time.  A dense operator
 that returns complex128 whatever it is given (``gmres-dense``'s Z) runs
 its product in complex128, and its output is rounded to the basis dtype.
 The Gram matrices and factors of the panel QRs, the Hessenberg, its
-reduction, the least-squares solution, the iterate, ``P^-1 b`` of
-``seq`` and the exit true residual stay complex128, so
-``final_residual`` is measured in double precision whatever the basis
-(Simoncini & Szyld, SIAM J. Sci. Comput. 25, 2003, on inexact Krylov
-methods).  Below 1e-5 everything is complex128.  The threshold comes
-from sweeps of the pk-preconditioned solve (ne = 8, wavenumber 3) over
-64 columns of a 16x16 grid and 32 columns of a 30x30 grid, each column
-also solved in complex128, with the left-preconditioned lockstep (seq)
-and global-Krylov methods:
+reduction, the least-squares solution, the iterate and the exit true
+residual stay complex128, so ``final_residual`` is measured in double
+precision whatever the basis (Simoncini & Szyld, SIAM J. Sci. Comput. 25,
+2003, on inexact Krylov methods).  Below 1e-5 everything is complex128.
+The threshold comes from sweeps of the pk-preconditioned solve (ne = 8,
+wavenumber 3) over 64 columns of a 16x16 grid and 32 columns of a 30x30
+grid, each column also solved in complex128.  The sweeps ran two methods
+this module no longer has: a left-preconditioned one-column GMRES (seq),
+stopped on the preconditioned residual, and the global-Krylov method:
 
 * at tol 1e-3, 1e-4 and 1e-5 both precisions took the same iterations
   on both grids, seq and global (seq at 1e-5: 1805 in total on 16x16,
@@ -120,13 +99,12 @@ __all__ = [
     "GmresConfig",
     "SolveReport",
     "solve_multi_rhs_vectorized",
-    "solve_multi_rhs_sequential",
-    "SEQUENTIAL_BLOCK",
+    "BLOCK_WIDTH",
     "SINGLE_PRECISION_TOL",
 ]
 
-# columns per block of both modes (see the module docstring)
-SEQUENTIAL_BLOCK = 32
+# columns per block (see the module docstring)
+BLOCK_WIDTH = 32
 
 # a tolerance at or above this runs the Krylov basis in complex64 (see the
 # module docstring)
@@ -134,16 +112,14 @@ SINGLE_PRECISION_TOL = 1e-5
 
 @dataclass
 class GmresConfig:
-    """Stopping rule and precision of both modes.
+    """Stopping rule and precision of block GMRES.
 
-    ``vec`` (block GMRES): a block stops once every column's relative
-    residual ||b_j - A x_j|| / ||b_j|| is at most ``tol``; the complex128
-    true residual at exit must confirm it, or the block runs another
-    cycle on the columns that missed.  ``seq``: a column stops once its
-    relative *preconditioned* residual ||P^-1 (b - A x)|| / ||P^-1 b|| is
-    at most ``tol``; its true residual is not what ``tol`` bounds.  Both
-    stop after ``max_iter`` steps, and each report records the complex128
-    true residual as ``final_residual``.
+    A block stops once every column's relative residual
+    ||b_j - A x_j|| / ||b_j|| is at most ``tol``; the complex128 true
+    residual at exit must confirm it, or the block runs another cycle on
+    the columns that missed.  A block that has run ``max_iter`` steps,
+    summed over its cycles, stops unconverged.  Each report records the
+    complex128 true residual as ``final_residual``.
 
     ``tol`` also sets the precision of the Krylov basis, ``basis_dtype``:
     complex64 when ``tol >= SINGLE_PRECISION_TOL`` (1e-5), else
@@ -167,14 +143,14 @@ class GmresConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of one Krylov group (a ``seq`` column or a ``vec`` block).
+    """Outcome of one block of at most ``BLOCK_WIDTH`` columns.
 
-    ``iterations`` counts Arnoldi steps (over every cycle of a block);
-    ``residual_history`` starts at 1 (0 for a zero right-hand side) and
-    holds the estimate after each step: a column's relative
-    preconditioned residual, or the largest relative residual among the
-    columns a block is iterating on; ``final_residual`` is the complex128
-    true residual ||B - A X||_F / ||B||_F of the group's columns.
+    ``iterations`` counts block Arnoldi steps over every cycle;
+    ``residual_history`` starts at 1 (0 for a block of zero columns) and
+    holds, after each step, the largest estimated relative residual among
+    the columns the block is iterating on; ``final_residual`` is the
+    complex128 true residual ||B - A X||_F / ||B||_F of the block's
+    columns.
     """
 
     iterations: int = 0
@@ -183,7 +159,7 @@ class SolveReport:
     final_residual: float = 0.0
 
 
-# ------------------------------------------------------------ block GMRES (vec)
+# ------------------------------------------------------------ block GMRES
 
 
 def _panel_qr(w: np.ndarray, scale: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -327,151 +303,11 @@ def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, f
     return x, SolveReport(iterations, converged, history, final), worst
 
 
-# ------------------------------------------------------------ lockstep GMRES (seq)
-
-
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, summed the way ``np.linalg.norm`` sums one."""
-    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
-
-
-def _givens(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotations [c, s; -conj(s), c] zeroing b under a, one per group (b real, >= 0)."""
-    abs_a = np.abs(a)
-    t = np.hypot(abs_a, b)
-    # a = 0 takes alpha = 1 (c = 0, s = 1); t = 0 gives the identity rotation
-    alpha = np.divide(a, abs_a, out=np.ones_like(a), where=abs_a != 0.0)
-    safe_t = np.where(t == 0.0, 1.0, t)
-    return np.where(t == 0.0, 1.0, abs_a / safe_t), alpha * (b / safe_t), alpha * t
-
-
-def _back_substitute(r_cols: list[np.ndarray], g: np.ndarray) -> np.ndarray:
-    """y with R y = g per group; ``r_cols[c]`` holds column c of every R, shape (G, c+1)."""
-    groups, m = g.shape
-    rmat = np.zeros((groups, m, m), dtype=np.complex128)
-    for col, vals in enumerate(r_cols):
-        rmat[:, : col + 1, col] = vals
-    y = np.zeros((groups, m), dtype=np.complex128)
-    for i in range(m - 1, -1, -1):
-        rii = rmat[:, i, i]
-        tail = (rmat[:, i, None, i + 1 :] @ y[:, i + 1 :, None])[:, 0, 0]
-        # a zero diagonal marks a stagnated direction, which contributes nothing
-        y[:, i] = np.where(rii == 0.0, 0.0, (g[:, i] - tail) / np.where(rii == 0.0, 1.0, rii))
-    return y
-
-
-def _lockstep_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
-    """Left-preconditioned GMRES on every column of b (n, G) at once, each its own group.
-
-    Returns the (n, G) iterate and one report per column.  The (G, n)
-    rows are the transposes of the column blocks the operator takes.
-    """
-    n, groups = b.shape
-    dtype = cfg.basis_dtype
-
-    def operator(rows):
-        return op(rows.T)
-
-    def precondition(block):
-        return (block if p is None else p(block)).T
-
-    bg = b.T
-    pr = precondition(b)
-    beta0 = _norms(pr)
-    zero = beta0 == 0.0  # solved by x = 0
-    x = np.zeros_like(bg)
-    history = [[0.0] if z else [1.0] for z in zero]
-    iterations = np.zeros(groups, dtype=int)
-    # every other estimate starts at 1, so a tol >= 1 is met at x = 0 too
-    converged = zero | (cfg.tol >= 1.0)
-    active = np.flatnonzero(~converged)
-    pr, beta = pr[active], beta0[active]
-    # full GMRES terminates within n steps
-    steps = min(cfg.max_iter, n)
-
-    basis = [(pr / beta[:, None]).astype(dtype, copy=False)]
-    r_cols: list[np.ndarray] = []  # rotated Hessenberg columns (upper triangle)
-    cos: list[np.ndarray] = []
-    sin: list[np.ndarray] = []
-    g = [beta.astype(np.complex128)]
-
-    j = 0
-    while active.size:
-        v = precondition(operator(basis[j])).astype(dtype, copy=False)
-        hcol = np.empty((active.size, j + 2), dtype=np.complex128)
-        for i in range(j + 1):
-            h = np.vecdot(basis[i], v)
-            hcol[:, i] = h
-            v -= h[:, None] * basis[i]
-        hnext = _norms(v)  # in the basis precision, so v / hnext stays in it
-        hcol[:, j + 1] = hnext
-
-        for i in range(j):
-            hi, hi1 = hcol[:, i], hcol[:, i + 1]
-            hcol[:, i], hcol[:, i + 1] = (cos[i] * hi + sin[i] * hi1,
-                                          -np.conj(sin[i]) * hi + cos[i] * hi1)
-        c, s, hcol[:, j] = _givens(hcol[:, j], hnext)
-        cos.append(c)
-        sin.append(s)
-        g.append(-np.conj(s) * g[j])
-        g[j] = c * g[j]
-        r_cols.append(hcol[:, : j + 1])
-
-        j += 1
-        iterations[active] += 1
-        estimate = np.abs(g[j]) / beta0[active]
-        for group, e in zip(active, estimate.tolist()):
-            history[group].append(e)
-
-        # At an Arnoldi breakdown (hnext = 0) the Krylov space is invariant:
-        # the rotation has s = 0, so the estimate is 0 and the group leaves
-        # with its exact least-squares iterate before v / hnext is formed.
-        done = estimate <= cfg.tol
-        converged[active[done]] = True
-        leave = done | (j == steps)
-        if leave.any():
-            # x = V y with R y = g for every group leaving
-            sel = slice(None) if leave.all() else leave  # a view when all leave
-            y = _back_substitute([h[sel] for h in r_cols], np.stack(g[:j], axis=1)[sel])
-            rows = active[leave]
-            update = x[rows]  # still 0
-            for i in range(j):
-                update += y[:, i, None] * basis[i][sel]
-            x[rows] = update
-        if j == steps:
-            break
-        if done.any():
-            keep = ~done
-            active, v, hnext = active[keep], v[keep], hnext[keep]
-            basis, r_cols, cos, sin, g = (
-                [a[keep] for a in seq] for seq in (basis, r_cols, cos, sin, g)
-            )
-        basis.append(v / hnext[:, None])
-
-    final = np.zeros(groups)
-    live = np.flatnonzero(~zero)
-    if live.size:
-        residual = bg[live] - operator(x[live]).T
-        final[live] = _norms(residual) / _norms(bg[live])
-
-    reports = [SolveReport(its, conv, hist, res) for its, conv, hist, res
-               in zip(iterations.tolist(), converged.tolist(), history, final.tolist())]
-    return x.T, reports
-
-
-# ------------------------------------------------------------ entry points
-
-
-def _rhs_block(rhs) -> np.ndarray:
-    """rhs as a 2-D complex column block."""
-    arr = np.asarray(rhs, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ShapeError(f"rhs must be a column block, got ndim={arr.ndim}")
-    return arr
+# ------------------------------------------------------------ entry point
 
 
 def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
-    """Solve A X = B by right-preconditioned block GMRES on blocks of ``SEQUENTIAL_BLOCK`` columns.
+    """Solve A X = B by right-preconditioned block GMRES on blocks of ``BLOCK_WIDTH`` columns.
 
     ``op`` applies A and ``p`` applies P^-1 (or is None for no
     preconditioner); both are callables on (n, columns) blocks.  The
@@ -482,19 +318,21 @@ def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray
     block's report and the full iterate is raised at the end if a block
     ran out of ``cfg.max_iter`` steps.
     """
-    arr = _rhs_block(rhs)
+    arr = np.asarray(rhs, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise ShapeError(f"rhs must be a column block, got ndim={arr.ndim}")
     x = np.empty_like(arr)
     reports: list[SolveReport] = []
     worst: list[float] = []
-    for start in range(0, arr.shape[1], SEQUENTIAL_BLOCK):
-        stop = start + SEQUENTIAL_BLOCK
+    for start in range(0, arr.shape[1], BLOCK_WIDTH):
+        stop = start + BLOCK_WIDTH
         x[:, start:stop], report, block_worst = _block_gmres(op, p, arr[:, start:stop], cfg)
         reports.append(report)
         worst.append(block_worst)
     failed = [i for i, rep in enumerate(reports) if not rep.converged]
     if failed:
         raise NoConvergence(
-            f"block GMRES blocks {failed} of {SEQUENTIAL_BLOCK} columns stopped after "
+            f"block GMRES blocks {failed} of {BLOCK_WIDTH} columns stopped after "
             f"{[reports[i].iterations for i in failed]} iterations with a column at relative "
             f"residual up to {max(worst[i] for i in failed):.3e} > tol {cfg.tol:.1e}",
             solution=x,
@@ -502,36 +340,3 @@ def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray
         )
     return x, reports
 
-
-def solve_multi_rhs_sequential(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
-    """Independent left-preconditioned GMRES per column, run in lockstep column blocks.
-
-    ``op`` and ``p`` are callables on column blocks, as for
-    ``solve_multi_rhs_vectorized``.  Every column is its own Krylov group
-    with its own inner products, rotations and stopping test, so its
-    iterates are those of a solve of that column alone up to the rounding
-    of the working precision (``GmresConfig.basis_dtype``).
-    The columns run in blocks of ``SEQUENTIAL_BLOCK``; within a block
-    each step applies the operator and the preconditioner once to the
-    columns still iterating.  All columns are solved even when some
-    fail; a NoConvergence carrying every per-column report and the full
-    iterate is raised at the end if any column missed the tolerance.
-    """
-    arr = _rhs_block(rhs)
-    x = np.empty_like(arr)
-    reports: list[SolveReport] = []
-    for start in range(0, arr.shape[1], SEQUENTIAL_BLOCK):
-        stop = start + SEQUENTIAL_BLOCK
-        x[:, start:stop], block_reports = _lockstep_gmres(op, p, arr[:, start:stop], cfg)
-        reports.extend(block_reports)
-    failed = [i for i, rep in enumerate(reports) if not rep.converged]
-    if failed:
-        its = [reports[i].iterations for i in failed]
-        worst = max(reports[i].residual_history[-1] for i in failed)
-        raise NoConvergence(
-            f"GMRES groups {failed} stopped after {its} iterations at relative "
-            f"preconditioned residual up to {worst:.3e} > tol {cfg.tol:.1e}",
-            solution=x,
-            reports=reports,
-        )
-    return x, reports

@@ -16,7 +16,8 @@ blocks at stage M, the step to stage M+1 reads
 with denominators D1 = sum_i R_i G_i - R_0 and D2 = sum_i R_{-i} H_i - R_0
 (all sums over the current stage, updates using stage-M values).  Each
 denominator is LU-factored once per step; D1 serves both the solution
-and the H update.  The base stage is x_1 = R_0^-1 y_1, G_1 = R_0^-1 R_{-1},
+and the H update.  The base stage is the same step from empty sums:
+D1 = D2 = -R_0, so x_1 = R_0^-1 y_1, G_1 = R_0^-1 R_{-1} and
 H_1 = R_0^-1 R_1.
 
 Every stage sum is one level-3 BLAS product on the coefficients as
@@ -103,22 +104,13 @@ def rybicki_solve(blocks: np.ndarray, y) -> np.ndarray:
     def rb(offset: int) -> np.ndarray:
         return blocks[n - 1 - offset]
 
-    try:
-        lu0 = numerics.lu_factor(rb(0))
-    except SingularMatrix as exc:
-        raise SingularBlock("self block R_0 is singular") from exc
-
     # H_j at h[j-1] and G_j at g[N-1-j], so every stage-m stack is m contiguous blocks:
     # h[:m] = H_1 .. H_m, g[N-1-m:] = G_m .. G_1
     g = np.empty((max(n - 1, 0), side, side), dtype=np.complex128)
     h = np.empty_like(g)
 
-    xb[0] = numerics.lu_solve(lu0, xb[0])
-    if n > 1:
-        g[n - 2] = numerics.lu_solve(lu0, rb(-1))
-        h[0] = numerics.lu_solve(lu0, rb(1))
-
-    for m in range(1, n):
+    # stage 0 has empty stacks: D1 = D2 = -R_0, so it is the base stage
+    for m in range(n):
         span = m * side
         pos = row[:, (n - 1 - m) * side : (n - 1) * side]  # R_m .. R_1
         neg = row[:, n * side : (n + m) * side]            # R_-1 .. R_-m
@@ -129,6 +121,8 @@ def rybicki_solve(blocks: np.ndarray, y) -> np.ndarray:
         try:
             lu1 = numerics.lu_factor(d1)
         except SingularMatrix as exc:
+            if m == 0:
+                raise SingularBlock("self block R_0 is singular") from exc
             raise SingularDenominator(m) from exc
 
         num_x = pos @ x[:span]

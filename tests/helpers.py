@@ -101,4 +101,9 @@ BAD_HEADERS = {
     "negative-border": json_edit(lambda f: f.update(nb=-1)),
     "nan-wavenumber": json_edit(lambda f: f.update(k=float("nan"))),
     "nonpositive-pitch": json_edit(lambda f: f.update(pitch=-1.0)),
+    # the payload is little-endian row-major c128 whatever these say
+    "big-endian": json_edit(lambda f: f.update(endian="big")),
+    "complex64": json_edit(lambda f: f.update(dtype="c64")),
+    "column-major": json_edit(lambda f: f.update(order="column-major")),
+    "missing-dtype": json_edit(lambda f: f.pop("dtype")),
 }

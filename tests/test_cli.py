@@ -49,15 +49,10 @@ def test_rhs_out_of_range_is_invalid_input(problem, capsys):
         assert want in capsys.readouterr().err
 
 
-# At the default tol, 1e-3, seq runs in complex64, whose BLAS results depend on
-# the block width in the last single-precision bits, so column 1 alone and in
-# the 4-column block agree to about 7e-8 there (1e-16 at tol 1e-8).  A wrong
-# column would be off by O(1).
-@pytest.mark.parametrize("flags", [["--method", "rybicki"], ["--multi", "seq", "--tol", "1e-8"],
-                                   ["--multi", "seq"]])
+# block GMRES iterates depend on the block, so its --rhs column is checked by its
+# residual instead (test_rhs_column_of_block_gmres_meets_tol)
+@pytest.mark.parametrize("flags", [["--method", "rybicki"]])
 def test_rhs_writes_that_column_of_the_all_column_solve(problem, flags):
-    bound = 1e-6 if flags == ["--multi", "seq"] else 1e-12
-
     def solve(*extra):
         out = problem.with_name("x.sol")
         assert cli.main(["solve", str(problem), *flags, *extra, "-o", str(out)]) == 0
@@ -67,7 +62,16 @@ def test_rhs_writes_that_column_of_the_all_column_solve(problem, flags):
     assert every.shape == (DIM, COLUMNS)
     one = solve("--rhs", "1")
     assert one.shape == (DIM, 1)
-    assert np.linalg.norm(one[:, 0] - every[:, 1]) <= bound * np.linalg.norm(every[:, 1])
+    assert np.linalg.norm(one[:, 0] - every[:, 1]) <= 1e-12 * np.linalg.norm(every[:, 1])
+
+
+def test_rhs_column_of_block_gmres_meets_tol(problem):
+    out = problem.with_name("x.sol")
+    assert cli.main(["solve", str(problem), "--rhs", "1", "-o", str(out)]) == 0
+    x = np.fromfile(out, dtype="<c16").reshape(DIM, 1)
+    sys_ = load(problem)
+    v = build_excitations(sys_, 0).matrix[:, 1:2]
+    assert np.linalg.norm(assemble_full(sys_) @ x - v) <= 1e-3 * np.linalg.norm(v)
 
 
 @pytest.fixture
@@ -127,13 +131,25 @@ def test_fft_flags_rejected_for_other_methods(problem, method, flag):
     assert not problem.with_name("p.tbz.sol").exists()
 
 
+# --multi seq runs block GMRES too, and the record says so
 @pytest.mark.parametrize("flag, tag", [([], "mlfft-pk-vec"), (["--precond", "pz"], "mlfft-pz-vec"),
-                                       (["--multi", "seq"], "mlfft-pk-seq"),
-                                       (["--precond", "pz", "--multi", "seq"], "mlfft-pz-seq")])
+                                       (["--multi", "seq"], "mlfft-pk-vec"),
+                                       (["--precond", "pz", "--multi", "seq"], "mlfft-pz-vec")])
 def test_fft_flags_select_the_mlfft_variant(problem, flag, tag):
     assert cli.main(["solve", str(problem), *flag]) == 0
     report = json.loads(problem.with_name("p.tbz.sol.json").read_text())
     assert report["record"]["method"] == tag
+
+
+def test_multi_seq_and_vec_write_the_same_solution(problem):
+    solutions = []
+    for multi in ("seq", "vec"):
+        out = problem.with_name(f"{multi}.sol")
+        assert cli.main(["solve", str(problem), "--multi", multi, "-o", str(out)]) == 0
+        report = json.loads(problem.with_name(f"{multi}.sol.json").read_text())
+        assert report["record"]["method"] == "mlfft-pk-vec"
+        solutions.append(out.read_bytes())
+    assert solutions[0] == solutions[1]
 
 
 def test_iteration_cap_is_no_convergence(problem):
@@ -150,7 +166,7 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
     assert report["schema_version"] == 4 and list(report) == ["schema_version", "record"]
     record = report["record"]
     assert not record["ok"] and record["memory"]["krylov"] > 0
-    assert len(record["groups"]) == (COLUMNS if multi == "seq" else 1)
+    assert len(record["groups"]) == 1  # the 4 columns are one block
     assert record["phases"]["precond_build"] > 0
     sys_ = load(problem)
     v = build_excitations(sys_, 0).matrix
@@ -161,17 +177,15 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
 
 GMRES_PHASES = {"precond_build", "matvec", "precond_apply", "krylov"}
 FFT_KEYS = ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"})
-# method -> (phases, memory keys, Krylov groups of the 36-column solve: two blocks of
-# 32 and 4 columns, or one group per column, preconditioner builder); on the 6x6
-# grid, ne 8, pk stores 8^2 + nb^2 scalars and pz 48^2 + nb^2
+# method -> (phases, memory keys, GMRES blocks of the 36-column solve: one of 32 and
+# one of 4 columns, preconditioner builder); on the 6x6 grid, ne 8, pk stores
+# 8^2 + nb^2 scalars and pz 48^2 + nb^2
 RECORD_KEYS = {
     "dense": ({"dense_fill", "lu_factor", "lu_solve"}, {"dense"}, 0, None),
     "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense", "precond", "krylov"}, 2, build_pk),
     "rybicki": ({"level1_fill", "recursion", "border"}, {"level1", "rhs", "stacks"}, 0, None),
     "mlfft-pk-vec": (*FFT_KEYS, 2, build_pk),
     "mlfft-pz-vec": (*FFT_KEYS, 2, build_pz),
-    "mlfft-pk-seq": (*FFT_KEYS, 36, build_pk),
-    "mlfft-pz-seq": (*FFT_KEYS, 36, build_pz),
 }
 
 
@@ -208,13 +222,10 @@ def test_verify_checks_every_method_against_the_oracle(capsys, side):
     assert [line.split()[0] for line in lines[1:-1]] == methods
     assert all(line.endswith(" ok") for line in lines[1:-1])
     assert lines[-1] == "verify: PASS"
-    # every line names its worst column; a seq line says when that column is above tol
-    note = "above tol: seq bounds the preconditioned residual"
+    # every line names its worst column, and every GMRES line's is within tol
     for line in lines[1:-1]:
-        worst = float(re.search(r", worst column \d+: ([^ ,]+)", line)[1])
-        assert (note in line) == (line.split()[0].endswith("-seq") and worst > 1e-3)
-    if side == "6":  # mlfft-pk-seq's worst column reads about 1.4e-3 here
-        assert note in lines[1 + methods.index("mlfft-pk-seq")]
+        worst = float(re.search(r", worst column \d+: ([^ ]+) ok$", line)[1])
+        assert worst <= (1e-3 if line.split()[0] != "rybicki" else 1e-12)
 
 
 def test_verify_counts_no_convergence_as_a_failed_check(capsys):
@@ -252,8 +263,7 @@ def test_verify_fails_a_block_method_column_above_tol(monkeypatch, capsys):
         if method == "rybicki":  # whose deviation bound is 1e-10
             return x, rec, groups
         # column 0's residual grows by about 3e-3 of its right-hand side, and the
-        # record residual is made the dense true residual of the changed x; the
-        # seq lines, which bound no column, stay ok
+        # record residual is made the dense true residual of the changed x
         x[:, 0] *= 1.003
         rec.residual = float(np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v))
         return x, rec, groups
@@ -312,9 +322,8 @@ TRACED = [
     (cli, "build_pk", "mlfft-pk-vec"),
     (cli, "bordered_matvec", "mlfft-pk-vec"),
     (cli, "solve_multi_rhs_vectorized", "mlfft-pk-vec"),
-    (cli, "solve_multi_rhs_sequential", "mlfft-pk-seq"),
     (cli, "schur_solve", "rybicki"),
-    (bordered, "matvec", "mlfft-pk-seq"),
+    (bordered, "matvec", "mlfft-pk-vec"),
     (Preconditioner, "apply", "mlfft-pk-vec"),
 ]
 

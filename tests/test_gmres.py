@@ -1,4 +1,4 @@
-"""GMRES: block GMRES (vec), lockstep one-column GMRES (seq) and convergence bookkeeping."""
+"""Block GMRES and its convergence bookkeeping."""
 
 import math
 import sys
@@ -13,13 +13,12 @@ from toepsolve import cli
 from toepsolve.errors import InvalidSpec, NoConvergence
 from toepsolve.problems import ArrayProblemSpec, assemble_full, build_excitations, generate
 from toepsolve.solvers import (
-    SEQUENTIAL_BLOCK,
+    BLOCK_WIDTH,
     BorderedOperator,
     GmresConfig,
     bordered_matvec,
     build_pk,
     gmres,
-    solve_multi_rhs_sequential,
     solve_multi_rhs_vectorized,
 )
 
@@ -104,27 +103,14 @@ class TestPreconditionedSolve:
         assert rec.memory["spectral"] == 13 * 17 * 3 * 3 * 16
         assert rec.memory["generator"] == rec.memory["spectral"]
 
-    @pytest.mark.parametrize("method", ["mlfft-pk-vec", "mlfft-pk-seq", "mlfft-pz-seq"])
+    @pytest.mark.parametrize("method", ["mlfft-pk-vec", "mlfft-pz-vec"])
     def test_record_residual_is_the_true_residual(self, method):
-        # 36 columns of unequal norms: two sequential blocks
+        # 36 columns of unequal norms: blocks of 32 and 4 columns
         sys_ = generate(ArrayProblemSpec(ny=6, nx=6, ne=2, seed=3))
         v = build_excitations(sys_, 0).matrix * np.linspace(1.0, 8.0, 36)
         x, rec, _ = cli.run_method(sys_, v, method, tol=1e-3)
         want = np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v)
         assert abs(rec.residual - want) <= 1e-12 * want
-
-    def test_sequential_record_krylov_is_the_largest_block(self):
-        sys_ = generate(ArrayProblemSpec(ny=6, nx=6, ne=2, seed=3))
-        v = build_excitations(sys_, 0).matrix
-        _, rec, _ = cli.run_method(sys_, v, "mlfft-pk-seq", tol=1e-3)
-        op = BorderedOperator.from_system(sys_)
-        _, reports = solve_multi_rhs_sequential(
-            lambda u: bordered_matvec(op, u), build_pk(sys_).apply, v, GmresConfig(tol=1e-3, max_iter=2000)
-        )
-        its = [r.iterations for r in reports]
-        assert len(its) == 36
-        # tol 1e-3 keeps a complex64 basis: 8 bytes per scalar
-        assert rec.memory["krylov"] == max(sum(its[:32]), sum(its[32:])) * sys_.dim * 8
 
 
 class TestMultiRhs:
@@ -141,16 +127,13 @@ class TestMultiRhs:
             assemble_full(sys_),
         )
 
-    def test_single_column_vectorized_agrees_with_sequential(self, problem):
-        # one column: right-preconditioned GMRES against left-preconditioned GMRES
+    def test_single_column_estimate_is_the_true_residual(self, problem):
         _, op, p, v, full = problem
         cfg = GmresConfig(tol=1e-8, max_iter=200)
         x1, (r1,) = solve_multi_rhs_vectorized(op, p, v[:, 0:1], cfg)
-        x2, _ = solve_multi_rhs_sequential(op, p, v[:, 0:1], cfg)
         assert np.linalg.norm(full @ x1 - v[:, 0:1]) / np.linalg.norm(v[:, 0]) <= cfg.tol
         # under right preconditioning the last estimate is the true residual
         assert abs(r1.final_residual - r1.residual_history[-1]) <= 1e-6 * r1.final_residual
-        assert rel_err(x1, x2) <= 10 * cfg.tol
 
     def test_stacked_residual_per_column(self, problem):
         _, op, p, v, full = problem
@@ -167,27 +150,11 @@ class TestMultiRhs:
         # tol 1e-4 keeps a complex64 basis: 8 bytes per scalar
         assert rv.precision == "complex64"
         assert rv.memory["krylov"] == rv.iterations * m * sys_.dim * 8
-        _, rs, _ = cli.run_method(sys_, v, "mlfft-pk-seq", tol=1e-4, max_iter=300)
-        # the 9 columns run as one lockstep block, which holds every column's basis
-        assert rs.memory["krylov"] == sum(g.iterations for g in rs.groups) * sys_.dim * 8
-        # one block Krylov space serves all 9 columns in fewer steps than theirs added up
-        assert rv.memory["krylov"] < rs.memory["krylov"]
-
-    def test_sequential_agrees_with_vectorized(self, problem):
-        _, op, p, v, full = problem
-        tol = 1e-4
-        cfg = GmresConfig(tol=tol, max_iter=300)
-        xv, _ = solve_multi_rhs_vectorized(op, p, v, cfg)
-        xs, _ = solve_multi_rhs_sequential(op, p, v, cfg)
-        col_diff = np.linalg.norm(xv - xs, axis=0) / np.linalg.norm(xs, axis=0)
-        assert col_diff.max() <= 10 * tol
-
-    def test_sequential_collects_failures(self, problem):
-        _, op, p, v, _ = problem
-        with pytest.raises(NoConvergence) as err:
-            solve_multi_rhs_sequential(op, p, v, GmresConfig(tol=1e-14, max_iter=2))
-        assert len(err.value.reports) == v.shape[1]
-        assert err.value.solution.shape == v.shape
+        # 36 columns run as blocks of 32 and 4, and a solve holds one block's basis
+        w = random_complex(np.random.default_rng(1), sys_.dim, 36)
+        _, rw, _ = cli.run_method(sys_, w, "mlfft-pk-vec", tol=1e-4, max_iter=300)
+        first, last = (g.iterations for g in rw.groups)
+        assert rw.memory["krylov"] == max(32 * first, 4 * last) * sys_.dim * 8
 
 
 class CountingJacobi:
@@ -200,128 +167,6 @@ class CountingJacobi:
     def apply(self, v):
         self.widths.append(v.shape[1])
         return v * self.inverse_diagonal[:, None]
-
-
-def solve_sequential(op, p, v, cfg):
-    """Sequential solve returning (solution, reports) whether or not it converged."""
-    try:
-        return solve_multi_rhs_sequential(op, p, v, cfg)
-    except NoConvergence as err:
-        return err.solution, err.reports
-
-
-def assert_matches_alone(op, p, v, cfg):
-    """Every column of a lockstep solve equals the column solved alone."""
-    x, reports = solve_sequential(op, p, v, cfg)
-    assert len(reports) == v.shape[1]
-    for col, rep in enumerate(reports):
-        x_alone, (alone,) = solve_sequential(op, p, v[:, col : col + 1], cfg)
-        assert rep.iterations == alone.iterations
-        assert rep.converged == alone.converged
-        assert rel_err(x[:, col], x_alone[:, 0]) <= 1e-12
-    return x, reports
-
-
-class TestLockstep:
-    def test_columns_converge_at_different_steps(self):
-        rng = np.random.default_rng(3)
-        q, _ = np.linalg.qr(random_complex(rng, 40, 40))
-        a = q @ np.diag(np.linspace(1.0, 4.0, 40)) @ q.conj().T
-        # a column in an m-dimensional invariant subspace converges by step m
-        v = np.column_stack([q[:, :m] @ random_complex(rng, m) for m in (14, 2, 9, 5)])
-        _, reports = assert_matches_alone(dense_op(a), None, v, GmresConfig(tol=1e-10))
-        its = [r.iterations for r in reports]
-        assert len(set(its)) == 4 and max(its) <= 14
-
-    def test_zero_column(self):
-        rng = np.random.default_rng(4)
-        a = random_complex(rng, 30, 30) + 6 * np.eye(30)
-        v = random_complex(rng, 30, 3)
-        v[:, 1] = 0.0
-        x, reports = assert_matches_alone(dense_op(a), None, v, GmresConfig(tol=1e-10))
-        zero = reports[1]
-        assert not x[:, 1].any()
-        assert (zero.iterations, zero.converged, zero.residual_history) == (0, True, [0.0])
-        assert zero.final_residual == 0.0
-        assert reports[0].iterations > 0
-
-    @staticmethod
-    def _split_operator(rng, n):
-        """Random operator with e_0 as an exact invariant subspace."""
-        a = random_complex(rng, n, n) + 6 * np.eye(n)
-        a[0, 1:] = 0.0
-        a[1:, 0] = 0.0
-        return a
-
-    def test_breakdown_column(self):
-        rng = np.random.default_rng(5)
-        a = self._split_operator(rng, 30)
-        v = random_complex(rng, 30, 3)
-        v[:, 2] = 0.0
-        v[0, 2] = 2.0  # A e_0 is parallel to e_0: hnext = 0 at the first step
-        x, reports = assert_matches_alone(dense_op(a), None, v, GmresConfig(tol=1e-12))
-        assert reports[2].iterations == 1 and reports[2].converged
-        assert rel_err(a @ x[:, 2], v[:, 2]) <= 1e-15
-        assert min(reports[0].iterations, reports[1].iterations) > 1
-
-    def test_blocks_of_the_sequential_constant(self):
-        rng = np.random.default_rng(8)
-        a = random_complex(rng, 40, 40) + np.diag(np.linspace(6.0, 30.0, 40))
-        p = CountingJacobi(a)
-        v = random_complex(rng, 40, 70)
-        assert SEQUENTIAL_BLOCK == 32
-        _, reports = assert_matches_alone(dense_op(a), p.apply, v, GmresConfig(tol=1e-8))
-        # the lockstep solve ran first: one apply per block start and per step
-        widths = p.widths[: len(p.widths) - sum(1 + r.iterations for r in reports)]
-        its = [r.iterations for r in reports]
-        blocks = [its[i : i + SEQUENTIAL_BLOCK] for i in range(0, 70, SEQUENTIAL_BLOCK)]
-        assert [len(b) for b in blocks] == [32, 32, 6]
-        assert len(widths) == sum(1 + max(b) for b in blocks)
-        assert max(widths) == SEQUENTIAL_BLOCK
-
-    def test_step_cap_message_gives_the_iterations_run(self):
-        # full GMRES on n = 12 unknowns stops after 12 steps, far below max_iter
-        rng = np.random.default_rng(10)
-        a = random_complex(rng, 12, 12) + 4 * np.eye(12)
-        v = random_complex(rng, 12, 3)
-        with pytest.raises(NoConvergence) as err:
-            solve_multi_rhs_sequential(dense_op(a), None, v, GmresConfig(tol=1e-18, max_iter=2000))
-        assert [r.iterations for r in err.value.reports] == [12, 12, 12]
-        assert not any(r.converged for r in err.value.reports)
-        assert "12" in str(err.value) and "2000" not in str(err.value)
-        assert rel_err(a @ err.value.solution, v) <= 1e-12
-
-    @pytest.mark.parametrize("solve", [solve_multi_rhs_vectorized, solve_multi_rhs_sequential])
-    def test_tol_of_one_is_met_at_zero(self, solve):
-        rng = np.random.default_rng(11)
-        a = random_complex(rng, 12, 12) + 4 * np.eye(12)
-        x, reports = solve(dense_op(a), None, random_complex(rng, 12, 3), GmresConfig(tol=1.0))
-        assert not x.any()
-        assert all((r.iterations, r.converged, r.residual_history) == (0, True, [1.0])
-                   for r in reports)
-
-    def test_mixed_convergence_raises_with_every_report(self):
-        rng = np.random.default_rng(7)
-        a = self._split_operator(rng, 30)
-        v = random_complex(rng, 30, 3)
-        v[:, 0] = 0.0
-        v[0, 0] = 1.0  # converges at step 1
-        v[:, 1] = 0.0  # converges at step 0
-        cfg = GmresConfig(tol=1e-12, max_iter=4)
-        with pytest.raises(NoConvergence) as err:
-            solve_multi_rhs_sequential(dense_op(a), None, v, cfg)
-        assert [r.converged for r in err.value.reports] == [True, True, False]
-        assert [r.iterations for r in err.value.reports] == [1, 0, 4]
-        assert rel_err(a @ err.value.solution[:, :2], v[:, :2]) <= 1e-15
-        assert_matches_alone(dense_op(a), None, v, cfg)
-
-    def test_preconditioner_applied_once_per_step(self):
-        rng = np.random.default_rng(9)
-        a = random_complex(rng, 30, 30) + 8 * np.eye(30)
-        p = CountingJacobi(a)
-        v = random_complex(rng, 30, 5)
-        _, (report,) = solve_multi_rhs_vectorized(dense_op(a), p.apply, v, GmresConfig(tol=1e-8))
-        assert p.widths == [5] * (report.iterations + 1)
 
 
 def column_residuals(a, x, v):
@@ -455,10 +300,71 @@ class TestBlock:
         x, reports = solve_multi_rhs_vectorized(dense_op(a), p.apply, v, GmresConfig(tol=1e-8))
         # 70 columns: blocks of 32, 32 and 6, one after another; each applies
         # P^-1 once per step and once to form its iterate
-        assert len(reports) == 3
+        assert BLOCK_WIDTH == 32 and len(reports) == 3
         widths = [32] * (reports[0].iterations + 1) + [32] * (reports[1].iterations + 1)
         assert p.widths == widths + [6] * (reports[2].iterations + 1)
         assert column_residuals(a, x, v).max() <= 1e-8
+
+    def test_zero_block_takes_no_step(self):
+        rng = np.random.default_rng(4)
+        a = random_complex(rng, 40, 40) + 6 * np.eye(40)
+        v = random_complex(rng, 40, BLOCK_WIDTH + 2)
+        v[:, BLOCK_WIDTH:] = 0.0
+        x, (first, zero) = solve_multi_rhs_vectorized(dense_op(a), None, v, GmresConfig(tol=1e-10))
+        # a block of zero columns is solved by x = 0
+        assert not x[:, BLOCK_WIDTH:].any()
+        assert (zero.iterations, zero.converged, zero.residual_history) == (0, True, [0.0])
+        assert zero.final_residual == 0.0
+        assert first.iterations > 0
+        assert column_residuals(a, x, v).max() <= 1e-10
+
+    def test_tol_of_one_is_met_at_zero(self):
+        rng = np.random.default_rng(11)
+        a = random_complex(rng, 12, 12) + 4 * np.eye(12)
+        x, (report,) = solve_multi_rhs_vectorized(dense_op(a), None, random_complex(rng, 12, 3),
+                                                  GmresConfig(tol=1.0))
+        assert not x.any()
+        assert (report.iterations, report.converged, report.residual_history) == (0, True, [1.0])
+
+    def test_mixed_convergence_raises_with_every_report(self):
+        # 65 columns of 40 unknowns: a block of 32 that spans R^40 within two steps,
+        # a block of zero columns and a one-column block that needs more than 4 steps
+        rng = np.random.default_rng(7)
+        a = random_complex(rng, 40, 40) + 6 * np.eye(40)
+        v = random_complex(rng, 40, 2 * BLOCK_WIDTH + 1)
+        v[:, BLOCK_WIDTH : 2 * BLOCK_WIDTH] = 0.0
+        with pytest.raises(NoConvergence) as err:
+            solve_multi_rhs_vectorized(dense_op(a), None, v, GmresConfig(tol=1e-12, max_iter=4))
+        reports = err.value.reports
+        assert [r.converged for r in reports] == [True, True, False]
+        assert [r.iterations for r in reports] == [2, 0, 4]
+        # the iterate holds every block, the converged ones solved
+        x = err.value.solution
+        assert x.shape == v.shape
+        assert column_residuals(a, x[:, : 2 * BLOCK_WIDTH], v[:, : 2 * BLOCK_WIDTH]).max() <= 1e-12
+        assert column_residuals(a, x[:, -1:], v[:, -1:]).max() > 1e-12
+
+    def test_preconditioner_applied_once_per_step(self):
+        rng = np.random.default_rng(9)
+        a = random_complex(rng, 30, 30) + 8 * np.eye(30)
+        p = CountingJacobi(a)
+        v = random_complex(rng, 30, 5)
+        _, (report,) = solve_multi_rhs_vectorized(dense_op(a), p.apply, v, GmresConfig(tol=1e-8))
+        # one cycle: P^-1 once per step and once to form the iterate
+        assert p.widths == [5] * (report.iterations + 1)
+        # an operator that is off in complex64 only makes the guard run more cycles
+        e = 1e-2 * random_complex(rng, 30, 30)
+        exits = []
+
+        def op(u):
+            exits.append(u.dtype == np.complex128)
+            return (a @ u if exits[-1] else (a + e) @ u).astype(u.dtype)
+
+        p.widths.clear()
+        _, (report,) = solve_multi_rhs_vectorized(op, lambda u: p.apply(u).astype(u.dtype), v,
+                                                  GmresConfig(tol=1e-4))
+        # each cycle ends in one exit residual: P^-1 once per step and once per cycle
+        assert sum(exits) >= 2 and len(p.widths) == report.iterations + sum(exits)
 
     def test_panel_qr_drops_dependent_directions(self):
         rng = np.random.default_rng(27)
@@ -486,14 +392,12 @@ class TestBlock:
 class TestPrecision:
     """tol picks the Krylov basis dtype; the exit residual is always complex128."""
 
-    @pytest.mark.parametrize("solve", [solve_multi_rhs_vectorized, solve_multi_rhs_sequential],
-                             ids=["vec", "seq"])
     @pytest.mark.parametrize("tol, arnoldi", [
         (1e-3, np.complex64),
         (gmres.SINGLE_PRECISION_TOL, np.complex64),
         (gmres.SINGLE_PRECISION_TOL / 10, np.complex128),
     ], ids=["1e-3", "at-threshold", "below-threshold"])
-    def test_arnoldi_dtype_follows_tol(self, solve, tol, arnoldi):
+    def test_arnoldi_dtype_follows_tol(self, tol, arnoldi):
         rng = np.random.default_rng(40)
         a = random_complex(rng, 12, 12) + 6.0 * np.eye(12)
         b = random_complex(rng, 12, 3)
@@ -506,27 +410,19 @@ class TestPrecision:
             return apply
 
         inverse_diagonal = np.diag(1.0 / np.diag(a))
-        x, reports = solve(recording("op", a), recording("p", inverse_diagonal), b, GmresConfig(tol=tol))
+        x, (report,) = solve_multi_rhs_vectorized(recording("op", a), recording("p", inverse_diagonal),
+                                                  b, GmresConfig(tol=tol))
         assert GmresConfig(tol=tol).basis_dtype == arnoldi
-        if solve is solve_multi_rhs_vectorized:
-            # one preconditioner and one operator apply per block Arnoldi step, on the
-            # newest basis panel, then P^-1 (V Y) and the exit residual A x
-            assert seen["p"][:-1] == [arnoldi] * (len(seen["p"]) - 1) and len(seen["p"]) > 1
-            assert seen["p"][-1] == np.complex128
-        else:
-            # P^-1 b, then one operator and one preconditioner apply per Arnoldi step,
-            # then the exit residual A x
-            assert seen["p"][0] == np.complex128
-            assert seen["p"][1:] == [arnoldi] * (len(seen["p"]) - 1) and len(seen["p"]) > 1
+        # one preconditioner and one operator apply per block Arnoldi step, on the
+        # newest basis panel, then P^-1 (V Y) and the exit residual A x
+        assert seen["p"][:-1] == [arnoldi] * (len(seen["p"]) - 1) and len(seen["p"]) > 1
+        assert seen["p"][-1] == np.complex128
         assert seen["op"][:-1] == [arnoldi] * (len(seen["op"]) - 1)
         assert seen["op"][-1] == np.complex128
         assert x.dtype == np.complex128
         # final_residual is the complex128 true residual of the returned iterate
-        if solve is solve_multi_rhs_vectorized:
-            true = [np.linalg.norm(a @ x - b) / np.linalg.norm(b)]
-        else:
-            true = np.linalg.norm(a @ x - b, axis=0) / np.linalg.norm(b, axis=0)
-        assert np.allclose([r.final_residual for r in reports], true, rtol=1e-12, atol=0)
+        true = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+        assert np.isclose(report.final_residual, true, rtol=1e-12, atol=0)
 
     def test_basis_stays_complex64_when_the_operator_widens(self):
         # like gmres-dense's complex128 matrix, this operator returns complex128
@@ -547,7 +443,7 @@ class TestPrecision:
         # built beforehand, with their complex64 copies: the peak is the solve's
         # working set, whose largest part is the Krylov basis
         sys_ = generate(ArrayProblemSpec(ny=12, nx=12, ne=8))
-        v = build_excitations(sys_, 0).matrix[:, :SEQUENTIAL_BLOCK]
+        v = build_excitations(sys_, 0).matrix[:, :BLOCK_WIDTH]
         op, p = BorderedOperator.from_system(sys_), build_pk(sys_)
         assert op.single is not None and p.single is not None
 
