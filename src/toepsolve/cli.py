@@ -56,12 +56,12 @@ preconditioner applications inside GMRES, summed over the whole solve;
 Hessenberg QR, iterate updates), the quantity ``perfbench`` reports as
 ``gmres.self_s``; ``level1_fill`` assembles the level-1 blocks,
 ``recursion`` is the Rybicki solve and ``border`` the rest of the Schur
-elimination.  Memory: ``generator`` is the raw generator,
-(2ny-1)(2nx-1)ne^2 scalars; ``dense_equivalent`` is what a dense Z would
-take, dim^2 scalars; ``solution`` is the solution block the method
-returns, dim * columns complex128 scalars (with an empty border,
-rybicki's solution is its ``rhs`` block itself); ``dense`` is the dense
-Z the method allocated;
+elimination.  Memory: ``generator`` is the bytes of ``gen.blocks``, the
+raw generator's (2ny-1)(2nx-1)ne^2 scalars; ``dense_equivalent`` is what
+a dense Z would take, dim^2 scalars; ``solution`` is the solution
+block the method returns, dim * columns complex128 scalars (with an
+empty border, rybicki's solution is its ``rhs`` block itself);
+``dense`` is the dense Z the method allocated;
 ``spectral`` is the transformed generator of the FFT operator, the same
 (2ny-1)(2nx-1)ne^2 scalars as ``generator`` since its circulant is
 exactly 2n-1 long on each level, plus the complex64 copies of it and of
@@ -226,11 +226,11 @@ def run_method(
     if method not in BENCH_METHODS:
         raise InvalidSpec(f"unknown method {method!r} (choose from {', '.join(BENCH_METHODS)})")
     spec = sys_.spec
-    cfg = None if method in ("dense", "rybicki") else GmresConfig(tol=tol, max_iter=max_iter)
-    precision = "complex128" if cfg is None else cfg.basis_dtype.name
+    cfg = GmresConfig(tol=tol, max_iter=max_iter)  # checked for every method, used by GMRES
+    precision = "complex128" if method in ("dense", "rybicki") else cfg.basis_dtype.name
     rec = SolveRecord(method, spec.elements, spec.ny, spec.nx, spec.ne, spec.nb, tol, v.shape[1],
                       precision)
-    rec.memory.update(generator=sys_.gen.stored_scalars * _BYTES_PER_SCALAR,
+    rec.memory.update(generator=sys_.gen.blocks.nbytes,
                       dense_equivalent=sys_.dim**2 * _BYTES_PER_SCALAR,
                       solution=sys_.dim * v.shape[1] * _BYTES_PER_SCALAR)
     phases = rec.phases
@@ -346,7 +346,7 @@ def _cmd_generate(args) -> int:
     s = sys_.spec
     print(
         f"wrote {args.output}: grid {s.ny}x{s.nx}, ne={s.ne}, nb={s.nb}, "
-        f"dim={s.dim}, generator scalars={sys_.gen.stored_scalars}, file bytes={nbytes}"
+        f"dim={s.dim}, generator scalars={sys_.gen.blocks.size}, file bytes={nbytes}"
     )
     return _EXIT_OK
 

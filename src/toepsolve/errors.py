@@ -17,10 +17,6 @@ class BlockShapeMismatch(ShapeError):
     """A block handed to a generator constructor has the wrong shape."""
 
 
-class MissingOffset(ToepsolveError, LookupError):
-    """An offset outside a generator's range was looked up."""
-
-
 class SingularMatrix(ToepsolveError, ArithmeticError):
     """A (near-)zero pivot was met while factorizing a block."""
 

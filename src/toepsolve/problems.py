@@ -41,7 +41,7 @@ from .errors import (
     InvalidSpec,
     TooLargeForOracle,
 )
-from .toeplitz import BlockGenerator1L, BlockGenerator2L, assemble_dense, circulant_offsets
+from .toeplitz import BlockGenerator2L, assemble_dense, circulant_offsets
 
 __all__ = [
     "ArrayProblemSpec",
@@ -62,7 +62,7 @@ _TRAILER = 8  # checksum bytes after the payload
 # TBZ header key -> ArrayProblemSpec field; the ints must be JSON integers
 _HEADER = {"ny": "ny", "nx": "nx", "ne": "ne", "nb": "nb", "seed": "seed",
            "k": "wavenumber", "pitch": "pitch", "a": "regularization", "shift": "diagonal_shift"}
-_HEADER_INTS = ("ny", "nx", "ne", "nb", "seed")
+_HEADER_INTS = ("ny", "nx", "ne", "nb", "seed")  # also the names of the spec's int fields
 # header key -> the one value this format has: the payload's scalar type and layout
 _HEADER_FIXED = {"dtype": "c128", "order": "row-major", "endian": "little"}
 
@@ -90,13 +90,16 @@ class ArrayProblemSpec:
             self.nb = 8 * (self.nx + self.ny)
         if self.regularization is None:
             self.regularization = self.pitch / 10.0
+        ints = {key: getattr(self, key) for key in _HEADER_INTS}
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in ints.values()):
+            raise InvalidSpec(f"ny, nx, ne, nb and seed must be integers, got {ints}")
         reals = (self.wavenumber, self.pitch, self.regularization, self.diagonal_shift)
         if not all(-math.inf < r < math.inf for r in reals):
             raise InvalidSpec(f"wavenumber, pitch, regularization and shift must be finite, got {reals}")
         if min(self.ny, self.nx, self.ne) < 1:
             raise InvalidSpec(f"ny, nx, ne must be >= 1, got {(self.ny, self.nx, self.ne)}")
-        if self.nb < 0:
-            raise InvalidSpec(f"nb must be >= 0, got {self.nb}")
+        if min(self.nb, self.seed) < 0:
+            raise InvalidSpec(f"nb and seed must be >= 0, got {(self.nb, self.seed)}")
         if not self.pitch > 0:
             raise InvalidSpec(f"pitch must be > 0, got {self.pitch}")
         if not self.regularization > 0:
@@ -184,8 +187,7 @@ def generate(spec: ArrayProblemSpec) -> BorderedSystem:
     blocks4 = _kernel(dist2, k, a)
     blocks4[0, 0] += spec.diagonal_shift * np.eye(spec.ne)
 
-    cols = tuple(BlockGenerator1L(spec.nx, spec.ne, blocks4[i]) for i in range(2 * spec.ny - 1))
-    gen = BlockGenerator2L(spec.ny, spec.nx, spec.ne, cols)
+    gen = BlockGenerator2L(spec.ny, spec.nx, spec.ne, blocks4)
 
     # global DOF order: rows outer, columns inner, DOF innermost
     pos = np.empty((spec.ny, spec.nx, spec.ne, 2))
@@ -241,7 +243,7 @@ def save(sys: BorderedSystem, path) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        for part in (sys.gen.stacked4(), sys.zb, sys.zc):
+        for part in (sys.gen.blocks, sys.zb, sys.zc):
             part = np.ascontiguousarray(part, dtype="<c16")
             h.update(part)
             fh.write(part)
@@ -313,8 +315,7 @@ def load(path) -> BorderedSystem:
                 or hashlib.blake2b(scalars, digest_size=_TRAILER).digest() != fh.read(_TRAILER)):
             raise ChecksumMismatch("payload checksum mismatch")
 
-    blocks4 = scalars[:n_gen].reshape(2 * ny - 1, 2 * nx - 1, ne, ne)
+    gen = BlockGenerator2L(ny, nx, ne, scalars[:n_gen].reshape(2 * ny - 1, 2 * nx - 1, ne, ne))
     zb = scalars[n_gen : n_gen + n_zb].reshape(nb, spec.array_dim)
     zc = scalars[n_gen + n_zb :].reshape(nb, nb)
-    cols = tuple(BlockGenerator1L(nx, ne, blocks4[i]) for i in range(2 * ny - 1))
-    return BorderedSystem(BlockGenerator2L(ny, nx, ne, cols), zb, zc, spec)
+    return BorderedSystem(gen, zb, zc, spec)

@@ -98,7 +98,7 @@ def build_pk(sys) -> Preconditioner:
     The self block is shared by every element, so a single inverse (ne^2
     stored scalars) is applied to all segments.
     """
-    return _build(sys, sys.gen.block(0, 0))
+    return _build(sys, sys.gen.blocks[0, 0])
 
 
 def build_pz(sys) -> Preconditioner:
@@ -108,4 +108,4 @@ def build_pz(sys) -> Preconditioner:
     (side nx*ne, nx^2*ne^2 stored scalars); for nx = 1 it coincides with
     the element-block preconditioner.
     """
-    return _build(sys, assemble_dense_1l(sys.gen.column(0)))
+    return _build(sys, assemble_dense_1l(sys.gen.blocks[0]))

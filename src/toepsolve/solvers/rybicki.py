@@ -72,7 +72,7 @@ def assemble_level1(gen: BlockGenerator2L) -> np.ndarray:
     n, side = gen.n2, gen.n1 * gen.n0
     row = np.empty((side, (2 * n - 1) * side), dtype=np.complex128)
     for k in range(2 * n - 1):
-        row[:, k * side : (k + 1) * side] = assemble_dense_1l(gen.column(n - 1 - k))
+        row[:, k * side : (k + 1) * side] = assemble_dense_1l(gen.blocks[(n - 1 - k) % (2 * n - 1)])
     return row.reshape(side, 2 * n - 1, side).transpose(1, 0, 2)
 
 

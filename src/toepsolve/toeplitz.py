@@ -5,6 +5,9 @@ both levels: level-2 blocks are themselves block-Toeplitz and level-0
 blocks are unstructured ``n0 x n0`` matrices.  Such a matrix is fully
 determined by its *generator*: the unique blocks arranged in circulant
 order ``[0, +1, ..., +(N-1), -(N-1), ..., -1]`` on each level.
+``BlockGenerator2L`` stores them once, as one (2*n2-1, 2*n1-1, n0, n0)
+array that every reader (transform, assembly, preconditioner, file
+I/O) indexes in place, without a copy.
 
 Each level of side N is embedded in a block circulant of length exactly
 ``L = 2N-1``: the generator blocks for offsets ``0..N-1`` fill positions
@@ -89,11 +92,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
 
-from .errors import BlockShapeMismatch, InvalidSpec, MissingOffset, ShapeError
+from .errors import BlockShapeMismatch, InvalidSpec, ShapeError
 from .numerics import as_columns
 
 __all__ = [
@@ -140,71 +144,40 @@ def _dft_pair(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-@dataclass(frozen=True)
-class BlockGenerator1L:
-    """Generator of a 1-level block-Toeplitz matrix.
-
-    ``column[i]`` is the ``n0 x n0`` block for signed offset
-    ``circulant_offsets(n1)[i]``; offset ``i - j`` is the block at block
-    position (i, j) of the assembled matrix.
-    """
-
+# perfbench's per-offset spelling of ``BlockGenerator2L.blocks[i]``, until ROADMAP D7(d)
+class BlockGenerator1L(NamedTuple):
     n1: int
     n0: int
-    column: np.ndarray  # (2*n1 - 1, n0, n0), circulant order
-
-    def __post_init__(self):
-        expected = (2 * self.n1 - 1, self.n0, self.n0)
-        if self.column.shape != expected:
-            raise BlockShapeMismatch(f"column shape {self.column.shape} != {expected}")
-
-    def block(self, offset: int) -> np.ndarray:
-        if not -self.n1 < offset < self.n1:
-            raise MissingOffset(f"offset {offset} outside +-{self.n1 - 1}")
-        return self.column[offset % (2 * self.n1 - 1)]
+    column: np.ndarray
 
 
 @dataclass(frozen=True)
 class BlockGenerator2L:
-    """Generator of a 2-level block-Toeplitz matrix.
+    """Generator of a 2-level block-Toeplitz matrix: its unique blocks, stored once.
 
-    ``columns`` holds one level-1 generator per signed level-2 offset, in
-    circulant order; all share the same (n1, n0).
+    ``blocks`` is one (2*n2-1, 2*n1-1, n0, n0) array in circulant order
+    on both levels.  With L = 2n-1 per level, block ((p2, p1), (q2, q1))
+    of the assembled matrix is ``blocks[(p2-q2) % L2, (p1-q1) % L1]``.
     """
 
     n2: int
     n1: int
     n0: int
-    columns: tuple[BlockGenerator1L, ...]
+    blocks: np.ndarray  # (2*n2 - 1, 2*n1 - 1, n0, n0), circulant order
 
     def __post_init__(self):
-        if len(self.columns) != 2 * self.n2 - 1:
-            raise BlockShapeMismatch(
-                f"expected {2 * self.n2 - 1} level-1 generators, got {len(self.columns)}"
-            )
-        for col in self.columns:
-            if (col.n1, col.n0) != (self.n1, self.n0):
-                raise BlockShapeMismatch("level-1 generators disagree on (n1, n0)")
-
-    def column(self, offset: int) -> BlockGenerator1L:
-        if not -self.n2 < offset < self.n2:
-            raise MissingOffset(f"offset {offset} outside +-{self.n2 - 1}")
-        return self.columns[offset % (2 * self.n2 - 1)]
-
-    def block(self, offset2: int, offset1: int) -> np.ndarray:
-        return self.column(offset2).block(offset1)
+        if isinstance(self.blocks, tuple):  # perfbench's per-offset tuple, until ROADMAP D7(d)
+            object.__setattr__(self, "blocks", np.stack([c.column for c in self.blocks]))
+        expected = (2 * self.n2 - 1, 2 * self.n1 - 1, self.n0, self.n0)
+        if self.blocks.shape != expected:
+            raise BlockShapeMismatch(f"blocks shape {self.blocks.shape} != {expected}")
 
     @property
     def dim(self) -> int:
         return self.n2 * self.n1 * self.n0
 
-    @property
-    def stored_scalars(self) -> int:
-        return (2 * self.n2 - 1) * (2 * self.n1 - 1) * self.n0 * self.n0
-
-    def stacked4(self) -> np.ndarray:
-        """All blocks as one (2*n2-1, 2*n1-1, n0, n0) array, circulant order."""
-        return np.stack([col.column for col in self.columns])
+    def stacked4(self) -> np.ndarray:  # perfbench's spelling of ``blocks``, until ROADMAP D7(d)
+        return self.blocks
 
 
 @dataclass(frozen=True)
@@ -264,7 +237,7 @@ def block_fft_2l(data, n2: int, n1: int, n0: int, direction: str = "forward") ->
 
 def precompute_spectral(gen: BlockGenerator2L) -> SpectralOperator:
     """Forward-transform the generator, the circulant's first block column, into diagonal blocks."""
-    blocks = scipy.fft.fftn(gen.stacked4(), axes=(0, 1))
+    blocks = scipy.fft.fftn(gen.blocks, axes=(0, 1))
     return SpectralOperator(gen.n2, gen.n1, gen.n0, blocks.reshape(-1, gen.n0, gen.n0))
 
 
@@ -321,11 +294,16 @@ def matvec(op: SpectralOperator, u) -> np.ndarray:
     return out
 
 
-def assemble_dense_1l(gen: BlockGenerator1L) -> np.ndarray:
-    """Densely assemble a 1-level block-Toeplitz matrix (oracle-sized)."""
-    idx = (np.arange(gen.n1)[:, None] - np.arange(gen.n1)[None, :]) % (2 * gen.n1 - 1)
-    full = gen.column[idx]  # (n1, n1, n0, n0)
-    return full.transpose(0, 2, 1, 3).reshape(gen.n1 * gen.n0, gen.n1 * gen.n0)
+def _toeplitz_index(n: int) -> np.ndarray:
+    """(n, n) circulant index of the offset i - j at block position (i, j) of a level of side n."""
+    return (np.arange(n)[:, None] - np.arange(n)[None, :]) % (2 * n - 1)
+
+
+def assemble_dense_1l(column: np.ndarray) -> np.ndarray:
+    """The dense 1-level block-Toeplitz matrix of a (2n-1, n0, n0) circulant-order column."""
+    n, n0 = (column.shape[0] + 1) // 2, column.shape[-1]
+    full = column[_toeplitz_index(n)]  # (n, n, n0, n0)
+    return full.transpose(0, 2, 1, 3).reshape(n * n0, n * n0)
 
 
 def assemble_dense(gen: BlockGenerator2L) -> np.ndarray:
@@ -335,8 +313,6 @@ def assemble_dense(gen: BlockGenerator2L) -> np.ndarray:
     within it block (p, q) is the generator block for offsets
     (i - j, p - q).
     """
-    blocks4 = gen.stacked4()
-    idx2 = (np.arange(gen.n2)[:, None] - np.arange(gen.n2)[None, :]) % (2 * gen.n2 - 1)
-    idx1 = (np.arange(gen.n1)[:, None] - np.arange(gen.n1)[None, :]) % (2 * gen.n1 - 1)
-    full = blocks4[idx2[:, :, None, None], idx1[None, None, :, :]]  # (n2, n2, n1, n1, n0, n0)
+    idx2, idx1 = _toeplitz_index(gen.n2), _toeplitz_index(gen.n1)
+    full = gen.blocks[idx2[:, :, None, None], idx1[None, None, :, :]]  # (n2, n2, n1, n1, n0, n0)
     return full.transpose(0, 2, 4, 1, 3, 5).reshape(gen.dim, gen.dim)

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from toepsolve.toeplitz import BlockGenerator1L, BlockGenerator2L
+from toepsolve.toeplitz import BlockGenerator2L
 
 
 def random_complex(rng, *shape):
@@ -21,7 +21,17 @@ def wrap_generator(blocks4) -> BlockGenerator2L:
     """The generator of a (2n2-1, 2n1-1, n0, n0) circulant-order block array."""
     blocks4 = np.asarray(blocks4, dtype=np.complex128)
     n2, n1, n0 = (blocks4.shape[0] + 1) // 2, (blocks4.shape[1] + 1) // 2, blocks4.shape[2]
-    return BlockGenerator2L(n2, n1, n0, tuple(BlockGenerator1L(n1, n0, col) for col in blocks4))
+    return BlockGenerator2L(n2, n1, n0, blocks4)
+
+
+def block_at(gen, o2, o1) -> np.ndarray:
+    """The generator block at signed offsets (o2, o1); the layout oracle of ``gen.blocks``.
+
+    Level 2 offset o2 and level 1 offset o1 sit at circulant positions
+    o2 mod (2*n2-1) and o1 mod (2*n1-1), nonnegative offsets first.
+    """
+    assert -gen.n2 < o2 < gen.n2 and -gen.n1 < o1 < gen.n1, (o2, o1)
+    return gen.blocks[o2 % (2 * gen.n2 - 1), o1 % (2 * gen.n1 - 1)]
 
 
 def random_generator(rng, n2, n1, n0, symmetric=False, diag_boost=0.0) -> BlockGenerator2L:
@@ -101,6 +111,7 @@ BAD_HEADERS = {
     "negative-border": json_edit(lambda f: f.update(nb=-1)),
     "nan-wavenumber": json_edit(lambda f: f.update(k=float("nan"))),
     "nonpositive-pitch": json_edit(lambda f: f.update(pitch=-1.0)),
+    "negative-seed": json_edit(lambda f: f.update(seed=-1)),
     # the payload is little-endian row-major c128 whatever these say
     "big-endian": json_edit(lambda f: f.update(endian="big")),
     "complex64": json_edit(lambda f: f.update(dtype="c64")),

@@ -118,6 +118,23 @@ def test_non_finite_spec_is_invalid_input(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_negative_seed_is_invalid_input(tmp_path, capsys):
+    out = tmp_path / "p.tbz"
+    assert cli.main(["generate", "--ny", "2", "--nx", "2", "--seed", "-1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: nb and seed must be >= 0, got (32, -1)\n"
+    assert not out.exists()
+
+
+# the direct methods use neither flag, but a bad value is invalid input whatever runs
+@pytest.mark.parametrize("method", ["dense", "gmres-dense", "rybicki", "mlfft"])
+@pytest.mark.parametrize("flag", [["--tol", "nan"], ["--max-iter", "-5"]],
+                         ids=["tol-nan", "max-iter-negative"])
+def test_every_method_rejects_a_bad_tol_or_max_iter(problem, capsys, method, flag):
+    assert cli.main(["solve", str(problem), "--method", method, *flag]) == 2
+    assert re.match(r"error: (tol|max_iter) must be", capsys.readouterr().err)
+    assert not problem.with_name("p.tbz.sol").exists()
+
+
 def test_precond_none_is_not_a_solve_choice(problem):
     with pytest.raises(SystemExit) as err:
         cli.main(["solve", str(problem), "--precond", "none"])

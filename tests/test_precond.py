@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import random_complex, rel_err, wrap_generator
+from helpers import block_at, random_complex, rel_err, wrap_generator
 from toepsolve.errors import ShapeError
 from toepsolve.problems import ArrayProblemSpec, BorderedSystem, build_excitations, generate
 from toepsolve.solvers import (
@@ -27,9 +27,9 @@ def small_system(**overrides):
 def block_diag_dense(sys_, side):
     """Dense diag(P', ..., P', Z_C) oracle for the given segment side."""
     if side == sys_.spec.ne:
-        block = sys_.gen.block(0, 0)
+        block = block_at(sys_.gen, 0, 0)
     else:
-        block = assemble_dense_1l(sys_.gen.column(0))
+        block = assemble_dense_1l(sys_.gen.blocks[0])
     reps = sys_.array_dim // side
     return scipy.linalg.block_diag(*([block] * reps + [sys_.zc]))
 

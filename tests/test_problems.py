@@ -3,11 +3,12 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import BAD_HEADERS, json_edit, rewrite_header, wrap_generator
+from helpers import BAD_HEADERS, block_at, json_edit, rewrite_header, wrap_generator
 from toepsolve import problems
 from toepsolve.errors import (
     ChecksumMismatch,
@@ -27,7 +28,7 @@ from toepsolve.problems import (
     save,
 )
 from toepsolve.solvers import GmresConfig, solve_multi_rhs_vectorized
-from toepsolve.toeplitz import assemble_dense
+from toepsolve.toeplitz import assemble_dense, precompute_spectral
 
 
 def small_system(**overrides):
@@ -52,6 +53,12 @@ class TestSpec:
             ArrayProblemSpec(ny=1, nx=1, ne=1, nb=-1)
         with pytest.raises(InvalidSpec):
             ArrayProblemSpec(ny=1, nx=1, ne=1, pitch=0.0)
+        with pytest.raises(InvalidSpec, match="nb and seed must be >= 0"):
+            ArrayProblemSpec(ny=1, nx=1, ne=1, seed=-1)
+        for name in ("ny", "nx", "ne", "nb", "seed"):
+            for value in (2.5, 2.0, True):
+                with pytest.raises(InvalidSpec, match="integers"):
+                    ArrayProblemSpec(**({"ny": 2, "nx": 2, "ne": 2} | {name: value}))
         for real in ("wavenumber", "pitch", "regularization", "diagonal_shift"):
             for value in (math.inf, -math.inf, math.nan):
                 with pytest.raises(InvalidSpec, match="finite"):
@@ -63,7 +70,7 @@ class TestGenerate:
         sys_ = small_system()
         for o2 in range(-2, 3):
             for o1 in range(-2, 3):
-                assert np.array_equal(sys_.gen.block(-o2, -o1), sys_.gen.block(o2, o1).T)
+                assert np.array_equal(block_at(sys_.gen, -o2, -o1), block_at(sys_.gen, o2, o1).T)
 
     def test_closed_form_single_cell(self):
         sys_ = generate(
@@ -74,15 +81,15 @@ class TestGenerate:
         )
         # r = sqrt(0 + 1) = 1, so the only entry is 1/(4*pi) + shift
         want = 1.0 / (4.0 * np.pi) + 0.25
-        assert sys_.gen.block(0, 0)[0, 0] == pytest.approx(want, rel=1e-15)
+        assert block_at(sys_.gen, 0, 0)[0, 0] == pytest.approx(want, rel=1e-15)
 
     def test_deterministic_in_seed(self):
         a, b = small_system(), small_system()
-        assert np.array_equal(a.gen.stacked4(), b.gen.stacked4())
+        assert np.array_equal(a.gen.blocks, b.gen.blocks)
         assert np.array_equal(a.zb, b.zb)
         assert np.array_equal(a.zc, b.zc)
         c = small_system(seed=8)
-        assert not np.array_equal(a.gen.stacked4(), c.gen.stacked4())
+        assert not np.array_equal(a.gen.blocks, c.gen.blocks)
 
     def test_toeplitz_block_pairs_bitwise(self):
         for ne in (1, 4):
@@ -95,7 +102,7 @@ class TestGenerate:
                         for j1 in range(3):
                             i, j = i2 * 3 + i1, j2 * 3 + j1
                             blk = dense[i * n0 : (i + 1) * n0, j * n0 : (j + 1) * n0]
-                            assert np.array_equal(blk, sys_.gen.block(i2 - j2, i1 - j1))
+                            assert np.array_equal(blk, block_at(sys_.gen, i2 - j2, i1 - j1))
 
     @pytest.mark.parametrize("nb, wx, wy", [(0, 3.0, 2.0), (1, 1.0, 1.0), (40, 5.0, 3.0),
                                             (200, 0.7, 2.3)])
@@ -175,12 +182,37 @@ class TestSerialization:
         path = tmp_path / "p.tbz"
         save(sys_, path)
         back = load(path)
-        assert np.array_equal(back.gen.stacked4(), sys_.gen.stacked4())
+        assert np.array_equal(back.gen.blocks, sys_.gen.blocks)
         assert np.array_equal(back.zb, sys_.zb)
         assert np.array_equal(back.zc, sys_.zc)
         assert back.spec == sys_.spec
-        for arr in [col.column for col in back.gen.columns] + [back.zb, back.zc]:
+        for arr in (back.gen.blocks, back.zb, back.zc):
             assert arr.flags.writeable and arr.flags.c_contiguous
+
+    def test_loaded_generator_is_a_view_of_the_payload(self, tmp_path):
+        path = tmp_path / "p.tbz"
+        save(small_system(), path)
+        back = load(path)
+        blocks = back.gen.blocks
+        assert blocks.flags.c_contiguous and blocks.flags.writeable
+        assert blocks.base is not None and blocks.base is back.zb.base is back.zc.base
+        # the payload is the generator, then Z_B, then Z_C, with no gap
+        assert blocks.ctypes.data + blocks.nbytes == back.zb.ctypes.data
+
+    @pytest.mark.parametrize("stage", ["save", "precompute_spectral"])
+    def test_generator_is_read_in_place(self, tmp_path, stage):
+        # a stacked copy of the generator would add gen.blocks.nbytes to the peak
+        sys_ = small_system(ny=8, nx=8, ne=8)
+        run = {"save": lambda: save(sys_, tmp_path / "p.tbz"),
+               "precompute_spectral": lambda: precompute_spectral(sys_.gen)}[stage]
+        tracemalloc.start()
+        try:
+            out = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        spectral = 0 if out is None else out.diag_blocks.nbytes
+        assert peak - spectral < sys_.gen.blocks.nbytes
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.tbz", tmp_path / "b.tbz"
@@ -281,7 +313,7 @@ class TestSerialization:
         save(sys_, path)
         blob = path.read_bytes()
         payload = b"".join(np.asarray(part, dtype="<c16").tobytes()
-                           for part in (sys_.gen.stacked4(), sys_.zb, sys_.zc))
+                           for part in (sys_.gen.blocks, sys_.zb, sys_.zc))
         assert blob[:5] == b"TBZ2\n"
         assert blob[-8 - len(payload) : -8] == payload
         assert blob[-8:] == hashlib.blake2b(payload, digest_size=8).digest()
