@@ -30,9 +30,10 @@ each phase is timed from the end of the one before, and ``krylov`` and
 rybicki's ``border`` are the remainders; ``memory`` holds
 the bytes (16 per complex128 scalar, 8 per complex64 scalar) of only
 what the method holds.
-``groups`` has one entry per GMRES block of ``BLOCK_WIDTH`` (32)
-columns, with its ``iterations``, ``converged``, ``residual_history``
-and ``final_residual``, and none for ``dense`` and ``rybicki``.
+``groups`` has one entry per GMRES block, the column slices that
+``block_slices`` in ``solvers/gmres.py`` defines, with its
+``iterations``, ``converged``, ``residual_history`` and
+``final_residual``, and none for ``dense`` and ``rybicki``.
 ``residual`` is the true relative residual ||V - ZX||_F / ||V||_F, and a
 non-converged run (exit 3) writes its record too, with ``ok`` false.
 
@@ -61,30 +62,17 @@ raw generator's (2ny-1)(2nx-1)ne^2 scalars; ``dense_equivalent`` is what
 a dense Z would take, dim^2 scalars; ``solution`` is the solution
 block the method returns, dim * columns complex128 scalars (with an
 empty border, rybicki's solution is its ``rhs`` block itself);
-``dense`` is the dense Z the method allocated;
-``spectral`` is the transformed generator of the FFT operator, the same
-(2ny-1)(2nx-1)ne^2 scalars as ``generator`` since its circulant is
-exactly 2n-1 long on each level, plus the complex64 copies of it and of
-the border blocks that a complex64 solve forms (the DFT matrices, 2Ln
-scalars per level side n, are shared by every operator and not
-counted); ``precond`` is the preconditioner's two inverses, plus their
-complex64 copies when a complex64 solve forms them; ``krylov`` is the
-Krylov basis of the largest block, iterations * columns * dim scalars
-of the record's ``precision`` (a solve holds one block's basis at a
-time);
-``level1`` is the level-1 blocks, (2ny-1)(nx*ne)^2 scalars;
-``rhs`` the block [V_A  Z_B^T] that the recursion solves in place,
-array_dim * (columns + nb) scalars; and ``stacks`` its G and H
-generator stacks, 2(ny-1)(nx*ne)^2 scalars.  The recursion also holds
-two block rows of ``rhs`` and a few blocks; the border elimination then
-holds ``rhs``, the solution and a ``RHS_PANEL`` (64) column panel.
+``dense`` is the dense Z the method allocated; ``spectral`` and
+``precond`` are the ``stored_bytes`` of the FFT operator and of the
+preconditioner, read after the solve, so they count the complex64
+copies a complex64 solve forms; ``krylov`` is the Krylov basis of the
+largest block, iterations * columns * dim scalars of the record's
+``precision`` (a solve holds one block's basis at a time); ``level1``,
+``rhs`` and ``stacks`` are the bytes ``schur_solve`` reports holding.
 
 BLAS threads are capped by setting ``OPENBLAS_NUM_THREADS`` or
-``OMP_NUM_THREADS`` before the process starts; the BLAS reads them once,
-when numpy is first imported.  The default thread count can make small
-solves slower: on a 2-core host a 70-column ``mlfft-pk-vec`` solve of a
-7x10 grid (ne = 2) took 0.25-0.31 s with 2 OpenBLAS threads and
-0.030-0.036 s with ``OPENBLAS_NUM_THREADS=1`` (medians of 15 solves).
+``OMP_NUM_THREADS`` before the process starts, since the BLAS reads them
+once, when numpy is first imported; ``solve --help`` gives a measurement.
 """
 
 from __future__ import annotations
@@ -120,10 +108,10 @@ from .problems import (
     save,
 )
 from .solvers import (
-    BLOCK_WIDTH,
     BorderedOperator,
     GmresConfig,
     SolveReport,
+    block_slices,
     bordered_matvec,
     build_pk,
     build_pz,
@@ -177,32 +165,6 @@ class SolveRecord:
     def iterations(self) -> int:
         """Iterations of the slowest GMRES block; 0 for a direct method."""
         return max((g.iterations for g in self.groups), default=0)
-
-
-def _finish_gmres(rec: SolveRecord, reports: list[SolveReport], v: np.ndarray,
-                  t0: float, t_gmres: float, held: dict) -> None:
-    """Fill ``rec`` from the reports of a GMRES solve that started at ``t_gmres``.
-
-    Report i covers the ``BLOCK_WIDTH`` adjacent columns from column
-    i * ``BLOCK_WIDTH`` (fewer for the last).  The residual is the true
-    ||V - ZX||_F / ||V||_F, formed from every block's exit residual and
-    its own columns.
-    ``held`` maps memory keys to the operators the solve held; their bytes
-    are read after the solve, so they count the complex64 copies it formed.
-    """
-    end = time.perf_counter()
-    rec.solve_s = end - t0
-    rec.phases["krylov"] = end - t_gmres - rec.phases["matvec"] - rec.phases["precond_apply"]
-    rec.groups = reports
-    n, w = v.shape
-    starts = range(0, w, BLOCK_WIDTH)
-    b_norms = np.array([np.linalg.norm(v[:, i : i + BLOCK_WIDTH]) for i in starts])
-    r_norms = np.array([r.final_residual for r in reports]) * b_norms
-    rec.residual = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms))
-    rec.memory.update((key, obj.stored_bytes) for key, obj in held.items())
-    # a solve holds one block's basis at a time: iterations * its columns
-    cols = max(r.iterations * min(BLOCK_WIDTH, w - i) for r, i in zip(reports, starts))
-    rec.memory["krylov"] = cols * n * np.dtype(rec.precision).itemsize
 
 
 def run_method(
@@ -262,16 +224,12 @@ def run_method(
         return x, rec, rec.groups
 
     if method == "rybicki":
-        x, schur_phases = schur_solve(sys_, v)
+        x, report = schur_solve(sys_, v)
         rec.solve_s = time.perf_counter() - t0
-        phases.update(schur_phases)
+        phases.update(report.phases)
         # schur_solve times fill and recursion; the border is the rest of solve_s
         phases["border"] = rec.solve_s - phases["level1_fill"] - phases["recursion"]
-        g = sys_.gen
-        side = g.n1 * g.n0
-        rec.memory.update(level1=(2 * g.n2 - 1) * side**2 * _BYTES_PER_SCALAR,
-                          rhs=sys_.array_dim * (v.shape[1] + sys_.nb) * _BYTES_PER_SCALAR,
-                          stacks=2 * (g.n2 - 1) * side**2 * _BYTES_PER_SCALAR)
+        rec.memory.update(report.memory)
         op = BorderedOperator.from_system(sys_)
         # summed over column panels, so the residual is never formed at full width
         panels = (slice(c, c + RHS_PANEL) for c in range(0, v.shape[1], RHS_PANEL))
@@ -280,7 +238,6 @@ def run_method(
         return x, rec, rec.groups
 
     # gmres-dense, or mlfft-<precond>-vec
-    held = {}
     if method == "gmres-dense":
         full = sequential("dense_fill", assemble_full, sys_, cap)
         rec.memory["dense"] = full.nbytes
@@ -289,24 +246,36 @@ def run_method(
     else:
         precond_name = method.split("-")[1]
         op = sequential("spectral_precompute", BorderedOperator.from_system, sys_)
-        held["spectral"] = op
         operator = lambda u: bordered_matvec(op, u)
     # the builder is read from the module globals here, so a wrapped ``build_pk``
     # (as ``perfbench``'s trace installs) is the one run
     p = sequential("precond_build", build_pk if precond_name == "pk" else build_pz, sys_)
-    held["precond"] = p
     phases.update(matvec=0.0, precond_apply=0.0)
-    t_gmres = last
+    failure = None
     try:
         x, reports = solve_multi_rhs_vectorized(lambda u: timed("matvec", operator, u),
                                                 lambda u: timed("precond_apply", p.apply, u),
                                                 v, cfg)
     except NoConvergence as exc:
-        _finish_gmres(rec, exc.reports, v, t0, t_gmres, held)
-        rec.ok, rec.error = False, str(exc)
-        exc.record = rec
-        raise
-    _finish_gmres(rec, reports, v, t0, t_gmres, held)
+        failure, reports = exc, exc.reports
+    end = time.perf_counter()
+    rec.solve_s, rec.groups = end - t0, reports
+    phases["krylov"] = end - last - phases["matvec"] - phases["precond_apply"]
+    # report i is that of block i of the solver's partition; the residual is the true
+    # ||V - ZX||_F / ||V||_F, formed from every block's exit residual and its columns
+    blocks = block_slices(v.shape[1])
+    b_norms = np.array([np.linalg.norm(v[:, cols]) for cols in blocks])
+    r_norms = np.array([r.final_residual for r in reports]) * b_norms
+    rec.residual = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms))
+    # the operators' bytes are read after the solve, so they count the complex64
+    # copies it formed; a solve holds one block's basis at a time
+    if method != "gmres-dense":
+        rec.memory["spectral"] = op.stored_bytes
+    basis = max(r.iterations * (b.stop - b.start) for r, b in zip(reports, blocks))
+    rec.memory.update(precond=p.stored_bytes, krylov=basis * v.shape[0] * cfg.basis_dtype.itemsize)
+    if failure is not None:
+        rec.ok, rec.error, failure.record = False, str(failure), rec
+        raise failure
     return x, rec, rec.groups
 
 
@@ -468,8 +437,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["dense", "gmres-dense", "rybicki", "mlfft"], default="mlfft")
     p.add_argument("--precond", choices=["pk", "pz"], default=None, help="mlfft only (default pk)")
     p.add_argument("--multi", choices=["vec", "seq"], default=None,
-                   help="mlfft only, and both choices run the same solver: block GMRES on blocks "
-                   "of 32 columns, bounding every column's true residual by --tol")
+                   help="mlfft only, and both choices run the same solver: block GMRES on the "
+                   "column blocks that block_slices in solvers/gmres.py defines, bounding every "
+                   "column's true residual by --tol")
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--rhs", type=_rhs_arg, default="all", help='"all" or a single column index')

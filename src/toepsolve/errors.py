@@ -14,7 +14,7 @@ class DimensionMismatch(ShapeError):
 
 
 class BlockShapeMismatch(ShapeError):
-    """A block handed to a generator constructor has the wrong shape."""
+    """A block array handed to a generator or spectral operator has the wrong shape or type."""
 
 
 class SingularMatrix(ToepsolveError, ArithmeticError):

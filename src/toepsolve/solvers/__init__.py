@@ -5,6 +5,7 @@ from .gmres import (
     BLOCK_WIDTH,
     GmresConfig,
     SolveReport,
+    block_slices,
     solve_multi_rhs_vectorized,
 )
 from .precond import Preconditioner, build_pk, build_pz
@@ -17,6 +18,7 @@ __all__ = [
     "BLOCK_WIDTH",
     "GmresConfig",
     "SolveReport",
+    "block_slices",
     "solve_multi_rhs_vectorized",
     "Preconditioner",
     "build_pk",

@@ -20,7 +20,7 @@ from ..toeplitz import SpectralOperator, matvec, precompute_spectral
 __all__ = ["BorderedOperator", "bordered_matvec"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BorderedOperator:
     """Matrix-free representation of a bordered block-Toeplitz matrix."""
 

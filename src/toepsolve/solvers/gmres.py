@@ -1,11 +1,11 @@
 """Right-preconditioned block GMRES for many right-hand sides.
 
-``solve_multi_rhs_vectorized`` cuts the (n, W) right-hand side block
-into consecutive blocks of ``BLOCK_WIDTH`` = 32 columns and solves one
-block after another, so the Krylov memory stays at one block's worth
-however many columns the solve has.  One matvec on 32 columns costs far
-less than 32 one-column matvecs: the border products run as GEMMs
-instead of GEMVs, and the per-call overhead is paid once.
+``solve_multi_rhs_vectorized`` solves the (n, W) right-hand side block
+one ``block_slices`` block of ``BLOCK_WIDTH`` = 32 columns after
+another, so the Krylov memory stays at one block's worth however many
+columns the solve has.  One matvec on 32 columns costs far less than 32
+one-column matvecs: the border products run as GEMMs instead of GEMVs,
+and the per-call overhead is paid once.
 
 Each block runs right-preconditioned block GMRES (Simoncini &
 Gallopoulos, SIAM J. Sci. Comput. 16, 1995; Gutknecht, "Block Krylov
@@ -99,6 +99,7 @@ __all__ = [
     "GmresConfig",
     "SolveReport",
     "solve_multi_rhs_vectorized",
+    "block_slices",
     "BLOCK_WIDTH",
     "SINGLE_PRECISION_TOL",
 ]
@@ -306,17 +307,22 @@ def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, f
 # ------------------------------------------------------------ entry point
 
 
+def block_slices(columns: int) -> list[slice]:
+    """The column slices of a solve's blocks, in order: ``BLOCK_WIDTH`` wide, the last maybe less."""
+    return [slice(i, min(i + BLOCK_WIDTH, columns)) for i in range(0, columns, BLOCK_WIDTH)]
+
+
 def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
-    """Solve A X = B by right-preconditioned block GMRES on blocks of ``BLOCK_WIDTH`` columns.
+    """Solve A X = B by right-preconditioned block GMRES on the blocks of ``block_slices``.
 
     ``op`` applies A and ``p`` applies P^-1 (or is None for no
     preconditioner); both are callables on (n, columns) blocks.  The
-    blocks are consecutive columns of the 2-D ``rhs``, solved one after
-    another; each returns one report.  Every column of a converged block
-    has a complex128 true relative residual of at most ``cfg.tol``.  All
-    blocks are solved even when some fail; a NoConvergence carrying every
-    block's report and the full iterate is raised at the end if a block
-    ran out of ``cfg.max_iter`` steps.
+    blocks, ``block_slices`` of the 2-D ``rhs``'s columns, are solved one
+    after another, and each returns one report.  Every column of a
+    converged block has a complex128 true relative residual of at most
+    ``cfg.tol``.  All blocks are solved even when some fail; a
+    NoConvergence carrying every block's report and the full iterate is
+    raised at the end if a block ran out of ``cfg.max_iter`` steps.
     """
     arr = np.asarray(rhs, dtype=np.complex128)
     if arr.ndim != 2:
@@ -324,9 +330,8 @@ def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray
     x = np.empty_like(arr)
     reports: list[SolveReport] = []
     worst: list[float] = []
-    for start in range(0, arr.shape[1], BLOCK_WIDTH):
-        stop = start + BLOCK_WIDTH
-        x[:, start:stop], report, block_worst = _block_gmres(op, p, arr[:, start:stop], cfg)
+    for cols in block_slices(arr.shape[1]):
+        x[:, cols], report, block_worst = _block_gmres(op, p, arr[:, cols], cfg)
         reports.append(report)
         worst.append(block_worst)
     failed = [i for i, rep in enumerate(reports) if not rep.converged]

@@ -30,7 +30,7 @@ from ..toeplitz import assemble_dense_1l
 __all__ = ["Preconditioner", "build_pk", "build_pz"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Preconditioner:
     """Shared-inverse block-diagonal preconditioner over array segments + border."""
 

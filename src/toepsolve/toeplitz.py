@@ -151,7 +151,7 @@ class BlockGenerator1L(NamedTuple):
     column: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockGenerator2L:
     """Generator of a 2-level block-Toeplitz matrix: its unique blocks, stored once.
 
@@ -168,6 +168,8 @@ class BlockGenerator2L:
     def __post_init__(self):
         if isinstance(self.blocks, tuple):  # perfbench's per-offset tuple, until ROADMAP D7(d)
             object.__setattr__(self, "blocks", np.stack([c.column for c in self.blocks]))
+        if not isinstance(self.blocks, np.ndarray):
+            raise BlockShapeMismatch(f"blocks must be an ndarray, got {type(self.blocks).__name__}")
         expected = (2 * self.n2 - 1, 2 * self.n1 - 1, self.n0, self.n0)
         if self.blocks.shape != expected:
             raise BlockShapeMismatch(f"blocks shape {self.blocks.shape} != {expected}")
@@ -180,7 +182,7 @@ class BlockGenerator2L:
         return self.blocks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralOperator:
     """Transformed generator: one dense n0 x n0 block per circulant grid point.
 
@@ -194,6 +196,10 @@ class SpectralOperator:
     n1: int
     n0: int
     diag_blocks: np.ndarray  # (L2*L1, n0, n0) with L = 2n-1 per level
+
+    def __post_init__(self):
+        if self.diag_blocks.shape != ((2 * self.n2 - 1) * (2 * self.n1 - 1), self.n0, self.n0):
+            raise BlockShapeMismatch(f"diag_blocks shape {self.diag_blocks.shape} != (L2*L1, n0, n0)")
 
     @property
     def dim(self) -> int:

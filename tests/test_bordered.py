@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from helpers import random_complex, random_generator, rel_err
-from toepsolve.problems import ArrayProblemSpec, BorderedSystem, assemble_full
-from toepsolve.solvers import BorderedOperator, bordered_matvec
+from toepsolve.problems import ArrayProblemSpec, BorderedSystem, assemble_full, generate
+from toepsolve.solvers import BorderedOperator, bordered_matvec, build_pk
+from toepsolve.toeplitz import BlockGenerator2L, precompute_spectral
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +44,21 @@ def test_complex64_input_runs_in_complex64(system):
     single = op.single
     bordered_matvec(op, x.astype(np.complex64))
     assert op.single is single and op.spectral.single is single.spectral
+
+
+# each holds arrays, so it compares and hashes by identity, as BorderedSystem does:
+# a field-wise == would ask numpy for the truth value of an array
+ARRAY_DATACLASSES = {
+    "BlockGenerator2L": lambda s: BlockGenerator2L(s.gen.n2, s.gen.n1, s.gen.n0, s.gen.blocks.copy()),
+    "SpectralOperator": lambda s: precompute_spectral(s.gen),
+    "BorderedOperator": BorderedOperator.from_system,
+    "Preconditioner": build_pk,
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_DATACLASSES.values(), ids=ARRAY_DATACLASSES)
+def test_array_dataclasses_compare_and_hash_by_identity(build):
+    sys_ = generate(ArrayProblemSpec(ny=2, nx=2, ne=2))
+    a, b = build(sys_), build(sys_)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

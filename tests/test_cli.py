@@ -17,7 +17,7 @@ from toepsolve.problems import (
     load,
     save,
 )
-from toepsolve.solvers import Preconditioner, bordered, build_pk, build_pz
+from toepsolve.solvers import Preconditioner, bordered, build_pk, build_pz, gmres
 
 DIM = 2 * 2 * 3 + 4  # ny * nx * ne + nb
 COLUMNS = 4  # one excitation per element
@@ -229,6 +229,19 @@ def test_record_holds_only_what_the_method_ran(grid6, method):
         assert rec.memory["precond"] == want + want // 2
     # the phases cover the solve; the absolute floor keeps a fast solve from flaking
     assert abs(sum(rec.phases.values()) - rec.solve_s) <= max(0.05 * rec.solve_s, 1e-3)
+
+
+def test_record_follows_the_solver_block_partition(grid6, monkeypatch):
+    # the record reads its blocks from the solver's own partition, so blocks of 16
+    # columns split the 36-column solve into 16 + 16 + 4 without another edit
+    monkeypatch.setattr(gmres, "BLOCK_WIDTH", 16)
+    sys_, v = grid6
+    x, rec, _ = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-3)
+    assert len(rec.groups) == 3
+    first, second, third = (g.iterations for g in rec.groups)
+    assert rec.memory["krylov"] == max(16 * first, 16 * second, 4 * third) * sys_.dim * 8
+    dense = np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v)
+    assert abs(rec.residual - dense) <= 1e-8 * dense
 
 
 @pytest.mark.parametrize("side", ["3", "6"])

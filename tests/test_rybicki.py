@@ -210,6 +210,7 @@ def test_schur_reports_rhs_and_stack_bytes():
     sys_ = generate(ArrayProblemSpec(ny=3, nx=4, ne=2, nb=4, seed=7))
     _, rec, _ = cli.run_method(sys_, build_excitations(sys_, 0).matrix, "rybicki", tol=1e-3)
     n, side = sys_.gen.n2, sys_.gen.n1 * sys_.gen.n0
+    assert rec.memory["level1"] == (2 * n - 1) * side**2 * 16
     # [V_A  Z_B^T]: one excitation per element and one column per border unknown
     assert rec.memory["rhs"] == sys_.array_dim * (sys_.spec.elements + 4) * 16
     assert rec.memory["stacks"] == 2 * (n - 1) * side**2 * 16

@@ -21,6 +21,7 @@ from toepsolve.toeplitz import (
     MATVEC_PANEL,
     BlockGenerator1L,
     BlockGenerator2L,
+    SpectralOperator,
     assemble_dense,
     assemble_dense_1l,
     block_fft_2l,
@@ -94,6 +95,8 @@ class TestEmbed:
             BlockGenerator2L(1, 2, 1, np.ones((1, 4, 1, 1)))
         with pytest.raises(BlockShapeMismatch):  # the level-2 offsets are missing
             BlockGenerator2L(2, 2, 1, np.ones((3, 1, 1)))
+        with pytest.raises(BlockShapeMismatch):  # a nested list, not an array
+            BlockGenerator2L(1, 1, 1, [[[[1.0]]]])
 
     def test_per_offset_tuple_stacks_into_the_one_array(self):
         # the spelling perfbench builds generators with, until ROADMAP D7(d)
@@ -192,6 +195,11 @@ class TestPrecomputeSpectral:
         r0 = np.array([[1.0 + 2j, 0.5], [0.25, -1j]])
         gen = wrap_generator(single_block(r0))
         assert np.allclose(precompute_spectral(gen).diag_blocks[0], r0, rtol=1e-15)
+
+    def test_diag_blocks_shape_is_checked(self):
+        # a 2x2 grid of 2x2 blocks transforms to (2*2-1)^2 = 9 blocks, not 3
+        with pytest.raises(BlockShapeMismatch):
+            SpectralOperator(2, 2, 2, np.zeros((3, 2, 2)))
 
     def test_three_point_dft(self):
         gen = wrap_generator(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1, 1))  # offsets 0, 1, -1
