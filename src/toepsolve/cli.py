@@ -34,8 +34,9 @@ what the method holds.
 ``block_slices`` in ``solvers/gmres.py`` defines, with its
 ``iterations``, ``converged``, ``residual_history`` and
 ``final_residual``, and none for ``dense`` and ``rybicki``.
-``residual`` is the true relative residual ||V - ZX||_F / ||V||_F, and a
-non-converged run (exit 3) writes its record too, with ``ok`` false.
+``residual`` is the true relative residual ||V - ZX||_F / ||V||_F (0
+for V = 0), and a non-converged run (exit 3) writes its record too, with
+``ok`` false.
 
     method       phases                          memory
     dense        dense_fill lu_factor lu_solve   generator dense_equivalent solution
@@ -61,7 +62,10 @@ elimination.  Memory: ``generator`` is the bytes of ``gen.blocks``, the
 raw generator's (2ny-1)(2nx-1)ne^2 scalars; ``dense_equivalent`` is what
 a dense Z would take, dim^2 scalars; ``solution`` is the solution
 block the method returns, dim * columns complex128 scalars (with an
-empty border, rybicki's solution is its ``rhs`` block itself);
+empty border, rybicki's solution is its ``rhs`` block itself; ``solve``
+lets a GMRES method write its solution over the excitation block, which
+it never reads again, so there ``solution`` is that block and the solve
+holds one such block, not two);
 ``dense`` is the dense Z the method allocated; ``spectral`` and
 ``precond`` are the ``stored_bytes`` of the FFT operator and of the
 preconditioner, read after the solve, so they count the complex64
@@ -174,6 +178,8 @@ def run_method(
     tol: float,
     max_iter: int = 2000,
     cap: int = DEFAULT_ORACLE_CAP,
+    *,
+    overwrite_rhs: bool = False,
 ) -> tuple[np.ndarray, SolveRecord, list[SolveReport]]:
     """Solve the (dim, columns) block ``v`` with one named method.
 
@@ -181,12 +187,27 @@ def run_method(
     block reports.  Solve time covers every phase of the method: the
     dense fill, the level-1 fill, the spectral precompute and the
     preconditioner build included.  The residual is the true unpreconditioned relative
-    residual; the GMRES methods take it from the residual the solve
-    computes at exit.  A GMRES NoConvergence is re-raised with the
-    finished record attached as ``record``.
+    residual ||V - ZX||_F / ||V||_F, and 0 for an all-zero V, whose
+    solution X = 0 is exact; the GMRES methods take it from the residual
+    the solve computes at exit.  A GMRES NoConvergence is re-raised with
+    the finished record attached as ``record``.  ``v`` must be 2-D with
+    ``dim`` rows and at least one column (ShapeError, DimensionMismatch).
+
+    ``overwrite_rhs`` permits a GMRES method (``gmres-dense``,
+    ``mlfft-*``) to write its solution over ``v``, as
+    ``solve_multi_rhs_vectorized`` describes, so the solve holds one
+    (dim, columns) block instead of two; the solution returned (or a
+    NoConvergence's ``solution``) is then ``v`` itself when ``v`` is
+    complex128.  The record is the same either way: its residual reads
+    the norms of V's blocks before the solve.  ``dense`` and ``rybicki``
+    ignore the flag, because their residual is formed from V after the
+    solve.
     """
     if method not in BENCH_METHODS:
         raise InvalidSpec(f"unknown method {method!r} (choose from {', '.join(BENCH_METHODS)})")
+    v = numerics.as_columns(v, sys_.dim)
+    if not v.shape[1]:
+        raise ShapeError(f"expected at least one right-hand side column, got shape {v.shape}")
     spec = sys_.spec
     cfg = GmresConfig(tol=tol, max_iter=max_iter)  # checked for every method, used by GMRES
     precision = "complex128" if method in ("dense", "rybicki") else cfg.basis_dtype.name
@@ -220,7 +241,7 @@ def run_method(
         x = sequential("lu_solve", numerics.lu_solve, factors, v)
         rec.solve_s = last - t0
         rec.memory["dense"] = full.nbytes
-        rec.residual = float(np.linalg.norm(full @ x - v) / np.linalg.norm(v))
+        rec.residual = _relative(np.linalg.norm(full @ x - v), np.linalg.norm(v))
         return x, rec, rec.groups
 
     if method == "rybicki":
@@ -234,7 +255,7 @@ def run_method(
         # summed over column panels, so the residual is never formed at full width
         panels = (slice(c, c + RHS_PANEL) for c in range(0, v.shape[1], RHS_PANEL))
         squares = sum(np.linalg.norm(bordered_matvec(op, x[:, p]) - v[:, p]) ** 2 for p in panels)
-        rec.residual = float(np.sqrt(squares) / np.linalg.norm(v))
+        rec.residual = _relative(np.sqrt(squares), np.linalg.norm(v))
         return x, rec, rec.groups
 
     # gmres-dense, or mlfft-<precond>-vec
@@ -250,23 +271,24 @@ def run_method(
     # the builder is read from the module globals here, so a wrapped ``build_pk``
     # (as ``perfbench``'s trace installs) is the one run
     p = sequential("precond_build", build_pk if precond_name == "pk" else build_pz, sys_)
+    # report i is that of block i of the solver's partition; the norms of V's blocks
+    # are taken before the solve, which may write the solution over V
+    blocks = block_slices(v.shape[1])
+    b_norms = np.array([np.linalg.norm(v[:, cols]) for cols in blocks])
     phases.update(matvec=0.0, precond_apply=0.0)
     failure = None
     try:
         x, reports = solve_multi_rhs_vectorized(lambda u: timed("matvec", operator, u),
                                                 lambda u: timed("precond_apply", p.apply, u),
-                                                v, cfg)
+                                                v, cfg, overwrite_rhs=overwrite_rhs)
     except NoConvergence as exc:
         failure, reports = exc, exc.reports
     end = time.perf_counter()
     rec.solve_s, rec.groups = end - t0, reports
     phases["krylov"] = end - last - phases["matvec"] - phases["precond_apply"]
-    # report i is that of block i of the solver's partition; the residual is the true
-    # ||V - ZX||_F / ||V||_F, formed from every block's exit residual and its columns
-    blocks = block_slices(v.shape[1])
-    b_norms = np.array([np.linalg.norm(v[:, cols]) for cols in blocks])
+    # the true ||V - ZX||_F / ||V||_F, formed from every block's exit residual and its columns
     r_norms = np.array([r.final_residual for r in reports]) * b_norms
-    rec.residual = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms))
+    rec.residual = _relative(np.linalg.norm(r_norms), np.linalg.norm(b_norms))
     # the operators' bytes are read after the solve, so they count the complex64
     # copies it formed; a solve holds one block's basis at a time
     if method != "gmres-dense":
@@ -277,6 +299,11 @@ def run_method(
         rec.ok, rec.error, failure.record = False, str(failure), rec
         raise failure
     return x, rec, rec.groups
+
+
+def _relative(residual_norm: float, v_norm: float) -> float:
+    """A residual norm relative to ||V||; 0 when V = 0, since X = 0 then solves it exactly."""
+    return float(residual_norm / v_norm) if v_norm else 0.0
 
 
 # flag -> (ArrayProblemSpec field, type, help).  A flag not given is absent from
@@ -351,7 +378,8 @@ def _cmd_solve(args) -> int:
 
     status = _EXIT_OK
     try:
-        x, rec, _ = run_method(sys_, v, tag, args.tol, args.max_iter, args.cap)
+        # v is not read again, so a GMRES method may write the solution over it
+        x, rec, _ = run_method(sys_, v, tag, args.tol, args.max_iter, args.cap, overwrite_rhs=True)
     except NoConvergence as exc_nc:
         x, rec = exc_nc.solution, exc_nc.record
         status = _EXIT_NO_CONVERGENCE

@@ -312,7 +312,8 @@ def block_slices(columns: int) -> list[slice]:
     return [slice(i, min(i + BLOCK_WIDTH, columns)) for i in range(0, columns, BLOCK_WIDTH)]
 
 
-def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray, list[SolveReport]]:
+def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig, *,
+                               overwrite_rhs: bool = False) -> tuple[np.ndarray, list[SolveReport]]:
     """Solve A X = B by right-preconditioned block GMRES on the blocks of ``block_slices``.
 
     ``op`` applies A and ``p`` applies P^-1 (or is None for no
@@ -323,11 +324,19 @@ def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig) -> tuple[np.ndarray
     ``cfg.tol``.  All blocks are solved even when some fail; a
     NoConvergence carrying every block's report and the full iterate is
     raised at the end if a block ran out of ``cfg.max_iter`` steps.
+
+    ``overwrite_rhs`` permits the solve to reuse ``rhs`` for the iterate,
+    as scipy's ``overwrite_b`` does, so the solve holds no second
+    (n, columns) block.  Each block's columns of ``rhs`` are then
+    overwritten with its iterate once that block has finished, and no
+    later block reads them; the array returned (and a NoConvergence's
+    ``solution``) is ``rhs`` itself when it is a complex128 array, else
+    the complex128 copy the solve made of it.
     """
     arr = np.asarray(rhs, dtype=np.complex128)
     if arr.ndim != 2:
         raise ShapeError(f"rhs must be a column block, got ndim={arr.ndim}")
-    x = np.empty_like(arr)
+    x = arr if overwrite_rhs else np.empty_like(arr)
     reports: list[SolveReport] = []
     worst: list[float] = []
     for cols in block_slices(arr.shape[1]):

@@ -2,12 +2,14 @@
 
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from helpers import BAD_HEADERS, json_edit, rewrite_header, wrap_generator
 from toepsolve import cli
+from toepsolve.errors import NoConvergence, ShapeError
 from toepsolve.problems import (
     ArrayProblemSpec,
     BorderedSystem,
@@ -306,13 +308,96 @@ def test_verify_fails_a_block_method_column_above_tol(monkeypatch, capsys):
     assert all("worst column" in line for line in lines if line.split()[0] in failed)
 
 
-@pytest.mark.parametrize("method", ["gmres-dense", "mlfft-pk-vec", "mlfft-pz-vec"])
+GMRES_METHODS = ("gmres-dense", "mlfft-pk-vec", "mlfft-pz-vec")
+
+
+@pytest.mark.parametrize("method", GMRES_METHODS)
 def test_block_methods_bound_every_column_by_tol(grid6, method):
     sys_, v = grid6
     x, rec, _ = cli.run_method(sys_, v, method, tol=1e-3)
     per_col = np.linalg.norm(assemble_full(sys_) @ x - v, axis=0) / np.linalg.norm(v, axis=0)
     assert per_col.max() <= 1e-3
     assert all(g.converged for g in rec.groups)
+
+
+def untimed(record: dict) -> dict:
+    """A record dict without its timings: ``solve_s`` and the seconds of ``phases``."""
+    return {**record, "solve_s": None, "phases": sorted(record["phases"])}
+
+
+@pytest.mark.parametrize("method", cli.BENCH_METHODS)
+def test_overwrite_rhs_permits_a_gmres_solve_over_v(grid6, method):
+    sys_, v = grid6
+    kept = v.copy()
+    x, rec, _ = cli.run_method(sys_, v, method, tol=1e-3)
+    assert v.tobytes() == kept.tobytes()  # the default leaves v untouched
+    w = v.copy()
+    x_over, rec_over, _ = cli.run_method(sys_, w, method, tol=1e-3, overwrite_rhs=True)
+    assert x_over.tobytes() == x.tobytes()
+    assert untimed(asdict(rec_over)) == untimed(asdict(rec))
+    if method in GMRES_METHODS:
+        assert x_over is w
+    else:  # the direct methods read V after the solve, so they leave it alone
+        assert not np.shares_memory(x_over, w) and w.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("method", GMRES_METHODS)
+def test_overwrite_rhs_no_convergence_record_reads_v_before_the_solve(method):
+    # three steps cannot reach 1e-13: the record's residual must still be taken
+    # from V, not from the solution the solve wrote over it
+    sys_ = generate(ArrayProblemSpec(ny=5, nx=7, ne=4))
+    v = build_excitations(sys_, 0).matrix
+
+    def failure(w, **kwargs):
+        with pytest.raises(NoConvergence) as err:
+            cli.run_method(sys_, w, method, tol=1e-13, max_iter=3, **kwargs)
+        return err.value
+
+    default = failure(v.copy())
+    w = v.copy()
+    over = failure(w, overwrite_rhs=True)
+    assert np.shares_memory(over.solution, w)
+    assert over.solution.tobytes() == default.solution.tobytes()
+    assert over.record.residual == default.record.residual
+    assert untimed(asdict(over.record)) == untimed(asdict(default.record))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["1-D", "zero columns", "all-zero"])
+@pytest.mark.parametrize("method", cli.BENCH_METHODS)
+def test_run_method_input_contract(method, case):
+    sys_ = generate(ArrayProblemSpec(ny=2, nx=2, ne=4))
+    v = build_excitations(sys_, 0).matrix
+    if case == "all-zero":
+        # x = 0 solves V = 0 exactly, so the relative residual is 0, not 0/0
+        x, rec, _ = cli.run_method(sys_, np.zeros_like(v), method, tol=1e-3)
+        assert rec.residual == 0.0 and not x.any()
+        return
+    bad = v[:, 0] if case == "1-D" else v[:, :0]
+    with pytest.raises(ShapeError):
+        cli.run_method(sys_, bad, method, tol=1e-3)
+
+
+@pytest.mark.parametrize("rhs", ["all", "3"])
+@pytest.mark.parametrize("flags, method", [(["--method", "gmres-dense"], "gmres-dense"),
+                                           (["--method", "mlfft"], "mlfft-pk-vec"),
+                                           (["--method", "mlfft", "--precond", "pz"], "mlfft-pz-vec")])
+def test_solve_over_the_excitations_writes_the_library_result(problem, flags, method, rhs):
+    # ``solve`` writes a GMRES solution over its excitation block (with --rhs 3,
+    # through a strided one-column view of it); the files must be those of a
+    # solve into a block of its own
+    out = problem.with_name("x.sol")
+    assert cli.main(["solve", str(problem), *flags, "--rhs", rhs, "-o", str(out)]) == 0
+    report = json.loads(problem.with_name("x.sol.json").read_text())
+    sys_ = load(problem)
+    v = build_excitations(sys_, 0).matrix
+    if rhs != "all":
+        v = v[:, int(rhs) : int(rhs) + 1]
+    kept = v.copy()
+    x, rec, _ = cli.run_method(sys_, v, method, 1e-3, overwrite_rhs=False)
+    assert v.tobytes() == kept.tobytes()
+    assert out.read_bytes() == np.ascontiguousarray(x, dtype="<c16").tobytes()
+    assert untimed(report["record"]) == untimed(json.loads(json.dumps(asdict(rec))))
 
 
 def test_verify_above_oracle_cap(problem):

@@ -462,3 +462,27 @@ class TestPrecision:
         double, rep128 = peak()
         assert rep64.iterations == rep128.iterations
         assert single <= 0.75 * double
+
+    def test_overwrite_rhs_drops_the_solution_block_from_the_peak(self):
+        # 512 random columns of a 6x6 grid (ne 4), on an operator and a
+        # preconditioner built beforehand: the solution block is most of the
+        # default solve's peak, and the permission to overwrite rhs removes it
+        sys_ = generate(ArrayProblemSpec(ny=6, nx=6, ne=4))
+        rhs = random_complex(np.random.default_rng(7), sys_.dim, 512)
+        op, p = BorderedOperator.from_system(sys_), build_pk(sys_)
+        assert op.single is not None and p.single is not None
+
+        def peak(b, **kwargs):
+            tracemalloc.start()
+            try:
+                x, _ = solve_multi_rhs_vectorized(lambda u: bordered_matvec(op, u), p.apply, b,
+                                                  GmresConfig(tol=1e-3), **kwargs)
+                return tracemalloc.get_traced_memory()[1], x
+            finally:
+                tracemalloc.stop()
+
+        default, x = peak(rhs)
+        b = rhs.copy()
+        overwrite, x_over = peak(b, overwrite_rhs=True)
+        assert x_over is b and x_over.tobytes() == x.tobytes()
+        assert overwrite <= default - 0.9 * rhs.nbytes
