@@ -61,8 +61,7 @@ Hessenberg QR, iterate updates), the quantity ``perfbench`` reports as
 elimination.  Memory: ``generator`` is the bytes of ``gen.blocks``, the
 raw generator's (2ny-1)(2nx-1)ne^2 scalars; ``dense_equivalent`` is what
 a dense Z would take, dim^2 scalars; ``solution`` is the solution
-block the method returns, dim * columns complex128 scalars (with an
-empty border, rybicki's solution is its ``rhs`` block itself; ``solve``
+block the method returns, dim * columns complex128 scalars (``solve``
 lets a GMRES method write its solution over the excitation block, which
 it never reads again, so there ``solution`` is that block and the solve
 holds one such block, not two);
@@ -176,7 +175,7 @@ def run_method(
     v: np.ndarray,
     method: str,
     tol: float,
-    max_iter: int = 2000,
+    max_iter: int = GmresConfig.max_iter,
     cap: int = DEFAULT_ORACLE_CAP,
     *,
     overwrite_rhs: bool = False,
@@ -365,12 +364,7 @@ def _rhs_arg(text: str) -> str | int:
 
 def _cmd_solve(args) -> int:
     sys_ = load(args.input)
-    exc = build_excitations(sys_, args.feed)
-    v = exc.matrix
-    if args.rhs != "all":
-        if args.rhs >= v.shape[1]:
-            raise InvalidSpec(f"rhs column {args.rhs} outside 0..{v.shape[1] - 1}")
-        v = v[:, args.rhs : args.rhs + 1]
+    v = build_excitations(sys_, args.feed, element=None if args.rhs == "all" else args.rhs).matrix
 
     tag = _method_tag(args)
     out_path = args.output or (args.input + ".sol")
@@ -469,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "column blocks that block_slices in solvers/gmres.py defines, bounding every "
                    "column's true residual by --tol")
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--max-iter", type=int, default=GmresConfig.max_iter)
     p.add_argument("--rhs", type=_rhs_arg, default="all", help='"all" or a single column index')
     p.add_argument("--feed", type=int, default=0, help="feed unknown within an element")
     p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
@@ -481,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default=None, help="optional TBZ path (else --ny/--nx/... flags)")
     _add_spec_flags(p)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--max-iter", type=int, default=GmresConfig.max_iter)
     p.add_argument("--feed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(func=_cmd_verify)

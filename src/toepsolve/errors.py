@@ -14,7 +14,7 @@ class DimensionMismatch(ShapeError):
 
 
 class BlockShapeMismatch(ShapeError):
-    """A block array handed to a generator or spectral operator has the wrong shape or type."""
+    """A block array handed to a generator, operator or bordered system has the wrong shape or type."""
 
 
 class SingularMatrix(ToepsolveError, ArithmeticError):

@@ -72,21 +72,26 @@ def lu_factor(a) -> LUFactors:
     """LU-factor a square block with partial (row) pivoting.
 
     Raises SingularMatrix if any pivot is (numerically) zero, i.e. below
-    1e-300 in magnitude.
+    1e-300 in magnitude.  A 0x0 block, the self block of an empty border,
+    is returned as its own factor without a LAPACK call.
     """
     arr = as_block(a, square=True)
-    if arr.size and not np.isfinite(arr.view(np.float64)).all():
+    if not arr.size:
+        return LUFactors(arr, np.zeros(0, dtype=np.int32))
+    if not np.isfinite(arr.view(np.float64)).all():
         raise ShapeError("block contains non-finite entries")
     with warnings.catch_warnings():
         # scipy warns instead of raising on exact zero pivots; we check below.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(arr, check_finite=False)
-    if lu.size and np.abs(np.diagonal(lu)).min() < _PIVOT_TINY:
+    if np.abs(np.diagonal(lu)).min() < _PIVOT_TINY:
         raise SingularMatrix(f"zero pivot while factorizing a {arr.shape[0]}x{arr.shape[1]} block")
     return LUFactors(lu, piv)
 
 
 def lu_solve(f: LUFactors, rhs) -> np.ndarray:
-    """Back-substitute A·X = RHS for a 2-D block of columns."""
+    """Back-substitute A·X = RHS for a 2-D block of columns; a 0x0 A gives a (0, k) block."""
     arr = as_columns(rhs, f.side)
+    if not f.side:
+        return np.empty(arr.shape, dtype=np.complex128)
     return scipy.linalg.lu_solve((f.lu, f.piv), arr, check_finite=False)

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import numerics
 from .errors import (
+    BlockShapeMismatch,
     ChecksumMismatch,
     FormatError,
     FormatVersionMismatch,
@@ -127,6 +128,14 @@ class BorderedSystem:
     zc: np.ndarray  # (nb, nb)
     spec: ArrayProblemSpec
 
+    def __post_init__(self):
+        s = self.spec
+        if ((self.gen.n2, self.gen.n1, self.gen.n0) != (s.ny, s.nx, s.ne)
+                or self.zb.shape != (s.nb, s.array_dim) or self.zc.shape != (s.nb, s.nb)):
+            raise BlockShapeMismatch(
+                f"generator {self.gen.n2}x{self.gen.n1} (ne {self.gen.n0}), Z_B {self.zb.shape} and "
+                f"Z_C {self.zc.shape} do not match the spec's grid {s.ny}x{s.nx} (ne {s.ne}, nb {s.nb})")
+
     @property
     def array_dim(self) -> int:
         return self.gen.dim
@@ -148,8 +157,10 @@ class ExcitationSet:
 
 
 def _kernel(dist2: np.ndarray, k: float, a: float) -> np.ndarray:
-    r = np.sqrt(dist2 + a * a)
-    return np.exp(-1j * k * r) / (4.0 * np.pi * r)
+    """The kernel at squared distances ``dist2``; inf or NaN, without a warning, where r is 0."""
+    with np.errstate(all="ignore"):  # ``generate`` rejects a kernel that is not finite
+        r = np.sqrt(dist2 + a * a)
+        return np.exp(-1j * k * r) / (4.0 * np.pi * r)
 
 
 def _perimeter_points(rng: np.random.Generator, nb: int, wx: float, wy: float) -> np.ndarray:
@@ -168,6 +179,9 @@ def generate(spec: ArrayProblemSpec) -> BorderedSystem:
 
     Draw order from the seeded generator is fixed (DOF offsets first,
     border positions second) so identical specs give identical bytes.
+    Raises InvalidSpec if the kernel is not finite, as when the square
+    of the smoothing length underflows to 0, and SingularMatrix if Z_C
+    is singular.
     """
     rng = np.random.default_rng(spec.seed)
     d, k, a = spec.pitch, spec.wavenumber, spec.regularization
@@ -200,8 +214,9 @@ def generate(spec: ArrayProblemSpec) -> BorderedSystem:
     diff_c = border[:, None, :] - border[None, :, :]
     zc = _kernel((diff_c**2).sum(-1), k, a) + spec.diagonal_shift * np.eye(spec.nb)
 
-    if spec.nb:
-        numerics.lu_factor(zc)  # invertibility check; raises SingularMatrix
+    if not all(np.isfinite(part).all() for part in (blocks4, zb, zc)):
+        raise InvalidSpec(f"kernel is not finite for {spec}")
+    numerics.lu_factor(zc)  # invertibility check; raises SingularMatrix
     return BorderedSystem(gen, zb, zc, spec)
 
 
@@ -213,14 +228,22 @@ def assemble_full(sys: BorderedSystem, cap: int = DEFAULT_ORACLE_CAP) -> np.ndar
     return np.block([[za, sys.zb.T], [sys.zb, sys.zc]])
 
 
-def build_excitations(sys: BorderedSystem, feed_index: int = 0) -> ExcitationSet:
-    """Unit excitation of the feed DOF of every element, one column each."""
-    ne = sys.spec.ne
+def build_excitations(sys: BorderedSystem, feed_index: int = 0, *,
+                      element: int | None = None) -> ExcitationSet:
+    """Unit excitation of the feed DOF of every element, one column each.
+
+    With ``element`` given, only that element's column is built, as a
+    (dim, 1) block.  Raises IndexOutOfRange for a feed index outside
+    0..ne-1 or an element outside 0..elements-1.
+    """
+    ne, m = sys.spec.ne, sys.spec.elements
     if not 0 <= feed_index < ne:
         raise IndexOutOfRange(f"feed index {feed_index} outside 0..{ne - 1}")
-    m = sys.spec.elements
-    v = np.zeros((sys.dim, m), dtype=np.complex128)
-    v[np.arange(m) * ne + feed_index, np.arange(m)] = 1.0
+    if element is not None and not 0 <= element < m:
+        raise IndexOutOfRange(f"element {element} outside 0..{m - 1}")
+    elements = np.arange(m) if element is None else np.array([element])
+    v = np.zeros((sys.dim, elements.size), dtype=np.complex128)
+    v[elements * ne + feed_index, np.arange(elements.size)] = 1.0
     return ExcitationSet(v)
 
 

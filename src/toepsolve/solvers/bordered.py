@@ -83,6 +83,5 @@ def bordered_matvec(op: BorderedOperator, x) -> np.ndarray:
     xa, xc = arr[: op.array_dim], arr[op.array_dim :]
     top = matvec(op.spectral, xa)
     bottom = op.zb @ xa + op.zc @ xc
-    if op.nb:
-        top = top + op.zb.T @ xc
+    top = top + op.zb.T @ xc
     return np.vstack([top, bottom])

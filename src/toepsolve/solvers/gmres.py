@@ -128,7 +128,7 @@ class GmresConfig:
     """
 
     tol: float = 1e-3
-    max_iter: int = 500
+    max_iter: int = 2000
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:

@@ -88,8 +88,7 @@ def _inverse(a) -> np.ndarray:
 
 
 def _build(sys, block) -> Preconditioner:
-    border = _inverse(sys.zc) if sys.nb else np.zeros((0, 0), dtype=np.complex128)
-    return Preconditioner(_inverse(block), border, sys.array_dim)
+    return Preconditioner(_inverse(block), _inverse(sys.zc), sys.array_dim)
 
 
 def build_pk(sys) -> Preconditioner:

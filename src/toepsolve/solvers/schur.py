@@ -8,16 +8,14 @@ and the border coupling jointly:
 after which the border currents follow from the small reduced system
 (Z_C - Z_B F) I_C = V_C - Z_B U and the array currents from
 I_A = U - F I_C.  Z_A is inverted by the block bordering (Rybicki)
-recursion on its assembled level-1 blocks.  For an empty border this
-degenerates to the recursion alone.
+recursion on its assembled level-1 blocks.
 
 The recursion solves [V_A  Z_B^T] in place, in the block that stacks
-them, so [U  F] takes no memory of its own; with an empty border that
-block is a copy of V_A, since V_A is a view of the caller's V.  The
-solution [I_A; I_C] is allocated once, and I_A = U - F I_C is written
-into it one panel of ``RHS_PANEL`` = 64 columns at a time, so the border
-elimination forms no temporary wider than a panel.  ``run_method`` sums
-the record residual of a rybicki solve over the same panels.
+them, so [U  F] takes no memory of its own.  The solution [I_A; I_C] is
+allocated once, and I_A = U - F I_C is written into it one panel of
+``RHS_PANEL`` = 64 columns at a time, so the border elimination forms
+no temporary wider than a panel.  ``run_method`` sums the record
+residual of a rybicki solve over the same panels.
 
 ``schur_solve`` reports the bytes it holds: ``level1``, the 2N-1 level-1
 blocks (N = n2); ``rhs``, the block [V_A  Z_B^T]; and ``stacks``, the
@@ -63,8 +61,8 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
     adim = sys.array_dim
     va, vc = v[:adim], v[adim:]
     ncols = v.shape[1]
-    # a new block either way: the recursion overwrites it, and va is a view of v
-    rhs = np.hstack([va, sys.zb.T]) if sys.nb else np.array(va, dtype=np.complex128)
+    # a new block: the recursion overwrites it, and va is a view of v
+    rhs = np.hstack([va, sys.zb.T])
 
     t0 = time.perf_counter()
     level1 = assemble_level1(sys.gen)
@@ -75,19 +73,16 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
     memory = {"level1": level1.nbytes, "rhs": rhs.nbytes, "stacks": (len(level1) - 1) * level1[0].nbytes}
     del level1  # freed before the solution is allocated
 
-    if sys.nb:
-        u, f = uf[:, :ncols], uf[:, ncols:]
-        try:
-            lu_s = numerics.lu_factor(sys.zc - sys.zb @ f)
-        except SingularMatrix as exc:
-            raise SingularSchurComplement("reduced border operator is singular") from exc
-        ic = numerics.lu_solve(lu_s, vc - sys.zb @ u)
-        solution = np.empty((sys.dim, ncols), dtype=np.complex128)
-        solution[adim:] = ic
-        for c in range(0, ncols, RHS_PANEL):
-            cols = slice(c, c + RHS_PANEL)
-            np.subtract(u[:, cols], f @ ic[:, cols], out=solution[:adim, cols])
-    else:
-        solution = uf
+    u, f = uf[:, :ncols], uf[:, ncols:]
+    try:
+        lu_s = numerics.lu_factor(sys.zc - sys.zb @ f)
+    except SingularMatrix as exc:
+        raise SingularSchurComplement("reduced border operator is singular") from exc
+    ic = numerics.lu_solve(lu_s, vc - sys.zb @ u)
+    solution = np.empty((sys.dim, ncols), dtype=np.complex128)
+    solution[adim:] = ic
+    for c in range(0, ncols, RHS_PANEL):
+        cols = slice(c, c + RHS_PANEL)
+        np.subtract(u[:, cols], f @ ic[:, cols], out=solution[:adim, cols])
 
     return solution, SchurReport({"level1_fill": t1 - t0, "recursion": t2 - t1}, memory)

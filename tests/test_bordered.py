@@ -11,7 +11,7 @@ import pytest
 from helpers import random_complex, random_generator, rel_err
 from toepsolve.problems import ArrayProblemSpec, BorderedSystem, assemble_full, generate
 from toepsolve.solvers import BorderedOperator, bordered_matvec, build_pk
-from toepsolve.toeplitz import BlockGenerator2L, precompute_spectral
+from toepsolve.toeplitz import BlockGenerator2L, matvec, precompute_spectral
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,19 @@ def test_complex64_input_runs_in_complex64(system):
     single = op.single
     bordered_matvec(op, x.astype(np.complex64))
     assert op.single is single and op.spectral.single is single.spectral
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_empty_border_is_the_array_matvec(system, dtype):
+    sys_, _, _ = system
+    s = sys_.spec
+    empty = BorderedSystem(sys_.gen, np.zeros((0, sys_.array_dim), dtype=complex),
+                           np.zeros((0, 0), dtype=complex), ArrayProblemSpec(ny=s.ny, nx=s.nx, ne=s.ne, nb=0))
+    op = BorderedOperator.from_system(empty)
+    x = random_complex(np.random.default_rng(33), op.dim, 3).astype(dtype)
+    got = bordered_matvec(op, x)
+    assert got.dtype == dtype
+    assert np.array_equal(got, matvec(op.spectral, x))
 
 
 # each holds arrays, so it compares and hashes by identity, as BorderedSystem does:

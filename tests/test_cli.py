@@ -1,5 +1,6 @@
 """Exit codes of the ``toepsolve`` command line on a 2x2 problem."""
 
+import inspect
 import json
 import re
 from dataclasses import asdict
@@ -43,6 +44,7 @@ def test_generate_then_solve_writes_solution_and_report(problem):
 
 def test_rhs_out_of_range_is_invalid_input(problem, capsys):
     assert cli.main(["solve", str(problem), "--rhs", "99"]) == 2
+    assert "element 99 outside 0..3" in capsys.readouterr().err
     for bad in ("1.5", "x"):
         with pytest.raises(SystemExit) as err:
             cli.main(["solve", str(problem), "--rhs", bad])
@@ -246,9 +248,10 @@ def test_record_follows_the_solver_block_partition(grid6, monkeypatch):
     assert abs(rec.residual - dense) <= 1e-8 * dense
 
 
-@pytest.mark.parametrize("side", ["3", "6"])
-def test_verify_checks_every_method_against_the_oracle(capsys, side):
-    assert cli.main(["verify", "--ny", side, "--nx", side]) == 0
+@pytest.mark.parametrize("side, border", [("3", []), ("6", []), ("3", ["--nb", "0"]), ("6", ["--nb", "0"])],
+                         ids=["3", "6", "3-nb-0", "6-nb-0"])
+def test_verify_checks_every_method_against_the_oracle(capsys, side, border):
+    assert cli.main(["verify", "--ny", side, "--nx", side, *border]) == 0
     lines = capsys.readouterr().out.splitlines()
     methods = [m for m in cli.BENCH_METHODS if m != "dense"]
     assert [line.split()[0] for line in lines[1:-1]] == methods
@@ -383,9 +386,8 @@ def test_run_method_input_contract(method, case):
                                            (["--method", "mlfft"], "mlfft-pk-vec"),
                                            (["--method", "mlfft", "--precond", "pz"], "mlfft-pz-vec")])
 def test_solve_over_the_excitations_writes_the_library_result(problem, flags, method, rhs):
-    # ``solve`` writes a GMRES solution over its excitation block (with --rhs 3,
-    # through a strided one-column view of it); the files must be those of a
-    # solve into a block of its own
+    # ``solve`` writes a GMRES solution over its excitation block; the files must
+    # be those of a solve into a block of its own, here a strided column for --rhs 3
     out = problem.with_name("x.sol")
     assert cli.main(["solve", str(problem), *flags, "--rhs", rhs, "-o", str(out)]) == 0
     report = json.loads(problem.with_name("x.sol.json").read_text())
@@ -398,6 +400,24 @@ def test_solve_over_the_excitations_writes_the_library_result(problem, flags, me
     assert v.tobytes() == kept.tobytes()
     assert out.read_bytes() == np.ascontiguousarray(x, dtype="<c16").tobytes()
     assert untimed(report["record"]) == untimed(json.loads(json.dumps(asdict(rec))))
+
+
+@pytest.mark.parametrize("border", [["--nb", "0"], []], ids=["nb-0", "default-border"])
+def test_generate_rejects_a_kernel_that_is_not_finite(tmp_path, capsys, border):
+    # the square of the smoothing length underflows to 0, so r = 0 at coincident
+    # points; a numpy warning would fail this test, as warnings are errors here
+    path = tmp_path / "f.tbz"
+    argv = ["generate", "--ny", "2", "--nx", "2", "--ne", "2", *border, "--reg", "1e-200", "-o", str(path)]
+    assert cli.main(argv) == 2
+    assert "error: kernel is not finite for ArrayProblemSpec(ny=2, nx=2, ne=2" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_one_max_iter_default():
+    default = inspect.signature(cli.run_method).parameters["max_iter"].default
+    assert default == gmres.GmresConfig().max_iter == 2000
+    for argv in (["solve", "p.tbz"], ["verify"]):
+        assert cli._build_parser().parse_args(argv).max_iter == 2000
 
 
 def test_verify_above_oracle_cap(problem):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import random_complex, rel_err
 from toepsolve.errors import DimensionMismatch, ShapeError, SingularMatrix
@@ -85,6 +86,22 @@ def test_lu_shape_contracts():
     f = lu_factor(np.eye(3))
     with pytest.raises(DimensionMismatch):
         lu_solve(f, np.ones((4, 1)))
+
+
+def test_lu_of_a_0x0_block_calls_no_scipy(monkeypatch):
+    # the self block of an empty border: the wrappers, not scipy, own the empty case
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy called on a 0x0 block")
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", refuse)
+    monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+    f = lu_factor(np.zeros((0, 0)))
+    assert f.side == 0 and f.lu.dtype == np.complex128
+    for dtype in (np.complex64, np.complex128):
+        x = lu_solve(f, np.zeros((0, 3), dtype=dtype))
+        assert x.shape == (0, 3) and x.dtype == np.complex128
+    with pytest.raises(DimensionMismatch):
+        lu_solve(f, np.ones((1, 3)))
 
 
 def test_as_columns_keeps_complex64_and_widens_everything_else():

@@ -73,10 +73,12 @@ class TestBuildPk:
         dense = block_diag_dense(sys_, sys_.spec.ne)
         assert rel_err(p.apply(v), np.linalg.solve(dense, v)) <= 1e-12
 
-    @pytest.mark.parametrize("build", [build_pk, build_pz])
-    def test_complex64_apply_stays_complex64(self, build):
-        sys_ = small_system()
+    @pytest.mark.parametrize("build, nb", [(build_pk, 8), (build_pz, 8), (build_pk, 0), (build_pz, 0)],
+                             ids=["build_pk", "build_pz", "build_pk-nb-0", "build_pz-nb-0"])
+    def test_complex64_apply_stays_complex64(self, build, nb):
+        sys_ = small_system(nb=nb)
         p = build(sys_)
+        assert p.border_inverse.shape == (nb, nb)
         v = random_complex(np.random.default_rng(2), sys_.dim, 3)
         dense = block_diag_dense(sys_, p.block_inverse.shape[0])
         complex128_bytes = p.stored_bytes

@@ -1,5 +1,6 @@
 """Synthetic problem generation, excitations and TBZ serialization."""
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -11,6 +12,7 @@ import pytest
 from helpers import BAD_HEADERS, block_at, json_edit, rewrite_header, wrap_generator
 from toepsolve import problems
 from toepsolve.errors import (
+    BlockShapeMismatch,
     ChecksumMismatch,
     FormatError,
     FormatVersionMismatch,
@@ -130,6 +132,7 @@ class TestGenerate:
 class TestAssembleFull:
     def test_no_border_equals_array_part(self):
         sys_ = small_system(nb=0)
+        assert sys_.zb.shape == (0, sys_.array_dim) and sys_.zc.shape == (0, 0)
         assert np.array_equal(assemble_full(sys_), assemble_dense(sys_.gen))
 
     def test_element_block_shift_invariance(self):
@@ -174,6 +177,46 @@ class TestExcitations:
         sys_ = small_system()
         with pytest.raises(IndexOutOfRange):
             build_excitations(sys_, feed_index=4)
+
+    @pytest.mark.parametrize("element", [-1, 9])
+    def test_element_out_of_range(self, element):
+        with pytest.raises(IndexOutOfRange, match=f"element {element} outside 0..8"):
+            build_excitations(small_system(), element=element)
+
+    def test_one_element_builds_only_its_column(self):
+        sys_ = small_system(ny=12, nx=12)  # 144 elements
+        every = build_excitations(sys_, feed_index=2).matrix
+        tracemalloc.start()
+        try:
+            one = build_excitations(sys_, feed_index=2, element=77).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(one, every[:, 77:78]) and one.flags.c_contiguous
+        assert peak <= 1.5 * one.nbytes < every.nbytes / 50
+
+
+def _spec_fields(**fields):
+    return lambda s: (s.gen, s.zb, s.zc, dataclasses.replace(s.spec, **fields))
+
+
+# every field that the arrays must agree with, and a relabelling to a grid of the
+# same array dimension, which only the generator's grid can tell apart
+MISMATCHED = {
+    "ny": _spec_fields(ny=4),
+    "nx": _spec_fields(nx=2),
+    "ne": _spec_fields(ne=2),
+    "nb": _spec_fields(nb=7),
+    "grid-9x1": _spec_fields(ny=9, nx=1),
+    "zb": lambda s: (s.gen, s.zb[:, :-1], s.zc, s.spec),
+    "zc": lambda s: (s.gen, s.zb, s.zc[:-1, :-1], s.spec),
+}
+
+
+@pytest.mark.parametrize("case", MISMATCHED)
+def test_bordered_system_arrays_must_match_the_spec(case):
+    with pytest.raises(BlockShapeMismatch):
+        BorderedSystem(*MISMATCHED[case](small_system()))
 
 
 class TestSerialization:

@@ -265,7 +265,7 @@ def test_singular_border_is_a_singular_schur_complement():
 
 @pytest.mark.parametrize("nb", [0, 4])
 def test_caller_block_is_left_unchanged(nb):
-    # with an empty border V_A is a view of V, so the recursion must not solve in it
+    # V_A is a view of V, so the recursion must not solve in it
     sys_ = generate(ArrayProblemSpec(ny=3, nx=4, ne=2, nb=nb, seed=7))
     v = random_complex(np.random.default_rng(16), sys_.dim, 70)
     before = v.copy()
