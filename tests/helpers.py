@@ -10,7 +10,8 @@ import struct
 
 import numpy as np
 
-from toepsolve.toeplitz import BlockGenerator2L
+from toepsolve import problems
+from toepsolve.toeplitz import BlockGenerator2L, circulant_offsets
 
 
 def random_complex(rng, *shape):
@@ -47,6 +48,53 @@ def random_generator(rng, n2, n1, n0, symmetric=False, diag_boost=0.0) -> BlockG
         blocks4 = blocks4 + blocks4[neg2][:, neg1].swapaxes(2, 3)
     blocks4[0, 0] += diag_boost * np.eye(n0)
     return wrap_generator(blocks4)
+
+
+def reference_fill(spec):
+    """The generator blocks, Z_B and Z_C of ``spec``, by the out-of-place formula.
+
+    The border parts sum squares over an (nb, n, 2) difference tensor,
+    and the kernel is ``np.exp(-1j*k*r) / (4*pi*r)``, each step a new
+    array; the byte oracle of ``problems.generate``.
+    """
+    rng = np.random.default_rng(spec.seed)
+    d, k, a = spec.pitch, spec.wavenumber, spec.regularization
+    dof = rng.uniform(0.0, d, size=(spec.ne, 2))
+    border = problems._perimeter_points(rng, spec.nb, spec.nx * d, spec.ny * d)
+
+    def kernel(dist2):
+        r = np.sqrt(dist2 + a * a)
+        return np.exp(-1j * k * r) / (4.0 * np.pi * r)
+
+    off2 = circulant_offsets(spec.ny).astype(float) * d
+    off1 = circulant_offsets(spec.nx).astype(float) * d
+    ddx = dof[None, :, 0] - dof[:, None, 0]  # (m, n): p_n.x - p_m.x
+    ddy = dof[None, :, 1] - dof[:, None, 1]
+    dist2 = (off1[None, :, None, None] + ddx) ** 2 + (off2[:, None, None, None] + ddy) ** 2
+    blocks = kernel(dist2)
+    blocks[0, 0] += spec.diagonal_shift * np.eye(spec.ne)
+
+    pos = np.empty((spec.ny, spec.nx, spec.ne, 2))
+    pos[..., 0] = np.arange(spec.nx)[None, :, None] * d + dof[:, 0]
+    pos[..., 1] = np.arange(spec.ny)[:, None, None] * d + dof[:, 1]
+    diff_b = border[:, None, :] - pos.reshape(spec.array_dim, 2)[None, :, :]
+    zb = kernel((diff_b**2).sum(-1))
+    diff_c = border[:, None, :] - border[None, :, :]
+    zc = kernel((diff_c**2).sum(-1)) + spec.diagonal_shift * np.eye(spec.nb)
+    return blocks, zb, zc
+
+
+def nonfinite_system(part):
+    """A 2x2 system (ne 2, nb 2) with one inf or NaN in ``part``.
+
+    ``part`` is "the generator" (an inf), "Z_B" (a NaN) or "Z_C" (an
+    inf), as ``problems.load`` names the part that holds it.
+    """
+    sys_ = problems.generate(problems.ArrayProblemSpec(ny=2, nx=2, ne=2, nb=2))
+    target, value = {"the generator": (sys_.gen.blocks[1, 0], np.inf), "Z_B": (sys_.zb, np.nan),
+                     "Z_C": (sys_.zc, np.inf)}[part]
+    target.flat[1] = value
+    return sys_
 
 
 def naive_dft(x, inverse=False):

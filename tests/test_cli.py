@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from helpers import BAD_HEADERS, json_edit, rewrite_header, wrap_generator
+from helpers import BAD_HEADERS, json_edit, nonfinite_system, rewrite_header, wrap_generator
 from toepsolve import cli
 from toepsolve.errors import NoConvergence, ShapeError
 from toepsolve.problems import (
@@ -443,6 +443,18 @@ def test_tbz1_file_is_io_error(problem, capsys):
     err = capsys.readouterr().err
     assert err == "error: bad magic b'TBZ1\\n'\n"
     assert not problem.with_name("p.tbz.sol").exists()
+
+
+@pytest.mark.parametrize("method", ["mlfft", "rybicki"])
+@pytest.mark.parametrize("part", ["the generator", "Z_B", "Z_C"])
+def test_payload_that_is_not_finite_is_io_error(tmp_path, capsys, part, method):
+    # load refuses the file before a solver sees it; a numpy warning would
+    # fail this test, as warnings are errors here
+    path = tmp_path / "p.tbz"
+    save(nonfinite_system(part), path)
+    assert cli.main(["solve", str(path), "--method", method]) == 5
+    assert capsys.readouterr().err == f"error: payload holds inf or NaN in {part}\n"
+    assert not path.with_name("p.tbz.sol").exists()
 
 
 @pytest.mark.parametrize("case", sorted(BAD_HEADERS))

@@ -424,6 +424,21 @@ class TestPrecision:
         true = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
         assert np.isclose(report.final_residual, true, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("tol, precision", [
+        (gmres.SINGLE_PRECISION_TOL, "complex64"),
+        (9.99e-6, "complex128"),
+    ], ids=["at-threshold", "just-below"])
+    def test_threshold_holds_on_a_weakly_shifted_problem(self, tol, precision):
+        # the threshold was swept on the default problem; a diagonal shift of 0.1
+        # is harder (29 complex64 steps against 20 in complex128), and every
+        # column must still meet tol in the dense true residual
+        sys_ = generate(ArrayProblemSpec(ny=12, nx=12, ne=8, diagonal_shift=0.1))
+        v = build_excitations(sys_, 0).matrix[:, :BLOCK_WIDTH]
+        x, rec, reports = cli.run_method(sys_, v, "mlfft-pk-vec", tol)
+        assert rec.precision == precision and all(r.converged for r in reports)
+        residual = np.linalg.norm(assemble_full(sys_) @ x - v, axis=0) / np.linalg.norm(v, axis=0)
+        assert residual.max() <= tol
+
     def test_basis_stays_complex64_when_the_operator_widens(self):
         # like gmres-dense's complex128 matrix, this operator returns complex128
         # whatever it is given; the next basis vector must still be complex64

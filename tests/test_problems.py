@@ -9,7 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import BAD_HEADERS, block_at, json_edit, rewrite_header, wrap_generator
+from helpers import (
+    BAD_HEADERS,
+    block_at,
+    json_edit,
+    nonfinite_system,
+    reference_fill,
+    rewrite_header,
+    wrap_generator,
+)
 from toepsolve import problems
 from toepsolve.errors import (
     BlockShapeMismatch,
@@ -67,6 +75,20 @@ class TestSpec:
                     ArrayProblemSpec(ny=1, nx=1, ne=1, **{real: value})
 
 
+# specs whose fill must equal ``reference_fill`` byte for byte: the 16x16 and 12x20
+# benchmark problems, an odd border, no border, one DOF per element, a short pitch,
+# and wavenumber 0, whose phase must keep the +0.0 that -1j*k*r gives
+FILL_SPECS = {
+    "bench-16x16": ArrayProblemSpec(ny=16, nx=16, ne=8, wavenumber=3.0),
+    "bench-12x20": ArrayProblemSpec(ny=12, nx=20, ne=8, wavenumber=3.0),
+    "3x5-nb-7-k-6": ArrayProblemSpec(ny=3, nx=5, ne=4, nb=7, wavenumber=6.0, seed=2),
+    "nb-0": ArrayProblemSpec(ny=2, nx=3, ne=3, nb=0, seed=1),
+    "ne-1": ArrayProblemSpec(ny=4, nx=3, ne=1, seed=4),
+    "pitch-0.5": ArrayProblemSpec(ny=4, nx=4, ne=3, pitch=0.5, seed=5),
+    "k-0": ArrayProblemSpec(ny=4, nx=5, ne=3, wavenumber=0.0, seed=6),
+}
+
+
 class TestGenerate:
     def test_generator_transpose_symmetry_exact(self):
         sys_ = small_system()
@@ -119,6 +141,32 @@ class TestGenerate:
             assert np.all(bottom | right | top | left)
             s = np.select([bottom, right, top], [x, wx + y, 2 * wx + wy - x], 2 * (wx + wy) - y)
             assert np.all(np.diff(s) >= -eps)
+
+    @pytest.mark.parametrize("spec", list(FILL_SPECS.values()), ids=list(FILL_SPECS))
+    def test_fill_bytes_equal_the_out_of_place_formula(self, spec):
+        sys_ = generate(spec)
+        for got, want in zip((sys_.gen.blocks, sys_.zb, sys_.zc), reference_fill(spec)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_distances_are_an_invalid_spec(self):
+        # the squared distances overflow to inf; a numpy warning would fail
+        # this test, as warnings are errors here
+        with pytest.raises(InvalidSpec, match="kernel is not finite"):
+            generate(ArrayProblemSpec(ny=2, nx=2, ne=2, pitch=1e200))
+
+    def test_fill_scratch_stays_below_one_border_block(self):
+        # the fill's scratch is one float64 array of Z_B's shape, half of zb.nbytes;
+        # an out-of-place fill holds several complex (nb, n) temporaries at once
+        spec = ArrayProblemSpec(ny=12, nx=12, ne=8)
+        tracemalloc.start()
+        try:
+            sys_ = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sys_.gen.blocks.nbytes + sys_.zb.nbytes + sys_.zc.nbytes
+        assert peak - returned < sys_.zb.nbytes
 
     def test_conditioning_guard_without_preconditioner(self):
         sys_ = generate(ArrayProblemSpec(ny=4, nx=4, ne=4, seed=5))
@@ -256,6 +304,13 @@ class TestSerialization:
             tracemalloc.stop()
         spectral = 0 if out is None else out.diag_blocks.nbytes
         assert peak - spectral < sys_.gen.blocks.nbytes
+
+    @pytest.mark.parametrize("part", ["the generator", "Z_B", "Z_C"])
+    def test_payload_that_is_not_finite(self, tmp_path, part):
+        path = tmp_path / "p.tbz"
+        save(nonfinite_system(part), path)
+        with pytest.raises(FormatError, match=f"payload holds inf or NaN in {part}$"):
+            load(path)
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.tbz", tmp_path / "b.tbz"
