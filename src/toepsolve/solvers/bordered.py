@@ -76,12 +76,17 @@ def bordered_matvec(op: BorderedOperator, x) -> np.ndarray:
     """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for an (op.dim, columns) block.
 
     The result has the input's dtype: complex64 runs against ``op.single``.
+    It is allocated once, and the Toeplitz product and the border GEMMs
+    are written into its two row blocks.
     """
     arr = as_columns(x, op.dim)
     if arr.dtype == np.complex64:
         op = op.single
     xa, xc = arr[: op.array_dim], arr[op.array_dim :]
-    top = matvec(op.spectral, xa)
-    bottom = op.zb @ xa + op.zc @ xc
-    top = top + op.zb.T @ xc
-    return np.vstack([top, bottom])
+    out = np.empty(arr.shape, dtype=arr.dtype)
+    top, bottom = out[: op.array_dim], out[op.array_dim :]
+    top[...] = matvec(op.spectral, xa)
+    top += op.zb.T @ xc
+    np.matmul(op.zb, xa, out=bottom)
+    bottom += op.zc @ xc
+    return out

@@ -22,7 +22,11 @@ Householder QR takes over and zeroes the directions it finds dependent,
 so every nonzero basis column stays orthonormal.  The block Hessenberg
 matrix is reduced as it grows, by one QR of a (2s, s) block per step,
 which also gives every column's residual norm.  The iterate
-x = P^-1 (V Y) is formed once, when the block stops.
+x = P^-1 (V Y) is formed once, when the block stops, with Y
+back-substituted one block column of the triangular factor at a time.
+So a block holds its basis, that factor's block columns and panel-sized
+scratch, and no dense triangle; its iterate and residual are formed
+only once its first cycle has ended, which starts from b itself.
 
 Stopping rule.  A block stops when every column's estimate
 ||b_j - A x_j|| / ||b_j|| is at most ``tol``.  Under right
@@ -77,9 +81,12 @@ stopped on the preconditioned residual, and the global-Krylov method:
   8e-7 and ran to the iteration cap (200 on 16x16, 150 on 30x30), where
   complex128 converged within 43 and 55 steps.
 
-The sweeps ran the default problem only; at 1e-5 one 32-column
-``mlfft-pk-vec`` block of a harder 12x12 grid (ne = 8, ``diagonal_shift``
-0.1) took 28 steps in complex64 against 20 in complex128, both converged.
+On a harder problem the threshold still meets ``tol`` but is not the
+faster choice at 1e-5: one 32-column ``mlfft-pk-vec`` block of a 12x12
+grid (ne = 8, ``diagonal_shift`` 0.1) took 29 steps in complex64 against
+20 in complex128, both converged, and at 16x16, shift 0.01, 256
+right-hand sides and tol 1e-5, complex64 took 699 steps in 23.0 s
+against 234 steps in 7.2 s in complex128.
 
 The complex64 bordered matvec is accurate to 1.4e-7 to 1.8e-7 relative
 (32 random columns of 7x9, 16x16, 12x20 and 30x30 grids, ne = 8).
@@ -215,6 +222,7 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
     rows = np.empty((min(8, steps + 1) * s, n), dtype=dtype)
     rows[: q.shape[1]] = q.T
     starts = [0, q.shape[1]]  # panel j is rows[starts[j] : starts[j + 1]]
+    del q
     g = [g0]  # the reduced right-hand side, one block row per panel
     reductions: list[np.ndarray] = []  # the unitary of each step's QR
     r_cols: list[np.ndarray] = []  # block column j of the triangular factor
@@ -237,6 +245,7 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
             rows.resize((len(rows) + max(width, len(rows) // 2), n), refcheck=False)
         rows[k : k + width] = q.T
         starts.append(k + width)
+        del w, q  # the basis holds the new panel: free both before the next operator call
 
         col = np.concatenate([h.astype(np.complex128), sub])
         for i, omega in enumerate(reductions):
@@ -257,16 +266,29 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
         if np.all(estimate <= tol) or width == 0 or k >= n:
             break
 
-    m = starts[len(r_cols)]
-    t = np.zeros((m, m), dtype=np.complex128)
-    for j, rc in enumerate(r_cols):
-        t[: len(rc), starts[j] : starts[j + 1]] = rc
-    # an exactly singular A P^-1 leaves a zero on the diagonal; 1 there keeps
-    # the back substitution finite
-    zero = np.flatnonzero(t.diagonal() == 0.0)
-    t[zero, zero] = 1.0
-    y = scipy.linalg.solve_triangular(t, np.concatenate(g[: len(r_cols)]))
-    return (rows[:m].T @ y.astype(dtype)).astype(np.complex128, copy=False), estimates
+    y = _back_substitute(r_cols, starts, g[: len(r_cols)])
+    return (rows[: len(y)].T @ y.astype(dtype)).astype(np.complex128, copy=False), estimates
+
+
+def _back_substitute(r_cols, starts, g) -> np.ndarray:
+    """y with R y = G, for R's block columns ``r_cols`` and G's block rows ``g``.
+
+    Block column j of the upper triangular R is ``r_cols[j]``: rows 0 to
+    ``starts[j + 1]``, columns ``starts[j]`` to ``starts[j + 1]``.  R is
+    solved one block column at a time, last first, and never assembled.
+    The diagonal blocks are overwritten.
+    """
+    y = np.concatenate(g)
+    for j in reversed(range(len(r_cols))):
+        k0, k = starts[j], starts[j + 1]
+        diag = r_cols[j][k0:k]
+        # an exactly singular A P^-1 leaves a zero on the diagonal; 1 there keeps
+        # the back substitution finite
+        zero = np.flatnonzero(diag.diagonal() == 0.0)
+        diag[zero, zero] = 1.0
+        y[k0:k] = scipy.linalg.solve_triangular(diag, y[k0:k])
+        y[:k0] -= r_cols[j][:k0] @ y[k0:k]
+    return y
 
 
 def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, float]:
@@ -278,8 +300,9 @@ def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, f
     dtype = cfg.basis_dtype
     precondition = (lambda u: u) if p is None else p
     b_norms = np.linalg.norm(b, axis=0)
-    x = np.zeros_like(b)
-    r = b.copy()
+    # x = 0 until the first cycle ends, so that cycle starts from r = b, read-only,
+    # and x and r are formed only once its basis is gone
+    x, r = None, b
     r_norms = b_norms.copy()
     history = [1.0 if b_norms.any() else 0.0]
     iterations = 0
@@ -293,6 +316,8 @@ def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, f
                                     cfg.max_iter - iterations, cfg.tol, dtype)
         iterations += len(estimates)
         history += estimates
+        if x is None:
+            x, r = np.zeros_like(b), b.copy()
         x[:, cols] += precondition(z)
         r[:, cols] = b[:, cols] - op(x[:, cols])
         r_norms[cols] = np.linalg.norm(r[:, cols], axis=0)
@@ -301,6 +326,7 @@ def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, f
     final = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms)) if live.any() else 0.0
     worst = float((r_norms[live] / b_norms[live]).max()) if live.any() else 0.0
     converged = not active.size
+    x = np.zeros_like(b) if x is None else x
     return x, SolveReport(iterations, converged, history, final), worst
 
 

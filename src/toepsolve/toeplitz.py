@@ -61,8 +61,9 @@ complex128 columns, the same bytes as 32 complex64 columns, and writes
 each into its slice of the one output array.  Pushed through at full
 width, 256 complex128 columns of a 16x16 grid make (L2*L1*n0, columns)
 temporaries of 31.5 MB, every stage streams from main memory, and the
-tracemalloc peak of the matvec is 8.5x its output; a panel's peaks at
-1.65x (2.4x in complex64).  Each column goes through the same operations
+tracemalloc peak of the matvec is 7.7x its output; in panels it is 1.42x
+(1.84x in complex64, 256 columns; 7.7x for the one panel of 32
+complex64 columns a GMRES block hands over).  Each column goes through the same operations
 whatever the panel, and the results were bitwise equal at every panel on
 the grids below.  Interleaved medians of 25 matvecs with one BLAS thread
 on a 2-core host, in ms, over three runs (ne = 8):
@@ -83,9 +84,11 @@ in again.  A fresh process timing 32-column complex64 matvecs of a 16x16
 grid in a loop took about 1160 page faults a call (1990 through
 ``scipy.fft``), which is why those calls took 5.2-5.9 ms and not the
 3.1 ms above; inside a GMRES solve the same matvec took 19 faults a
-call (39 through ``scipy.fft``).  So each step frees the one before it
-as soon as it is formed, and at most two grid-sized transients are
-alive at once.
+call (39 through ``scipy.fft``).  So each stage frees the one before it
+as soon as it is formed, and the block multiply overwrites the transform
+it reads, four level-2 rows at a time: a panel holds one grid-sized
+transient at a time, beside its input and a level-1 intermediate or one
+slice of the multiply.
 """
 
 from __future__ import annotations
@@ -281,22 +284,28 @@ def matvec(op: SpectralOperator, u) -> np.ndarray:
     The output is allocated once, in the input's dtype: complex64 runs
     against ``op.single``, anything else in complex128.  Each panel of
     ``MATVEC_PANEL`` complex128 columns' bytes runs the pruned forward
-    transform -> per-block multiply by ``diag_blocks`` -> pruned inverse
-    transform and is written into its slice of the output, so the
-    temporaries are panel-sized whatever the width.
+    transform -> per-block multiply by ``diag_blocks``, over the transform
+    -> pruned inverse transform and is written into its slice of the
+    output, so the temporaries are panel-sized whatever the width.
     """
     arr = as_columns(u, op.dim)
     if arr.dtype == np.complex64:
         op = op.single
     n2, n1, n0 = op.n2, op.n1, op.n0
     points = op.diag_blocks.shape[0]
+    chunk = 4 * (2 * n1 - 1)  # the points of four level-2 rows
     out = np.empty(arr.shape, dtype=arr.dtype)
     panel = MATVEC_PANEL * 16 // arr.itemsize
     for j in range(0, arr.shape[1], panel):
         cols = slice(j, j + panel)
         hat = block_fft_2l(arr[:, cols], n2, n1, n0, "forward").reshape(points, n0, -1)
-        hat = op.diag_blocks @ hat  # the rebinding frees the transform at once
+        # the block multiply overwrites the transform it reads, a few level-2 rows
+        # at a time, so its only transient is one slice's copy of its input
+        for i in range(0, points, chunk):
+            part = slice(i, i + chunk)
+            np.matmul(op.diag_blocks[part], hat[part], out=hat[part])
         out[:, cols] = block_fft_2l(hat.reshape(points * n0, -1), n2, n1, n0, "inverse")
+        del hat  # not alive beside the next panel's transform
     return out
 
 

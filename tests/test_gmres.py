@@ -389,6 +389,52 @@ class TestBlock:
         assert rel_err(q @ r, w[:, :2]) <= 1e-6
 
 
+def dense_back_substitute(r_cols, starts, g):
+    """The reference: R assembled as one dense triangle, zero pivots set to 1, solved at once."""
+    m = starts[len(r_cols)]
+    t = np.zeros((m, m), dtype=np.complex128)
+    for j, rc in enumerate(r_cols):
+        t[: len(rc), starts[j] : starts[j + 1]] = rc
+    zero = np.flatnonzero(t.diagonal() == 0.0)
+    t[zero, zero] = 1.0
+    return scipy.linalg.solve_triangular(t, np.concatenate(g))
+
+
+class TestBackSubstitution:
+    """The cycle's blockwise solve of R y = G against the dense assembled triangle."""
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "zero-pivot"])
+    def test_blockwise_matches_the_dense_triangle(self, monkeypatch, singular):
+        rng = np.random.default_rng(29)
+        a = random_complex(rng, 60, 60) + 8 * np.eye(60)
+        b = random_complex(rng, 60, 4)
+        if singular:
+            # A e_0 = 0 and e_0 is the first basis vector, so the first column of
+            # the reduced Hessenberg is exactly zero
+            a[:, 0] = 0.0
+            b[:, 0] = np.eye(60)[:, 0]
+        zero_pivots = []
+        blockwise = gmres._back_substitute
+
+        def counting(r_cols, starts, g):
+            zero_pivots.append(sum(int(np.sum(rc[starts[j] : starts[j + 1]].diagonal() == 0.0))
+                                   for j, rc in enumerate(r_cols)))
+            return blockwise(r_cols, starts, g)
+
+        def cycle():
+            return gmres._block_cycle(dense_op(a), lambda u: u, b, np.linalg.norm(b, axis=0), 3,
+                                      1e-14, np.dtype(np.complex128))
+
+        monkeypatch.setattr(gmres, "_back_substitute", counting)
+        z, estimates = cycle()
+        monkeypatch.setattr(gmres, "_back_substitute", dense_back_substitute)
+        z_dense, estimates_dense = cycle()
+        assert len(estimates) == 3 and estimates == estimates_dense
+        assert zero_pivots == [1 if singular else 0]
+        assert np.all(np.isfinite(z))
+        assert rel_err(z, z_dense) <= 1e-12
+
+
 class TestPrecision:
     """tol picks the Krylov basis dtype; the exit residual is always complex128."""
 
@@ -477,6 +523,28 @@ class TestPrecision:
         double, rep128 = peak()
         assert rep64.iterations == rep128.iterations
         assert single <= 0.75 * double
+
+    def test_working_set_is_the_basis_and_panel_scratch(self):
+        # one 32-column block of a 12x12 grid, on an operator and a preconditioner
+        # built beforehand, with their complex64 copies: beside the basis the solve
+        # holds its iterate, residual and output, and panel-sized scratch, 9.3 times
+        # the output's bytes; a dense triangle, per-step copies kept over an
+        # operator call and a second grid-sized transient in the matvec add up to
+        # 12.1
+        sys_ = generate(ArrayProblemSpec(ny=12, nx=12, ne=8))
+        v = build_excitations(sys_, 0).matrix[:, :BLOCK_WIDTH]
+        op, p = BorderedOperator.from_system(sys_), build_pk(sys_)
+        assert op.single is not None and p.single is not None
+        tracemalloc.start()
+        try:
+            x, (report,) = solve_multi_rhs_vectorized(lambda u: bordered_matvec(op, u), p.apply, v,
+                                                      GmresConfig(tol=1e-3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        basis = report.iterations * BLOCK_WIDTH * sys_.dim * 8  # complex64
+        assert peak - basis <= 10 * x.nbytes
 
     def test_overwrite_rhs_drops_the_solution_block_from_the_peak(self):
         # 512 random columns of a 6x6 grid (ne 4), on an operator and a
