@@ -52,8 +52,9 @@ for V = 0), and a non-converged run (exit 3) writes its record too, with
 Phases: ``dense_fill`` assembles the dense Z; ``lu_factor`` and
 ``lu_solve`` factor it and back-substitute; ``spectral_precompute``
 transforms the generator for the FFT matvec; ``precond_build`` forms the
-preconditioner; ``matvec`` and ``precond_apply`` are the operator and
-preconditioner applications inside GMRES, summed over the whole solve;
+preconditioner (both with their complex64 copies); ``matvec`` and
+``precond_apply`` are the operator and preconditioner applications
+inside GMRES, summed over the whole solve;
 ``krylov`` is the rest of the GMRES wall time (orthogonalization,
 Hessenberg QR, iterate updates), the quantity ``perfbench`` reports as
 ``gmres.self_s``; ``level1_fill`` assembles the level-1 blocks,
@@ -65,10 +66,10 @@ block the method returns, dim * columns complex128 scalars (``solve``
 lets a GMRES method write its solution over the excitation block, which
 it never reads again, so there ``solution`` is that block and the solve
 holds one such block, not two);
-``dense`` is the dense Z the method allocated; ``spectral`` and
-``precond`` are the ``stored_bytes`` of the FFT operator and of the
-preconditioner, read after the solve, so they count the complex64
-copies a complex64 solve forms; ``krylov`` is the Krylov basis of the
+``dense`` is the dense Z the method allocated; ``spectral`` (the
+transformed generator) and ``precond`` (the two inverses) count the
+complex64 copies a complex64 solve forms, with the operator's copy of
+the border blocks; ``krylov`` is the Krylov basis of the
 largest block, iterations * columns * dim scalars of the record's
 ``precision`` (a solve holds one block's basis at a time); ``level1``,
 ``rhs`` and ``stacks`` are the bytes ``schur_solve`` reports holding.
@@ -257,7 +258,16 @@ def run_method(
         rec.residual = _relative(np.sqrt(squares), np.linalg.norm(v))
         return x, rec, rec.groups
 
-    # gmres-dense, or mlfft-<precond>-vec
+    # gmres-dense, or mlfft-<precond>-vec.  GMRES hands the operators blocks of the
+    # basis dtype, and complex128 ones for the iterate and the exit residual; a block
+    # runs on the operator's copy of its dtype, formed in the phase that builds it.
+    # gmres-dense's Z stays complex128.
+    single = cfg.basis_dtype != np.complex128
+
+    def with_copy(build, *args):
+        made = build(*args)
+        return made, numerics.astype(made, cfg.basis_dtype) if single else made
+
     if method == "gmres-dense":
         full = sequential("dense_fill", assemble_full, sys_, cap)
         rec.memory["dense"] = full.nbytes
@@ -265,11 +275,16 @@ def run_method(
         operator = full.__matmul__
     else:
         precond_name = method.split("-")[1]
-        op = sequential("spectral_precompute", BorderedOperator.from_system, sys_)
-        operator = lambda u: bordered_matvec(op, u)
+        op, op_b = sequential("spectral_precompute", with_copy, BorderedOperator.from_system, sys_)
+        operator = lambda u: bordered_matvec(op_b if u.dtype == cfg.basis_dtype else op, u)
+        # the complex128 border blocks belong to the system
+        rec.memory["spectral"] = op.spectral.diag_blocks.nbytes + (
+            op_b.spectral.diag_blocks.nbytes + op_b.zb.nbytes + op_b.zc.nbytes if single else 0)
     # the builder is read from the module globals here, so a wrapped ``build_pk``
     # (as ``perfbench``'s trace installs) is the one run
-    p = sequential("precond_build", build_pk if precond_name == "pk" else build_pz, sys_)
+    p, p_b = sequential("precond_build", with_copy, build_pk if precond_name == "pk" else build_pz, sys_)
+    precondition = lambda u: (p_b if u.dtype == cfg.basis_dtype else p).apply(u)
+    rec.memory["precond"] = p.stored_bytes + (p_b.stored_bytes if single else 0)
     # report i is that of block i of the solver's partition; the norms of V's blocks
     # are taken before the solve, which may write the solution over V
     blocks = block_slices(v.shape[1])
@@ -278,7 +293,7 @@ def run_method(
     failure = None
     try:
         x, reports = solve_multi_rhs_vectorized(lambda u: timed("matvec", operator, u),
-                                                lambda u: timed("precond_apply", p.apply, u),
+                                                lambda u: timed("precond_apply", precondition, u),
                                                 v, cfg, overwrite_rhs=overwrite_rhs)
     except NoConvergence as exc:
         failure, reports = exc, exc.reports
@@ -288,12 +303,9 @@ def run_method(
     # the true ||V - ZX||_F / ||V||_F, formed from every block's exit residual and its columns
     r_norms = np.array([r.final_residual for r in reports]) * b_norms
     rec.residual = _relative(np.linalg.norm(r_norms), np.linalg.norm(b_norms))
-    # the operators' bytes are read after the solve, so they count the complex64
-    # copies it formed; a solve holds one block's basis at a time
-    if method != "gmres-dense":
-        rec.memory["spectral"] = op.stored_bytes
+    # a solve holds one block's basis at a time
     basis = max(r.iterations * (b.stop - b.start) for r, b in zip(reports, blocks))
-    rec.memory.update(precond=p.stored_bytes, krylov=basis * v.shape[0] * cfg.basis_dtype.itemsize)
+    rec.memory["krylov"] = basis * v.shape[0] * cfg.basis_dtype.itemsize
     if failure is not None:
         rec.ok, rec.error, failure.record = False, str(failure), rec
         raise failure

@@ -3,13 +3,14 @@
 A *block* is a plain 2-D ``numpy`` array of ``complex128`` in row-major
 (C) order.  A column block handed to an operator may also be
 ``complex64``: GMRES runs its Krylov basis in single precision at loose
-tolerances, and the operators then compute in the dtype they receive.
+tolerances, on complex64 copies of the operators that ``astype`` forms.
 The helpers here add the shape/singularity contracts the solvers rely
 on; the heavy lifting is LAPACK via ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from typing import NamedTuple
 
@@ -18,7 +19,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, ShapeError, SingularMatrix
 
-__all__ = ["LUFactors", "as_block", "as_columns", "lu_factor", "lu_solve"]
+__all__ = ["LUFactors", "as_block", "as_columns", "astype", "lu_factor", "lu_solve"]
 
 # Pivots below this magnitude are treated as exact zeros.
 _PIVOT_TINY = 1e-300
@@ -66,6 +67,18 @@ def as_columns(a, rows: int) -> np.ndarray:
     if arr.shape[0] != rows:
         raise DimensionMismatch(f"expected {rows} rows, got {arr.shape[0]}")
     return arr
+
+
+def astype(obj, dtype):
+    """The dataclass ``obj`` with its array fields, nested ones too, cast to ``dtype`` where they differ."""
+    cast = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            cast[f.name] = value.astype(dtype, copy=False)
+        elif dataclasses.is_dataclass(value):
+            cast[f.name] = astype(value, dtype)
+    return dataclasses.replace(obj, **cast)
 
 
 def lu_factor(a) -> LUFactors:

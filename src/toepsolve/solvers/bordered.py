@@ -1,15 +1,14 @@
 """Fast matvec for bordered systems [[Z_A, Z_B^T], [Z_B, Z_C]].
 
 The structured part is applied through its spectral operator; the border
-blocks are small and multiply densely.  A complex64 block is multiplied
-in complex64 throughout, by the copy ``BorderedOperator.single`` forms
-once, on first use; anything else runs in complex128.
+blocks are small and multiply densely.  A block is multiplied in the
+wider of its dtype and the operator's (``numerics.astype`` forms a
+complex64 operator) and the product is returned in the block's dtype.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,40 +52,21 @@ class BorderedOperator:
     def dim(self) -> int:
         return self.array_dim + self.nb
 
-    @cached_property
-    def single(self) -> "BorderedOperator":
-        """This operator in complex64, formed once, on first use."""
-        return BorderedOperator(self.spectral.single, self.zb.astype(np.complex64, copy=False),
-                                self.zc.astype(np.complex64, copy=False))
-
-    @property
-    def stored_bytes(self) -> int:
-        """Bytes of ``spectral.diag_blocks``, plus the complex64 copies ``single`` holds once formed.
-
-        The complex128 border blocks belong to the system and are not counted.
-        """
-        single = vars(self).get("single")
-        held = [self.spectral.diag_blocks]
-        if single is not None:
-            held += [single.spectral.diag_blocks, single.zb, single.zc]
-        return sum(a.nbytes for a in held)
-
 
 def bordered_matvec(op: BorderedOperator, x) -> np.ndarray:
     """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for an (op.dim, columns) block.
 
-    The result has the input's dtype: complex64 runs against ``op.single``.
-    It is allocated once, and the Toeplitz product and the border GEMMs
-    are written into its two row blocks.
+    It is computed in the wider of the input's dtype and the operator's,
+    into one array whose two row blocks take the Toeplitz product and the
+    border GEMMs, and rounded to the input's dtype once, at the end.
     """
     arr = as_columns(x, op.dim)
-    if arr.dtype == np.complex64:
-        op = op.single
-    xa, xc = arr[: op.array_dim], arr[op.array_dim :]
-    out = np.empty(arr.shape, dtype=arr.dtype)
+    work = arr.astype(np.result_type(op.spectral.diag_blocks, arr), copy=False)
+    xa, xc = work[: op.array_dim], work[op.array_dim :]
+    out = np.empty(work.shape, dtype=work.dtype)
     top, bottom = out[: op.array_dim], out[op.array_dim :]
     top[...] = matvec(op.spectral, xa)
     top += op.zb.T @ xc
     np.matmul(op.zb, xa, out=bottom)
     bottom += op.zc @ xc
-    return out
+    return out.astype(arr.dtype, copy=False)

@@ -54,12 +54,13 @@ them), the block solve applies the operator to 2816 columns instead of
 
 Precision.  When ``tol >= SINGLE_PRECISION_TOL`` (1e-5) the Krylov basis
 is complex64, and so is every block the Arnoldi steps hand to the
-operator and the preconditioner.  The FFT operator and the preconditioner
-compute in the dtype they receive, so the transforms, the block multiply,
-the border GEMMs and the preconditioner GEMMs run in complex64 too.  That
-halves the basis memory and most of the matvec time.  A dense operator
-that returns complex128 whatever it is given (``gmres-dense``'s Z) runs
-its product in complex128, and its output is rounded to the basis dtype.
+operator and the preconditioner.  An operator computes with the arrays
+it holds, so ``cli.run_method`` runs such blocks on complex64 copies of
+the FFT operator and the preconditioner, formed once: the transforms,
+the block multiply, the border GEMMs and the preconditioner GEMMs run in
+complex64 too.  That halves the basis memory and most of the matvec
+time.  ``gmres-dense``'s Z has no copy: its product runs in complex128,
+and its output is rounded to the basis dtype.
 The Gram matrices and factors of the panel QRs, the Hessenberg, its
 reduction, the least-squares solution, the iterate and the exit true
 residual stay complex128, so ``final_residual`` is measured in double
@@ -266,7 +267,14 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
         if np.all(estimate <= tol) or width == 0 or k >= n:
             break
 
+    # back substitution sets an exactly zero pivot to 1, which leaves y_i as row i of
+    # the reduced least-squares residual: the last estimate counts those rows too
+    zero = np.flatnonzero(np.concatenate([rc[starts[j] : starts[j + 1]].diagonal() for j, rc
+                                          in enumerate(r_cols)]) == 0.0)
     y = _back_substitute(r_cols, starts, g[: len(r_cols)])
+    if zero.size:
+        lost = np.linalg.norm(g[-1], axis=0) ** 2 + np.sum(np.abs(y[zero]) ** 2, axis=0)
+        estimates[-1] = float((np.sqrt(lost) / b_norms).max())
     return (rows[: len(y)].T @ y.astype(dtype)).astype(np.complex128, copy=False), estimates
 
 

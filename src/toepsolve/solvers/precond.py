@@ -11,15 +11,14 @@ Both are completed by the border self block Z_C, giving the
 block-diagonal preconditioner diag(P'_X, ..., P'_X, Z_C).  The inverses of
 the shared block and of Z_C are formed once, from their LU factors, so
 applying the preconditioner is one GEMM per block: every array segment
-of every column is multiplied by the shared inverse at once.  A complex64
-block is multiplied by complex64 copies of the inverses, formed once, on
-first use (``Preconditioner.single``).
+of every column is multiplied by the shared inverse at once, in the
+wider of the block's dtype and the inverses' (``numerics.astype`` forms
+complex64 inverses), and the result has the block's dtype.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,23 +47,14 @@ class Preconditioner:
     def dim(self) -> int:
         return self.array_dim + self.border_inverse.shape[0]
 
-    @cached_property
-    def single(self) -> "Preconditioner":
-        """This preconditioner in complex64, formed once, on first use."""
-        return replace(self, block_inverse=self.block_inverse.astype(np.complex64, copy=False),
-                       border_inverse=self.border_inverse.astype(np.complex64, copy=False))
-
     @property
     def stored_bytes(self) -> int:
-        """Bytes of the two stored inverses, and of their complex64 copies once formed."""
-        single = vars(self).get("single")
-        copies = 0 if single is None else single.block_inverse.nbytes + single.border_inverse.nbytes
-        return self.block_inverse.nbytes + self.border_inverse.nbytes + copies
+        """Bytes of the two stored inverses."""
+        return self.block_inverse.nbytes + self.border_inverse.nbytes
 
     def apply(self, v) -> np.ndarray:
-        """P^-1 v for a (dim, columns) block v, in v's dtype: complex64 runs against ``single``."""
+        """P^-1 v for a (dim, columns) block v, computed in the wider dtype and returned in v's."""
         arr = numerics.as_columns(v, self.dim)
-        p = self.single if arr.dtype == np.complex64 else self
         side = self.block_inverse.shape[0]
         segments = self.array_dim // side
         w = arr.shape[1]
@@ -73,8 +63,8 @@ class Preconditioner:
         stacked = arr[: self.array_dim].reshape(segments, side, w).transpose(1, 0, 2)
         out = np.empty((self.dim, w), dtype=arr.dtype)
         out[: self.array_dim].reshape(segments, side, w).transpose(1, 0, 2)[...] = (
-            (p.block_inverse @ stacked.reshape(side, -1)).reshape(side, segments, w))
-        out[self.array_dim :] = p.border_inverse @ arr[self.array_dim :]
+            (self.block_inverse @ stacked.reshape(side, -1)).reshape(side, segments, w))
+        out[self.array_dim :] = self.border_inverse @ arr[self.array_dim :]
         return out
 
 

@@ -50,11 +50,11 @@ fast FFT length, so L stays 2n-1 even where that is prime.  Against the
 complex128 FFT matvec the complex128 GEMM matvec differs by 4-5e-16 and
 the complex64 one by 1.1-1.7e-7 (the complex64 FFT matvec: 1.1-1.4e-7).
 
-The pipeline runs in the dtype of the block it receives: a complex64
-block is transformed and multiplied in complex64, with complex64 DFT
-matrices and a complex64 copy of ``diag_blocks`` that the operator forms
-once, on first use (``SpectralOperator.single``); anything else runs in
-complex128.
+The pipeline runs in the wider of the dtypes of ``diag_blocks`` and of
+the block it receives, with DFT matrices of that dtype, and returns the
+block's dtype.  So a complex64 block is transformed and multiplied in
+complex64 only by a complex64 operator (``numerics.astype`` forms one);
+a complex128 operator computes it in complex128 and rounds the result.
 
 ``matvec`` runs that pipeline on panels of ``MATVEC_PANEL`` = 16
 complex128 columns, the same bytes as 32 complex64 columns, and writes
@@ -93,8 +93,8 @@ slice of the multiply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -208,11 +208,6 @@ class SpectralOperator:
     def dim(self) -> int:
         return self.n2 * self.n1 * self.n0
 
-    @cached_property
-    def single(self) -> "SpectralOperator":
-        """This operator in complex64, formed once, on first use."""
-        return replace(self, diag_blocks=self.diag_blocks.astype(np.complex64, copy=False))
-
 
 def block_fft_2l(data, n2: int, n1: int, n0: int, direction: str = "forward") -> np.ndarray:
     """Pruned two-level block-wise DFT at the circulant lengths L = 2n-1.
@@ -281,24 +276,24 @@ def extract_result(v, n2: int, n1: int, n0: int) -> np.ndarray:
 def matvec(op: SpectralOperator, u) -> np.ndarray:
     """Apply the represented block-Toeplitz matrix to an (op.dim, columns) block.
 
-    The output is allocated once, in the input's dtype: complex64 runs
-    against ``op.single``, anything else in complex128.  Each panel of
+    The output is allocated once, in the input's dtype, and the pipeline
+    runs in the wider of that dtype and ``diag_blocks``'.  Each panel of
     ``MATVEC_PANEL`` complex128 columns' bytes runs the pruned forward
     transform -> per-block multiply by ``diag_blocks``, over the transform
     -> pruned inverse transform and is written into its slice of the
     output, so the temporaries are panel-sized whatever the width.
     """
     arr = as_columns(u, op.dim)
-    if arr.dtype == np.complex64:
-        op = op.single
+    dtype = np.result_type(op.diag_blocks, arr)
     n2, n1, n0 = op.n2, op.n1, op.n0
     points = op.diag_blocks.shape[0]
     chunk = 4 * (2 * n1 - 1)  # the points of four level-2 rows
     out = np.empty(arr.shape, dtype=arr.dtype)
-    panel = MATVEC_PANEL * 16 // arr.itemsize
+    panel = MATVEC_PANEL * 16 // dtype.itemsize
     for j in range(0, arr.shape[1], panel):
         cols = slice(j, j + panel)
-        hat = block_fft_2l(arr[:, cols], n2, n1, n0, "forward").reshape(points, n0, -1)
+        hat = block_fft_2l(arr[:, cols].astype(dtype, copy=False), n2, n1, n0,
+                           "forward").reshape(points, n0, -1)
         # the block multiply overwrites the transform it reads, a few level-2 rows
         # at a time, so its only transient is one slice's copy of its input
         for i in range(0, points, chunk):

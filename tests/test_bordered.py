@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import random_complex, random_generator, rel_err
+from toepsolve import numerics
 from toepsolve.problems import ArrayProblemSpec, BorderedSystem, assemble_full, generate
 from toepsolve.solvers import BorderedOperator, bordered_matvec, build_pk
 from toepsolve.toeplitz import BlockGenerator2L, matvec, precompute_spectral
@@ -37,13 +38,18 @@ def test_forward_matches_dense(system):
 def test_complex64_input_runs_in_complex64(system):
     _, op, full = system
     x = random_complex(np.random.default_rng(32), op.dim, 3)
-    got = bordered_matvec(op, x.astype(np.complex64))
+    got = bordered_matvec(numerics.astype(op, np.complex64), x.astype(np.complex64))
     assert got.dtype == np.complex64
     assert rel_err(got, full @ x) <= 1e-6
-    # the complex64 copy is formed once and reused
-    single = op.single
-    bordered_matvec(op, x.astype(np.complex64))
-    assert op.single is single and op.spectral.single is single.spectral
+
+
+def test_complex64_input_on_a_complex128_operator_is_rounded_once(system):
+    # computed in complex128, as the complex128 copy of the block would be
+    _, op, _ = system
+    x = random_complex(np.random.default_rng(34), op.dim, 3).astype(np.complex64)
+    got = bordered_matvec(op, x)
+    assert got.dtype == np.complex64
+    assert np.array_equal(got, bordered_matvec(op, x.astype(np.complex128)).astype(np.complex64))
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
@@ -52,7 +58,7 @@ def test_empty_border_is_the_array_matvec(system, dtype):
     s = sys_.spec
     empty = BorderedSystem(sys_.gen, np.zeros((0, sys_.array_dim), dtype=complex),
                            np.zeros((0, 0), dtype=complex), ArrayProblemSpec(ny=s.ny, nx=s.nx, ne=s.ne, nb=0))
-    op = BorderedOperator.from_system(empty)
+    op = numerics.astype(BorderedOperator.from_system(empty), dtype)
     x = random_complex(np.random.default_rng(33), op.dim, 3).astype(dtype)
     got = bordered_matvec(op, x)
     assert got.dtype == dtype

@@ -263,6 +263,16 @@ def test_verify_checks_every_method_against_the_oracle(capsys, side, border):
         assert worst <= (1e-3 if line.split()[0] != "rybicki" else 1e-12)
 
 
+def test_verify_passes_on_the_ill_conditioned_problem(capsys):
+    # shift 0.01 leaves the default problem's conditioning far behind (cond2 3.3e3
+    # at 16x16); tol 1e-5 still runs GMRES on the complex64 copies, and the
+    # complex128 exit check and the dense oracle must both hold
+    assert cli.main(["verify", "--ny", "6", "--nx", "6", "--shift", "0.01", "--tol", "1e-5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith(" ok") for line in lines[1:-1])
+    assert lines[-1] == "verify: PASS"
+
+
 def test_verify_counts_no_convergence_as_a_failed_check(capsys):
     # one GMRES step cannot reach the tolerance: exit 1 (a failed check), not 3
     assert cli.main(["verify", "--ny", "2", "--nx", "2", "--ne", "2", "--max-iter", "1"]) == 1

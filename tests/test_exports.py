@@ -3,6 +3,9 @@
 Some names are kept only because the benchmark under ``perfbench/`` still
 imports, wraps or calls them (ROADMAP D7(d)); nothing in the package may
 use them, so deleting them later touches only their definitions.
+
+GMRES chooses its precision in one place: the operators compute with the
+arrays they hold, so no operator module may switch on ``np.complex64``.
 """
 
 import importlib
@@ -15,6 +18,9 @@ import pytest
 import toepsolve
 
 MODULES = ["toepsolve"] + [m.name for m in pkgutil.walk_packages(toepsolve.__path__, "toepsolve.")]
+
+# the modules that may name np.complex64: gmres picks the basis dtype and as_columns keeps it
+COMPLEX64_MODULES = ["numerics.py", "solvers/gmres.py"]
 
 PERFBENCH_ONLY = ["BlockGenerator1L", "stacked4", "solve_multi_rhs_sequential", "pad_rhs",
                   "extract_result"]
@@ -38,3 +44,10 @@ def test_perfbench_only_names_are_unused_in_the_package(name):
     assert len([where for where, line in lines if definition.match(line)]) == 1
     assert [(where, line) for where, line in lines
             if not (definition.match(line) or export.match(line))] == []
+
+
+def test_only_gmres_and_numerics_name_complex64():
+    root = Path(toepsolve.__file__).parent
+    naming = [path.relative_to(root).as_posix() for path in sorted(root.rglob("*.py"))
+              if "np.complex64" in path.read_text()]
+    assert [name for name in naming if name not in COMPLEX64_MODULES] == []

@@ -9,13 +9,14 @@ import pytest
 import scipy.linalg
 
 from helpers import monotone_nonincreasing, random_complex, rel_err
-from toepsolve import cli
+from toepsolve import cli, numerics
 from toepsolve.errors import InvalidSpec, NoConvergence
 from toepsolve.problems import ArrayProblemSpec, assemble_full, build_excitations, generate
 from toepsolve.solvers import (
     BLOCK_WIDTH,
     BorderedOperator,
     GmresConfig,
+    Preconditioner,
     bordered_matvec,
     build_pk,
     gmres,
@@ -25,6 +26,12 @@ from toepsolve.solvers import (
 
 def dense_op(a):
     return lambda x: a @ x
+
+
+def by_dtype(apply, obj):
+    """``apply(obj, u)``, with a complex64 block run on a complex64 copy of ``obj`` formed here."""
+    single = numerics.astype(obj, np.complex64)
+    return lambda u: apply(single if u.dtype == np.complex64 else obj, u)
 
 
 class TestGmresCore:
@@ -434,6 +441,21 @@ class TestBackSubstitution:
         assert np.all(np.isfinite(z))
         assert rel_err(z, z_dense) <= 1e-12
 
+    def test_zero_pivot_leaves_an_honest_estimate(self):
+        # A e_0 = 0 and A e_1 = e_0, so the reduced Hessenberg meets an exactly zero
+        # pivot, which back substitution sets to 1; the row it leaves unsolved must
+        # count in the estimate, which read 0 against a true residual of 2e14
+        rng = np.random.default_rng(0)
+        a = random_complex(rng, 30, 30)
+        a[:, 0], a[:, 1] = 0.0, np.eye(30)[:, 0]
+        b = np.column_stack([np.eye(30)[:, 0], random_complex(rng, 30)])
+        with pytest.raises(NoConvergence) as err:
+            solve_multi_rhs_vectorized(dense_op(a), None, b, GmresConfig(tol=1e-10, max_iter=30))
+        (report,) = err.value.reports
+        x = err.value.solution
+        worst = (np.linalg.norm(a @ x - b, axis=0) / np.linalg.norm(b, axis=0)).max()
+        assert worst / 2 <= report.residual_history[-1] <= 2 * worst
+
 
 class TestPrecision:
     """tol picks the Krylov basis dtype; the exit residual is always complex128."""
@@ -505,14 +527,13 @@ class TestPrecision:
         # working set, whose largest part is the Krylov basis
         sys_ = generate(ArrayProblemSpec(ny=12, nx=12, ne=8))
         v = build_excitations(sys_, 0).matrix[:, :BLOCK_WIDTH]
-        op, p = BorderedOperator.from_system(sys_), build_pk(sys_)
-        assert op.single is not None and p.single is not None
+        op = by_dtype(bordered_matvec, BorderedOperator.from_system(sys_))
+        p = by_dtype(Preconditioner.apply, build_pk(sys_))
 
         def peak():
             tracemalloc.start()
             try:
-                _, (report,) = solve_multi_rhs_vectorized(lambda u: bordered_matvec(op, u), p.apply,
-                                                          v, GmresConfig(tol=1e-3))
+                _, (report,) = solve_multi_rhs_vectorized(op, p, v, GmresConfig(tol=1e-3))
                 return tracemalloc.get_traced_memory()[1], report
             finally:
                 tracemalloc.stop()
@@ -533,12 +554,11 @@ class TestPrecision:
         # 12.1
         sys_ = generate(ArrayProblemSpec(ny=12, nx=12, ne=8))
         v = build_excitations(sys_, 0).matrix[:, :BLOCK_WIDTH]
-        op, p = BorderedOperator.from_system(sys_), build_pk(sys_)
-        assert op.single is not None and p.single is not None
+        op = by_dtype(bordered_matvec, BorderedOperator.from_system(sys_))
+        p = by_dtype(Preconditioner.apply, build_pk(sys_))
         tracemalloc.start()
         try:
-            x, (report,) = solve_multi_rhs_vectorized(lambda u: bordered_matvec(op, u), p.apply, v,
-                                                      GmresConfig(tol=1e-3))
+            x, (report,) = solve_multi_rhs_vectorized(op, p, v, GmresConfig(tol=1e-3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -552,14 +572,13 @@ class TestPrecision:
         # default solve's peak, and the permission to overwrite rhs removes it
         sys_ = generate(ArrayProblemSpec(ny=6, nx=6, ne=4))
         rhs = random_complex(np.random.default_rng(7), sys_.dim, 512)
-        op, p = BorderedOperator.from_system(sys_), build_pk(sys_)
-        assert op.single is not None and p.single is not None
+        op = by_dtype(bordered_matvec, BorderedOperator.from_system(sys_))
+        p = by_dtype(Preconditioner.apply, build_pk(sys_))
 
         def peak(b, **kwargs):
             tracemalloc.start()
             try:
-                x, _ = solve_multi_rhs_vectorized(lambda u: bordered_matvec(op, u), p.apply, b,
-                                                  GmresConfig(tol=1e-3), **kwargs)
+                x, _ = solve_multi_rhs_vectorized(op, p, b, GmresConfig(tol=1e-3), **kwargs)
                 return tracemalloc.get_traced_memory()[1], x
             finally:
                 tracemalloc.stop()

@@ -6,7 +6,9 @@ import scipy.linalg
 
 from helpers import random_complex, rel_err
 from toepsolve.errors import DimensionMismatch, ShapeError, SingularMatrix
-from toepsolve.numerics import as_columns, lu_factor, lu_solve
+from toepsolve.numerics import as_columns, astype, lu_factor, lu_solve
+from toepsolve.problems import ArrayProblemSpec, generate
+from toepsolve.solvers import BorderedOperator
 
 
 def test_lu_identity_trivial():
@@ -114,3 +116,16 @@ def test_as_columns_keeps_complex64_and_widens_everything_else():
         got = as_columns(other, 3)
         assert got.dtype == np.complex128
         assert np.array_equal(got, np.asarray(other))
+
+
+def test_astype_casts_every_array_field_and_shares_the_rest():
+    op = BorderedOperator.from_system(generate(ArrayProblemSpec(ny=2, nx=3, ne=2)))
+    single = astype(op, np.complex64)
+    assert type(single) is BorderedOperator
+    for got, was in ((single.spectral.diag_blocks, op.spectral.diag_blocks), (single.zb, op.zb),
+                     (single.zc, op.zc)):
+        assert got.dtype == np.complex64 and np.array_equal(got, was.astype(np.complex64))
+    assert (single.spectral.n2, single.spectral.n1, single.spectral.n0) == (2, 3, 2)
+    # an array already of the dtype is shared, not copied
+    same = astype(op, np.complex128)
+    assert same.zb is op.zb and same.spectral.diag_blocks is op.spectral.diag_blocks

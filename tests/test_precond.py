@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from helpers import block_at, random_complex, rel_err, wrap_generator
+from toepsolve import numerics
 from toepsolve.errors import ShapeError
 from toepsolve.problems import ArrayProblemSpec, BorderedSystem, build_excitations, generate
 from toepsolve.solvers import (
@@ -82,14 +83,20 @@ class TestBuildPk:
         v = random_complex(np.random.default_rng(2), sys_.dim, 3)
         dense = block_diag_dense(sys_, p.block_inverse.shape[0])
         complex128_bytes = p.stored_bytes
-        got = p.apply(v.astype(np.complex64))
+        single = numerics.astype(p, np.complex64)
+        got = single.apply(v.astype(np.complex64))
         assert got.dtype == np.complex64
         assert rel_err(got, np.linalg.solve(dense, v)) <= 1e-6
-        # the complex64 inverses are formed once, and count in the stored bytes
-        assert p.stored_bytes == complex128_bytes * 3 // 2
-        single = p.single
-        p.apply(v.astype(np.complex64))
-        assert p.single is single
+        # the complex64 inverses take half the bytes of the complex128 ones
+        assert p.stored_bytes + single.stored_bytes == complex128_bytes * 3 // 2
+
+    def test_complex64_block_on_complex128_inverses_is_rounded_once(self):
+        sys_ = small_system()
+        p = build_pk(sys_)
+        v = random_complex(np.random.default_rng(3), sys_.dim, 3).astype(np.complex64)
+        got = p.apply(v)
+        assert got.dtype == np.complex64
+        assert np.array_equal(got, p.apply(v.astype(np.complex128)).astype(np.complex64))
 
     def test_stored_bytes(self):
         sys_ = small_system()

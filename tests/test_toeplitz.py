@@ -15,7 +15,7 @@ from helpers import (
     rel_err,
     wrap_generator,
 )
-from toepsolve import problems, toeplitz
+from toepsolve import numerics, problems, toeplitz
 from toepsolve.errors import BlockShapeMismatch, InvalidSpec, ShapeError
 from toepsolve.toeplitz import (
     MATVEC_PANEL,
@@ -36,6 +36,11 @@ from toepsolve.toeplitz import (
 MATVEC_BOUND = {np.complex128: 1e-12, np.complex64: 1e-6}
 # pruned DFT error against its explicit dense matrix, by the input dtype
 DFT_BOUND = {np.complex128: 1e-13, np.complex64: 1e-6}
+
+
+def spectral(gen, dtype):
+    """The spectral operator of ``gen`` in ``dtype``, so its matvec computes in that dtype."""
+    return numerics.astype(precompute_spectral(gen), dtype)
 
 
 def panel_columns(dtype) -> int:
@@ -306,7 +311,7 @@ class TestMatvec:
         rng = np.random.default_rng(width)
         gen = random_generator(rng, 3, 4, 2)
         u = random_complex(rng, gen.dim, width)
-        got = matvec(precompute_spectral(gen), u.astype(dtype))
+        got = matvec(spectral(gen, dtype), u.astype(dtype))
         assert got.shape == (gen.dim, width) and got.dtype == dtype
         assert rel_err(got, assemble_dense(gen) @ u) <= MATVEC_BOUND[dtype]
 
@@ -314,7 +319,7 @@ class TestMatvec:
     def test_input_layout_does_not_change_bits(self, dtype):
         rng = np.random.default_rng(19)
         gen = random_generator(rng, 3, 4, 2)
-        op = precompute_spectral(gen)
+        op = spectral(gen, dtype)
         width = 2 * panel_columns(dtype) + 3
         wide = random_complex(rng, gen.dim, width + 5).astype(dtype)
         u = np.ascontiguousarray(wide[:, 2 : 2 + width])
@@ -324,6 +329,15 @@ class TestMatvec:
         assert np.array_equal(matvec(op, np.asfortranarray(u)), want)
         assert np.array_equal(matvec(op, wide[:, 2 : 2 + width]), want)
         assert np.array_equal(wide[:, 2 : 2 + width], kept)
+
+    def test_complex64_block_on_a_complex128_operator_is_rounded_once(self):
+        rng = np.random.default_rng(24)
+        gen = random_generator(rng, 3, 4, 2)
+        op = precompute_spectral(gen)
+        u = random_complex(rng, gen.dim, 2 * panel_columns(np.complex64) + 3).astype(np.complex64)
+        got = matvec(op, u)
+        assert got.dtype == np.complex64
+        assert np.array_equal(got, matvec(op, u.astype(np.complex128)).astype(np.complex64))
 
     def test_transient_memory_is_panel_sized(self):
         # the transients scale with the panel, not the width: one pass over
@@ -376,7 +390,7 @@ class TestMatvec:
         # the transforms are GEMMs: only precompute_spectral calls scipy.fft
         rng = np.random.default_rng(23)
         gen = random_generator(rng, 3, 4, 2)
-        op = precompute_spectral(gen)
+        op = spectral(gen, dtype)
         monkeypatch.setattr(toeplitz, "scipy", None)
         u = random_complex(rng, gen.dim, 3)
         assert rel_err(matvec(op, u.astype(dtype)), assemble_dense(gen) @ u) <= MATVEC_BOUND[dtype]
