@@ -241,7 +241,7 @@ def run_method(
         x = sequential("lu_solve", numerics.lu_solve, factors, v)
         rec.solve_s = last - t0
         rec.memory["dense"] = full.nbytes
-        rec.residual = _relative(np.linalg.norm(full @ x - v), np.linalg.norm(v))
+        rec.residual = _panel_residual(full.__matmul__, x, v)
         return x, rec, rec.groups
 
     if method == "rybicki":
@@ -252,10 +252,7 @@ def run_method(
         phases["border"] = rec.solve_s - phases["level1_fill"] - phases["recursion"]
         rec.memory.update(report.memory)
         op = BorderedOperator.from_system(sys_)
-        # summed over column panels, so the residual is never formed at full width
-        panels = (slice(c, c + RHS_PANEL) for c in range(0, v.shape[1], RHS_PANEL))
-        squares = sum(np.linalg.norm(bordered_matvec(op, x[:, p]) - v[:, p]) ** 2 for p in panels)
-        rec.residual = _relative(np.sqrt(squares), np.linalg.norm(v))
+        rec.residual = _panel_residual(lambda u: bordered_matvec(op, u), x, v)
         return x, rec, rec.groups
 
     # gmres-dense, or mlfft-<precond>-vec.  GMRES hands the operators blocks of the
@@ -317,6 +314,13 @@ def _relative(residual_norm: float, v_norm: float) -> float:
     return float(residual_norm / v_norm) if v_norm else 0.0
 
 
+def _panel_residual(apply, x: np.ndarray, v: np.ndarray) -> float:
+    """||V - ZX||_F / ||V||_F, with ``apply`` forming Z times ``RHS_PANEL`` columns at a time."""
+    panels = (slice(c, c + RHS_PANEL) for c in range(0, v.shape[1], RHS_PANEL))
+    squares = sum(np.linalg.norm(apply(x[:, p]) - v[:, p]) ** 2 for p in panels)
+    return _relative(np.sqrt(squares), np.linalg.norm(v))
+
+
 # flag -> (ArrayProblemSpec field, type, help).  A flag not given is absent from
 # the parsed namespace, so ``verify`` can tell it was not given and the spec
 # supplies its own default; the grid, which the spec does not default, takes
@@ -339,6 +343,13 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     for flag, (dest, kind, text) in _SPEC_FLAGS.items():
         p.add_argument(flag, dest=dest, type=kind, default=argparse.SUPPRESS, metavar=flag[2:].upper(),
                        help=text)
+
+
+def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=float, default=GmresConfig.tol)
+    p.add_argument("--max-iter", type=int, default=GmresConfig.max_iter)
+    p.add_argument("--feed", type=int, default=0, help="feed unknown within an element")
+    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
 
 
 def _spec_from_args(args) -> ArrayProblemSpec:
@@ -474,11 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="mlfft only, and both choices run the same solver: block GMRES on the "
                    "column blocks that block_slices in solvers/gmres.py defines, bounding every "
                    "column's true residual by --tol")
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-iter", type=int, default=GmresConfig.max_iter)
+    _add_solver_flags(p)
     p.add_argument("--rhs", type=_rhs_arg, default="all", help='"all" or a single column index')
-    p.add_argument("--feed", type=int, default=0, help="feed unknown within an element")
-    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.add_argument("-o", "--output", default=None, help="solution file (raw complex128)")
     p.add_argument("--report", default=None, help="report JSON path")
     p.set_defaults(func=_cmd_solve)
@@ -486,10 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare every solver against the dense oracle")
     p.add_argument("input", nargs="?", default=None, help="optional TBZ path (else --ny/--nx/... flags)")
     _add_spec_flags(p)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--max-iter", type=int, default=GmresConfig.max_iter)
-    p.add_argument("--feed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
+    _add_solver_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

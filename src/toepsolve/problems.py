@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -67,10 +68,9 @@ DEFAULT_ORACLE_CAP = 20_000
 
 _MAGIC, _VERSION = b"TBZ2\n", 2
 _TRAILER = 8  # checksum bytes after the payload
-# TBZ header key -> ArrayProblemSpec field; the ints must be JSON integers
+# TBZ header key -> ArrayProblemSpec field, which checks the value's type
 _HEADER = {"ny": "ny", "nx": "nx", "ne": "ne", "nb": "nb", "seed": "seed",
            "k": "wavenumber", "pitch": "pitch", "a": "regularization", "shift": "diagonal_shift"}
-_HEADER_INTS = ("ny", "nx", "ne", "nb", "seed")  # also the names of the spec's int fields
 # header key -> the one value this format has: the payload's scalar type and layout
 _HEADER_FIXED = {"dtype": "c128", "order": "row-major", "endian": "little"}
 
@@ -94,16 +94,18 @@ class ArrayProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # types first, as the defaults below are formed from them; a bool counts as neither type
+        ints = {k: getattr(self, k) for k in ("ny", "nx", "ne", "nb", "seed")}
+        if not all(type(v) is int or k == "nb" and v is None for k, v in ints.items()):
+            raise InvalidSpec(f"ny, nx, ne, nb and seed must be integers, got {ints}")
+        reals = {k: getattr(self, k) for k in ("wavenumber", "pitch", "regularization", "diagonal_shift")}
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
+                   or k == "regularization" and v is None for k, v in reals.items()):
+            raise InvalidSpec(f"wavenumber, pitch, regularization and shift must be finite, got {reals}")
         if self.nb is None:
             self.nb = 8 * (self.nx + self.ny)
         if self.regularization is None:
             self.regularization = self.pitch / 10.0
-        ints = {key: getattr(self, key) for key in _HEADER_INTS}
-        if not all(isinstance(i, int) and not isinstance(i, bool) for i in ints.values()):
-            raise InvalidSpec(f"ny, nx, ne, nb and seed must be integers, got {ints}")
-        reals = (self.wavenumber, self.pitch, self.regularization, self.diagonal_shift)
-        if not all(-math.inf < r < math.inf for r in reals):
-            raise InvalidSpec(f"wavenumber, pitch, regularization and shift must be finite, got {reals}")
         if min(self.ny, self.nx, self.ne) < 1:
             raise InvalidSpec(f"ny, nx, ne must be >= 1, got {(self.ny, self.nx, self.ne)}")
         if min(self.nb, self.seed) < 0:
@@ -270,12 +272,14 @@ def build_excitations(sys: BorderedSystem, feed_index: int = 0, *,
 
     With ``element`` given, only that element's column is built, as a
     (dim, 1) block.  Raises IndexOutOfRange for a feed index outside
-    0..ne-1 or an element outside 0..elements-1.
+    0..ne-1 or an element outside 0..elements-1, and for either that is
+    a bool or not an integer.
     """
     ne, m = sys.spec.ne, sys.spec.elements
-    if not 0 <= feed_index < ne:
+    index = lambda i, n: isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < n
+    if not index(feed_index, ne):
         raise IndexOutOfRange(f"feed index {feed_index} outside 0..{ne - 1}")
-    if element is not None and not 0 <= element < m:
+    if element is not None and not index(element, m):
         raise IndexOutOfRange(f"element {element} outside 0..{m - 1}")
     elements = np.arange(m) if element is None else np.array([element])
     v = np.zeros((sys.dim, elements.size), dtype=np.complex128)
@@ -322,13 +326,9 @@ def _header_spec(raw: bytes) -> ArrayProblemSpec:
     for key, value in _HEADER_FIXED.items():
         if header.get(key) != value:
             raise FormatError(f"header {key!r} is {header.get(key)!r}, not {value!r}")
-    for key in _HEADER:
-        if key not in header:
-            raise FormatError(f"header lacks {key!r}")
-        value = header[key]
-        kinds = int if key in _HEADER_INTS else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise FormatError(f"header {key!r} has type {type(value).__name__}: {value!r}")
+    # a null is missing too: the spec would read it as its default
+    if missing := [key for key in _HEADER if header.get(key) is None]:
+        raise FormatError(f"header lacks {missing[0]!r}")
     try:
         return ArrayProblemSpec(**{name: header[key] for key, name in _HEADER.items()})
     except InvalidSpec as exc:
@@ -343,8 +343,8 @@ def load(path) -> BorderedSystem:
 
     Raises FormatVersionMismatch for a foreign magic (that of the older
     TBZ1 format included) or a header version other than 2, FormatError
-    for an undecodable header, a missing header key, a header value of
-    the wrong type, a non-finite real, a value the spec rejects or a
+    for an undecodable header, a missing or null header key, a value of
+    the wrong type or range (``ArrayProblemSpec`` checks both) or a
     ``dtype``, ``order`` or ``endian`` other than the one ``save``
     writes or a payload that holds inf or NaN (checked after the
     checksum, naming the generator, Z_B or Z_C), and ChecksumMismatch

@@ -96,6 +96,7 @@ The complex64 bordered matvec is accurate to 1.4e-7 to 1.8e-7 relative
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,10 +140,11 @@ class GmresConfig:
     max_iter: int = 2000
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise InvalidSpec(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidSpec(f"max_iter must be >= 1, got {self.max_iter}")
+        tol, max_iter = self.tol, self.max_iter
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+            raise InvalidSpec(f"tol must be a finite real number > 0, got {tol!r}")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+            raise InvalidSpec(f"max_iter must be an integer >= 1, got {max_iter!r}")
 
     @property
     def basis_dtype(self) -> np.dtype:
@@ -227,6 +229,7 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
     g = [g0]  # the reduced right-hand side, one block row per panel
     reductions: list[np.ndarray] = []  # the unitary of each step's QR
     r_cols: list[np.ndarray] = []  # block column j of the triangular factor
+    zero_rows: list[int] = []  # R's rows whose pivot was exactly zero, set to 1
     estimates: list[float] = []
     for j in range(steps):
         k0, k = starts[j], starts[j + 1]
@@ -255,6 +258,11 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
         omega = unitary.conj().T
         reductions.append(omega)
         col[k0:] = tri
+        # an exactly singular A P^-1 leaves a zero pivot; 1 there keeps y finite and
+        # leaves y_i as row i of the reduced least-squares residual
+        pivots = np.flatnonzero(col[k0:k].diagonal() == 0.0)
+        col[k0 + pivots, pivots] = 1.0
+        zero_rows.extend(k0 + pivots)
         r_cols.append(col[:k])
         top_bottom = omega @ np.concatenate([g[j], np.zeros((width, s), dtype=np.complex128)])
         g[j] = top_bottom[: k - k0]
@@ -267,13 +275,9 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
         if np.all(estimate <= tol) or width == 0 or k >= n:
             break
 
-    # back substitution sets an exactly zero pivot to 1, which leaves y_i as row i of
-    # the reduced least-squares residual: the last estimate counts those rows too
-    zero = np.flatnonzero(np.concatenate([rc[starts[j] : starts[j + 1]].diagonal() for j, rc
-                                          in enumerate(r_cols)]) == 0.0)
     y = _back_substitute(r_cols, starts, g[: len(r_cols)])
-    if zero.size:
-        lost = np.linalg.norm(g[-1], axis=0) ** 2 + np.sum(np.abs(y[zero]) ** 2, axis=0)
+    if zero_rows:  # the last estimate counts the rows the zero pivots left unsolved
+        lost = np.linalg.norm(g[-1], axis=0) ** 2 + np.sum(np.abs(y[zero_rows]) ** 2, axis=0)
         estimates[-1] = float((np.sqrt(lost) / b_norms).max())
     return (rows[: len(y)].T @ y.astype(dtype)).astype(np.complex128, copy=False), estimates
 
@@ -284,17 +288,12 @@ def _back_substitute(r_cols, starts, g) -> np.ndarray:
     Block column j of the upper triangular R is ``r_cols[j]``: rows 0 to
     ``starts[j + 1]``, columns ``starts[j]`` to ``starts[j + 1]``.  R is
     solved one block column at a time, last first, and never assembled.
-    The diagonal blocks are overwritten.
+    The pivots arrive nonzero, and no input is written.
     """
     y = np.concatenate(g)
     for j in reversed(range(len(r_cols))):
         k0, k = starts[j], starts[j + 1]
-        diag = r_cols[j][k0:k]
-        # an exactly singular A P^-1 leaves a zero on the diagonal; 1 there keeps
-        # the back substitution finite
-        zero = np.flatnonzero(diag.diagonal() == 0.0)
-        diag[zero, zero] = 1.0
-        y[k0:k] = scipy.linalg.solve_triangular(diag, y[k0:k])
+        y[k0:k] = scipy.linalg.solve_triangular(r_cols[j][k0:k], y[k0:k])
         y[:k0] -= r_cols[j][:k0] @ y[k0:k]
     return y
 

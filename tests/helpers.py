@@ -155,6 +155,9 @@ BAD_HEADERS = {
     "not-an-object": lambda h: b"[1, 2]",
     "missing-key": json_edit(lambda f: f.pop("nb")),
     "wrong-type": json_edit(lambda f: f.update(ny=2.0)),
+    "bool-shift": json_edit(lambda f: f.update(shift=True)),
+    "string-k": json_edit(lambda f: f.update(k="3")),
+    "null-border": json_edit(lambda f: f.update(nb=None)),
     "empty-grid": json_edit(lambda f: f.update(ny=0, nx=0)),
     "negative-border": json_edit(lambda f: f.update(nb=-1)),
     "nan-wavenumber": json_edit(lambda f: f.update(k=float("nan"))),

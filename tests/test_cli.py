@@ -12,6 +12,7 @@ from helpers import BAD_HEADERS, json_edit, nonfinite_system, rewrite_header, wr
 from toepsolve import cli
 from toepsolve.errors import NoConvergence, ShapeError
 from toepsolve.problems import (
+    DEFAULT_ORACLE_CAP,
     ArrayProblemSpec,
     BorderedSystem,
     assemble_full,
@@ -428,6 +429,14 @@ def test_one_max_iter_default():
     assert default == gmres.GmresConfig().max_iter == 2000
     for argv in (["solve", "p.tbz"], ["verify"]):
         assert cli._build_parser().parse_args(argv).max_iter == 2000
+
+
+def test_solve_and_verify_share_the_solver_flag_defaults():
+    want = {"tol": gmres.GmresConfig.tol, "max_iter": gmres.GmresConfig.max_iter, "feed": 0,
+            "cap": DEFAULT_ORACLE_CAP}
+    for argv in (["solve", "p.tbz"], ["verify"]):
+        args = vars(cli._build_parser().parse_args(argv))
+        assert {key: args[key] for key in want} == want
 
 
 def test_verify_above_oracle_cap(problem):

@@ -55,11 +55,22 @@ class TestGmresCore:
         )
         assert not x.any() and report.converged
 
-    @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": math.inf}, {"tol": math.nan}, {"max_iter": 0}],
-                             ids=["tol-0", "tol-inf", "tol-nan", "max_iter-0"])
+    @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": math.inf}, {"tol": math.nan}, {"max_iter": 0},
+                                     {"tol": True}, {"tol": "1e-3"}, {"tol": 1e-3 + 0j},
+                                     {"max_iter": 2.5}, {"max_iter": 5.0}, {"max_iter": True}],
+                             ids=["tol-0", "tol-inf", "tol-nan", "max_iter-0", "tol-bool", "tol-str",
+                                  "tol-complex", "max_iter-2.5", "max_iter-float", "max_iter-bool"])
     def test_config_out_of_range_is_invalid_spec(self, bad):
         with pytest.raises(InvalidSpec):
             GmresConfig(**bad)
+
+    def test_run_method_rejects_a_fractional_max_iter(self):
+        sys_ = generate(ArrayProblemSpec(ny=2, nx=2, ne=2))
+        v = build_excitations(sys_).matrix
+        with pytest.raises(InvalidSpec, match="max_iter"):
+            cli.run_method(sys_, v, "mlfft-pk-vec", 1e-3, max_iter=2.5)
+        _, rec, _ = cli.run_method(sys_, v, "mlfft-pk-vec", 1e-3, max_iter=np.int64(5))
+        assert rec.ok
 
     def test_no_convergence_carries_report(self):
         rng = np.random.default_rng(0)
@@ -397,13 +408,11 @@ class TestBlock:
 
 
 def dense_back_substitute(r_cols, starts, g):
-    """The reference: R assembled as one dense triangle, zero pivots set to 1, solved at once."""
+    """The reference: R assembled as one dense triangle and solved at once."""
     m = starts[len(r_cols)]
     t = np.zeros((m, m), dtype=np.complex128)
     for j, rc in enumerate(r_cols):
         t[: len(rc), starts[j] : starts[j + 1]] = rc
-    zero = np.flatnonzero(t.diagonal() == 0.0)
-    t[zero, zero] = 1.0
     return scipy.linalg.solve_triangular(t, np.concatenate(g))
 
 
@@ -420,30 +429,48 @@ class TestBackSubstitution:
             # the reduced Hessenberg is exactly zero
             a[:, 0] = 0.0
             b[:, 0] = np.eye(60)[:, 0]
-        zero_pivots = []
+        pivots = []  # R's pivots as each call of the back substitution receives them
         blockwise = gmres._back_substitute
 
-        def counting(r_cols, starts, g):
-            zero_pivots.append(sum(int(np.sum(rc[starts[j] : starts[j + 1]].diagonal() == 0.0))
-                                   for j, rc in enumerate(r_cols)))
+        def recording(r_cols, starts, g):
+            pivots.append(np.concatenate([rc[starts[j] : starts[j + 1]].diagonal()
+                                          for j, rc in enumerate(r_cols)]))
             return blockwise(r_cols, starts, g)
 
         def cycle():
             return gmres._block_cycle(dense_op(a), lambda u: u, b, np.linalg.norm(b, axis=0), 3,
                                       1e-14, np.dtype(np.complex128))
 
-        monkeypatch.setattr(gmres, "_back_substitute", counting)
+        monkeypatch.setattr(gmres, "_back_substitute", recording)
         z, estimates = cycle()
         monkeypatch.setattr(gmres, "_back_substitute", dense_back_substitute)
         z_dense, estimates_dense = cycle()
         assert len(estimates) == 3 and estimates == estimates_dense
-        assert zero_pivots == [1 if singular else 0]
+        # the cycle sets R's zero pivot to 1 as it forms R: none reaches the solve
+        (received,) = pivots
+        assert np.all(received != 0.0)
+        if singular:
+            assert received[0] == 1.0
         assert np.all(np.isfinite(z))
         assert rel_err(z, z_dense) <= 1e-12
 
+    def test_reads_its_inputs_and_writes_none(self):
+        # read-only inputs: a write, even of no entries, raises instead of passing unseen
+        rng = np.random.default_rng(31)
+        starts = [0, 3, 5, 9]
+        r = np.triu(random_complex(rng, 9, 9)) + 4 * np.eye(9)
+        r_cols = [r[:k, k0:k] for k0, k in zip(starts, starts[1:])]
+        g = [random_complex(rng, k - k0, 2) for k0, k in zip(starts, starts[1:])]
+        before = [a.copy() for a in r_cols + g]
+        for a in r_cols + g:
+            a.flags.writeable = False
+        y = gmres._back_substitute(r_cols, starts, g)
+        assert all(np.array_equal(a, b) for a, b in zip(r_cols + g, before))
+        assert rel_err(y, dense_back_substitute(r_cols, starts, g)) <= 1e-12
+
     def test_zero_pivot_leaves_an_honest_estimate(self):
         # A e_0 = 0 and A e_1 = e_0, so the reduced Hessenberg meets an exactly zero
-        # pivot, which back substitution sets to 1; the row it leaves unsolved must
+        # pivot, which the cycle sets to 1; the row it leaves unsolved must
         # count in the estimate, which read 0 against a true residual of 2e14
         rng = np.random.default_rng(0)
         a = random_complex(rng, 30, 30)

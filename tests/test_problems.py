@@ -66,11 +66,11 @@ class TestSpec:
         with pytest.raises(InvalidSpec, match="nb and seed must be >= 0"):
             ArrayProblemSpec(ny=1, nx=1, ne=1, seed=-1)
         for name in ("ny", "nx", "ne", "nb", "seed"):
-            for value in (2.5, 2.0, True):
+            for value in (2.5, 2.0, True, "2", 2 + 0j):
                 with pytest.raises(InvalidSpec, match="integers"):
                     ArrayProblemSpec(**({"ny": 2, "nx": 2, "ne": 2} | {name: value}))
         for real in ("wavenumber", "pitch", "regularization", "diagonal_shift"):
-            for value in (math.inf, -math.inf, math.nan):
+            for value in (math.inf, -math.inf, math.nan, True, "3", 3 + 0j):
                 with pytest.raises(InvalidSpec, match="finite"):
                     ArrayProblemSpec(ny=1, nx=1, ne=1, **{real: value})
 
@@ -226,10 +226,20 @@ class TestExcitations:
         with pytest.raises(IndexOutOfRange):
             build_excitations(sys_, feed_index=4)
 
-    @pytest.mark.parametrize("element", [-1, 9])
+    @pytest.mark.parametrize("feed", [1.5, True, "1"])
+    def test_feed_that_is_not_an_integer(self, feed):
+        with pytest.raises(IndexOutOfRange, match=f"feed index {feed} outside 0..3"):
+            build_excitations(small_system(), feed_index=feed)
+
+    @pytest.mark.parametrize("element", [-1, 9, True, 1.0, "1"])
     def test_element_out_of_range(self, element):
         with pytest.raises(IndexOutOfRange, match=f"element {element} outside 0..8"):
             build_excitations(small_system(), element=element)
+
+    def test_numpy_integer_indices(self):
+        sys_ = small_system()
+        got = build_excitations(sys_, np.int64(2), element=np.int32(5)).matrix
+        assert np.array_equal(got, build_excitations(sys_, 2).matrix[:, 5:6])
 
     def test_one_element_builds_only_its_column(self):
         sys_ = small_system(ny=12, nx=12)  # 144 elements
