@@ -2,7 +2,8 @@
 
 Every run is reproducible from its seed in all non-timing fields.  Exit
 codes: 0 success, 1 verify: a check failed, 2 invalid input (an
-out-of-range index or a singular system included), 3 no convergence, 4
+out-of-range index, a singular system and a problem too large for the
+memory included), 3 no convergence, 4
 dense oracle cap exceeded, 5 I/O or file-format failure: an unreadable
 file, a file without the TBZ2 magic (an older TBZ1 file included), or a
 TBZ2 file with a bad version, header, size or checksum.  ``verify``
@@ -15,7 +16,7 @@ Timed scaling sweeps (warm-up, repeats, crossovers and an environment
 block) are run by the repository's ``perfbench/sweep.py``, which calls
 ``run_method``.
 
-``solve`` writes the report JSON ``{"schema_version": 4, "record": R}``,
+``solve`` writes the report JSON ``{"schema_version": 5, "record": R}``,
 where R is the ``SolveRecord`` of the run as a dict.  Its ``precision``
 is the dtype of the GMRES Krylov basis and of the blocks its Arnoldi
 steps hand to the operator: ``complex64`` when ``tol`` >=
@@ -30,10 +31,11 @@ each phase is timed from the end of the one before, and ``krylov`` and
 rybicki's ``border`` are the remainders; ``memory`` holds
 the bytes (16 per complex128 scalar, 8 per complex64 scalar) of only
 what the method holds.
-``groups`` has one entry per GMRES block, the column slices that
-``block_slices`` in ``solvers/gmres.py`` defines, with its
-``iterations``, ``converged``, ``residual_history`` and
-``final_residual``, and none for ``dense`` and ``rybicki``.
+``groups`` has one entry per GMRES block, ``BLOCK_WIDTH`` consecutive
+columns (in ``solvers/gmres.py``), with its ``iterations``,
+``converged``, ``residual_history``, ``final_residual``, ``rhs_norm``
+(the block's ||V||_F) and ``basis_bytes`` (its largest Krylov basis
+array), and none for ``dense`` and ``rybicki``.
 ``residual`` is the true relative residual ||V - ZX||_F / ||V||_F (0
 for V = 0), and a non-converged run (exit 3) writes its record too, with
 ``ok`` false.
@@ -69,9 +71,9 @@ holds one such block, not two);
 ``dense`` is the dense Z the method allocated; ``spectral`` (the
 transformed generator) and ``precond`` (the two inverses) count the
 complex64 copies a complex64 solve forms, with the operator's copy of
-the border blocks; ``krylov`` is the Krylov basis of the
-largest block, iterations * columns * dim scalars of the record's
-``precision`` (a solve holds one block's basis at a time); ``level1``,
+the border blocks; ``krylov`` is the largest ``basis_bytes`` of the
+groups, the bytes of the largest Krylov basis array that GMRES
+allocated (a solve holds one block's basis at a time); ``level1``,
 ``rhs`` and ``stacks`` are the bytes ``schur_solve`` reports holding.
 
 BLAS threads are capped by setting ``OPENBLAS_NUM_THREADS`` or
@@ -115,7 +117,6 @@ from .solvers import (
     BorderedOperator,
     GmresConfig,
     SolveReport,
-    block_slices,
     bordered_matvec,
     build_pk,
     build_pz,
@@ -141,7 +142,7 @@ _EXIT_IO = 5
 _BYTES_PER_SCALAR = 16
 
 # version of the report JSON that ``solve`` writes
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass
@@ -191,7 +192,8 @@ def run_method(
     solution X = 0 is exact; the GMRES methods take it from the residual
     the solve computes at exit.  A GMRES NoConvergence is re-raised with
     the finished record attached as ``record``.  ``v`` must be 2-D with
-    ``dim`` rows and at least one column (ShapeError, DimensionMismatch).
+    ``dim`` rows and at least one column, and finite (ShapeError,
+    DimensionMismatch).
 
     ``overwrite_rhs`` permits a GMRES method (``gmres-dense``,
     ``mlfft-*``) to write its solution over ``v``, as
@@ -199,15 +201,17 @@ def run_method(
     (dim, columns) block instead of two; the solution returned (or a
     NoConvergence's ``solution``) is then ``v`` itself when ``v`` is
     complex128.  The record is the same either way: its residual reads
-    the norms of V's blocks before the solve.  ``dense`` and ``rybicki``
-    ignore the flag, because their residual is formed from V after the
-    solve.
+    the norms GMRES takes of V's blocks before it writes them.  ``dense``
+    and ``rybicki`` ignore the flag, because their residual is formed
+    from V after the solve.
     """
     if method not in BENCH_METHODS:
         raise InvalidSpec(f"unknown method {method!r} (choose from {', '.join(BENCH_METHODS)})")
     v = numerics.as_columns(v, sys_.dim)
     if not v.shape[1]:
         raise ShapeError(f"expected at least one right-hand side column, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ShapeError("right-hand side block holds inf or NaN")
     spec = sys_.spec
     cfg = GmresConfig(tol=tol, max_iter=max_iter)  # checked for every method, used by GMRES
     precision = "complex128" if method in ("dense", "rybicki") else cfg.basis_dtype.name
@@ -282,10 +286,6 @@ def run_method(
     p, p_b = sequential("precond_build", with_copy, build_pk if precond_name == "pk" else build_pz, sys_)
     precondition = lambda u: (p_b if u.dtype == cfg.basis_dtype else p).apply(u)
     rec.memory["precond"] = p.stored_bytes + (p_b.stored_bytes if single else 0)
-    # report i is that of block i of the solver's partition; the norms of V's blocks
-    # are taken before the solve, which may write the solution over V
-    blocks = block_slices(v.shape[1])
-    b_norms = np.array([np.linalg.norm(v[:, cols]) for cols in blocks])
     phases.update(matvec=0.0, precond_apply=0.0)
     failure = None
     try:
@@ -297,12 +297,11 @@ def run_method(
     end = time.perf_counter()
     rec.solve_s, rec.groups = end - t0, reports
     phases["krylov"] = end - last - phases["matvec"] - phases["precond_apply"]
-    # the true ||V - ZX||_F / ||V||_F, formed from every block's exit residual and its columns
-    r_norms = np.array([r.final_residual for r in reports]) * b_norms
-    rec.residual = _relative(np.linalg.norm(r_norms), np.linalg.norm(b_norms))
+    # the true ||V - ZX||_F / ||V||_F, formed from every block's exit residual and norm
+    rec.residual = _relative(np.linalg.norm([r.final_residual * r.rhs_norm for r in reports]),
+                             np.linalg.norm([r.rhs_norm for r in reports]))
     # a solve holds one block's basis at a time
-    basis = max(r.iterations * (b.stop - b.start) for r, b in zip(reports, blocks))
-    rec.memory["krylov"] = basis * v.shape[0] * cfg.basis_dtype.itemsize
+    rec.memory["krylov"] = max(r.basis_bytes for r in reports)
     if failure is not None:
         rec.ok, rec.error, failure.record = False, str(failure), rec
         raise failure
@@ -482,9 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["dense", "gmres-dense", "rybicki", "mlfft"], default="mlfft")
     p.add_argument("--precond", choices=["pk", "pz"], default=None, help="mlfft only (default pk)")
     p.add_argument("--multi", choices=["vec", "seq"], default=None,
-                   help="mlfft only, and both choices run the same solver: block GMRES on the "
-                   "column blocks that block_slices in solvers/gmres.py defines, bounding every "
-                   "column's true residual by --tol")
+                   help="mlfft only, and both choices run the same solver: block GMRES, bounding "
+                   "every column's true residual by --tol")
     _add_solver_flags(p)
     p.add_argument("--rhs", type=_rhs_arg, default="all", help='"all" or a single column index')
     p.add_argument("-o", "--output", default=None, help="solution file (raw complex128)")
@@ -506,6 +504,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidSpec, ShapeError, ValueError, IndexOutOfRange, SingularMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_INVALID
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return _EXIT_INVALID
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

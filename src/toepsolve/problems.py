@@ -75,7 +75,7 @@ _HEADER = {"ny": "ny", "nx": "nx", "ne": "ne", "nb": "nb", "seed": "seed",
 _HEADER_FIXED = {"dtype": "c128", "order": "row-major", "endian": "little"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArrayProblemSpec:
     """Parameters of a synthetic bordered array problem.
 
@@ -103,9 +103,9 @@ class ArrayProblemSpec:
                    or k == "regularization" and v is None for k, v in reals.items()):
             raise InvalidSpec(f"wavenumber, pitch, regularization and shift must be finite, got {reals}")
         if self.nb is None:
-            self.nb = 8 * (self.nx + self.ny)
+            object.__setattr__(self, "nb", 8 * (self.nx + self.ny))
         if self.regularization is None:
-            self.regularization = self.pitch / 10.0
+            object.__setattr__(self, "regularization", self.pitch / 10.0)
         if min(self.ny, self.nx, self.ne) < 1:
             raise InvalidSpec(f"ny, nx, ne must be >= 1, got {(self.ny, self.nx, self.ne)}")
         if min(self.nb, self.seed) < 0:

@@ -5,7 +5,6 @@ from .gmres import (
     BLOCK_WIDTH,
     GmresConfig,
     SolveReport,
-    block_slices,
     solve_multi_rhs_vectorized,
 )
 from .precond import Preconditioner, build_pk, build_pz
@@ -18,7 +17,6 @@ __all__ = [
     "BLOCK_WIDTH",
     "GmresConfig",
     "SolveReport",
-    "block_slices",
     "solve_multi_rhs_vectorized",
     "Preconditioner",
     "build_pk",

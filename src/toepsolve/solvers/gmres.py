@@ -1,7 +1,7 @@
 """Right-preconditioned block GMRES for many right-hand sides.
 
 ``solve_multi_rhs_vectorized`` solves the (n, W) right-hand side block
-one ``block_slices`` block of ``BLOCK_WIDTH`` = 32 columns after
+one block of ``BLOCK_WIDTH`` = 32 columns (the last maybe fewer) after
 another, so the Krylov memory stays at one block's worth however many
 columns the solve has.  One matvec on 32 columns costs far less than 32
 one-column matvecs: the border products run as GEMMs instead of GEMVs,
@@ -34,7 +34,9 @@ preconditioning that estimate is the column's true residual, up to the
 rounding of the basis.  The true residual is then formed in complex128 as
 a guard: a column still above ``tol`` sends the block through one more
 cycle, started from its iterate, on the columns that missed.  A block
-fails only when ``max_iter`` steps (summed over its cycles) run out.
+fails only when ``max_iter`` steps (summed over its cycles) run out, or
+when the operator returns an inf or NaN residual, from which no cycle
+can start.
 
 Measurements (block GMRES; 16x16 grid, ne = 8, wavenumber 3, 256
 right-hand sides, pk, one BLAS thread, 2-core host).  At tol 1e-3, block
@@ -108,7 +110,6 @@ __all__ = [
     "GmresConfig",
     "SolveReport",
     "solve_multi_rhs_vectorized",
-    "block_slices",
     "BLOCK_WIDTH",
     "SINGLE_PRECISION_TOL",
 ]
@@ -120,7 +121,7 @@ BLOCK_WIDTH = 32
 # module docstring)
 SINGLE_PRECISION_TOL = 1e-5
 
-@dataclass
+@dataclass(frozen=True)
 class GmresConfig:
     """Stopping rule and precision of block GMRES.
 
@@ -128,8 +129,9 @@ class GmresConfig:
     ||b_j - A x_j|| / ||b_j|| is at most ``tol``; the complex128 true
     residual at exit must confirm it, or the block runs another cycle on
     the columns that missed.  A block that has run ``max_iter`` steps,
-    summed over its cycles, stops unconverged.  Each report records the
-    complex128 true residual as ``final_residual``.
+    summed over its cycles, or whose true residual is inf or NaN, stops
+    unconverged.  Each report records the complex128 true residual as
+    ``final_residual``.
 
     ``tol`` also sets the precision of the Krylov basis, ``basis_dtype``:
     complex64 when ``tol >= SINGLE_PRECISION_TOL`` (1e-5), else
@@ -161,13 +163,18 @@ class SolveReport:
     holds, after each step, the largest estimated relative residual among
     the columns the block is iterating on; ``final_residual`` is the
     complex128 true residual ||B - A X||_F / ||B||_F of the block's
-    columns.
+    columns; ``rhs_norm`` is ||B||_F, taken before the solve writes any
+    column; ``basis_bytes`` is the ``nbytes`` of the largest Krylov
+    basis array one of the block's cycles allocated (0 when no cycle
+    ran).
     """
 
     iterations: int = 0
     converged: bool = True
     residual_history: list[float] = field(default_factory=list)
     final_residual: float = 0.0
+    rhs_norm: float = 0.0
+    basis_bytes: int = 0
 
 
 # ------------------------------------------------------------ block GMRES
@@ -214,9 +221,10 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
     Runs until every column's estimate ||g_j|| / ``b_norms`` is at most
     ``tol``, the basis spans R^n or an invariant subspace, or for
     ``steps`` steps.  Returns V Y, the combination of the basis that
-    minimizes every column's residual, and the largest estimate after
-    each step.  A panel is as wide as the directions its QR kept, so a
-    dependent direction leaves the block for the rest of the cycle.
+    minimizes every column's residual, the largest estimate after each
+    step and the bytes of the basis array.  A panel is as wide as the
+    directions its QR kept, so a dependent direction leaves the block for
+    the rest of the cycle.
     """
     n, s = r0.shape
     q, g0 = _panel_qr(r0, np.linalg.norm(r0, axis=0), dtype)
@@ -279,7 +287,8 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
     if zero_rows:  # the last estimate counts the rows the zero pivots left unsolved
         lost = np.linalg.norm(g[-1], axis=0) ** 2 + np.sum(np.abs(y[zero_rows]) ** 2, axis=0)
         estimates[-1] = float((np.sqrt(lost) / b_norms).max())
-    return (rows[: len(y)].T @ y.astype(dtype)).astype(np.complex128, copy=False), estimates
+    z = (rows[: len(y)].T @ y.astype(dtype)).astype(np.complex128, copy=False)
+    return z, estimates, rows.nbytes
 
 
 def _back_substitute(r_cols, starts, g) -> np.ndarray:
@@ -312,16 +321,18 @@ def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, f
     x, r = None, b
     r_norms = b_norms.copy()
     history = [1.0 if b_norms.any() else 0.0]
-    iterations = 0
+    iterations = basis_bytes = 0
     while True:
-        # a zero column is solved by x = 0, and tol >= 1 is met at x = 0
-        active = np.flatnonzero(r_norms > cfg.tol * b_norms)
-        if not active.size or iterations == cfg.max_iter:
+        # a zero column is solved by x = 0, and tol >= 1 is met at x = 0; a NaN
+        # residual is never met, and no cycle can start from it or from an inf
+        active = np.flatnonzero(~(r_norms <= cfg.tol * b_norms))
+        if not active.size or iterations == cfg.max_iter or not np.isfinite(r_norms).all():
             break
         cols = slice(None) if active.size == len(b_norms) else active  # a view when all iterate
-        z, estimates = _block_cycle(op, precondition, r[:, cols], b_norms[cols],
-                                    cfg.max_iter - iterations, cfg.tol, dtype)
+        z, estimates, cycle_bytes = _block_cycle(op, precondition, r[:, cols], b_norms[cols],
+                                                 cfg.max_iter - iterations, cfg.tol, dtype)
         iterations += len(estimates)
+        basis_bytes = max(basis_bytes, cycle_bytes)
         history += estimates
         if x is None:
             x, r = np.zeros_like(b), b.copy()
@@ -330,33 +341,31 @@ def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, f
         r_norms[cols] = np.linalg.norm(r[:, cols], axis=0)
 
     live = b_norms > 0.0
-    final = float(np.linalg.norm(r_norms) / np.linalg.norm(b_norms)) if live.any() else 0.0
+    rhs_norm = float(np.linalg.norm(b_norms))
+    final = float(np.linalg.norm(r_norms) / rhs_norm) if rhs_norm else 0.0
     worst = float((r_norms[live] / b_norms[live]).max()) if live.any() else 0.0
     converged = not active.size
     x = np.zeros_like(b) if x is None else x
-    return x, SolveReport(iterations, converged, history, final), worst
+    return x, SolveReport(iterations, converged, history, final, rhs_norm, basis_bytes), worst
 
 
 # ------------------------------------------------------------ entry point
 
 
-def block_slices(columns: int) -> list[slice]:
-    """The column slices of a solve's blocks, in order: ``BLOCK_WIDTH`` wide, the last maybe less."""
-    return [slice(i, min(i + BLOCK_WIDTH, columns)) for i in range(0, columns, BLOCK_WIDTH)]
-
-
 def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig, *,
                                overwrite_rhs: bool = False) -> tuple[np.ndarray, list[SolveReport]]:
-    """Solve A X = B by right-preconditioned block GMRES on the blocks of ``block_slices``.
+    """Solve A X = B by right-preconditioned block GMRES, ``BLOCK_WIDTH`` columns at a time.
 
     ``op`` applies A and ``p`` applies P^-1 (or is None for no
     preconditioner); both are callables on (n, columns) blocks.  The
-    blocks, ``block_slices`` of the 2-D ``rhs``'s columns, are solved one
-    after another, and each returns one report.  Every column of a
-    converged block has a complex128 true relative residual of at most
-    ``cfg.tol``.  All blocks are solved even when some fail; a
+    blocks, consecutive ``BLOCK_WIDTH`` columns of the 2-D ``rhs`` (the
+    last maybe fewer), are solved one after another, and each returns one
+    report; an ``rhs`` holding inf or NaN is a ShapeError.  Every column
+    of a converged block has a complex128 true relative residual of at
+    most ``cfg.tol``.  All blocks are solved even when some fail; a
     NoConvergence carrying every block's report and the full iterate is
-    raised at the end if a block ran out of ``cfg.max_iter`` steps.
+    raised at the end if a block ran out of ``cfg.max_iter`` steps or
+    the operator gave it a residual of inf or NaN.
 
     ``overwrite_rhs`` permits the solve to reuse ``rhs`` for the iterate,
     as scipy's ``overwrite_b`` does, so the solve holds no second
@@ -369,10 +378,13 @@ def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig, *,
     arr = np.asarray(rhs, dtype=np.complex128)
     if arr.ndim != 2:
         raise ShapeError(f"rhs must be a column block, got ndim={arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise ShapeError("rhs holds inf or NaN")
     x = arr if overwrite_rhs else np.empty_like(arr)
     reports: list[SolveReport] = []
     worst: list[float] = []
-    for cols in block_slices(arr.shape[1]):
+    for start in range(0, arr.shape[1], BLOCK_WIDTH):
+        cols = slice(start, start + BLOCK_WIDTH)
         x[:, cols], report, block_worst = _block_gmres(op, p, arr[:, cols], cfg)
         reports.append(report)
         worst.append(block_worst)

@@ -1,8 +1,10 @@
 """Exit codes of the ``toepsolve`` command line on a 2x2 problem."""
 
+import importlib
 import inspect
 import json
 import re
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -185,7 +187,7 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
     argv = ["solve", str(problem), "--multi", multi, "--tol", "1e-14", "--max-iter", "1"]
     assert cli.main(argv) == 3
     report = json.loads(problem.with_name("p.tbz.sol.json").read_text())
-    assert report["schema_version"] == 4 and list(report) == ["schema_version", "record"]
+    assert report["schema_version"] == 5 and list(report) == ["schema_version", "record"]
     record = report["record"]
     assert not record["ok"] and record["memory"]["krylov"] > 0
     assert len(record["groups"]) == 1  # the 4 columns are one block
@@ -237,16 +239,66 @@ def test_record_holds_only_what_the_method_ran(grid6, method):
 
 
 def test_record_follows_the_solver_block_partition(grid6, monkeypatch):
-    # the record reads its blocks from the solver's own partition, so blocks of 16
+    # the record reads its blocks from the solver's own reports, so blocks of 16
     # columns split the 36-column solve into 16 + 16 + 4 without another edit
     monkeypatch.setattr(gmres, "BLOCK_WIDTH", 16)
     sys_, v = grid6
     x, rec, _ = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-3)
-    assert len(rec.groups) == 3
-    first, second, third = (g.iterations for g in rec.groups)
-    assert rec.memory["krylov"] == max(16 * first, 16 * second, 4 * third) * sys_.dim * 8
+    # complex64 bases of 192 rows (16-column panels: 8 deep, grown by half once for
+    # 8 steps) and 48 rows (4-column panels: 8 deep, grown once for 10 steps)
+    assert [g.basis_bytes for g in rec.groups] == [n * sys_.dim * 8 for n in (192, 192, 48)]
+    assert rec.memory["krylov"] == 192 * sys_.dim * 8
     dense = np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v)
     assert abs(rec.residual - dense) <= 1e-8 * dense
+
+
+def cycle_bases(run):
+    """``run()``, and the ``nbytes`` of the Krylov basis array each GMRES cycle held on return."""
+    bases = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is gmres._block_cycle.__code__:
+            bases.append(frame.f_locals["rows"].nbytes)
+
+    sys.setprofile(profile)
+    try:
+        return run(), bases
+    finally:
+        sys.setprofile(None)
+
+
+@pytest.mark.parametrize("side, shift, tol, want", [(16, 1.0, 1e-3, 7_077_888), (8, 0.01, 1e-5, 4_423_680)],
+                         ids=["16x16", "8x8-shift-0.01"])
+def test_record_krylov_is_the_largest_basis_a_cycle_allocated(side, shift, tol, want):
+    # the bases of the 32-column blocks, complex64, with their headroom for more steps
+    sys_ = generate(ArrayProblemSpec(side, side, ne=8, diagonal_shift=shift))
+    v = build_excitations(sys_, 0).matrix
+    (_, rec, _), bases = cycle_bases(lambda: cli.run_method(sys_, v, "mlfft-pk-vec", tol))
+    assert rec.memory["krylov"] == max(g.basis_bytes for g in rec.groups) == max(bases) == want
+    if shift < 1.0:  # the weakly shifted blocks each run a second cycle
+        assert len(bases) == 2 * len(rec.groups)
+
+
+def test_gmres_alone_owns_the_block_partition():
+    # run_method reads every block's norm and basis from its report
+    assert "block_slices" not in inspect.getsource(cli)
+    exported = [name for name in ("toepsolve.solvers", "toepsolve.solvers.gmres")
+                if "block_slices" in importlib.import_module(name).__all__]
+    assert exported == []
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_out_of_memory_is_one_line_and_invalid_input(tmp_path, monkeypatch, capsys, command):
+    # the fill is never really asked for: a host that overcommits memory could grant it
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 51.5 GiB for an array with shape (599, 599, 8, 8) "
+                          "and data type complex128")
+
+    monkeypatch.setattr(cli, "generate", out_of_memory)
+    output = ["-o", str(tmp_path / "f.tbz")] if command == "generate" else []
+    assert cli.main([command, "--ny", "300", "--nx", "300", *output]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Unable to allocate 51.5 GiB" in err
 
 
 @pytest.mark.parametrize("side, border", [("3", []), ("6", []), ("3", ["--nb", "0"]), ("6", ["--nb", "0"])],
@@ -377,7 +429,7 @@ def test_overwrite_rhs_no_convergence_record_reads_v_before_the_solve(method):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("case", ["1-D", "zero columns", "all-zero"])
+@pytest.mark.parametrize("case", ["1-D", "zero columns", "all-zero", "nan", "inf"])
 @pytest.mark.parametrize("method", cli.BENCH_METHODS)
 def test_run_method_input_contract(method, case):
     sys_ = generate(ArrayProblemSpec(ny=2, nx=2, ne=4))
@@ -386,6 +438,12 @@ def test_run_method_input_contract(method, case):
         # x = 0 solves V = 0 exactly, so the relative residual is 0, not 0/0
         x, rec, _ = cli.run_method(sys_, np.zeros_like(v), method, tol=1e-3)
         assert rec.residual == 0.0 and not x.any()
+        return
+    if case in ("nan", "inf"):
+        # refused before any method runs, whose residual would read NaN
+        v[5, 1] = float(case)
+        with pytest.raises(ShapeError, match="inf or NaN"):
+            cli.run_method(sys_, v, method, tol=1e-3)
         return
     bad = v[:, 0] if case == "1-D" else v[:, :0]
     with pytest.raises(ShapeError):

@@ -1,5 +1,6 @@
 """Block GMRES and its convergence bookkeeping."""
 
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import scipy.linalg
 
 from helpers import monotone_nonincreasing, random_complex, rel_err
 from toepsolve import cli, numerics
-from toepsolve.errors import InvalidSpec, NoConvergence
+from toepsolve.errors import InvalidSpec, NoConvergence, ShapeError
 from toepsolve.problems import ArrayProblemSpec, assemble_full, build_excitations, generate
 from toepsolve.solvers import (
     BLOCK_WIDTH,
@@ -63,6 +64,38 @@ class TestGmresCore:
     def test_config_out_of_range_is_invalid_spec(self, bad):
         with pytest.raises(InvalidSpec):
             GmresConfig(**bad)
+
+    def test_config_is_frozen(self):
+        # an assignment would skip every check of __post_init__
+        cfg = GmresConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.tol = 0.0
+        assert cfg == GmresConfig()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_rhs_is_a_shape_error(self, bad):
+        b = np.ones((3, 2), dtype=np.complex128)
+        b[1, 1] = bad
+        with pytest.raises(ShapeError, match="inf or NaN"):
+            solve_multi_rhs_vectorized(dense_op(np.eye(3)), None, b, GmresConfig())
+
+    def test_nan_residual_never_reads_as_converged(self):
+        # the complex64 basis converges, but the operator gives the complex128 exit
+        # residual a NaN column, which must not count as met
+        rng = np.random.default_rng(0)
+        a = random_complex(rng, 30, 30) + 6 * np.eye(30)
+        b = random_complex(rng, 30, 3)
+
+        def op(u):
+            out = a @ u
+            if u.dtype == np.complex128:
+                out[:, 0] = math.nan
+            return out
+
+        with pytest.raises(NoConvergence, match="nan") as err:
+            solve_multi_rhs_vectorized(op, None, b, GmresConfig(tol=1e-3))
+        (report,) = err.value.reports
+        assert not report.converged and math.isnan(report.final_residual)
 
     def test_run_method_rejects_a_fractional_max_iter(self):
         sys_ = generate(ArrayProblemSpec(ny=2, nx=2, ne=2))
@@ -164,15 +197,17 @@ class TestMultiRhs:
     def test_krylov_memory_formulas(self, problem):
         sys_, _, _, v, _ = problem
         _, rv, _ = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-4, max_iter=300)
-        m = v.shape[1]
-        # tol 1e-4 keeps a complex64 basis: 8 bytes per scalar
+        # tol 1e-4 keeps a complex64 basis: 8 bytes per scalar.  The 9-column block's
+        # basis is allocated 8 panels (72 rows) deep, and its 6 steps fill 7 panels
         assert rv.precision == "complex64"
-        assert rv.memory["krylov"] == rv.iterations * m * sys_.dim * 8
-        # 36 columns run as blocks of 32 and 4, and a solve holds one block's basis
+        assert rv.memory["krylov"] == rv.groups[0].basis_bytes == 72 * sys_.dim * 8
+        # 36 columns run as blocks of 32 and 4, and a solve holds one block's basis:
+        # the first block's 256 rows (3 steps), not the second's 48 (8 steps, grown once)
         w = random_complex(np.random.default_rng(1), sys_.dim, 36)
         _, rw, _ = cli.run_method(sys_, w, "mlfft-pk-vec", tol=1e-4, max_iter=300)
-        first, last = (g.iterations for g in rw.groups)
-        assert rw.memory["krylov"] == max(32 * first, 4 * last) * sys_.dim * 8
+        first, last = (g.basis_bytes for g in rw.groups)
+        assert (first, last) == (256 * sys_.dim * 8, 48 * sys_.dim * 8)
+        assert rw.memory["krylov"] == first
 
 
 class CountingJacobi:
@@ -442,9 +477,9 @@ class TestBackSubstitution:
                                       1e-14, np.dtype(np.complex128))
 
         monkeypatch.setattr(gmres, "_back_substitute", recording)
-        z, estimates = cycle()
+        z, estimates, _ = cycle()
         monkeypatch.setattr(gmres, "_back_substitute", dense_back_substitute)
-        z_dense, estimates_dense = cycle()
+        z_dense, estimates_dense, _ = cycle()
         assert len(estimates) == 3 and estimates == estimates_dense
         # the cycle sets R's zero pivot to 1 as it forms R: none reaches the solve
         (received,) = pivots

@@ -54,6 +54,15 @@ class TestSpec:
         assert spec.regularization == pytest.approx(spec.pitch / 10)
         assert spec.dim == 2 * 5 * 3 + spec.nb
 
+    def test_spec_is_frozen(self, tmp_path):
+        # an assignment would skip every check of __post_init__, and save could then
+        # write a file that load rejects
+        sys_ = problems.generate(ArrayProblemSpec(ny=1, nx=2, ne=2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys_.spec.wavenumber = True
+        problems.save(sys_, tmp_path / "s.tbz")
+        assert problems.load(tmp_path / "s.tbz").spec == sys_.spec
+
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
             ArrayProblemSpec(ny=1, nx=1, ne=0)
