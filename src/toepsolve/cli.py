@@ -22,9 +22,9 @@ is the dtype of the GMRES Krylov basis and of the blocks its Arnoldi
 steps hand to the operator: ``complex64`` when ``tol`` >=
 ``SINGLE_PRECISION_TOL`` (1e-5, in ``solvers/gmres.py``), else
 ``complex128``; ``dense`` and ``rybicki`` are always ``complex128``, and
-so is every ``residual``.  ``gmres-dense``'s dense Z product runs in
-complex128 whatever ``precision`` says: Z is complex128, and its output
-is rounded to the basis dtype.  Its ``solve_s`` is the wall time of the
+so is every ``residual``.  A product runs in the dtype of the
+``numerics`` convention, so in complex64 only on the copies that
+``mlfft-*`` forms.  R's ``solve_s`` is the wall time of the
 solve; ``phases`` holds the seconds of only the
 phases the method ran, and they add up to ``solve_s`` by construction:
 each phase is timed from the end of the one before, and ``krylov`` and
@@ -72,8 +72,9 @@ holds one such block, not two);
 transformed generator) and ``precond`` (the two inverses) count the
 complex64 copies a complex64 solve forms, with the operator's copy of
 the border blocks; ``krylov`` is the largest ``basis_bytes`` of the
-groups, the bytes of the largest Krylov basis array that GMRES
-allocated (a solve holds one block's basis at a time); ``level1``,
+groups, the allocated capacity of the largest Krylov basis array of
+GMRES, which can exceed the rows its steps filled (a solve holds one
+block's basis at a time); ``level1``,
 ``rhs`` and ``stacks`` are the bytes ``schur_solve`` reports holding.
 
 BLAS threads are capped by setting ``OPENBLAS_NUM_THREADS`` or
@@ -508,9 +509,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return _EXIT_INVALID
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NO_CONVERGENCE
     except TooLargeForOracle as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ORACLE_CAP

@@ -4,6 +4,15 @@ A *block* is a plain 2-D ``numpy`` array of ``complex128`` in row-major
 (C) order.  A column block handed to an operator may also be
 ``complex64``: GMRES runs its Krylov basis in single precision at loose
 tolerances, on complex64 copies of the operators that ``astype`` forms.
+
+The operators (``toeplitz.matvec``, ``bordered_matvec`` and
+``Preconditioner.apply``) compute as numpy's matmul does: in
+``np.result_type`` of the arrays they hold and the block they get, and
+they return that dtype.  So a complex64 block runs in complex64 only on
+a complex64 copy; on a complex128 operator it is computed, and returned,
+in complex128.  GMRES alone rounds an operator's output to its basis
+dtype.
+
 The helpers here add the shape/singularity contracts the solvers rely
 on; the heavy lifting is LAPACK via ``scipy.linalg``.
 """

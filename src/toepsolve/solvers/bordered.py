@@ -1,9 +1,8 @@
 """Fast matvec for bordered systems [[Z_A, Z_B^T], [Z_B, Z_C]].
 
 The structured part is applied through its spectral operator; the border
-blocks are small and multiply densely.  A block is multiplied in the
-wider of its dtype and the operator's (``numerics.astype`` forms a
-complex64 operator) and the product is returned in the block's dtype.
+blocks are small and multiply densely.  The product's dtype follows the
+``numerics`` convention.
 """
 
 from __future__ import annotations
@@ -56,17 +55,15 @@ class BorderedOperator:
 def bordered_matvec(op: BorderedOperator, x) -> np.ndarray:
     """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for an (op.dim, columns) block.
 
-    It is computed in the wider of the input's dtype and the operator's,
-    into one array whose two row blocks take the Toeplitz product and the
-    border GEMMs, and rounded to the input's dtype once, at the end.
+    It is computed into one array whose two row blocks take the Toeplitz
+    product and the border GEMMs.
     """
     arr = as_columns(x, op.dim)
-    work = arr.astype(np.result_type(op.spectral.diag_blocks, arr), copy=False)
-    xa, xc = work[: op.array_dim], work[op.array_dim :]
-    out = np.empty(work.shape, dtype=work.dtype)
+    xa, xc = arr[: op.array_dim], arr[op.array_dim :]
+    out = np.empty(arr.shape, dtype=np.result_type(op.spectral.diag_blocks, arr))
     top, bottom = out[: op.array_dim], out[op.array_dim :]
     top[...] = matvec(op.spectral, xa)
     top += op.zb.T @ xc
     np.matmul(op.zb, xa, out=bottom)
     bottom += op.zc @ xc
-    return out.astype(arr.dtype, copy=False)
+    return out

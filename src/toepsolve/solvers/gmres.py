@@ -56,13 +56,13 @@ them), the block solve applies the operator to 2816 columns instead of
 
 Precision.  When ``tol >= SINGLE_PRECISION_TOL`` (1e-5) the Krylov basis
 is complex64, and so is every block the Arnoldi steps hand to the
-operator and the preconditioner.  An operator computes with the arrays
-it holds, so ``cli.run_method`` runs such blocks on complex64 copies of
+operator and the preconditioner.  Each step rounds the operator's output
+to the basis dtype; an operator computes in the dtype of the ``numerics``
+convention, so ``cli.run_method`` runs such blocks on complex64 copies of
 the FFT operator and the preconditioner, formed once: the transforms,
 the block multiply, the border GEMMs and the preconditioner GEMMs run in
 complex64 too.  That halves the basis memory and most of the matvec
-time.  ``gmres-dense``'s Z has no copy: its product runs in complex128,
-and its output is rounded to the basis dtype.
+time.
 The Gram matrices and factors of the panel QRs, the Hessenberg, its
 reduction, the least-squares solution, the iterate and the exit true
 residual stay complex128, so ``final_residual`` is measured in double
@@ -166,7 +166,10 @@ class SolveReport:
     columns; ``rhs_norm`` is ||B||_F, taken before the solve writes any
     column; ``basis_bytes`` is the ``nbytes`` of the largest Krylov
     basis array one of the block's cycles allocated (0 when no cycle
-    ran).
+    ran).  That is the array's capacity: it starts 8 panels deep and
+    grows by half, so a 3-step 32-column block records 256 rows for the
+    128 it filled (a 16x16 block, 384 for 352).  ``np.empty`` leaves the
+    unfilled rows out of resident memory.
     """
 
     iterations: int = 0

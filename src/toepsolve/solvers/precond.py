@@ -10,10 +10,9 @@ Two variants exploit the strong self interaction of the array:
 Both are completed by the border self block Z_C, giving the
 block-diagonal preconditioner diag(P'_X, ..., P'_X, Z_C).  The inverses of
 the shared block and of Z_C are formed once, from their LU factors, so
-applying the preconditioner is one GEMM per block: every array segment
-of every column is multiplied by the shared inverse at once, in the
-wider of the block's dtype and the inverses' (``numerics.astype`` forms
-complex64 inverses), and the result has the block's dtype.
+applying the preconditioner is one product of the shared inverse
+broadcast over the array segments, and one GEMM for the border.  The
+result's dtype follows the ``numerics`` convention.
 """
 
 from __future__ import annotations
@@ -53,17 +52,13 @@ class Preconditioner:
         return self.block_inverse.nbytes + self.border_inverse.nbytes
 
     def apply(self, v) -> np.ndarray:
-        """P^-1 v for a (dim, columns) block v, computed in the wider dtype and returned in v's."""
+        """P^-1 v for a (dim, columns) block v."""
         arr = numerics.as_columns(v, self.dim)
         side = self.block_inverse.shape[0]
-        segments = self.array_dim // side
-        w = arr.shape[1]
-        # one GEMM over every segment of every column side by side, written
-        # straight back into the (segments, side, w) row layout
-        stacked = arr[: self.array_dim].reshape(segments, side, w).transpose(1, 0, 2)
-        out = np.empty((self.dim, w), dtype=arr.dtype)
-        out[: self.array_dim].reshape(segments, side, w).transpose(1, 0, 2)[...] = (
-            (self.block_inverse @ stacked.reshape(side, -1)).reshape(side, segments, w))
+        stacked = (self.array_dim // side, side, arr.shape[1])  # segments, side, columns
+        out = np.empty(arr.shape, dtype=np.result_type(self.block_inverse, arr))
+        np.matmul(self.block_inverse, arr[: self.array_dim].reshape(stacked),
+                  out=out[: self.array_dim].reshape(stacked))
         out[self.array_dim :] = self.border_inverse @ arr[self.array_dim :]
         return out
 

@@ -50,11 +50,8 @@ fast FFT length, so L stays 2n-1 even where that is prime.  Against the
 complex128 FFT matvec the complex128 GEMM matvec differs by 4-5e-16 and
 the complex64 one by 1.1-1.7e-7 (the complex64 FFT matvec: 1.1-1.4e-7).
 
-The pipeline runs in the wider of the dtypes of ``diag_blocks`` and of
-the block it receives, with DFT matrices of that dtype, and returns the
-block's dtype.  So a complex64 block is transformed and multiplied in
-complex64 only by a complex64 operator (``numerics.astype`` forms one);
-a complex128 operator computes it in complex128 and rounds the result.
+The pipeline runs, with DFT matrices of its dtype, in the dtype that the
+``numerics`` convention gives ``diag_blocks`` and the block it receives.
 
 ``matvec`` runs that pipeline on panels of ``MATVEC_PANEL`` = 16
 complex128 columns, the same bytes as 32 complex64 columns, and writes
@@ -276,8 +273,8 @@ def extract_result(v, n2: int, n1: int, n0: int) -> np.ndarray:
 def matvec(op: SpectralOperator, u) -> np.ndarray:
     """Apply the represented block-Toeplitz matrix to an (op.dim, columns) block.
 
-    The output is allocated once, in the input's dtype, and the pipeline
-    runs in the wider of that dtype and ``diag_blocks``'.  Each panel of
+    The output is allocated once, in the dtype of the ``numerics``
+    convention, which the pipeline runs in.  Each panel of
     ``MATVEC_PANEL`` complex128 columns' bytes runs the pruned forward
     transform -> per-block multiply by ``diag_blocks``, over the transform
     -> pruned inverse transform and is written into its slice of the
@@ -288,7 +285,7 @@ def matvec(op: SpectralOperator, u) -> np.ndarray:
     n2, n1, n0 = op.n2, op.n1, op.n0
     points = op.diag_blocks.shape[0]
     chunk = 4 * (2 * n1 - 1)  # the points of four level-2 rows
-    out = np.empty(arr.shape, dtype=arr.dtype)
+    out = np.empty(arr.shape, dtype=dtype)
     panel = MATVEC_PANEL * 16 // dtype.itemsize
     for j in range(0, arr.shape[1], panel):
         cols = slice(j, j + panel)

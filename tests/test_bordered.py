@@ -10,6 +10,7 @@ import pytest
 
 from helpers import random_complex, random_generator, rel_err
 from toepsolve import numerics
+from toepsolve.errors import ShapeError
 from toepsolve.problems import ArrayProblemSpec, BorderedSystem, assemble_full, generate
 from toepsolve.solvers import BorderedOperator, bordered_matvec, build_pk
 from toepsolve.toeplitz import BlockGenerator2L, matvec, precompute_spectral
@@ -43,13 +44,23 @@ def test_complex64_input_runs_in_complex64(system):
     assert rel_err(got, full @ x) <= 1e-6
 
 
-def test_complex64_input_on_a_complex128_operator_is_rounded_once(system):
-    # computed in complex128, as the complex128 copy of the block would be
+def test_complex64_input_on_a_complex128_operator_is_computed_in_complex128(system):
+    # computed and returned as the complex128 copy of the block would be: no rounding
     _, op, _ = system
     x = random_complex(np.random.default_rng(34), op.dim, 3).astype(np.complex64)
     got = bordered_matvec(op, x)
-    assert got.dtype == np.complex64
-    assert np.array_equal(got, bordered_matvec(op, x.astype(np.complex128)).astype(np.complex64))
+    assert got.dtype == np.complex128
+    assert np.array_equal(got, bordered_matvec(op, x.astype(np.complex128)))
+
+
+@pytest.mark.parametrize("zb_cols, zc_cols, message", [(-1, 0, "inconsistent"), (0, 1, "must be square")],
+                         ids=["zb-width", "zc-not-square"])
+def test_border_shapes_are_checked(system, zb_cols, zc_cols, message):
+    _, op, _ = system
+    zb = np.zeros((op.nb, op.array_dim + zb_cols), dtype=complex)
+    zc = np.zeros((op.nb, op.nb + zc_cols), dtype=complex)
+    with pytest.raises(ShapeError, match=message):
+        BorderedOperator(op.spectral, zb, zc)
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])

@@ -12,7 +12,7 @@ import pytest
 
 from helpers import BAD_HEADERS, json_edit, nonfinite_system, rewrite_header, wrap_generator
 from toepsolve import cli
-from toepsolve.errors import NoConvergence, ShapeError
+from toepsolve.errors import InvalidSpec, NoConvergence, ShapeError
 from toepsolve.problems import (
     DEFAULT_ORACLE_CAP,
     ArrayProblemSpec,
@@ -448,6 +448,12 @@ def test_run_method_input_contract(method, case):
     bad = v[:, 0] if case == "1-D" else v[:, :0]
     with pytest.raises(ShapeError):
         cli.run_method(sys_, bad, method, tol=1e-3)
+
+
+def test_run_method_rejects_an_unknown_method():
+    sys_ = generate(ArrayProblemSpec(ny=2, nx=2, ne=4))
+    with pytest.raises(InvalidSpec, match="unknown method 'mlfft-pc-vec'"):
+        cli.run_method(sys_, build_excitations(sys_, 0).matrix, "mlfft-pc-vec", tol=1e-3)
 
 
 @pytest.mark.parametrize("rhs", ["all", "3"])

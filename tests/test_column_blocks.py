@@ -9,11 +9,13 @@ from toepsolve.numerics import lu_factor, lu_solve
 from toepsolve.problems import ArrayProblemSpec, generate
 from toepsolve.solvers import (
     BorderedOperator,
+    GmresConfig,
     assemble_level1,
     bordered_matvec,
     build_pk,
     rybicki_solve,
     schur_solve,
+    solve_multi_rhs_vectorized,
 )
 from toepsolve.toeplitz import block_fft_2l, extract_result, matvec, pad_rhs
 
@@ -37,6 +39,8 @@ ENTRY_POINTS = {
     "lu_solve": (SYS.zc.shape[0], lambda u: lu_solve(lu_factor(SYS.zc), u)),
     "rybicki_solve": (SYS.array_dim, lambda u: rybicki_solve(assemble_level1(SYS.gen), u)),
     "schur_solve": (SYS.dim, lambda u: schur_solve(SYS, u)[0]),
+    "solve_multi_rhs_vectorized": (SYS.dim, lambda u: solve_multi_rhs_vectorized(
+        lambda x: bordered_matvec(OP, x), PK.apply, u, GmresConfig())[0]),
 }
 
 

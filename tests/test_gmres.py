@@ -583,6 +583,30 @@ class TestPrecision:
         solve_multi_rhs_vectorized(op, None, random_complex(rng, 12, 2), GmresConfig(tol=1e-3))
         assert len(seen) > 2 and seen[:-1] == [np.complex64] * (len(seen) - 1)
 
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6])
+    @pytest.mark.parametrize("method", ["mlfft-pk-vec", "mlfft-pz-vec", "gmres-dense"])
+    def test_run_method_runs_each_block_on_the_copy_of_its_dtype(self, monkeypatch, method, tol):
+        # the operators compute in numpy's promoted dtype, so this routing alone keeps
+        # a complex64 block, and its products, in complex64
+        seen = []
+
+        def spy(apply, held):
+            def call(obj, u):
+                seen.append((u.dtype, {a.dtype for a in held(obj)}))
+                return apply(obj, u)
+            return call
+
+        monkeypatch.setattr(cli, "bordered_matvec",
+                            spy(bordered_matvec, lambda op: (op.spectral.diag_blocks, op.zb, op.zc)))
+        monkeypatch.setattr(Preconditioner, "apply",
+                            spy(Preconditioner.apply, lambda p: (p.block_inverse, p.border_inverse)))
+        sys_ = generate(ArrayProblemSpec(ny=4, nx=4, ne=4))
+        cli.run_method(sys_, build_excitations(sys_, 0).matrix, method, tol)
+        assert seen and all(held == {block} for block, held in seen)
+        # complex64 Arnoldi steps at tol 1e-3, and the complex128 iterate and exit residual
+        want = {"complex64", "complex128"} if tol == 1e-3 else {"complex128"}
+        assert {block.name for block, _ in seen} == want
+
     def test_complex64_basis_cuts_the_peak(self, monkeypatch):
         # one 32-column block of a 12x12 grid, on an operator and a preconditioner
         # built beforehand, with their complex64 copies: the peak is the solve's

@@ -83,6 +83,8 @@ def test_lu_singular_raises():
 def test_lu_shape_contracts():
     with pytest.raises(ShapeError):
         lu_factor(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="ndim=1"):
+        lu_factor(np.ones(3))
     with pytest.raises(ShapeError):
         lu_factor(np.array([[np.nan, 0], [0, 1]]))
     f = lu_factor(np.eye(3))

@@ -11,6 +11,7 @@ from toepsolve.problems import ArrayProblemSpec, BorderedSystem, build_excitatio
 from toepsolve.solvers import (
     BorderedOperator,
     GmresConfig,
+    Preconditioner,
     bordered_matvec,
     build_pk,
     build_pz,
@@ -90,13 +91,13 @@ class TestBuildPk:
         # the complex64 inverses take half the bytes of the complex128 ones
         assert p.stored_bytes + single.stored_bytes == complex128_bytes * 3 // 2
 
-    def test_complex64_block_on_complex128_inverses_is_rounded_once(self):
+    def test_complex64_block_on_complex128_inverses_is_computed_in_complex128(self):
         sys_ = small_system()
         p = build_pk(sys_)
         v = random_complex(np.random.default_rng(3), sys_.dim, 3).astype(np.complex64)
         got = p.apply(v)
-        assert got.dtype == np.complex64
-        assert np.array_equal(got, p.apply(v.astype(np.complex128)).astype(np.complex64))
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, p.apply(v.astype(np.complex128)))
 
     def test_stored_bytes(self):
         sys_ = small_system()
@@ -150,3 +151,5 @@ class TestApply:
         p = build_pk(small_system())
         with pytest.raises(ShapeError):
             p.apply(np.ones((5, 1)))
+        with pytest.raises(ShapeError, match="not divisible by block side 4"):
+            Preconditioner(p.block_inverse, p.border_inverse, p.array_dim + 1)

@@ -72,6 +72,8 @@ class TestSpec:
             ArrayProblemSpec(ny=1, nx=1, ne=1, nb=-1)
         with pytest.raises(InvalidSpec):
             ArrayProblemSpec(ny=1, nx=1, ne=1, pitch=0.0)
+        with pytest.raises(InvalidSpec, match="regularization must be > 0"):
+            ArrayProblemSpec(ny=1, nx=1, ne=1, regularization=0.0)
         with pytest.raises(InvalidSpec, match="nb and seed must be >= 0"):
             ArrayProblemSpec(ny=1, nx=1, ne=1, seed=-1)
         for name in ("ny", "nx", "ne", "nb", "seed"):

@@ -140,6 +140,8 @@ class TestRybicki:
             rybicki_solve(np.ones((4, 2, 2)), np.ones((4, 1)))  # even block count
         with pytest.raises(ShapeError):
             rybicki_solve(np.ones((3, 2, 2)), np.ones((5, 1)))
+        with pytest.raises(ShapeError, match="side, side"):
+            rybicki_solve(np.ones((3, 2, 3)), np.ones((4, 1)))  # non-square blocks
 
 
 class TestAssembleLevel1:
