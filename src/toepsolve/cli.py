@@ -1,85 +1,18 @@
 """Command line: generate | solve | verify.
 
 Every run is reproducible from its seed in all non-timing fields.  Exit
-codes: 0 success, 1 verify: a check failed, 2 invalid input (an
-out-of-range index, a singular system and a problem too large for the
-memory included), 3 no convergence, 4
-dense oracle cap exceeded, 5 I/O or file-format failure: an unreadable
-file, a file without the TBZ2 magic (an older TBZ1 file included), or a
-TBZ2 file with a bad version, header, size or checksum.  ``verify``
-reports a method that raises, a GMRES ``NoConvergence`` included, as a
-failed check (exit 1), not as exit 3.
-It also fails a GMRES method (``gmres-dense``, ``mlfft-*``) if any
-column's dense true residual is above ``tol``, and every line names its
-worst column.
-Timed scaling sweeps (warm-up, repeats, crossovers and an environment
-block) are run by the repository's ``perfbench/sweep.py``, which calls
-``run_method``.
-
-``solve`` writes the report JSON ``{"schema_version": 5, "record": R}``,
-where R is the ``SolveRecord`` of the run as a dict.  Its ``precision``
-is the dtype of the GMRES Krylov basis and of the blocks its Arnoldi
-steps hand to the operator: ``complex64`` when ``tol`` >=
-``SINGLE_PRECISION_TOL`` (1e-5, in ``solvers/gmres.py``), else
-``complex128``; ``dense`` and ``rybicki`` are always ``complex128``, and
-so is every ``residual``.  A product runs in the dtype of the
-``numerics`` convention, so in complex64 only on the copies that
-``mlfft-*`` forms.  R's ``solve_s`` is the wall time of the
-solve; ``phases`` holds the seconds of only the
-phases the method ran, and they add up to ``solve_s`` by construction:
-each phase is timed from the end of the one before, and ``krylov`` and
-rybicki's ``border`` are the remainders; ``memory`` holds
-the bytes (16 per complex128 scalar, 8 per complex64 scalar) of only
-what the method holds.
-``groups`` has one entry per GMRES block, ``BLOCK_WIDTH`` consecutive
-columns (in ``solvers/gmres.py``), with its ``iterations``,
-``converged``, ``residual_history``, ``final_residual``, ``rhs_norm``
-(the block's ||V||_F) and ``basis_bytes`` (its largest Krylov basis
-array), and none for ``dense`` and ``rybicki``.
-``residual`` is the true relative residual ||V - ZX||_F / ||V||_F (0
-for V = 0), and a non-converged run (exit 3) writes its record too, with
-``ok`` false.
-
-    method       phases                          memory
-    dense        dense_fill lu_factor lu_solve   generator dense_equivalent solution
-                                                 dense
-    gmres-dense  dense_fill precond_build        generator dense_equivalent solution
-                 matvec precond_apply krylov     dense precond krylov
-    rybicki      level1_fill recursion border    generator dense_equivalent solution
-                                                 level1 rhs stacks
-    mlfft-*      spectral_precompute             generator dense_equivalent solution
-                 precond_build matvec            spectral precond krylov
-                 precond_apply krylov
-
-Phases: ``dense_fill`` assembles the dense Z; ``lu_factor`` and
-``lu_solve`` factor it and back-substitute; ``spectral_precompute``
-transforms the generator for the FFT matvec; ``precond_build`` forms the
-preconditioner (both with their complex64 copies); ``matvec`` and
-``precond_apply`` are the operator and preconditioner applications
-inside GMRES, summed over the whole solve;
-``krylov`` is the rest of the GMRES wall time (orthogonalization,
-Hessenberg QR, iterate updates), the quantity ``perfbench`` reports as
-``gmres.self_s``; ``level1_fill`` assembles the level-1 blocks,
-``recursion`` is the Rybicki solve and ``border`` the rest of the Schur
-elimination.  Memory: ``generator`` is the bytes of ``gen.blocks``, the
-raw generator's (2ny-1)(2nx-1)ne^2 scalars; ``dense_equivalent`` is what
-a dense Z would take, dim^2 scalars; ``solution`` is the solution
-block the method returns, dim * columns complex128 scalars (``solve``
-lets a GMRES method write its solution over the excitation block, which
-it never reads again, so there ``solution`` is that block and the solve
-holds one such block, not two);
-``dense`` is the dense Z the method allocated; ``spectral`` (the
-transformed generator) and ``precond`` (the two inverses) count the
-complex64 copies a complex64 solve forms, with the operator's copy of
-the border blocks; ``krylov`` is the largest ``basis_bytes`` of the
-groups, the allocated capacity of the largest Krylov basis array of
-GMRES, which can exceed the rows its steps filled (a solve holds one
-block's basis at a time); ``level1``,
-``rhs`` and ``stacks`` are the bytes ``schur_solve`` reports holding.
-
-BLAS threads are capped by setting ``OPENBLAS_NUM_THREADS`` or
-``OMP_NUM_THREADS`` before the process starts, since the BLAS reads them
-once, when numpy is first imported; ``solve --help`` gives a measurement.
+codes: 0 success; 1 a ``verify`` check failed; 2 invalid input (a bad
+index, a singular system or a problem too large for memory included); 3
+no convergence; 4 dense oracle cap exceeded; 5 I/O or format failure (an
+unreadable file, no TBZ2 magic, TBZ1's included, or a bad TBZ2 version,
+header, size or checksum).  ``solve`` writes the solution and a report
+JSON, on exit 3 too, of the schema ``SolveRecord`` gives.  ``verify``
+checks each method against the dense oracle, and fails one that raises
+(a GMRES ``NoConvergence`` included: exit 1, not 3) or a GMRES method
+with a column whose dense true residual is above ``tol``; each line
+names its worst column.  ``perfbench/sweep.py`` runs timed sweeps
+through ``run_method``.  The BLAS reads its thread cap
+(``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``) once, at numpy import.
 """
 
 from __future__ import annotations
@@ -148,7 +81,40 @@ SCHEMA_VERSION = 5
 
 @dataclass
 class SolveRecord:
-    """Outcome of one solve by one method; the keys are in the module docstring."""
+    """One solve by one method: R in ``solve``'s ``{"schema_version": SCHEMA_VERSION, "record": R}``.
+
+    ``phases`` (seconds) and ``memory`` (bytes: 16 per complex128 scalar, 8
+    per complex64 one) hold only what the method ran and holds:
+
+        method       phases                          memory
+        dense        dense_fill lu_factor lu_solve   generator dense_equivalent solution
+                                                     dense
+        gmres-dense  dense_fill precond_build        generator dense_equivalent solution
+                     matvec precond_apply krylov     dense precond krylov
+        rybicki      level1_fill recursion border    generator dense_equivalent solution
+                                                     level1 rhs stacks
+        mlfft-*      spectral_precompute             generator dense_equivalent solution
+                     precond_build matvec            spectral precond krylov
+                     precond_apply krylov
+
+    precision: ``GmresConfig.basis_dtype`` for a GMRES method, else complex128.
+    solve_s: wall time of the solve; its phases, each timed from the end of the last, add up to it.
+    residual: complex128 true ||V - ZX||_F / ||V||_F, 0 for V = 0.
+    groups: one ``SolveReport`` per GMRES block; none for ``dense`` and ``rybicki``.
+    ok, error: false and the message after a NoConvergence (exit 3).
+    dense_fill, lu_factor, lu_solve: assemble the dense Z, factor it, back-substitute.
+    level1_fill, recursion: ``schur_solve``'s level-1 assembly and Rybicki solve.
+    border: the rest of a rybicki solve, the Schur border elimination.
+    spectral_precompute, precond_build: form the operator, the preconditioner and their complex64 copies.
+    matvec, precond_apply: the operator and preconditioner calls inside GMRES, summed.
+    krylov (phase): the rest of GMRES, the quantity perfbench reports as ``gmres.self_s``.
+    generator: ``gen.blocks``, (2ny-1)(2nx-1)ne^2 scalars.
+    dense_equivalent: a dense Z, dim^2 scalars; dense: the dense Z the method allocated.
+    solution: the returned block; ``solve`` lets GMRES write it over the excitation block.
+    spectral, precond: the transformed generator and the two inverses, plus the complex64 copies.
+    krylov (memory): the largest ``basis_bytes`` of the groups; a solve holds one block's basis.
+    level1, rhs, stacks: the bytes ``schur_solve`` reports holding.
+    """
 
     method: str
     elements: int
@@ -185,26 +151,14 @@ def run_method(
 ) -> tuple[np.ndarray, SolveRecord, list[SolveReport]]:
     """Solve the (dim, columns) block ``v`` with one named method.
 
-    Returns the solution, its ``SolveRecord`` and the record's GMRES
-    block reports.  Solve time covers every phase of the method: the
-    dense fill, the level-1 fill, the spectral precompute and the
-    preconditioner build included.  The residual is the true unpreconditioned relative
-    residual ||V - ZX||_F / ||V||_F, and 0 for an all-zero V, whose
-    solution X = 0 is exact; the GMRES methods take it from the residual
-    the solve computes at exit.  A GMRES NoConvergence is re-raised with
-    the finished record attached as ``record``.  ``v`` must be 2-D with
-    ``dim`` rows and at least one column, and finite (ShapeError,
-    DimensionMismatch).
-
-    ``overwrite_rhs`` permits a GMRES method (``gmres-dense``,
-    ``mlfft-*``) to write its solution over ``v``, as
-    ``solve_multi_rhs_vectorized`` describes, so the solve holds one
-    (dim, columns) block instead of two; the solution returned (or a
-    NoConvergence's ``solution``) is then ``v`` itself when ``v`` is
-    complex128.  The record is the same either way: its residual reads
-    the norms GMRES takes of V's blocks before it writes them.  ``dense``
-    and ``rybicki`` ignore the flag, because their residual is formed
-    from V after the solve.
+    Returns the solution, its ``SolveRecord`` and the record's GMRES block
+    reports.  ``v`` must be 2-D with ``dim`` rows, a column or more and no
+    inf or NaN (ShapeError, DimensionMismatch).  A GMRES NoConvergence is
+    re-raised with the finished record as ``record``.  ``overwrite_rhs``
+    lets a GMRES method write its solution over ``v`` (see
+    ``solve_multi_rhs_vectorized``), and leaves the record as it is: the
+    residual reads the norms GMRES takes of V's blocks before it writes
+    them.  ``dense`` and ``rybicki`` form theirs from V, so they ignore it.
     """
     if method not in BENCH_METHODS:
         raise InvalidSpec(f"unknown method {method!r} (choose from {', '.join(BENCH_METHODS)})")
@@ -474,9 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "solve", help="solve a TBZ problem and write currents + report",
         description="Solve a TBZ problem and write the currents and a JSON report.  Small solves "
-        "can run faster with one BLAS thread: on a 2-core host a 70-column mlfft-pk-vec solve "
-        "of a 7x10 grid (ne 2) took 0.25-0.31 s with 2 OpenBLAS threads and 0.030-0.036 s with "
-        "OPENBLAS_NUM_THREADS=1.",
+        "can run faster with one BLAS thread: set OPENBLAS_NUM_THREADS=1.",
     )
     p.add_argument("input", help="input TBZ path")
     p.add_argument("--method", choices=["dense", "gmres-dense", "rybicki", "mlfft"], default="mlfft")

@@ -26,10 +26,9 @@ class SingularBlock(SingularMatrix):
 
 
 class SingularDenominator(SingularMatrix):
-    """A denominator matrix of the bordering recursion is singular.
+    """A denominator of the bordering recursion is singular at step ``step``.
 
-    Carries the recursion step at which the factorization failed; the
-    system may still be solvable by the dense or iterative paths.
+    The system may still be solvable by the dense or iterative paths.
     """
 
     def __init__(self, step, msg=None):
@@ -72,9 +71,8 @@ class ChecksumMismatch(FormatError):
 class NoConvergence(ToepsolveError):
     """An iterative solve stopped at the iteration cap above tolerance.
 
-    The best iterate and the report of every Krylov group are attached so
-    callers can inspect, persist or retry.  ``cli.run_method`` also
-    attaches the finished record of the run as ``record``.
+    It carries the best iterate as ``solution``, every GMRES block's report
+    as ``reports``, and, from ``cli.run_method``, the run's ``record``.
     """
 
     def __init__(self, msg, solution=None, reports=None):

@@ -1,20 +1,13 @@
 """Complex block arithmetic used by every solver layer.
 
-A *block* is a plain 2-D ``numpy`` array of ``complex128`` in row-major
-(C) order.  A column block handed to an operator may also be
-``complex64``: GMRES runs its Krylov basis in single precision at loose
-tolerances, on complex64 copies of the operators that ``astype`` forms.
-
+A block is a 2-D array of columns, complex128, or complex64 on the
+operator copies ``astype`` forms for GMRES's single-precision basis.
 The operators (``toeplitz.matvec``, ``bordered_matvec`` and
 ``Preconditioner.apply``) compute as numpy's matmul does: in
 ``np.result_type`` of the arrays they hold and the block they get, and
-they return that dtype.  So a complex64 block runs in complex64 only on
-a complex64 copy; on a complex128 operator it is computed, and returned,
-in complex128.  GMRES alone rounds an operator's output to its basis
-dtype.
-
-The helpers here add the shape/singularity contracts the solvers rely
-on; the heavy lifting is LAPACK via ``scipy.linalg``.
+they return that dtype.  GMRES alone rounds an operator's output to its
+basis dtype.  The LU helpers add the solvers' shape and singularity
+contracts to LAPACK, via ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -28,19 +21,14 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, ShapeError, SingularMatrix
 
-__all__ = ["LUFactors", "as_block", "as_columns", "astype", "lu_factor", "lu_solve"]
+__all__ = ["LUFactors", "as_columns", "astype", "lu_factor", "lu_solve"]
 
-# Pivots below this magnitude are treated as exact zeros.
+# pivots below this magnitude count as exact zeros: an underflow guard that no PR has tuned
 _PIVOT_TINY = 1e-300
 
 
 class LUFactors(NamedTuple):
-    """Compact PA = LU factors with partial pivoting.
-
-    The tuple layout (combined L/U matrix, pivot indices) matches
-    ``scipy.linalg.lu_factor`` so the pair can be fed straight back to
-    LAPACK's solve routines.
-    """
+    """Compact PA = LU factors, laid out as ``scipy.linalg.lu_factor``'s pair for LAPACK's solves."""
 
     lu: np.ndarray
     piv: np.ndarray
@@ -50,23 +38,12 @@ class LUFactors(NamedTuple):
         return self.lu.shape[0]
 
 
-def as_block(a, square: bool = False) -> np.ndarray:
-    """Coerce to a C-contiguous complex128 2-D array, validating shape."""
-    arr = np.ascontiguousarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D block, got ndim={arr.ndim}")
-    if square and arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"expected a square block, got shape {arr.shape}")
-    return arr
-
-
 def as_columns(a, rows: int) -> np.ndarray:
     """View a (rows, k) column block as complex64 or complex128; there is no 1-D form.
 
-    A complex64 block stays complex64 and anything else becomes
-    complex128.  Raises ShapeError unless the input is 2-D and
-    DimensionMismatch unless it has ``rows`` rows.  A complex64 or
-    complex128 input is returned without a copy.
+    complex64 and complex128 inputs are returned without a copy, and any
+    other becomes complex128.  Raises ShapeError unless the input is 2-D and
+    DimensionMismatch unless it has ``rows`` rows.
     """
     arr = np.asarray(a)
     if arr.dtype != np.complex64:
@@ -91,13 +68,17 @@ def astype(obj, dtype):
 
 
 def lu_factor(a) -> LUFactors:
-    """LU-factor a square block with partial (row) pivoting.
+    """LU-factor a square block, as complex128, with partial (row) pivoting.
 
-    Raises SingularMatrix if any pivot is (numerically) zero, i.e. below
-    1e-300 in magnitude.  A 0x0 block, the self block of an empty border,
-    is returned as its own factor without a LAPACK call.
+    Raises ShapeError unless the block is 2-D, square and finite, and
+    SingularMatrix if a pivot is below ``_PIVOT_TINY`` in magnitude.  A 0x0
+    block, an empty border's self block, is its own factor, without LAPACK.
     """
-    arr = as_block(a, square=True)
+    arr = np.ascontiguousarray(a, dtype=np.complex128)
+    if arr.ndim != 2:
+        raise ShapeError(f"expected a 2-D block, got ndim={arr.ndim}")
+    if arr.shape[0] != arr.shape[1]:
+        raise ShapeError(f"expected a square block, got shape {arr.shape}")
     if not arr.size:
         return LUFactors(arr, np.zeros(0, dtype=np.int32))
     if not np.isfinite(arr.view(np.float64)).all():

@@ -1,31 +1,16 @@
 """Synthetic bordered array problems, excitations and TBZ serialization.
 
-The generator stands in for a real integral-equation matrix fill: every
-array element carries the same set of pseudo-DOF positions inside its
-grid cell, so the interaction block between two elements depends only on
-their (row, column) offset.  That is exactly what makes the array part a
-two-level block-Toeplitz matrix.  A regularized Helmholtz-type kernel
-
-    exp(-i*k*r) / (4*pi*r),   r = sqrt(|displacement|^2 + a^2)
-
-fills all blocks; the smoothing length ``a`` removes the singularity at
-coincident points and a diagonal shift keeps the self blocks dominant
-and invertible.  Border DOFs live on the array perimeter and couple to
-everything through the same kernel, giving the bordered layout
-
-    Z = [[Z_A, Z_B^T], [Z_B, Z_C]].
-
-The fill costs one kernel evaluation per stored entry and nothing more:
-the generator, Z_B and Z_C are each built inside their own complex128
-result, and the only scratch is one float64 array of the part's shape.
-On a 2-vCPU Xeon with one thread, an entry takes about 70 ns, of which
-the complex ``exp`` takes about 45 ns; a 16x16 grid (ne 8, nb 256)
-fills in about 40 ms.
-
-A system is stored as a TBZ2 file: the magic ``b"TBZ2\\n"``, the header
-length as ``<u4``, a UTF-8 JSON header with ``"version": 2``, the payload
-(the generator blocks, Z_B and Z_C as little-endian ``c16`` scalars) and
-an 8-byte trailer, ``blake2b(payload, digest_size=8)``.
+The generator stands in for an integral-equation matrix fill: every
+array element carries the same pseudo-DOF positions inside its grid
+cell, so the interaction block of two elements depends only on their
+(row, column) offset, which makes the array part two-level
+block-Toeplitz.  The regularized Helmholtz-type kernel
+exp(-i*k*r) / (4*pi*r), r = sqrt(|displacement|^2 + a^2), fills all
+blocks: the smoothing length ``a`` removes the singularity at coincident
+points and a diagonal shift keeps the self blocks dominant and
+invertible.  Border DOFs on the array perimeter couple to everything
+through the same kernel, giving Z = [[Z_A, Z_B^T], [Z_B, Z_C]].  A
+system is stored as a TBZ2 file, whose layout ``save`` gives.
 """
 
 from __future__ import annotations
@@ -79,8 +64,8 @@ _HEADER_FIXED = {"dtype": "c128", "order": "row-major", "endian": "little"}
 class ArrayProblemSpec:
     """Parameters of a synthetic bordered array problem.
 
-    ``nb`` defaults to 8*(nx+ny) (proportional to the perimeter) and the
-    smoothing length defaults to pitch/10.
+    ``nb`` defaults to 8*(nx+ny), proportional to the perimeter, and the
+    smoothing length ``regularization`` to pitch/10.
     """
 
     ny: int
@@ -168,12 +153,10 @@ class ExcitationSet:
 def _kernel(op, xs, ys, k: float, a: float) -> np.ndarray:
     """The kernel at the displacements ``op(*xs)`` and ``op(*ys)``, built in its result.
 
-    The operands broadcast to the result's shape.  ``dx*dx + dy*dy``,
-    then r, then 4*pi*r go to one float64 scratch array of that shape;
-    ``dy`` and every kernel step are written into the complex128 result.
-    The bytes are those of ``np.exp(-1j*k*r) / (4*pi*r)`` formed out of
-    place.  Entries where r is 0 or overflows become inf or NaN, without
-    a warning.
+    The operands broadcast to the result's shape; r goes to one float64
+    scratch array and every other step to the complex128 result, whose bytes
+    equal ``np.exp(-1j*k*r) / (4*pi*r)`` formed out of place.  Where r is 0
+    or overflows the entry is inf or NaN, without a warning.
     """
     shape = np.broadcast_shapes(*(np.shape(v) for v in (*xs, *ys)))
     out = np.empty(shape, dtype=np.complex128)
@@ -216,13 +199,12 @@ def _perimeter_points(rng: np.random.Generator, nb: int, wx: float, wy: float) -
 def generate(spec: ArrayProblemSpec) -> BorderedSystem:
     """Build the bordered system for a problem spec, deterministically.
 
-    Draw order from the seeded generator is fixed (DOF offsets first,
-    border positions second) so identical specs give identical bytes.
-    Each entry costs one kernel evaluation, written in place into the
-    returned arrays; the transient memory is one float64 array of Z_B's
-    shape.  Raises InvalidSpec if the kernel is not finite, as when the
-    square of the smoothing length underflows to 0, and SingularMatrix
-    if Z_C is singular.
+    The seeded draws come in a fixed order (DOF offsets, then border
+    positions), so identical specs give identical bytes.  Each entry is one
+    kernel evaluation written in place into the returned arrays, with one
+    float64 array of Z_B's shape as scratch.  Raises InvalidSpec if the
+    kernel is not finite (as when the smoothing length squared underflows)
+    and SingularMatrix if Z_C is singular.
     """
     rng = np.random.default_rng(spec.seed)
     d, k, a = spec.pitch, spec.wavenumber, spec.regularization
@@ -271,9 +253,9 @@ def build_excitations(sys: BorderedSystem, feed_index: int = 0, *,
     """Unit excitation of the feed DOF of every element, one column each.
 
     With ``element`` given, only that element's column is built, as a
-    (dim, 1) block.  Raises IndexOutOfRange for a feed index outside
-    0..ne-1 or an element outside 0..elements-1, and for either that is
-    a bool or not an integer.
+    (dim, 1) block.  A feed index outside 0..ne-1 or an element outside
+    0..elements-1, or either not an integer (a bool included), raises
+    IndexOutOfRange.
     """
     ne, m = sys.spec.ne, sys.spec.elements
     index = lambda i, n: isinstance(i, numbers.Integral) and not isinstance(i, bool) and 0 <= i < n
@@ -290,13 +272,12 @@ def build_excitations(sys: BorderedSystem, feed_index: int = 0, *,
 def save(sys: BorderedSystem, path) -> None:
     """Write a TBZ2 file: magic, JSON header, raw scalars, blake2b-64 checksum.
 
-    The file is the magic ``b"TBZ2\\n"``, the header length as ``<u4``,
-    the UTF-8 JSON header (``"version": 2``), the payload and an 8-byte
-    trailer, ``blake2b(payload, digest_size=8)``.  The payload is
-    little-endian interleaved (re, im) float64 scalars: the generator
-    blocks in circulant order (level 2 outer, level 1 inner, each block
-    row-major), then Z_B and Z_C row-major.  Each part is hashed and
-    written as it is, without joining them.
+    The file is the magic ``b"TBZ2\\n"``, the header length as ``<u4``, the
+    UTF-8 JSON header (``"version": 2``), the payload and an 8-byte trailer,
+    ``blake2b(payload, digest_size=8)``.  The payload is little-endian
+    interleaved (re, im) float64 scalars: the generator blocks in circulant
+    order (level 2 outer, level 1 inner, each block row-major), then Z_B
+    and Z_C row-major, each part hashed and written as it is.
     """
     header = {key: getattr(sys.spec, name) for key, name in _HEADER.items()}
     header.update(version=_VERSION, **_HEADER_FIXED)
@@ -338,17 +319,14 @@ def _header_spec(raw: bytes) -> ArrayProblemSpec:
 def load(path) -> BorderedSystem:
     """Read a TBZ2 file (see ``save``) back into a BorderedSystem.
 
-    The file size is checked against the header before the payload is
-    read, in one pass, into one array whose views are returned.
-
-    Raises FormatVersionMismatch for a foreign magic (that of the older
-    TBZ1 format included) or a header version other than 2, FormatError
-    for an undecodable header, a missing or null header key, a value of
-    the wrong type or range (``ArrayProblemSpec`` checks both) or a
-    ``dtype``, ``order`` or ``endian`` other than the one ``save``
-    writes or a payload that holds inf or NaN (checked after the
-    checksum, naming the generator, Z_B or Z_C), and ChecksumMismatch
-    for truncated, overlong or corrupted files.
+    The size is checked against the header, then the payload is read in one
+    pass into one array whose views are returned.  Raises
+    FormatVersionMismatch for a foreign magic (TBZ1's included) or version;
+    FormatError for an undecodable header, a missing or null key, a value of
+    the wrong type or range (``ArrayProblemSpec`` checks both), a ``dtype``,
+    ``order`` or ``endian`` other than ``save`` writes, or a payload with
+    inf or NaN (named by part, after the checksum); and ChecksumMismatch for
+    a truncated, overlong or corrupted file.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

@@ -1,8 +1,7 @@
 """Fast matvec for bordered systems [[Z_A, Z_B^T], [Z_B, Z_C]].
 
-The structured part is applied through its spectral operator; the border
-blocks are small and multiply densely.  The product's dtype follows the
-``numerics`` convention.
+The structured part is applied through its spectral operator and the
+small border blocks multiply densely, in the ``numerics`` convention.
 """
 
 from __future__ import annotations
@@ -53,11 +52,7 @@ class BorderedOperator:
 
 
 def bordered_matvec(op: BorderedOperator, x) -> np.ndarray:
-    """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for an (op.dim, columns) block.
-
-    It is computed into one array whose two row blocks take the Toeplitz
-    product and the border GEMMs.
-    """
+    """[Z_A x_A + Z_B^T x_C ; Z_B x_A + Z_C x_C] for an (op.dim, columns) block, in one output array."""
     arr = as_columns(x, op.dim)
     xa, xc = arr[: op.array_dim], arr[op.array_dim :]
     out = np.empty(arr.shape, dtype=np.result_type(op.spectral.diag_blocks, arr))

@@ -1,98 +1,36 @@
 """Right-preconditioned block GMRES for many right-hand sides.
 
-``solve_multi_rhs_vectorized`` solves the (n, W) right-hand side block
-one block of ``BLOCK_WIDTH`` = 32 columns (the last maybe fewer) after
-another, so the Krylov memory stays at one block's worth however many
-columns the solve has.  One matvec on 32 columns costs far less than 32
-one-column matvecs: the border products run as GEMMs instead of GEMVs,
-and the per-call overhead is paid once.
+``solve_multi_rhs_vectorized`` solves its right-hand sides one block of
+``BLOCK_WIDTH`` columns after another, so the Krylov memory is one
+block's worth however many columns there are, and each operator call
+runs the border products as GEMMs.  Each block runs block GMRES on
+A P^-1 (Simoncini & Gallopoulos, SIAM J. Sci. Comput. 16, 1995;
+Gutknecht, "Block Krylov space methods for linear systems with multiple
+right-hand sides: an introduction", 2007), minimizing every column's
+residual over one shared block Krylov space.  A step applies P^-1 and A
+to the newest panel of the basis, orthogonalizes the result by one
+classical Gram-Schmidt pass (two GEMMs) and orthonormalizes it by
+``_panel_qr``; one QR of a (2s, s) block per step reduces the block
+Hessenberg matrix and gives every column's residual estimate.  A cycle
+ends by back-substituting Y one block column of the triangular factor at
+a time and forming x = P^-1 (V Y), so a block holds only its basis, that
+factor and panel-sized scratch.
 
-Each block runs right-preconditioned block GMRES (Simoncini &
-Gallopoulos, SIAM J. Sci. Comput. 16, 1995; Gutknecht, "Block Krylov
-space methods for linear systems with multiple right-hand sides: an
-introduction", 2007).  The block iterates on A P^-1 in one block Krylov
-space shared by its columns, and every column's residual is minimized
-over that whole space.  A step applies P^-1 and then A to the newest
-s-column panel of the basis, orthogonalizes the result against the basis
-by one classical Gram-Schmidt pass (two GEMMs against the columns the
-steps so far have built), and orthonormalizes it by a Cholesky QR of its
-Gram matrix.  When that Gram matrix is not safely positive definite (a
-zero or repeated column, or an invariant subspace), a column-pivoted
-Householder QR takes over and zeroes the directions it finds dependent,
-so every nonzero basis column stays orthonormal.  The block Hessenberg
-matrix is reduced as it grows, by one QR of a (2s, s) block per step,
-which also gives every column's residual norm.  The iterate
-x = P^-1 (V Y) is formed once, when the block stops, with Y
-back-substituted one block column of the triangular factor at a time.
-So a block holds its basis, that factor's block columns and panel-sized
-scratch, and no dense triangle; its iterate and residual are formed
-only once its first cycle has ended, which starts from b itself.
+A block stops when every column's estimate ||b_j - A x_j|| / ||b_j||,
+under right preconditioning the true residual up to the basis's
+rounding, is at most ``tol``, and the complex128 true residual is the
+guard: columns still above ``tol`` run another cycle from their iterate.  A block fails
+only when ``max_iter`` steps (summed over its cycles) run out, or when
+the operator returns an inf or NaN residual, from which no cycle starts.
 
-Stopping rule.  A block stops when every column's estimate
-||b_j - A x_j|| / ||b_j|| is at most ``tol``.  Under right
-preconditioning that estimate is the column's true residual, up to the
-rounding of the basis.  The true residual is then formed in complex128 as
-a guard: a column still above ``tol`` sends the block through one more
-cycle, started from its iterate, on the columns that missed.  A block
-fails only when ``max_iter`` steps (summed over its cycles) run out, or
-when the operator returns an inf or NaN residual, from which no cycle
-can start.
-
-Measurements (block GMRES; 16x16 grid, ne = 8, wavenumber 3, 256
-right-hand sides, pk, one BLAS thread, 2-core host).  At tol 1e-3, block
-widths 16, 32 and 64 took 12-13, 10 and 9 steps per block and 2.00-2.28,
-1.70-2.06 and 2.02-2.14 s per solve, hence the width of 32.
-One Gram-Schmidt pass leaves the complex64 basis of a 32-column block
-with ||I - V^H V||_2 of 3.3e-3 to 7.9e-3; a second pass brings that to
-6e-7 to 8e-7 but costs about 0.27 s a solve (a pass triggered by a norm
-drop of 1/sqrt(2) fires on every step), and took the same steps to the
-same residuals on 64 columns at every tol from 1e-3 to 1e-13, even where
-one pass left ||I - V^H V||_2 at 1.2 (complex64, tol 1e-5) or 0.85
-(complex128, tol 1e-13).  Against a global-Krylov method (one Krylov
-iterate spanning all 256 columns, stopped on the Frobenius norm over
-them), the block solve applies the operator to 2816 columns instead of
-4096, its basis is a tenth the size, and no column ends above ``tol``
-(122 did).
-
-Precision.  When ``tol >= SINGLE_PRECISION_TOL`` (1e-5) the Krylov basis
-is complex64, and so is every block the Arnoldi steps hand to the
-operator and the preconditioner.  Each step rounds the operator's output
-to the basis dtype; an operator computes in the dtype of the ``numerics``
-convention, so ``cli.run_method`` runs such blocks on complex64 copies of
-the FFT operator and the preconditioner, formed once: the transforms,
-the block multiply, the border GEMMs and the preconditioner GEMMs run in
-complex64 too.  That halves the basis memory and most of the matvec
-time.
-The Gram matrices and factors of the panel QRs, the Hessenberg, its
-reduction, the least-squares solution, the iterate and the exit true
-residual stay complex128, so ``final_residual`` is measured in double
-precision whatever the basis (Simoncini & Szyld, SIAM J. Sci. Comput. 25,
-2003, on inexact Krylov methods).  Below 1e-5 everything is complex128.
-The threshold comes from sweeps of the pk-preconditioned solve (ne = 8,
-wavenumber 3) over 64 columns of a 16x16 grid and 32 columns of a 30x30
-grid, each column also solved in complex128.  The sweeps ran two methods
-this module no longer has: a left-preconditioned one-column GMRES (seq),
-stopped on the preconditioned residual, and the global-Krylov method:
-
-* at tol 1e-3, 1e-4 and 1e-5 both precisions took the same iterations
-  on both grids, seq and global (seq at 1e-5: 1805 in total on 16x16,
-  1183 on 30x30), and the largest true residuals agreed to 0.2%;
-* at 1e-6 seq took 2220 iterations against 2218 (16x16) and 1475
-  against 1450 (30x30), and the median true residual of the global
-  method rose 7% (16x16) and 5% (30x30);
-* at 1e-7 both stagnated in complex64 at true residuals of 2e-7 to
-  8e-7 and ran to the iteration cap (200 on 16x16, 150 on 30x30), where
-  complex128 converged within 43 and 55 steps.
-
-On a harder problem the threshold still meets ``tol`` but is not the
-faster choice at 1e-5: one 32-column ``mlfft-pk-vec`` block of a 12x12
-grid (ne = 8, ``diagonal_shift`` 0.1) took 29 steps in complex64 against
-20 in complex128, both converged, and at 16x16, shift 0.01, 256
-right-hand sides and tol 1e-5, complex64 took 699 steps in 23.0 s
-against 234 steps in 7.2 s in complex128.
-
-The complex64 bordered matvec is accurate to 1.4e-7 to 1.8e-7 relative
-(32 random columns of 7x9, 16x16, 12x20 and 30x30 grids, ne = 8).
+``GmresConfig.basis_dtype`` is the one choice of precision: the basis
+and every block handed to the operator and the preconditioner have that
+dtype, and each step rounds the operator's output to it.  The QR
+factors, the Hessenberg, the least-squares solution, the iterate and the
+exit residual stay complex128, so ``final_residual`` is measured in
+double precision whatever the basis (Simoncini & Szyld, SIAM J. Sci.
+Comput. 25, 2003).  On a hard problem a complex64 basis can take several
+times the steps of a complex128 one (ROADMAP D17).
 """
 
 from __future__ import annotations
@@ -114,28 +52,20 @@ __all__ = [
     "SINGLE_PRECISION_TOL",
 ]
 
-# columns per block (see the module docstring)
+# columns per block: 32 solved the 16x16 benchmark in fewer seconds than 16 or 64 (PR 14)
 BLOCK_WIDTH = 32
 
-# a tolerance at or above this runs the Krylov basis in complex64 (see the
-# module docstring)
+# a tol at or above this runs the Krylov basis in complex64: the tightest tol at which
+# complex64 matched complex128's steps and residuals on the default problem (PR 13)
 SINGLE_PRECISION_TOL = 1e-5
 
 @dataclass(frozen=True)
 class GmresConfig:
-    """Stopping rule and precision of block GMRES.
+    """Stopping rule and precision of block GMRES (the module docstring gives the rule).
 
-    A block stops once every column's relative residual
-    ||b_j - A x_j|| / ||b_j|| is at most ``tol``; the complex128 true
-    residual at exit must confirm it, or the block runs another cycle on
-    the columns that missed.  A block that has run ``max_iter`` steps,
-    summed over its cycles, or whose true residual is inf or NaN, stops
-    unconverged.  Each report records the complex128 true residual as
-    ``final_residual``.
-
-    ``tol`` also sets the precision of the Krylov basis, ``basis_dtype``:
-    complex64 when ``tol >= SINGLE_PRECISION_TOL`` (1e-5), else
-    complex128 (the module docstring gives the measurements).
+    ``tol`` bounds each column's complex128 true relative residual, and sets
+    ``basis_dtype``: complex64 when ``tol >= SINGLE_PRECISION_TOL``, else
+    complex128.  ``max_iter`` bounds a block's steps, summed over its cycles.
     """
 
     tol: float = 1e-3
@@ -159,17 +89,12 @@ class SolveReport:
     """Outcome of one block of at most ``BLOCK_WIDTH`` columns.
 
     ``iterations`` counts block Arnoldi steps over every cycle;
-    ``residual_history`` starts at 1 (0 for a block of zero columns) and
-    holds, after each step, the largest estimated relative residual among
-    the columns the block is iterating on; ``final_residual`` is the
-    complex128 true residual ||B - A X||_F / ||B||_F of the block's
-    columns; ``rhs_norm`` is ||B||_F, taken before the solve writes any
-    column; ``basis_bytes`` is the ``nbytes`` of the largest Krylov
-    basis array one of the block's cycles allocated (0 when no cycle
-    ran).  That is the array's capacity: it starts 8 panels deep and
-    grows by half, so a 3-step 32-column block records 256 rows for the
-    128 it filled (a 16x16 block, 384 for 352).  ``np.empty`` leaves the
-    unfilled rows out of resident memory.
+    ``residual_history`` starts at 1 (0 for a zero block) and holds the
+    largest column estimate after each step; ``final_residual`` is the
+    complex128 true ||B - A X||_F / ||B||_F; ``rhs_norm`` is ||B||_F, taken
+    before the solve writes B; ``basis_bytes`` is the ``nbytes`` of the
+    largest basis array a cycle allocated (0 if none ran), a capacity that
+    grows by half from 8 panels and can exceed the rows filled.
     """
 
     iterations: int = 0
@@ -186,16 +111,13 @@ class SolveReport:
 def _panel_qr(w: np.ndarray, scale: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     """w = q r with q (n, t) orthonormal in ``dtype`` and r (t, s) complex128, t <= s.
 
-    Cholesky QR: the Gram matrix and q = w r^-1 are formed in ``dtype``,
-    the factor in complex128.  It loses about cond(w)^2 * eps of
-    orthogonality (cond of w with unit columns), so it is kept while that
-    stays below sqrt(eps), and while every column is above sqrt(eps) of
-    ``scale``, its norm before orthogonalization; a column below that is
-    noise.  Otherwise (a zero or repeated column, an invariant subspace, a
-    Gram matrix that is not positive definite) a column-pivoted
-    Householder QR of the columns divided by ``scale`` runs instead, and
-    the directions at or below sqrt(eps) are dropped: q keeps the others
-    and r their rows, so q r = w up to the dropped noise.
+    Cholesky QR (Gram matrix and q = w r^-1 in ``dtype``, the factor in
+    complex128) loses about cond(w)^2 * eps of orthogonality, so it is kept
+    while that stays below sqrt(eps) and every column is above sqrt(eps) of
+    ``scale``, its norm before orthogonalization.  Otherwise (a zero or
+    repeated column, an invariant subspace) a column-pivoted Householder QR
+    of w / ``scale`` runs, and q and r drop the directions at or below
+    sqrt(eps), so q r = w up to that noise.
     """
     eps = np.finfo(dtype).eps
     floor = math.sqrt(eps)
@@ -222,12 +144,10 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
     """One block Arnoldi cycle on A P^-1 from the (n, s) residual block ``r0``.
 
     Runs until every column's estimate ||g_j|| / ``b_norms`` is at most
-    ``tol``, the basis spans R^n or an invariant subspace, or for
-    ``steps`` steps.  Returns V Y, the combination of the basis that
-    minimizes every column's residual, the largest estimate after each
-    step and the bytes of the basis array.  A panel is as wide as the
-    directions its QR kept, so a dependent direction leaves the block for
-    the rest of the cycle.
+    ``tol``, the basis spans R^n or an invariant subspace, or for ``steps``
+    steps.  Returns V Y, which minimizes every column's residual over the
+    basis, the largest estimate after each step and the basis array's
+    bytes.  A panel is as wide as the directions its QR kept.
     """
     n, s = r0.shape
     q, g0 = _panel_qr(r0, np.linalg.norm(r0, axis=0), dtype)
@@ -297,10 +217,9 @@ def _block_cycle(op, p, r0, b_norms, steps, tol, dtype):
 def _back_substitute(r_cols, starts, g) -> np.ndarray:
     """y with R y = G, for R's block columns ``r_cols`` and G's block rows ``g``.
 
-    Block column j of the upper triangular R is ``r_cols[j]``: rows 0 to
-    ``starts[j + 1]``, columns ``starts[j]`` to ``starts[j + 1]``.  R is
-    solved one block column at a time, last first, and never assembled.
-    The pivots arrive nonzero, and no input is written.
+    ``r_cols[j]`` holds rows 0 to ``starts[j + 1]`` of R's columns
+    ``starts[j]`` to ``starts[j + 1]``; R is solved a block column at a
+    time, last first, never assembled.  Pivots arrive nonzero; no input is written.
     """
     y = np.concatenate(g)
     for j in reversed(range(len(r_cols))):
@@ -311,11 +230,7 @@ def _back_substitute(r_cols, starts, g) -> np.ndarray:
 
 
 def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, float]:
-    """Right-preconditioned block GMRES on the columns of b (n, s).
-
-    Returns the iterate, the block's report and its largest column
-    residual at exit.
-    """
+    """Block GMRES on the columns of b (n, s): the iterate, its report and its worst residual."""
     dtype = cfg.basis_dtype
     precondition = (lambda u: u) if p is None else p
     b_norms = np.linalg.norm(b, axis=0)
@@ -359,24 +274,15 @@ def solve_multi_rhs_vectorized(op, p, rhs, cfg: GmresConfig, *,
                                overwrite_rhs: bool = False) -> tuple[np.ndarray, list[SolveReport]]:
     """Solve A X = B by right-preconditioned block GMRES, ``BLOCK_WIDTH`` columns at a time.
 
-    ``op`` applies A and ``p`` applies P^-1 (or is None for no
-    preconditioner); both are callables on (n, columns) blocks.  The
-    blocks, consecutive ``BLOCK_WIDTH`` columns of the 2-D ``rhs`` (the
-    last maybe fewer), are solved one after another, and each returns one
-    report; an ``rhs`` holding inf or NaN is a ShapeError.  Every column
-    of a converged block has a complex128 true relative residual of at
-    most ``cfg.tol``.  All blocks are solved even when some fail; a
-    NoConvergence carrying every block's report and the full iterate is
-    raised at the end if a block ran out of ``cfg.max_iter`` steps or
-    the operator gave it a residual of inf or NaN.
-
-    ``overwrite_rhs`` permits the solve to reuse ``rhs`` for the iterate,
-    as scipy's ``overwrite_b`` does, so the solve holds no second
-    (n, columns) block.  Each block's columns of ``rhs`` are then
-    overwritten with its iterate once that block has finished, and no
-    later block reads them; the array returned (and a NoConvergence's
-    ``solution``) is ``rhs`` itself when it is a complex128 array, else
-    the complex128 copy the solve made of it.
+    ``op`` applies A and ``p`` applies P^-1 (None for none) to (n, columns)
+    blocks.  Each block of consecutive columns of the 2-D ``rhs`` returns
+    one report, and every column of a converged block has a complex128 true
+    relative residual of at most ``cfg.tol``.  An ``rhs`` with inf or NaN is
+    a ShapeError.  Every block is solved, and a NoConvergence with every
+    report and the full iterate is raised at the end if one failed.
+    ``overwrite_rhs`` (like scipy's ``overwrite_b``) lets each finished
+    block's iterate overwrite its columns of ``rhs``, so no second block is
+    held; the solution (a NoConvergence's too) is then ``rhs`` if complex128.
     """
     arr = np.asarray(rhs, dtype=np.complex128)
     if arr.ndim != 2:

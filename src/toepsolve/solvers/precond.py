@@ -1,18 +1,11 @@
 """Block-diagonal preconditioners for the bordered iterative solver.
 
-Two variants exploit the strong self interaction of the array:
-
-* element kind ("pk"): the diagonal block is the self block of a single
-  element (side ne).  One LU serves every element.
-* row kind ("pz"): the diagonal block is the assembled self interaction
-  of a whole array row (side nx*ne), a 1-level block-Toeplitz matrix.
-
-Both are completed by the border self block Z_C, giving the
-block-diagonal preconditioner diag(P'_X, ..., P'_X, Z_C).  The inverses of
-the shared block and of Z_C are formed once, from their LU factors, so
-applying the preconditioner is one product of the shared inverse
-broadcast over the array segments, and one GEMM for the border.  The
-result's dtype follows the ``numerics`` convention.
+P = diag(P'_X, ..., P'_X, Z_C), where Z_C is the border self block and
+the shared block P'_X is the self block of one element ("pk", side ne)
+or the assembled self interaction of one array row ("pz", side nx*ne, a
+1-level block-Toeplitz matrix).  Both inverses are formed once, from
+their LU factors, so applying P^-1 is one product broadcast over the
+array segments and one GEMM for the border.
 """
 
 from __future__ import annotations
@@ -64,12 +57,9 @@ class Preconditioner:
 
 
 def _inverse(a) -> np.ndarray:
-    """a^-1 as a C-order block, by LU and back substitution against I.
-
-    Raises SingularMatrix if a is singular.
-    """
+    """a^-1 as a C-order block, by LU and back substitution against I; SingularMatrix if singular."""
     f = numerics.lu_factor(a)
-    return numerics.as_block(numerics.lu_solve(f, np.eye(f.side)))
+    return np.ascontiguousarray(numerics.lu_solve(f, np.eye(f.side)))
 
 
 def _build(sys, block) -> Preconditioner:
@@ -77,19 +67,13 @@ def _build(sys, block) -> Preconditioner:
 
 
 def build_pk(sys) -> Preconditioner:
-    """Element-block preconditioner from the level-0 self block.
-
-    The self block is shared by every element, so a single inverse (ne^2
-    stored scalars) is applied to all segments.
-    """
+    """Element-block preconditioner: one inverse of the level-0 self block, ne^2 scalars."""
     return _build(sys, sys.gen.blocks[0, 0])
 
 
 def build_pz(sys) -> Preconditioner:
-    """Row-block preconditioner from the assembled row self interaction.
+    """Row-block preconditioner: one inverse of the level-1 self matrix of an array row.
 
-    The diagonal block is the level-1 self matrix of one array row
-    (side nx*ne, nx^2*ne^2 stored scalars); for nx = 1 it coincides with
-    the element-block preconditioner.
+    It stores nx^2*ne^2 scalars; for nx = 1 it coincides with ``build_pk``'s.
     """
     return _build(sys, assemble_dense_1l(sys.gen.blocks[0]))

@@ -1,11 +1,9 @@
 """Direct block-Toeplitz solver by a bordering (Rybicki-type) recursion.
 
-The scalar algorithm solves a Toeplitz system by growing the solved
-leading subsystem one row per step, maintaining generator sequences that
-propagate the update.  Here every coefficient is an invertible dense
-block, so products no longer commute and the generator updates must keep
-their factors in matrix order.  With x, G, H the solution and generator
-blocks at stage M, the step to stage M+1 reads
+The recursion grows the solved leading subsystem one block row per step,
+as the scalar algorithm does, keeping the block products in matrix
+order.  With x, G, H the solution and generator blocks at stage M, the
+step to stage M+1 is
 
     x_{M+1} = D1^-1 (sum_j R_{M+1-j} x_j - y_{M+1})
     x_j    -= G_{M+1-j} x_{M+1}
@@ -13,41 +11,21 @@ blocks at stage M, the step to stage M+1 reads
     H_{M+1} = D1^-1 (sum_j R_{M+1-j} H_j - R_{M+1})
     G_j    -= H_{M+1-j} G_{M+1},   H_j -= G_{M+1-j} H_{M+1}
 
-with denominators D1 = sum_i R_i G_i - R_0 and D2 = sum_i R_{-i} H_i - R_0
-(all sums over the current stage, updates using stage-M values).  Each
-denominator is LU-factored once per step; D1 serves both the solution
-and the H update.  The base stage is the same step from empty sums:
-D1 = D2 = -R_0, so x_1 = R_0^-1 y_1, G_1 = R_0^-1 R_{-1} and
-H_1 = R_0^-1 R_1.
+with D1 = sum_i R_i G_i - R_0 and D2 = sum_i R_{-i} H_i - R_0 (sums over
+the current stage, updates from stage-M values), each LU-factored once
+per step.  The base stage is the same step from empty sums, D1 = D2 = -R_0.
 
 Every stage sum is one level-3 BLAS product on the coefficients as
-stored.  ``assemble_level1`` writes each block once into one
-(side, (2N-1)*side) row [R_{N-1} ... R_0 ... R_-(N-1)], so block row i
-of the matrix is its window from column (N-1-i)*side, as for a scalar
-Toeplitz row.  Stage M reads the windows [R_M ... R_1] (D1, the x and H
-numerators) and [R_-1 ... R_-M] (D2, the G numerator), each times the
-stage-M stack of x, G or H as one (M*side, .) matrix.  x and H are
-stored in order and G reversed (G_j in slot N-1-j), so every stack is
-contiguous.  The per-stage flops equal those of block-by-block sums.
-
-The solve runs in place.  x is computed in the right-hand side block it
-is given: y_{M+1} is read once, by the x_{M+1} numerator, and x_{M+1}
-then overwrites it.  The x update subtracts G_{M+1-j} x_{M+1} from one
-block row x_j at a time, and each G/H update pairs G_j with H_{M+1-j},
-the only blocks that read each other, so neither forms an
-(M*side, .) product.  Besides the right-hand side and the coefficients
-the solve holds the G and H stacks, 2(N-1) blocks, two block rows of
-the right-hand side and about a dozen blocks.  At 16x16 (side 128, 512
-columns) its tracemalloc peak beyond those two is 12.1 MB, and that of
-``schur_solve`` 37.0 MB; a layout that also built four reordered copies
-of the off-diagonal blocks peaked at 27.8 and 52.7 MB.  A block-row
-update writes contiguous rows, which numpy subtracts without the
-iterator buffers a column-panel update of a strided view needs; with
-one BLAS thread on a 2-core host it ran no slower than 64-column panels.
-
-No tolerance and no preconditioner are involved: for fixed inputs the
-output is bitwise deterministic.  The recursion requires every
-denominator to be invertible and aborts with a diagnostic otherwise.
+stored: in ``assemble_level1``'s row [R_{N-1} ... R_0 ... R_-(N-1)],
+block row i of the matrix is the window from column (N-1-i)*side, and
+the stacks of x, H and (reversed) G are contiguous.  The solve runs in
+place: x_{M+1} overwrites y_{M+1}, which only its own numerator reads,
+and the updates go one block row x_j, or one pair G_j, H_{M+1-j}, at a
+time, in contiguous rows that need no iterator buffers (PR 15).  Beside
+the right-hand side and the coefficients the solve holds the G and H
+stacks, 2(N-1) blocks, two block rows of the right-hand side and about
+a dozen blocks.  Its output is bitwise deterministic, and a singular
+denominator aborts it with a diagnostic.
 """
 
 from __future__ import annotations
@@ -62,12 +40,11 @@ __all__ = ["rybicki_solve", "assemble_level1"]
 
 
 def assemble_level1(gen: BlockGenerator2L) -> np.ndarray:
-    """Assemble the level-1 blocks of a 2-level generator side by side.
+    """The level-1 blocks of a 2-level generator, of side n1*n0, side by side.
 
-    Writes each block, of side n1*n0, once into one C-contiguous
-    (side, (2*n2-1)*side) array in decreasing offset order
-    [R_{n2-1} ... R_0 ... R_-(n2-1)], and returns it as a
-    (2*n2-1, side, side) view with ``blocks[k]`` = R_{n2-1-k}.
+    Each block is written once into one C-contiguous (side, (2*n2-1)*side)
+    row [R_{n2-1} ... R_0 ... R_-(n2-1)], returned as a (2*n2-1, side, side)
+    view with ``blocks[k]`` = R_{n2-1-k}.
     """
     n, side = gen.n2, gen.n1 * gen.n0
     row = np.empty((side, (2 * n - 1) * side), dtype=np.complex128)
@@ -79,15 +56,12 @@ def assemble_level1(gen: BlockGenerator2L) -> np.ndarray:
 def rybicki_solve(blocks: np.ndarray, y) -> np.ndarray:
     """Solve the block-Toeplitz system generated by ``blocks``, overwriting ``y``.
 
-    ``blocks`` holds the 2*N-1 square coefficient blocks in decreasing
-    offset order, ``blocks[k]`` = R_{N-1-k} as ``assemble_level1`` returns
-    them, so block (i, j) of the system matrix is ``blocks[N-1-i+j]``.
-    They are read as ``blocks.transpose(1, 0, 2).reshape(side, -1)``, a
-    view of ``assemble_level1``'s array and a copy of any other.  ``y`` is the
-    stacked (N*side, columns) right-hand side block.  The solution is
-    computed in place: a writeable C-contiguous complex128 ``y`` is
-    overwritten and returned, and any other ``y`` is copied first and
-    left as it was.
+    ``blocks[k]`` = R_{N-1-k}: the 2*N-1 square blocks in decreasing offset
+    order, as ``assemble_level1`` returns them (its array is read as a view,
+    any other as a copy), so block (i, j) of the matrix is
+    ``blocks[N-1-i+j]``.  ``y`` is the stacked (N*side, columns) right-hand
+    side; a writeable C-contiguous complex128 ``y`` is overwritten with the
+    solution and returned, and any other is copied first and left as it was.
     """
     blocks = np.asarray(blocks, dtype=np.complex128)
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:

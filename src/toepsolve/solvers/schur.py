@@ -1,27 +1,12 @@
 """Border elimination: solve the bordered system through its Schur complement.
 
-The structured block is inverted exactly once, against the excitations
-and the border coupling jointly:
-
-    Z_A [U  F] = [V_A  Z_B^T]
-
-after which the border currents follow from the small reduced system
-(Z_C - Z_B F) I_C = V_C - Z_B U and the array currents from
-I_A = U - F I_C.  Z_A is inverted by the block bordering (Rybicki)
-recursion on its assembled level-1 blocks.
-
-The recursion solves [V_A  Z_B^T] in place, in the block that stacks
-them, so [U  F] takes no memory of its own.  The solution [I_A; I_C] is
-allocated once, and I_A = U - F I_C is written into it one panel of
-``RHS_PANEL`` = 64 columns at a time, so the border elimination forms
-no temporary wider than a panel.  ``run_method`` sums the record
-residual of a rybicki solve over the same panels.
-
-``schur_solve`` reports the bytes it holds: ``level1``, the 2N-1 level-1
-blocks (N = n2); ``rhs``, the block [V_A  Z_B^T]; and ``stacks``, the
-recursion's G and H, 2(N-1) blocks.  The recursion also holds two block
-rows of ``rhs`` and a few blocks, and the border elimination ``rhs``,
-the solution and one panel.
+Z_A is inverted once, by the Rybicki recursion on its level-1 blocks,
+against the excitations and the border coupling jointly:
+Z_A [U  F] = [V_A  Z_B^T], solved in place in the block that stacks
+them.  The border currents then solve the small reduced system
+(Z_C - Z_B F) I_C = V_C - Z_B U, and I_A = U - F I_C is written into the
+one solution array ``RHS_PANEL`` columns at a time, so the elimination
+forms no temporary wider than a panel.
 """
 
 from __future__ import annotations
@@ -38,12 +23,12 @@ from .rybicki import assemble_level1, rybicki_solve
 
 __all__ = ["schur_solve", "SchurReport", "RHS_PANEL"]
 
-# columns of I_A that one step of the border elimination forms
+# columns of I_A per border-elimination step, which bounds its temporaries (PR 15; no width was timed)
 RHS_PANEL = 64
 
 
 class SchurReport(NamedTuple):
-    """The seconds of a solve's ``phases`` and the bytes of what it holds (module docstring)."""
+    """The seconds of a solve's ``phases`` and the bytes of what it holds (see ``schur_solve``)."""
 
     phases: dict[str, float]
     memory: dict[str, int]
@@ -52,10 +37,10 @@ class SchurReport(NamedTuple):
 def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
     """Solve Z I = V for every column of the 2-D (dim, columns) block ``v``.
 
-    Returns the solution and a ``SchurReport`` of the bytes it holds and
-    the seconds of ``level1_fill`` (the level-1 assembly) and ``recursion``
-    (the Rybicki solve); the rest of the call, stacking the right-hand
-    sides and eliminating the border, is left for the caller to time.
+    Returns the solution and a ``SchurReport`` of the seconds of
+    ``level1_fill`` and ``recursion`` (the caller times the rest: stacking
+    and border elimination) and the bytes of ``level1`` (the 2N-1 level-1
+    blocks, N = n2), ``rhs`` ([V_A  Z_B^T]) and ``stacks`` (G and H).
     """
     v = numerics.as_columns(v, sys.dim)
     adim = sys.array_dim

@@ -1,36 +1,25 @@
 """Two-level block-Toeplitz generators and the fast circulant-embedding matvec.
 
 A two-level block-Toeplitz matrix is constant along block diagonals on
-both levels: level-2 blocks are themselves block-Toeplitz and level-0
-blocks are unstructured ``n0 x n0`` matrices.  Such a matrix is fully
-determined by its *generator*: the unique blocks arranged in circulant
-order ``[0, +1, ..., +(N-1), -(N-1), ..., -1]`` on each level.
-``BlockGenerator2L`` stores them once, as one (2*n2-1, 2*n1-1, n0, n0)
-array that every reader (transform, assembly, preconditioner, file
-I/O) indexes in place, without a copy.
-
-Each level of side N is embedded in a block circulant of length exactly
-``L = 2N-1``: the generator blocks for offsets ``0..N-1`` fill positions
-``0..N-1`` and those for ``-(N-1)..-1`` fill ``N..2N-2``, so the
-generator in circulant order *is* the circulant's first block column,
-with no zero fill (Chan & Ng, "Conjugate gradient methods for Toeplitz
-systems", SIAM Review 38, 1996).  The circulant is block-diagonalized by
-the block-wise multilevel DFT
-
-    F = F_{L2} (x) F_{L1} (x) I_{n0}
-
-which turns a matvec into: forward transform, one small dense multiply
-per transformed block row, inverse transform.  Storage is
-``L2*L1*n0**2`` scalars, the generator's own count, instead of
-``(n2*n1*n0)**2``.
+both levels, with unstructured ``n0 x n0`` blocks at level 0.  Its
+*generator* is its unique blocks in circulant order
+``[0, +1, ..., +(N-1), -(N-1), ..., -1]`` on each level, which
+``BlockGenerator2L`` stores once, as one array every reader indexes in
+place.  Each level of side N is embedded in a block circulant of length
+exactly ``L = 2N-1``, whose first block column *is* the generator, with
+no zero fill (Chan & Ng, "Conjugate gradient methods for Toeplitz
+systems", SIAM Review 38, 1996).  The block-wise multilevel DFT
+``F = F_{L2} (x) F_{L1} (x) I_{n0}`` block-diagonalizes the circulant,
+so a matvec is a forward transform, one small dense multiply per
+transformed block row and an inverse transform, storing
+``L2*L1*n0**2`` scalars instead of ``(n2*n1*n0)**2``.
 
 The transforms are pruned (Markel, "FFT pruning", IEEE Trans. Audio
 Electroacoust. 19, 1971; Sorensen & Burrus, IEEE Trans. Signal Process.
-41, 1993): of each level's L inputs only the first n are nonzero, and of
-its L outputs only the first n are kept, so no zero-padded grid is ever
-formed.  Each level is one dense GEMM with its pruned DFT matrix, (L, n)
-forward and (n, L) inverse, formed once per side and dtype.  A panel of
-w columns runs five GEMMs with no FFT call:
+41, 1993): of each level's L inputs only the first n are nonzero and of
+its L outputs only the first n are kept, so no zero-padded grid is
+formed.  Each level is one GEMM with its pruned DFT matrix, and a panel
+of w columns runs five GEMMs:
 
     1. F1 (L1 x n1) @ x viewed as (n2, n1, n0*w)    -> (n2, L1, n0*w)
     2. F2 (L2 x n2) @ (n2, L1*n0*w)                 -> (L2, L1*n0*w)
@@ -39,53 +28,9 @@ w columns runs five GEMMs with no FFT call:
     5. G1 (n1 x L1) @ (n2, L1, n0*w)                -> (n2, n1, n0*w)
 
 That is about ``4*n2*n1*(n1 + 2*n2)`` complex multiply-adds per level-0
-row and column for the transforms, against ``O(n2*n1*log(n2*n1))`` for
-FFTs of the padded grid, but on the grids of this package (sides up to
-30) the GEMMs run at BLAS speed and the FFTs did not: a 32-column
-complex64 matvec of a 16x16 grid (ne = 8) took 11.5-12.7 ms through
-``scipy.fft`` at the fast lengths 32x32 and 5.2-5.9 ms as GEMMs (30x30:
-39.5-41.1 against 19.8-22.7 ms; 12x20: 4.5-6.6 against 2.5-2.9 ms),
-alternating processes, one BLAS thread, 2-core host.  A level needs no
-fast FFT length, so L stays 2n-1 even where that is prime.  Against the
-complex128 FFT matvec the complex128 GEMM matvec differs by 4-5e-16 and
-the complex64 one by 1.1-1.7e-7 (the complex64 FFT matvec: 1.1-1.4e-7).
-
-The pipeline runs, with DFT matrices of its dtype, in the dtype that the
-``numerics`` convention gives ``diag_blocks`` and the block it receives.
-
-``matvec`` runs that pipeline on panels of ``MATVEC_PANEL`` = 16
-complex128 columns, the same bytes as 32 complex64 columns, and writes
-each into its slice of the one output array.  Pushed through at full
-width, 256 complex128 columns of a 16x16 grid make (L2*L1*n0, columns)
-temporaries of 31.5 MB, every stage streams from main memory, and the
-tracemalloc peak of the matvec is 7.7x its output; in panels it is 1.42x
-(1.84x in complex64, 256 columns; 7.7x for the one panel of 32
-complex64 columns a GMRES block hands over).  Each column goes through the same operations
-whatever the panel, and the results were bitwise equal at every panel on
-the grids below.  Interleaved medians of 25 matvecs with one BLAS thread
-on a 2-core host, in ms, over three runs (ne = 8):
-
-    grid, dtype, columns       full width     32          16          8
-    16x16, complex128, 256    71.1-73.8   54.9-58.1   51.1-53.8   60.6-64.7
-    12x20, complex128, 240    60.5-64.0   48.2-50.4   44.5-46.2   51.9-56.4
-    30x30, complex128, 128   152.7-157.2 140.0-142.7 133.5-141.1 145.2-151.5
-    16x16, complex64, 256     27.5-29.3   26.3-27.1   27.7-28.9   32.9-35.0
-    16x16, complex64, 32       3.1-3.3     3.1-3.2     3.1-3.2     3.9-4.0
-    30x30, complex64, 32      15.9-16.8   15.8-16.8   15.7-16.5   16.6-17.4
-
-16 wins every complex128 row; in complex64, 16 and 32 are one panel at
-the 32 columns a GMRES block hands over, and 32 gains about 4% at 256.
-Fresh transients can cost as much as the arithmetic: when the C
-allocator hands their pages back between calls, every call faults them
-in again.  A fresh process timing 32-column complex64 matvecs of a 16x16
-grid in a loop took about 1160 page faults a call (1990 through
-``scipy.fft``), which is why those calls took 5.2-5.9 ms and not the
-3.1 ms above; inside a GMRES solve the same matvec took 19 faults a
-call (39 through ``scipy.fft``).  So each stage frees the one before it
-as soon as it is formed, and the block multiply overwrites the transform
-it reads, four level-2 rows at a time: a panel holds one grid-sized
-transient at a time, beside its input and a level-1 intermediate or one
-slice of the multiply.
+row and column, against ``O(n2*n1*log(n2*n1))`` for FFTs of the padded
+grid, but at the sides of this package (up to 30) the GEMMs run at BLAS
+speed and beat ``scipy.fft`` (PR 16), and L needs no fast FFT length.
 """
 
 from __future__ import annotations
@@ -115,8 +60,8 @@ __all__ = [
     "assemble_dense",
 ]
 
-# complex128 columns per panel of the matvec, so twice as many complex64
-# columns (see the module docstring)
+# complex128 columns per matvec panel, so twice as many complex64 columns: 16
+# was fastest in every complex128 row of PR 16's panel timings
 MATVEC_PANEL = 16
 
 
@@ -129,11 +74,9 @@ def circulant_offsets(n: int) -> np.ndarray:
 def _dft_pair(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """The pruned DFT matrices of a level of side n, at circulant length L = 2n-1.
 
-    The forward (L, n) matrix, exp(-2 pi i k j / L), takes the n nonzero
-    entries of a length-L sequence to all L frequencies; the inverse
-    (n, L) matrix, exp(+2 pi i j k / L) / L, gives only the n entries the
-    matvec keeps.  Formed in complex128 from exactly reduced phases
-    ``k j mod L`` and cast to ``dtype``; read-only, since they are shared.
+    Forward (L, n): exp(-2 pi i k j / L); inverse (n, L): exp(+2 pi i j k / L) / L,
+    only the n rows the matvec keeps.  Formed in complex128 from exactly
+    reduced phases ``k j mod L``, cast to ``dtype``, read-only as shared.
     """
     length = 2 * n - 1
     phase = np.outer(np.arange(length), np.arange(n)) % length
@@ -144,7 +87,7 @@ def _dft_pair(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-# perfbench's per-offset spelling of ``BlockGenerator2L.blocks[i]``, until ROADMAP D7(d)
+# perfbench's spelling of ``BlockGenerator2L.blocks[i]``; ROADMAP D7(e) relabels it, D12 deletes it
 class BlockGenerator1L(NamedTuple):
     n1: int
     n0: int
@@ -155,9 +98,9 @@ class BlockGenerator1L(NamedTuple):
 class BlockGenerator2L:
     """Generator of a 2-level block-Toeplitz matrix: its unique blocks, stored once.
 
-    ``blocks`` is one (2*n2-1, 2*n1-1, n0, n0) array in circulant order
-    on both levels.  With L = 2n-1 per level, block ((p2, p1), (q2, q1))
-    of the assembled matrix is ``blocks[(p2-q2) % L2, (p1-q1) % L1]``.
+    ``blocks`` is one (2*n2-1, 2*n1-1, n0, n0) array in circulant order on
+    both levels: block ((p2, p1), (q2, q1)) of the assembled matrix is
+    ``blocks[(p2-q2) % L2, (p1-q1) % L1]``, with L = 2n-1 per level.
     """
 
     n2: int
@@ -166,7 +109,7 @@ class BlockGenerator2L:
     blocks: np.ndarray  # (2*n2 - 1, 2*n1 - 1, n0, n0), circulant order
 
     def __post_init__(self):
-        if isinstance(self.blocks, tuple):  # perfbench's per-offset tuple, until ROADMAP D7(d)
+        if isinstance(self.blocks, tuple):  # perfbench's per-offset tuple, until ROADMAP D7(e)/D12
             object.__setattr__(self, "blocks", np.stack([c.column for c in self.blocks]))
         if not isinstance(self.blocks, np.ndarray):
             raise BlockShapeMismatch(f"blocks must be an ndarray, got {type(self.blocks).__name__}")
@@ -178,18 +121,15 @@ class BlockGenerator2L:
     def dim(self) -> int:
         return self.n2 * self.n1 * self.n0
 
-    def stacked4(self) -> np.ndarray:  # perfbench's spelling of ``blocks``, until ROADMAP D7(d)
+    def stacked4(self) -> np.ndarray:  # perfbench's spelling of ``blocks``, until ROADMAP D7(e)/D12
         return self.blocks
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralOperator:
-    """Transformed generator: one dense n0 x n0 block per circulant grid point.
+    """Transformed generator: ``diag_blocks[i]``, block row i of the generator's forward DFT.
 
-    ``diag_blocks[i]`` is block row ``i`` of the forward multilevel DFT of
-    the generator, which is the first block column of the circulant; the
-    circulant acts on a transformed vector as the block-diagonal matrix
-    of these blocks.
+    On a transformed vector the circulant is the block-diagonal matrix of these n0 x n0 blocks.
     """
 
     n2: int
@@ -210,13 +150,10 @@ def block_fft_2l(data, n2: int, n1: int, n0: int, direction: str = "forward") ->
     """Pruned two-level block-wise DFT at the circulant lengths L = 2n-1.
 
     ``forward`` maps an (n2*n1*n0, columns) block, the nonzero rows of a
-    zero-padded (L2, L1, n0, columns) grid, to all L2*L1*n0 rows of that
-    grid's transform by F_{L2} (x) F_{L1} (x) I_{n0}.  ``inverse`` maps
-    an (L2*L1*n0, columns) block back through the inverse transform and
-    returns only the n2*n1*n0 rows the matvec keeps.  Each level is one
-    GEMM with its pruned DFT matrix, level 1 first; the block runs in
-    complex64 if it is complex64 and in complex128 otherwise.  The input
-    is never overwritten.
+    zero-padded (L2, L1, n0, columns) grid, to all L2*L1*n0 rows of its
+    transform by F_{L2} (x) F_{L1} (x) I_{n0}; ``inverse`` maps those rows
+    back to the n2*n1*n0 the matvec keeps.  Level 1 goes first; a complex64
+    block runs in complex64, any other in complex128; the input is kept.
     """
     if direction not in ("forward", "inverse"):
         raise InvalidSpec(f"direction must be 'forward' or 'inverse', got {direction!r}")
@@ -245,11 +182,8 @@ def precompute_spectral(gen: BlockGenerator2L) -> SpectralOperator:
 def pad_rhs(u, n2: int, n1: int, n0: int) -> np.ndarray:
     """Zero-pad a stacked column block to the circulant grid, level by level.
 
-    With L = 2n-1 per level, each of the n2 level-2 segments (n1*n0 rows)
-    is followed by (n1-1)*n0 zero rows, and (n2-1)*L1*n0 zero rows trail
-    the whole block.  For n2 = 1 this degenerates to [u; 0].  The matvec
-    never forms this grid: ``block_fft_2l`` transforms only its nonzero
-    rows, and gives the full transform of this layout.
+    After each of the n2 level-2 segments come (n1-1)*n0 zero rows, and
+    (n2-1)*L1*n0 zero rows end the block: ``block_fft_2l`` transforms it.
     """
     arr = as_columns(u, n2 * n1 * n0)
     l2, l1, w = 2 * n2 - 1, 2 * n1 - 1, arr.shape[1]
@@ -259,11 +193,7 @@ def pad_rhs(u, n2: int, n1: int, n0: int) -> np.ndarray:
 
 
 def extract_result(v, n2: int, n1: int, n0: int) -> np.ndarray:
-    """Collect the payload rows of a circulant-length column block, dropping scratch.
-
-    With L = 2n-1 per level, segment n lives at rows n*L1*n0 ..
-    n*L1*n0 + n1*n0 - 1: the rows the inverse ``block_fft_2l`` keeps.
-    """
+    """The rows of a circulant-length column block that the inverse ``block_fft_2l`` keeps."""
     l2, l1 = 2 * n2 - 1, 2 * n1 - 1
     arr = as_columns(v, l2 * l1 * n0)
     w = arr.shape[1]
@@ -273,12 +203,12 @@ def extract_result(v, n2: int, n1: int, n0: int) -> np.ndarray:
 def matvec(op: SpectralOperator, u) -> np.ndarray:
     """Apply the represented block-Toeplitz matrix to an (op.dim, columns) block.
 
-    The output is allocated once, in the dtype of the ``numerics``
-    convention, which the pipeline runs in.  Each panel of
-    ``MATVEC_PANEL`` complex128 columns' bytes runs the pruned forward
-    transform -> per-block multiply by ``diag_blocks``, over the transform
-    -> pruned inverse transform and is written into its slice of the
-    output, so the temporaries are panel-sized whatever the width.
+    The output is allocated once, in the ``numerics`` convention's dtype,
+    which the pipeline runs in.  Each panel of ``MATVEC_PANEL`` complex128
+    columns' bytes runs the forward transform, the block multiply (over the
+    transform, four level-2 rows at a time) and the inverse transform into
+    its slice of the output, so a panel holds one grid-sized transient at a
+    time and a column's operations do not depend on the panel.
     """
     arr = as_columns(u, op.dim)
     dtype = np.result_type(op.diag_blocks, arr)
@@ -316,9 +246,8 @@ def assemble_dense_1l(column: np.ndarray) -> np.ndarray:
 def assemble_dense(gen: BlockGenerator2L) -> np.ndarray:
     """Densely assemble the full 2-level matrix; the matvec oracle.
 
-    Block (i, j) at level 2 is the level-1 matrix for offset i - j, and
-    within it block (p, q) is the generator block for offsets
-    (i - j, p - q).
+    Level-2 block (i, j) is the level-1 matrix of offset i - j, whose block
+    (p, q) is the generator block of offsets (i - j, p - q).
     """
     idx2, idx1 = _toeplitz_index(gen.n2), _toeplitz_index(gen.n1)
     full = gen.blocks[idx2[:, :, None, None], idx1[None, None, :, :]]  # (n2, n2, n1, n1, n0, n0)

@@ -1,16 +1,24 @@
 """Every name in a ``toepsolve`` module's ``__all__`` exists in that module.
 
 Some names are kept only because the benchmark under ``perfbench/`` still
-imports, wraps or calls them (ROADMAP D7(d)); nothing in the package may
-use them, so deleting them later touches only their definitions.
+imports, wraps or calls them, until ROADMAP D7(e) moves it off them and
+D12 deletes them; nothing in the package may use them, so deleting them
+later touches only their definitions.
 
 GMRES chooses its precision in one place: the operators compute with the
 arrays they hold, so no operator module may switch on ``np.complex64``.
+
+A timing or memory figure in a docstring or comment must be traceable: its
+paragraph names the PR whose CHANGES.md entry measured it, a ``BENCH_*.json``
+file or the command that measures it.
 """
 
+import ast
 import importlib
+import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -51,3 +59,48 @@ def test_only_gmres_and_numerics_name_complex64():
     naming = [path.relative_to(root).as_posix() for path in sorted(root.rglob("*.py"))
               if "np.complex64" in path.read_text()]
     assert [name for name in naming if name not in COMPLEX64_MODULES] == []
+
+
+# a number with a time or memory unit, or a line saying what a run took or how often it faulted
+FIGURE = re.compile(r"\d(?:[\d.]*\d)?\s(?:ns|ms|s|MB|GB|KB|KiB|GFLOP/s)(?![\w/])|\b(?:took|faults?)\b")
+SOURCE = re.compile(r"\bPR \d+|BENCH_\w*\.json|`(?:python3?|toepsolve) [^`]+`")
+
+
+def _paragraphs(source: str) -> list[list[int]]:
+    """Line numbers of each docstring paragraph and each run of comment lines."""
+    lines = source.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node) is not None):
+            paragraph = []
+            for i in range(node.body[0].lineno, node.body[0].end_lineno + 1):
+                if lines[i - 1].strip(' "'):
+                    paragraph.append(i)
+                elif paragraph:
+                    found.append(paragraph)
+                    paragraph = []
+            found.append(paragraph)
+    previous = None
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            row, own_line = tok.start[0], not lines[tok.start[0] - 1][: tok.start[1]].strip()
+            if own_line and previous == row - 1:
+                found[-1].append(row)
+            else:
+                found.append([row])
+            previous = row if own_line else None
+    return [p for p in found if p]
+
+
+def test_every_quoted_figure_names_its_source():
+    root = Path(toepsolve.__file__).parent
+    unsourced = []
+    for path in sorted(root.rglob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for paragraph in _paragraphs(source):
+            if not SOURCE.search("\n".join(lines[i - 1] for i in paragraph)):
+                unsourced += [f"{path.relative_to(root)}:{i}: {lines[i - 1].strip()}"
+                              for i in paragraph if FIGURE.search(lines[i - 1])]
+    assert unsourced == []

@@ -138,6 +138,14 @@ class TestBuildPz:
         assert build_pz(sys_).stored_bytes == ((3 * 4) ** 2 + 8**2) * 16
 
 
+@pytest.mark.parametrize("build", [build_pk, build_pz])
+def test_stored_inverses_are_c_contiguous_complex128(build):
+    # LAPACK's back substitution returns Fortran order; the builders store C order
+    p = build(small_system())
+    for inverse in (p.block_inverse, p.border_inverse):
+        assert inverse.dtype == np.complex128 and inverse.flags.c_contiguous
+
+
 class TestApply:
     def test_inverse_action(self):
         sys_ = small_system()

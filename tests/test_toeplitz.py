@@ -104,7 +104,7 @@ class TestEmbed:
             BlockGenerator2L(1, 1, 1, [[[[1.0]]]])
 
     def test_per_offset_tuple_stacks_into_the_one_array(self):
-        # the spelling perfbench builds generators with, until ROADMAP D7(d)
+        # the spelling perfbench builds generators with, until ROADMAP D7(e)/D12
         blocks4 = random_generator(np.random.default_rng(1), 3, 4, 2).blocks
         cols = tuple(BlockGenerator1L(4, 2, np.ascontiguousarray(b)) for b in blocks4)
         gen = BlockGenerator2L(3, 4, 2, cols)
