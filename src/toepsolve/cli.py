@@ -76,7 +76,7 @@ _EXIT_IO = 5
 _BYTES_PER_SCALAR = 16
 
 # version of the report JSON that ``solve`` writes
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 @dataclass
@@ -91,8 +91,8 @@ class SolveRecord:
                                                      dense
         gmres-dense  dense_fill precond_build        generator dense_equivalent solution
                      matvec precond_apply krylov     dense precond krylov
-        rybicki      level1_fill recursion border    generator dense_equivalent solution
-                                                     level1 rhs stacks
+        rybicki      level1_fill recursion           generator dense_equivalent solution
+                     [inverse_columns] border        level1 rhs stacks
         mlfft-*      spectral_precompute             generator dense_equivalent solution
                      precond_build matvec            spectral precond krylov
                      precond_apply krylov
@@ -104,6 +104,7 @@ class SolveRecord:
     ok, error: false and the message after a NoConvergence (exit 3).
     dense_fill, lu_factor, lu_solve: assemble the dense Z, factor it, back-substitute.
     level1_fill, recursion: ``schur_solve``'s level-1 assembly and Rybicki solve.
+    inverse_columns: the columns of Z_A^-1 that solve the feed columns, present when any were formed.
     border: the rest of a rybicki solve, the Schur border elimination.
     spectral_precompute, precond_build: form the operator, the preconditioner and their complex64 copies.
     matvec, precond_apply: the operator and preconditioner calls inside GMRES, summed.
@@ -207,8 +208,8 @@ def run_method(
         x, report = schur_solve(sys_, v)
         rec.solve_s = time.perf_counter() - t0
         phases.update(report.phases)
-        # schur_solve times fill and recursion; the border is the rest of solve_s
-        phases["border"] = rec.solve_s - phases["level1_fill"] - phases["recursion"]
+        # schur_solve times fill, recursion and inverse columns; the border is the rest of solve_s
+        phases["border"] = rec.solve_s - sum(report.phases.values())
         rec.memory.update(report.memory)
         op = BorderedOperator.from_system(sys_)
         rec.residual = _panel_residual(lambda u: bordered_matvec(op, u), x, v)

@@ -74,9 +74,10 @@ def lu_factor(a) -> LUFactors:
     SingularMatrix if a pivot is below ``_PIVOT_TINY`` in magnitude.  A 0x0
     block, an empty border's self block, is its own factor, without LAPACK.
     """
+    # checked before the copy, which turns a 0-d input into a 1-d one
+    if (ndim := np.ndim(a)) != 2:
+        raise ShapeError(f"expected a 2-D block, got ndim={ndim}")
     arr = np.ascontiguousarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D block, got ndim={arr.ndim}")
     if arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"expected a square block, got shape {arr.shape}")
     if not arr.size:

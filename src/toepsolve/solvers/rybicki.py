@@ -23,12 +23,24 @@ place: x_{M+1} overwrites y_{M+1}, which only its own numerator reads,
 and the updates go one block row x_j, or one pair G_j, H_{M+1-j}, at a
 time, in contiguous rows that need no iterator buffers (PR 15).  Beside
 the right-hand side and the coefficients the solve holds the G and H
-stacks, 2(N-1) blocks, two block rows of the right-hand side and about
-a dozen blocks.  Its output is bitwise deterministic, and a singular
+stacks, 2N blocks, two block rows of the right-hand side and about a
+dozen blocks.  Its output is bitwise deterministic, and a singular
 denominator aborts it with a diagnostic.
+
+The final stage, M = N-1, also gives the first and last block columns of
+the inverse, X and Y.  With D1 and D2 formed from the final stacks,
+
+    X_0 = -D2^-1,      X_j = H_j D2^-1
+    Y_{N-1} = -D1^-1,  Y_j = G_{N-1-j} D1^-1
+
+each written over the stack block it is formed from: X_j over H_j and
+Y_j over G_{N-1-j}, with X_0 and Y_{N-1} in the stacks' one spare block
+each.  That costs one more D2 and 2N block products, and no columns.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +48,18 @@ from .. import numerics
 from ..errors import ShapeError, SingularBlock, SingularDenominator, SingularMatrix
 from ..toeplitz import BlockGenerator2L, assemble_dense_1l
 
-__all__ = ["rybicki_solve", "assemble_level1"]
+__all__ = ["rybicki_solve", "assemble_level1", "EndColumns"]
+
+
+class EndColumns(NamedTuple):
+    """The first and last block columns of the inverse, each an (N, side, side) stack.
+
+    ``first[i]`` is block (i, 0) of the inverse, X_i, and ``last[i]`` is
+    block (i, N-1), Y_i.
+    """
+
+    first: np.ndarray
+    last: np.ndarray
 
 
 def assemble_level1(gen: BlockGenerator2L) -> np.ndarray:
@@ -53,15 +76,18 @@ def assemble_level1(gen: BlockGenerator2L) -> np.ndarray:
     return row.reshape(side, 2 * n - 1, side).transpose(1, 0, 2)
 
 
-def rybicki_solve(blocks: np.ndarray, y) -> np.ndarray:
+def rybicki_solve(blocks: np.ndarray, y, *, end_columns: bool = False):
     """Solve the block-Toeplitz system generated by ``blocks``, overwriting ``y``.
 
     ``blocks[k]`` = R_{N-1-k}: the 2*N-1 square blocks in decreasing offset
     order, as ``assemble_level1`` returns them (its array is read as a view,
     any other as a copy), so block (i, j) of the matrix is
     ``blocks[N-1-i+j]``.  ``y`` is the stacked (N*side, columns) right-hand
-    side; a writeable C-contiguous complex128 ``y`` is overwritten with the
-    solution and returned, and any other is copied first and left as it was.
+    side, which may have no columns; a writeable C-contiguous complex128
+    ``y`` is overwritten with the solution and returned, and any other is
+    copied first and left as it was.  With ``end_columns`` the call returns
+    ``(x, EndColumns)``, the end block columns written over the G and H
+    stacks.
     """
     blocks = np.asarray(blocks, dtype=np.complex128)
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
@@ -73,14 +99,15 @@ def rybicki_solve(blocks: np.ndarray, y) -> np.ndarray:
     row = blocks.transpose(1, 0, 2).reshape(side, blocks.shape[0] * side)
 
     x = np.require(numerics.as_columns(y, n * side), np.complex128, ["C", "W"])
-    xb = x.reshape(n, side, -1)  # block row j holds y_j until stage j overwrites it with x_j
+    xb = x.reshape(n, side, x.shape[1])  # block row j holds y_j until stage j overwrites it with x_j
 
     def rb(offset: int) -> np.ndarray:
         return blocks[n - 1 - offset]
 
-    # H_j at h[j-1] and G_j at g[N-1-j], so every stage-m stack is m contiguous blocks:
-    # h[:m] = H_1 .. H_m, g[N-1-m:] = G_m .. G_1
-    g = np.empty((max(n - 1, 0), side, side), dtype=np.complex128)
+    # H_j at h[j] and G_j at g[N-1-j], so every stage-m stack is m contiguous blocks:
+    # h[1:m+1] = H_1 .. H_m, g[N-1-m:N-1] = G_m .. G_1; h[0] and g[N-1] are free
+    # until the end columns take them
+    g = np.empty((n, side, side), dtype=np.complex128)
     h = np.empty_like(g)
 
     # stage 0 has empty stacks: D1 = D2 = -R_0, so it is the base stage
@@ -88,8 +115,8 @@ def rybicki_solve(blocks: np.ndarray, y) -> np.ndarray:
         span = m * side
         pos = row[:, (n - 1 - m) * side : (n - 1) * side]  # R_m .. R_1
         neg = row[:, n * side : (n + m) * side]            # R_-1 .. R_-m
-        gm = g[n - 1 - m :].reshape(span, side)
-        hm = h[:m].reshape(span, side)
+        gm = g[n - 1 - m : n - 1].reshape(span, side)
+        hm = h[1 : m + 1].reshape(span, side)
 
         d1 = pos @ gm - rb(0)
         try:
@@ -105,21 +132,33 @@ def rybicki_solve(blocks: np.ndarray, y) -> np.ndarray:
         for j in range(m):
             xb[j] -= g[n - 1 - m + j] @ xb[m]  # G_{m-j} x_m
 
-        if m < n - 1:
+        if m < n - 1 or end_columns:
             d2 = neg @ hm - rb(0)
             try:
                 lu2 = numerics.lu_factor(d2)
             except SingularMatrix as exc:
                 raise SingularDenominator(m) from exc
+        if m < n - 1:
             g_new = numerics.lu_solve(lu2, neg @ gm - rb(-(m + 1)))
             h_new = numerics.lu_solve(lu1, pos @ hm - rb(m + 1))
             # G_j's update reads H_{m+1-j} and H_{m+1-j}'s reads G_j, and no other
             # update reads either, so each pair is updated from its own old values
             for j in range(1, m + 1):
-                g_upd = h[m - j] @ g_new
-                h[m - j] -= g[n - 1 - j] @ h_new
+                g_upd = h[m + 1 - j] @ g_new
+                h[m + 1 - j] -= g[n - 1 - j] @ h_new
                 g[n - 1 - j] -= g_upd
             g[n - 2 - m] = g_new
-            h[m] = h_new
+            h[m + 1] = h_new
 
-    return x
+    if not end_columns:
+        return x
+    # X_0 = -D2^-1, X_j = H_j D2^-1 and Y_{N-1} = -D1^-1, Y_j = G_{N-1-j} D1^-1,
+    # each block overwriting the one it is formed from
+    eye = np.eye(side, dtype=np.complex128)
+    d1_inv, d2_inv = numerics.lu_solve(lu1, eye), numerics.lu_solve(lu2, eye)
+    for j in range(1, n):
+        h[j] = h[j] @ d2_inv
+        g[n - 1 - j] = g[n - 1 - j] @ d1_inv
+    np.negative(d2_inv, out=h[0])
+    np.negative(d1_inv, out=g[n - 1])
+    return x, EndColumns(h, g)

@@ -1,12 +1,28 @@
 """Border elimination: solve the bordered system through its Schur complement.
 
 Z_A is inverted once, by the Rybicki recursion on its level-1 blocks,
-against the excitations and the border coupling jointly:
+against the border coupling and the excitations jointly:
 Z_A [U  F] = [V_A  Z_B^T], solved in place in the block that stacks
 them.  The border currents then solve the small reduced system
-(Z_C - Z_B F) I_C = V_C - Z_B U, and I_A = U - F I_C is written into the
-one solution array ``RHS_PANEL`` columns at a time, so the elimination
+(Z_C - Z_B F) I_C = V_C - Z_B U, and I_A = U - F I_C is written over U in
+the solution array ``RHS_PANEL`` columns at a time, so the elimination
 forms no temporary wider than a panel.
+
+A feed excitation skips the recursion.  When Z_A = Z_A^T bitwise (R_-k =
+R_k^T, as ``generate`` and a TBZ round trip give), a column of V_A with at
+most one nonzero, alpha e_p, is solved as alpha times column p of
+Z_A^-1.  The recursion's final stage returns the first and last block
+columns of Z_A^-1, X and Y, and by the block Gohberg-Heinig displacement
+identity (Gohberg & Heinig, Rev. Roumaine Math. Pures Appl. 19, 1974)
+they fix its other blocks:
+
+    B_{i,j} = B_{i-1,j-1} + X_i X_0^-1 X_j^T - Y_{i-1} Y_{N-1}^-1 Y_{j-1}^T
+
+from B_{i,0} = X_i and B_{0,j} = X_j^T.  Walked one block column at a
+time, restricted to the in-block positions Q the feeds use, each block
+column costs two (N*side, side) @ (side, |Q|) products.  Any other input
+keeps every column in the recursion, since the identity then needs the
+end block rows as well.
 """
 
 from __future__ import annotations
@@ -19,7 +35,7 @@ import numpy as np
 from .. import numerics
 from ..errors import SingularMatrix, SingularSchurComplement
 from ..problems import BorderedSystem
-from .rybicki import assemble_level1, rybicki_solve
+from .rybicki import EndColumns, assemble_level1, rybicki_solve
 
 __all__ = ["schur_solve", "SchurReport", "RHS_PANEL"]
 
@@ -38,36 +54,94 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
     """Solve Z I = V for every column of the 2-D (dim, columns) block ``v``.
 
     Returns the solution and a ``SchurReport`` of the seconds of
-    ``level1_fill`` and ``recursion`` (the caller times the rest: stacking
-    and border elimination) and the bytes of ``level1`` (the 2N-1 level-1
-    blocks, N = n2), ``rhs`` ([V_A  Z_B^T]) and ``stacks`` (G and H).
+    ``level1_fill``, ``recursion`` and, when a column was solved from the
+    inverse's columns, ``inverse_columns`` (the caller times the rest:
+    stacking and border elimination) and the bytes of ``level1`` (the 2N-1
+    level-1 blocks, N = n2), ``rhs`` (Z_B^T and the columns of V_A that
+    ride the recursion) and ``stacks`` (G and H, which end as X and Y:
+    2N blocks).
     """
     v = numerics.as_columns(v, sys.dim)
     adim = sys.array_dim
     va, vc = v[:adim], v[adim:]
     ncols = v.shape[1]
-    # a new block: the recursion overwrites it, and va is a view of v
-    rhs = np.hstack([va, sys.zb.T])
+    phases = {}
 
     t0 = time.perf_counter()
     level1 = assemble_level1(sys.gen)
-    t1 = time.perf_counter()
-    uf = rybicki_solve(level1, rhs)
-    t2 = time.perf_counter()
-    # G and H hold 2(N-1) blocks of the level-1 side
-    memory = {"level1": level1.nbytes, "rhs": rhs.nbytes, "stacks": (len(level1) - 1) * level1[0].nbytes}
+    phases["level1_fill"] = time.perf_counter() - t0
+    unit = np.count_nonzero(va, axis=0) <= 1
+    if unit.any() and not np.array_equal(level1[::-1], level1.transpose(0, 2, 1)):
+        unit[:] = False
+    feeds, dense = np.flatnonzero(unit), np.flatnonzero(~unit)
+    # a new block: the recursion overwrites it, and va is a view of v; its columns
+    # are gathered a panel at a time
+    rhs = np.empty((adim, dense.size + sys.nb), dtype=np.complex128)
+    rhs[:, dense.size :] = sys.zb.T
+    va_dense = rhs[:, : dense.size]
+    for c in range(0, dense.size, RHS_PANEL):
+        va_dense[:, c : c + RHS_PANEL] = va[:, dense[c : c + RHS_PANEL]]
+
+    t0 = time.perf_counter()
+    if feeds.size:
+        uf, ends = rybicki_solve(level1, rhs, end_columns=True)
+    else:
+        uf = rybicki_solve(level1, rhs)
+    phases["recursion"] = time.perf_counter() - t0
+    # G and H hold 2N blocks of the level-1 side
+    memory = {"level1": level1.nbytes, "rhs": rhs.nbytes, "stacks": (len(level1) + 1) * level1[0].nbytes}
     del level1  # freed before the solution is allocated
 
-    u, f = uf[:, :ncols], uf[:, ncols:]
+    solution = np.empty((sys.dim, ncols), dtype=np.complex128)
+    u, f = solution[:adim], uf[:, dense.size :]
+    u[:, dense] = uf[:, : dense.size]
+    if feeds.size:
+        t0 = time.perf_counter()
+        _inverse_columns(ends, va, feeds, u)
+        phases["inverse_columns"] = time.perf_counter() - t0
+        del ends
     try:
         lu_s = numerics.lu_factor(sys.zc - sys.zb @ f)
     except SingularMatrix as exc:
         raise SingularSchurComplement("reduced border operator is singular") from exc
     ic = numerics.lu_solve(lu_s, vc - sys.zb @ u)
-    solution = np.empty((sys.dim, ncols), dtype=np.complex128)
     solution[adim:] = ic
     for c in range(0, ncols, RHS_PANEL):
         cols = slice(c, c + RHS_PANEL)
-        np.subtract(u[:, cols], f @ ic[:, cols], out=solution[:adim, cols])
+        u[:, cols] -= f @ ic[:, cols]
 
-    return solution, SchurReport({"level1_fill": t1 - t0, "recursion": t2 - t1}, memory)
+    return solution, SchurReport(phases, memory)
+
+
+def _inverse_columns(ends: EndColumns, va: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+    """Write Z_A^-1 va[:, c] into ``out[:, c]`` for each column c of ``cols``, of at most one nonzero.
+
+    The block columns of Z_A^-1 are walked from the first by the
+    displacement recurrence, each restricted to the in-block positions
+    the columns use, up to the last block any column lies in.
+    """
+    x, y = ends
+    n, side = x.shape[:2]
+    rows = np.argmax(va != 0, axis=0)[cols]  # a zero column reads row 0, scaled by 0
+    alpha = va[rows, cols]
+    block, pos = np.divmod(rows, side)
+    q, qi = np.unique(pos, return_inverse=True)
+
+    def solved(e, end):
+        """e[end]^-1 e_j^T on the columns Q, as (side, N, |Q|)."""
+        rhs = e[:, q].transpose(2, 0, 1).reshape(side, n * q.size)
+        return numerics.lu_solve(numerics.lu_factor(e[end]), rhs).reshape(side, n, q.size)
+
+    px, py = solved(x, 0), solved(y, n - 1)
+    xs = x[1:].reshape((n - 1) * side, side)  # X_1 .. X_{N-1}
+    ys = y[:-1].reshape((n - 1) * side, side)  # Y_0 .. Y_{N-2}
+    col = x[:, :, q].reshape(n * side, q.size)  # B_{i,0} = X_i
+    for j in range(block.max() + 1):
+        if j:
+            prev, col = col, np.empty_like(col)
+            col[:side] = x[j, q].T  # B_{0,j} = X_j^T
+            np.matmul(xs, px[:, j], out=col[side:])
+            col[side:] += prev[:-side]
+            col[side:] -= ys @ py[:, j - 1]
+        hit = block == j
+        out[:, cols[hit]] = col[:, qi[hit]] * alpha[hit]

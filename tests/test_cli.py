@@ -23,7 +23,7 @@ from toepsolve.problems import (
     load,
     save,
 )
-from toepsolve.solvers import Preconditioner, bordered, build_pk, build_pz, gmres
+from toepsolve.solvers import Preconditioner, bordered, build_pk, build_pz, gmres, schur
 
 DIM = 2 * 2 * 3 + 4  # ny * nx * ne + nb
 COLUMNS = 4  # one excitation per element
@@ -67,9 +67,13 @@ def test_rhs_writes_that_column_of_the_all_column_solve(problem, flags):
 
     every = solve()
     assert every.shape == (DIM, COLUMNS)
-    one = solve("--rhs", "1")
-    assert one.shape == (DIM, 1)
-    assert np.linalg.norm(one[:, 0] - every[:, 1]) <= 1e-12 * np.linalg.norm(every[:, 1])
+    sys_ = load(problem)
+    want = np.linalg.solve(assemble_full(sys_), build_excitations(sys_, 0).matrix)
+    assert np.linalg.norm(every - want) <= 1e-12 * np.linalg.norm(want)
+    for k in (1, 3):  # element 3 lies in the second block row
+        one = solve("--rhs", str(k))
+        assert one.shape == (DIM, 1)
+        assert np.linalg.norm(one[:, 0] - every[:, k]) <= 1e-12 * np.linalg.norm(every[:, k])
 
 
 def test_rhs_column_of_block_gmres_meets_tol(problem):
@@ -187,7 +191,7 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
     argv = ["solve", str(problem), "--multi", multi, "--tol", "1e-14", "--max-iter", "1"]
     assert cli.main(argv) == 3
     report = json.loads(problem.with_name("p.tbz.sol.json").read_text())
-    assert report["schema_version"] == 5 and list(report) == ["schema_version", "record"]
+    assert report["schema_version"] == 6 and list(report) == ["schema_version", "record"]
     record = report["record"]
     assert not record["ok"] and record["memory"]["krylov"] > 0
     assert len(record["groups"]) == 1  # the 4 columns are one block
@@ -207,7 +211,9 @@ FFT_KEYS = ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "kry
 RECORD_KEYS = {
     "dense": ({"dense_fill", "lu_factor", "lu_solve"}, {"dense"}, 0, None),
     "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense", "precond", "krylov"}, 2, build_pk),
-    "rybicki": ({"level1_fill", "recursion", "border"}, {"level1", "rhs", "stacks"}, 0, None),
+    # the feed columns take the inverse's columns, a phase of their own
+    "rybicki": ({"level1_fill", "recursion", "inverse_columns", "border"}, {"level1", "rhs", "stacks"}, 0,
+                None),
     "mlfft-pk-vec": (*FFT_KEYS, 2, build_pk),
     "mlfft-pz-vec": (*FFT_KEYS, 2, build_pz),
 }
@@ -553,6 +559,8 @@ TRACED = [
     (cli, "bordered_matvec", "mlfft-pk-vec"),
     (cli, "solve_multi_rhs_vectorized", "mlfft-pk-vec"),
     (cli, "schur_solve", "rybicki"),
+    (schur, "rybicki_solve", "rybicki"),
+    (schur, "assemble_level1", "rybicki"),
     (bordered, "matvec", "mlfft-pk-vec"),
     (Preconditioner, "apply", "mlfft-pk-vec"),
 ]

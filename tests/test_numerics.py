@@ -85,6 +85,9 @@ def test_lu_shape_contracts():
         lu_factor(np.ones((2, 3)))
     with pytest.raises(ShapeError, match="ndim=1"):
         lu_factor(np.ones(3))
+    for scalar in (5.0, np.array(5.0)):
+        with pytest.raises(ShapeError, match="ndim=0"):
+            lu_factor(scalar)
     with pytest.raises(ShapeError):
         lu_factor(np.array([[np.nan, 0], [0, 1]]))
     f = lu_factor(np.eye(3))

@@ -213,9 +213,11 @@ def test_schur_reports_rhs_and_stack_bytes():
     _, rec, _ = cli.run_method(sys_, build_excitations(sys_, 0).matrix, "rybicki", tol=1e-3)
     n, side = sys_.gen.n2, sys_.gen.n1 * sys_.gen.n0
     assert rec.memory["level1"] == (2 * n - 1) * side**2 * 16
-    # [V_A  Z_B^T]: one excitation per element and one column per border unknown
-    assert rec.memory["rhs"] == sys_.array_dim * (sys_.spec.elements + 4) * 16
-    assert rec.memory["stacks"] == 2 * (n - 1) * side**2 * 16
+    # the feed columns take the inverse's columns, so only Z_B^T, one column per
+    # border unknown, rides the recursion
+    assert rec.memory["rhs"] == sys_.array_dim * 4 * 16
+    # G and H, which end as the first and last block columns of the inverse
+    assert rec.memory["stacks"] == 2 * n * side**2 * 16
 
 
 def test_schur_solve_holds_the_recursion_data_and_a_panel(monkeypatch):
@@ -250,6 +252,27 @@ def test_schur_solve_holds_the_recursion_data_and_a_panel(monkeypatch):
         tracemalloc.stop()
     assert peaks[0] <= recursion + slack
     assert peaks[1] <= border + slack
+
+
+def test_feed_solve_holds_no_second_block_of_the_feeds():
+    # the feed columns are solved into the solution itself, so the solve peaks at
+    # the level-1 blocks, Z_B^T, the stacks and the solution, plus a few blocks,
+    # numpy's ufunc buffers, the walk's (N*side, |Q|) blocks and a bool mask of V_A;
+    # a copy of V_A, as the recursion would hold, breaks it
+    sys_ = generate(ArrayProblemSpec(ny=24, nx=8, ne=2, nb=8, seed=3))
+    v = build_excitations(sys_, 0).matrix
+    n, side, adim = sys_.gen.n2, sys_.gen.n1 * sys_.gen.n0, sys_.array_dim
+    walk = n * side * sys_.gen.n1 * 16
+    slack = (8 * side**2 + 3 * np.getbufsize()) * 16 + 6 * walk + adim * v.shape[1]
+    holdings = ((2 * n - 1) * side**2 + adim * sys_.nb + 2 * n * side**2 + sys_.dim * v.shape[1]) * 16
+    assert adim * v.shape[1] * 16 > slack
+    tracemalloc.start()
+    try:
+        schur_solve(sys_, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= holdings + slack
 
 
 def test_singular_border_is_a_singular_schur_complement():
@@ -295,3 +318,87 @@ def test_record_residual_is_the_dense_residual_over_every_panel(monkeypatch, nb)
     dense = np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v)
     assert dense > 1e-6
     assert abs(rec.residual - dense) <= 1e-8 * dense
+
+
+def symmetric_block_toeplitz(rng, n, side):
+    """Random blocks with R_-k = R_k^T bitwise, R_0 dominant."""
+    blocks = random_block_toeplitz(rng, n, side)
+    return blocks + blocks[::-1].transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("n, side", [(6, 1), (1, 3), (2, 3), (5, 3)])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_end_columns_are_those_of_the_dense_inverse(n, side, symmetric):
+    rng = np.random.default_rng(20 + n)
+    blocks = (symmetric_block_toeplitz if symmetric else random_block_toeplitz)(rng, n, side)
+    inv = np.linalg.inv(dense_from_blocks(blocks))
+    y = random_complex(rng, n * side, 2)
+    x, ends = rybicki_solve(blocks, y.copy(), end_columns=True)
+    assert rel_err(x, inv @ y) <= 1e-12
+    assert rel_err(ends.first, inv[:, :side].reshape(n, side, side)) <= 1e-12
+    assert rel_err(ends.last, inv[:, -side:].reshape(n, side, side)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, side", [(6, 1), (1, 3), (2, 3), (5, 3)])
+def test_recurrence_columns_are_those_of_the_dense_inverse(n, side):
+    # every column a scaled unit vector, then every other one, each pass with its
+    # last column zero; the second pass skips positions and stops short of the last block
+    rng = np.random.default_rng(30 + n)
+    blocks = symmetric_block_toeplitz(rng, n, side)
+    inv = np.linalg.inv(dense_from_blocks(blocks))
+    _, ends = rybicki_solve(blocks, np.empty((n * side, 0), dtype=complex), end_columns=True)
+    alpha = random_complex(rng, n * side)
+    va = np.diag(alpha)
+    for cols in (np.arange(n * side), np.arange(0, n * side - 1, 2)):
+        va[:, cols[-1]] = 0
+        out = np.zeros_like(va)
+        schur._inverse_columns(ends, va, cols, out)
+        assert rel_err(out[:, cols], inv @ va[:, cols]) <= 1e-12
+        assert not out[:, np.setdiff1d(np.arange(n * side), cols)].any()
+
+
+def assert_solved(sys_, v):
+    """``schur_solve``'s report, after checking its solution against dense LAPACK."""
+    x, report = schur_solve(sys_, v)
+    assert rel_err(x, np.linalg.solve(assemble_full(sys_), v)) <= 1e-12
+    return report
+
+
+@pytest.mark.parametrize("spec", [ArrayProblemSpec(ny=1, nx=5, ne=3, nb=4, seed=2),
+                                  ArrayProblemSpec(ny=4, nx=3, ne=2, nb=0, seed=2)],
+                         ids=["one-row", "no-border"])
+def test_feed_columns_take_the_inverse_columns(spec):
+    # only Z_B^T rides the recursion: without a border its block has no columns
+    sys_ = generate(spec)
+    report = assert_solved(sys_, build_excitations(sys_, 1).matrix)
+    assert "inverse_columns" in report.phases
+    assert report.memory["rhs"] == sys_.array_dim * sys_.nb * 16
+
+
+def test_scaled_unit_dense_and_zero_columns_in_one_block():
+    sys_ = generate(ArrayProblemSpec(ny=5, nx=3, ne=2, nb=4, seed=4))
+    rng = np.random.default_rng(19)
+    v = build_excitations(sys_, 1).matrix * random_complex(rng, sys_.spec.elements)
+    v[:, 3] = random_complex(rng, sys_.dim)  # dense
+    v[: sys_.array_dim, 7] = 0  # V_A zero, V_C not
+    v[sys_.array_dim :, [7, 9]] = random_complex(rng, sys_.nb, 2)
+    report = assert_solved(sys_, v)
+    assert "inverse_columns" in report.phases
+    assert report.memory["rhs"] == sys_.array_dim * (1 + sys_.nb) * 16
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "general", "one-ulp-off"])
+def test_unit_columns_take_the_inverse_columns_only_for_a_symmetric_generator(kind):
+    # R_-k = R_k^T must hold bitwise: one ulp off in one entry, and they ride the recursion
+    rng = np.random.default_rng(21)
+    gen = random_generator(rng, 4, 3, 2, symmetric=kind != "general", diag_boost=6.0)
+    if kind == "one-ulp-off":
+        gen.blocks[1, 2, 0, 1] += np.spacing(gen.blocks[1, 2, 0, 1].real)
+    spec = ArrayProblemSpec(ny=4, nx=3, ne=2, nb=3)
+    sys_ = BorderedSystem(gen, random_complex(rng, 3, gen.dim), random_complex(rng, 3, 3) + 4 * np.eye(3),
+                          spec)
+    v = build_excitations(sys_, 0).matrix
+    report = assert_solved(sys_, v)
+    routed = kind == "symmetric"
+    assert ("inverse_columns" in report.phases) == routed
+    assert report.memory["rhs"] == sys_.array_dim * ((0 if routed else v.shape[1]) + 3) * 16
