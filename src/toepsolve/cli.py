@@ -105,7 +105,8 @@ class SolveRecord:
     dense_fill, lu_factor, lu_solve: assemble the dense Z, factor it, back-substitute.
     level1_fill, recursion: ``schur_solve``'s level-1 assembly and Rybicki solve.
     inverse_columns: the columns of Z_A^-1 that solve the feed columns, present when any were formed.
-    border: the rest of a rybicki solve, the Schur border elimination.
+    border: the rest of a rybicki solve: routing the columns, stacking the recursion's
+        block and scattering its solution, then the Schur border elimination.
     spectral_precompute, precond_build: form the operator, the preconditioner and their complex64 copies.
     matvec, precond_apply: the operator and preconditioner calls inside GMRES, summed.
     krylov (phase): the rest of GMRES, the quantity perfbench reports as ``gmres.self_s``.
@@ -208,7 +209,7 @@ def run_method(
         x, report = schur_solve(sys_, v)
         rec.solve_s = time.perf_counter() - t0
         phases.update(report.phases)
-        # schur_solve times fill, recursion and inverse columns; the border is the rest of solve_s
+        # schur_solve times fill, recursion and inverse columns; border is the rest of solve_s
         phases["border"] = rec.solve_s - sum(report.phases.values())
         rec.memory.update(report.memory)
         op = BorderedOperator.from_system(sys_)

@@ -36,6 +36,8 @@ the inverse, X and Y.  With D1 and D2 formed from the final stacks,
 each written over the stack block it is formed from: X_j over H_j and
 Y_j over G_{N-1-j}, with X_0 and Y_{N-1} in the stacks' one spare block
 each.  That costs one more D2 and 2N block products, and no columns.
+Every solve returns them, with D1 and D2, the inverses of -Y_{N-1} and
+-X_0.
 """
 
 from __future__ import annotations
@@ -55,11 +57,14 @@ class EndColumns(NamedTuple):
     """The first and last block columns of the inverse, each an (N, side, side) stack.
 
     ``first[i]`` is block (i, 0) of the inverse, X_i, and ``last[i]`` is
-    block (i, N-1), Y_i.
+    block (i, N-1), Y_i.  ``d1`` and ``d2`` are the final stage's
+    denominators: X_0 = -d2^-1 and Y_{N-1} = -d1^-1.
     """
 
     first: np.ndarray
     last: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
 
 
 def assemble_level1(gen: BlockGenerator2L) -> np.ndarray:
@@ -76,7 +81,7 @@ def assemble_level1(gen: BlockGenerator2L) -> np.ndarray:
     return row.reshape(side, 2 * n - 1, side).transpose(1, 0, 2)
 
 
-def rybicki_solve(blocks: np.ndarray, y, *, end_columns: bool = False):
+def rybicki_solve(blocks: np.ndarray, y) -> tuple[np.ndarray, EndColumns]:
     """Solve the block-Toeplitz system generated by ``blocks``, overwriting ``y``.
 
     ``blocks[k]`` = R_{N-1-k}: the 2*N-1 square blocks in decreasing offset
@@ -85,9 +90,8 @@ def rybicki_solve(blocks: np.ndarray, y, *, end_columns: bool = False):
     ``blocks[N-1-i+j]``.  ``y`` is the stacked (N*side, columns) right-hand
     side, which may have no columns; a writeable C-contiguous complex128
     ``y`` is overwritten with the solution and returned, and any other is
-    copied first and left as it was.  With ``end_columns`` the call returns
-    ``(x, EndColumns)``, the end block columns written over the G and H
-    stacks.
+    copied first and left as it was.  Returns ``(x, EndColumns)``, the end
+    block columns written over the G and H stacks.
     """
     blocks = np.asarray(blocks, dtype=np.complex128)
     if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
@@ -132,12 +136,11 @@ def rybicki_solve(blocks: np.ndarray, y, *, end_columns: bool = False):
         for j in range(m):
             xb[j] -= g[n - 1 - m + j] @ xb[m]  # G_{m-j} x_m
 
-        if m < n - 1 or end_columns:
-            d2 = neg @ hm - rb(0)
-            try:
-                lu2 = numerics.lu_factor(d2)
-            except SingularMatrix as exc:
-                raise SingularDenominator(m) from exc
+        d2 = neg @ hm - rb(0)
+        try:
+            lu2 = numerics.lu_factor(d2)
+        except SingularMatrix as exc:
+            raise SingularDenominator(m) from exc
         if m < n - 1:
             g_new = numerics.lu_solve(lu2, neg @ gm - rb(-(m + 1)))
             h_new = numerics.lu_solve(lu1, pos @ hm - rb(m + 1))
@@ -150,8 +153,6 @@ def rybicki_solve(blocks: np.ndarray, y, *, end_columns: bool = False):
             g[n - 2 - m] = g_new
             h[m + 1] = h_new
 
-    if not end_columns:
-        return x
     # X_0 = -D2^-1, X_j = H_j D2^-1 and Y_{N-1} = -D1^-1, Y_j = G_{N-1-j} D1^-1,
     # each block overwriting the one it is formed from
     eye = np.eye(side, dtype=np.complex128)
@@ -161,4 +162,4 @@ def rybicki_solve(blocks: np.ndarray, y, *, end_columns: bool = False):
         g[n - 1 - j] = g[n - 1 - j] @ d1_inv
     np.negative(d2_inv, out=h[0])
     np.negative(d1_inv, out=g[n - 1])
-    return x, EndColumns(h, g)
+    return x, EndColumns(h, g, d1, d2)

@@ -18,11 +18,13 @@ they fix its other blocks:
 
     B_{i,j} = B_{i-1,j-1} + X_i X_0^-1 X_j^T - Y_{i-1} Y_{N-1}^-1 Y_{j-1}^T
 
-from B_{i,0} = X_i and B_{0,j} = X_j^T.  Walked one block column at a
-time, restricted to the in-block positions Q the feeds use, each block
-column costs two (N*side, side) @ (side, |Q|) products.  Any other input
-keeps every column in the recursion, since the identity then needs the
-end block rows as well.
+from B_{i,0} = X_i and B_{0,j} = X_j^T, where X_0^-1 = -D2 and
+Y_{N-1}^-1 = -D1 are the recursion's final denominators, applied as
+products, not re-inverted.  Walked one block column at a time,
+restricted to the in-block positions Q the feeds use, each block column
+costs two (N*side, side) @ (side, |Q|) products.  Any other input keeps
+every column in the recursion, since the identity then needs the end
+block rows as well.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
     Returns the solution and a ``SchurReport`` of the seconds of
     ``level1_fill``, ``recursion`` and, when a column was solved from the
     inverse's columns, ``inverse_columns`` (the caller times the rest:
-    stacking and border elimination) and the bytes of ``level1`` (the 2N-1
-    level-1 blocks, N = n2), ``rhs`` (Z_B^T and the columns of V_A that
-    ride the recursion) and ``stacks`` (G and H, which end as X and Y:
-    2N blocks).
+    routing, stacking and border elimination) and the bytes of
+    ``level1`` (the 2N-1 level-1 blocks, N = n2), ``rhs`` (Z_B^T and the
+    columns of V_A that ride the recursion) and ``stacks`` (G and H,
+    which end as X and Y: 2N blocks).
     """
     v = numerics.as_columns(v, sys.dim)
     adim = sys.array_dim
@@ -83,10 +85,7 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
         va_dense[:, c : c + RHS_PANEL] = va[:, dense[c : c + RHS_PANEL]]
 
     t0 = time.perf_counter()
-    if feeds.size:
-        uf, ends = rybicki_solve(level1, rhs, end_columns=True)
-    else:
-        uf = rybicki_solve(level1, rhs)
+    uf, ends = rybicki_solve(level1, rhs)
     phases["recursion"] = time.perf_counter() - t0
     # G and H hold 2N blocks of the level-1 side
     memory = {"level1": level1.nbytes, "rhs": rhs.nbytes, "stacks": (len(level1) + 1) * level1[0].nbytes}
@@ -99,7 +98,7 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
         t0 = time.perf_counter()
         _inverse_columns(ends, va, feeds, u)
         phases["inverse_columns"] = time.perf_counter() - t0
-        del ends
+    del ends  # freed before the border elimination
     try:
         lu_s = numerics.lu_factor(sys.zc - sys.zb @ f)
     except SingularMatrix as exc:
@@ -120,19 +119,19 @@ def _inverse_columns(ends: EndColumns, va: np.ndarray, cols: np.ndarray, out: np
     displacement recurrence, each restricted to the in-block positions
     the columns use, up to the last block any column lies in.
     """
-    x, y = ends
+    x, y, d1, d2 = ends
     n, side = x.shape[:2]
     rows = np.argmax(va != 0, axis=0)[cols]  # a zero column reads row 0, scaled by 0
     alpha = va[rows, cols]
     block, pos = np.divmod(rows, side)
     q, qi = np.unique(pos, return_inverse=True)
 
-    def solved(e, end):
-        """e[end]^-1 e_j^T on the columns Q, as (side, N, |Q|)."""
-        rhs = e[:, q].transpose(2, 0, 1).reshape(side, n * q.size)
-        return numerics.lu_solve(numerics.lu_factor(e[end]), rhs).reshape(side, n, q.size)
+    def times(d, e):
+        """d e_j^T on the columns Q, as (side, N, |Q|)."""
+        return (d @ e[:, q].transpose(2, 0, 1).reshape(side, n * q.size)).reshape(side, n, q.size)
 
-    px, py = solved(x, 0), solved(y, n - 1)
+    # X_i X_0^-1 X_j^T = -X_i D2 X_j^T and Y_{i-1} Y_{N-1}^-1 Y_{j-1}^T = -Y_{i-1} D1 Y_{j-1}^T
+    px, py = times(d2, x), times(d1, y)
     xs = x[1:].reshape((n - 1) * side, side)  # X_1 .. X_{N-1}
     ys = y[:-1].reshape((n - 1) * side, side)  # Y_0 .. Y_{N-2}
     col = x[:, :, q].reshape(n * side, q.size)  # B_{i,0} = X_i
@@ -140,8 +139,8 @@ def _inverse_columns(ends: EndColumns, va: np.ndarray, cols: np.ndarray, out: np
         if j:
             prev, col = col, np.empty_like(col)
             col[:side] = x[j, q].T  # B_{0,j} = X_j^T
-            np.matmul(xs, px[:, j], out=col[side:])
+            np.matmul(ys, py[:, j - 1], out=col[side:])
             col[side:] += prev[:-side]
-            col[side:] -= ys @ py[:, j - 1]
+            col[side:] -= xs @ px[:, j]
         hit = block == j
         out[:, cols[hit]] = col[:, qi[hit]] * alpha[hit]

@@ -37,7 +37,7 @@ ENTRY_POINTS = {
     "bordered_matvec": (SYS.dim, lambda u: bordered_matvec(OP, u)),
     "Preconditioner.apply": (SYS.dim, PK.apply),
     "lu_solve": (SYS.zc.shape[0], lambda u: lu_solve(lu_factor(SYS.zc), u)),
-    "rybicki_solve": (SYS.array_dim, lambda u: rybicki_solve(assemble_level1(SYS.gen), u)),
+    "rybicki_solve": (SYS.array_dim, lambda u: rybicki_solve(assemble_level1(SYS.gen), u)[0]),
     "schur_solve": (SYS.dim, lambda u: schur_solve(SYS, u)[0]),
     "solve_multi_rhs_vectorized": (SYS.dim, lambda u: solve_multi_rhs_vectorized(
         lambda x: bordered_matvec(OP, x), PK.apply, u, GmresConfig())[0]),

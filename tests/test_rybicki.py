@@ -42,7 +42,7 @@ class TestRybicki:
         rng = np.random.default_rng(0)
         r0 = random_complex(rng, 5, 5) + 2 * np.eye(5)
         y = random_complex(rng, 5, 2)
-        got = rybicki_solve(r0[None], y.copy())
+        got, _ = rybicki_solve(r0[None], y.copy())
         assert rel_err(got, np.linalg.solve(r0, y)) <= 1e-12
 
     def test_scalar_blocks_match_dense(self):
@@ -50,7 +50,7 @@ class TestRybicki:
         for n in (2, 6, 17, 32):
             blocks = random_block_toeplitz(rng, n, 1)
             y = random_complex(rng, n)[:, None]
-            got = rybicki_solve(blocks, y.copy())
+            got, _ = rybicki_solve(blocks, y.copy())
             want = np.linalg.solve(dense_from_blocks(blocks), y)
             assert rel_err(got, want) <= 1e-11
 
@@ -62,7 +62,7 @@ class TestRybicki:
             blocks[3 + off] = blocks[3 - off].T.copy()
         dense = dense_from_blocks(blocks)
         y = random_complex(rng, 24, 3)
-        x = rybicki_solve(blocks, y.copy())
+        x, _ = rybicki_solve(blocks, y.copy())
         assert np.linalg.norm(dense @ x - y) / np.linalg.norm(y) <= 1e-10
 
     @pytest.mark.parametrize("n, side, w", [(9, 5, 40), (2, 4, 3)])
@@ -72,7 +72,7 @@ class TestRybicki:
         rng = np.random.default_rng(10 + n)
         blocks = random_block_toeplitz(rng, n, side)
         y = random_complex(rng, n * side, w)
-        got = rybicki_solve(blocks, y.copy())
+        got, _ = rybicki_solve(blocks, y.copy())
         want = np.linalg.solve(dense_from_blocks(blocks), y)
         assert rel_err(got, want) <= 1e-10
 
@@ -86,7 +86,7 @@ class TestRybicki:
         y = random_complex(rng, n * side, 2)
         for m in range(1, n + 1):
             lead = slice(0, m * side)
-            xm = rybicki_solve(blocks[n - m : n - 1 + m], y[lead].copy())
+            xm, _ = rybicki_solve(blocks[n - m : n - 1 + m], y[lead].copy())
             res = np.linalg.norm(dense[lead, lead] @ xm - y[lead]) / np.linalg.norm(y)
             assert res <= 1e-10
 
@@ -94,7 +94,7 @@ class TestRybicki:
         rng = np.random.default_rng(4)
         blocks = random_block_toeplitz(rng, 3, 4)
         y = random_complex(rng, 12)[:, None]
-        assert np.array_equal(rybicki_solve(blocks, y.copy()), rybicki_solve(blocks, y.copy()))
+        assert np.array_equal(rybicki_solve(blocks, y.copy())[0], rybicki_solve(blocks, y.copy())[0])
 
     def test_singular_self_block(self):
         # R_0 = 0, R_1 = R_-1 = I
@@ -116,7 +116,7 @@ class TestRybicki:
         blocks = random_block_toeplitz(rng, 5, 3)
         y = random_complex(rng, 15, 4)
         want = np.linalg.solve(dense_from_blocks(blocks), y)
-        got = rybicki_solve(blocks, y)
+        got, _ = rybicki_solve(blocks, y)
         assert got is y
         assert rel_err(got, want) <= 1e-10
 
@@ -130,7 +130,7 @@ class TestRybicki:
              "read-only": base.copy()}[form]
         y.flags.writeable = form != "read-only"
         before = y.copy()
-        got = rybicki_solve(blocks, y)
+        got, _ = rybicki_solve(blocks, y)
         assert np.array_equal(y, before) and not np.shares_memory(got, y)
         want = np.linalg.solve(dense_from_blocks(blocks), before.astype(np.complex128))
         assert rel_err(got, want) <= (1e-5 if form == "complex64" else 1e-10)
@@ -238,10 +238,10 @@ def test_schur_solve_holds_the_recursion_data_and_a_panel(monkeypatch):
     peaks = []
 
     def recursion_then_reset_peak(blocks, y):
-        x = rybicki_solve(blocks, y)
+        solved = rybicki_solve(blocks, y)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
-        return x
+        return solved
 
     monkeypatch.setattr(schur, "rybicki_solve", recursion_then_reset_peak)
     tracemalloc.start()
@@ -333,10 +333,13 @@ def test_end_columns_are_those_of_the_dense_inverse(n, side, symmetric):
     blocks = (symmetric_block_toeplitz if symmetric else random_block_toeplitz)(rng, n, side)
     inv = np.linalg.inv(dense_from_blocks(blocks))
     y = random_complex(rng, n * side, 2)
-    x, ends = rybicki_solve(blocks, y.copy(), end_columns=True)
+    x, ends = rybicki_solve(blocks, y.copy())
     assert rel_err(x, inv @ y) <= 1e-12
     assert rel_err(ends.first, inv[:, :side].reshape(n, side, side)) <= 1e-12
     assert rel_err(ends.last, inv[:, -side:].reshape(n, side, side)) <= 1e-12
+    # the final denominators are the negated inverses of the corner blocks
+    assert rel_err(ends.d2, -np.linalg.inv(inv[:side, :side])) <= 1e-12
+    assert rel_err(ends.d1, -np.linalg.inv(inv[-side:, -side:])) <= 1e-12
 
 
 @pytest.mark.parametrize("n, side", [(6, 1), (1, 3), (2, 3), (5, 3)])
@@ -346,7 +349,7 @@ def test_recurrence_columns_are_those_of_the_dense_inverse(n, side):
     rng = np.random.default_rng(30 + n)
     blocks = symmetric_block_toeplitz(rng, n, side)
     inv = np.linalg.inv(dense_from_blocks(blocks))
-    _, ends = rybicki_solve(blocks, np.empty((n * side, 0), dtype=complex), end_columns=True)
+    _, ends = rybicki_solve(blocks, np.empty((n * side, 0), dtype=complex))
     alpha = random_complex(rng, n * side)
     va = np.diag(alpha)
     for cols in (np.arange(n * side), np.arange(0, n * side - 1, 2)):
