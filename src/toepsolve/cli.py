@@ -115,7 +115,8 @@ class SolveRecord:
     solution: the returned block; ``solve`` lets GMRES write it over the excitation block.
     spectral, precond: the transformed generator and the two inverses, plus the complex64 copies.
     krylov (memory): the largest ``basis_bytes`` of the groups; a solve holds one block's basis.
-    level1, rhs, stacks: the bytes ``schur_solve`` reports holding.
+    level1, rhs, stacks: the bytes ``schur_solve`` reports holding.  The level-1 bytes lie
+        inside ``solution``'s when the solution is at least as large, so the two do not add.
     """
 
     method: str

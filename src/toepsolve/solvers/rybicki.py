@@ -67,15 +67,25 @@ class EndColumns(NamedTuple):
     d2: np.ndarray
 
 
-def assemble_level1(gen: BlockGenerator2L) -> np.ndarray:
+def assemble_level1(gen: BlockGenerator2L, out: np.ndarray | None = None) -> np.ndarray:
     """The level-1 blocks of a 2-level generator, of side n1*n0, side by side.
 
     Each block is written once into one C-contiguous (side, (2*n2-1)*side)
     row [R_{n2-1} ... R_0 ... R_-(n2-1)], returned as a (2*n2-1, side, side)
-    view with ``blocks[k]`` = R_{n2-1-k}.
+    view with ``blocks[k]`` = R_{n2-1-k}.  The row is a new array, or, with
+    ``out``, the bytes of ``out``: a C-contiguous complex128 array of
+    exactly (2*n2-1)*side**2 scalars, of any shape, which the returned view
+    shares.  Any other ``out`` raises ShapeError.
     """
     n, side = gen.n2, gen.n1 * gen.n0
-    row = np.empty((side, (2 * n - 1) * side), dtype=np.complex128)
+    shape = (side, (2 * n - 1) * side)
+    if out is None:
+        row = np.empty(shape, dtype=np.complex128)
+    elif out.dtype == np.complex128 and out.flags.c_contiguous and out.size == shape[0] * shape[1]:
+        row = out.reshape(shape)
+    else:
+        raise ShapeError(f"out must be C-contiguous complex128 of {shape[0] * shape[1]} scalars, "
+                         f"got {out.dtype} {out.shape}")
     for k in range(2 * n - 1):
         row[:, k * side : (k + 1) * side] = assemble_dense_1l(gen.blocks[(n - 1 - k) % (2 * n - 1)])
     return row.reshape(side, 2 * n - 1, side).transpose(1, 0, 2)

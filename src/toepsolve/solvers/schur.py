@@ -24,7 +24,9 @@ products, not re-inverted.  Walked one block column at a time,
 restricted to the in-block positions Q the feeds use, each block column
 costs two (N*side, side) @ (side, |Q|) products.  Any other input keeps
 every column in the recursion, since the identity then needs the end
-block rows as well.
+block rows as well.  The same symmetry gives the feed columns of Z_B U
+without a product: Z_B Z_A^-1 = (Z_A^-1 Z_B^T)^T = F^T, so the column of
+alpha e_p is alpha times row p of F.
 """
 
 from __future__ import annotations
@@ -62,6 +64,15 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
     ``level1`` (the 2N-1 level-1 blocks, N = n2), ``rhs`` (Z_B^T and the
     columns of V_A that ride the recursion) and ``stacks`` (G and H,
     which end as X and Y: 2N blocks).
+
+    The solution is allocated first.  When the level-1 blocks are no
+    larger, they are assembled in its leading bytes: they are dead once
+    the recursion returns, before the first solution entry is written, so
+    the solution's writes land on pages the blocks already made resident
+    and the solve holds rhs, the stacks and the solution at its peak.  A
+    larger level-1 array, as a solve of a few columns has, stays an array
+    of its own and is freed after the recursion, so the returned block
+    never pins a level-1-sized buffer.
     """
     v = numerics.as_columns(v, sys.dim)
     adim = sys.array_dim
@@ -69,13 +80,21 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
     ncols = v.shape[1]
     phases = {}
 
+    solution = np.empty((sys.dim, ncols), dtype=np.complex128)
+    level1_size = (2 * sys.gen.n2 - 1) * (sys.gen.n1 * sys.gen.n0) ** 2
+    workspace = solution.reshape(-1)[:level1_size] if level1_size <= solution.size else None
     t0 = time.perf_counter()
-    level1 = assemble_level1(sys.gen)
+    level1 = assemble_level1(sys.gen, out=workspace)
     phases["level1_fill"] = time.perf_counter() - t0
-    unit = np.count_nonzero(va, axis=0) <= 1
+    nonzero = va != 0
+    unit = np.count_nonzero(nonzero, axis=0) <= 1
     if unit.any() and not np.array_equal(level1[::-1], level1.transpose(0, 2, 1)):
         unit[:] = False
     feeds, dense = np.flatnonzero(unit), np.flatnonzero(~unit)
+    # each feed column is alpha e_p; a zero column reads row 0, scaled by 0
+    rows = np.argmax(nonzero, axis=0)[feeds]
+    alpha = va[rows, feeds]
+    del nonzero
     # a new block: the recursion overwrites it, and va is a view of v; its columns
     # are gathered a panel at a time
     rhs = np.empty((adim, dense.size + sys.nb), dtype=np.complex128)
@@ -89,21 +108,26 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
     phases["recursion"] = time.perf_counter() - t0
     # G and H hold 2N blocks of the level-1 side
     memory = {"level1": level1.nbytes, "rhs": rhs.nbytes, "stacks": (len(level1) + 1) * level1[0].nbytes}
-    del level1  # freed before the solution is allocated
+    del level1  # dead from here: the solution may be written over it
 
-    solution = np.empty((sys.dim, ncols), dtype=np.complex128)
-    u, f = solution[:adim], uf[:, dense.size :]
-    u[:, dense] = uf[:, : dense.size]
+    u, u_dense, f = solution[:adim], uf[:, : dense.size], uf[:, dense.size :]
+    u[:, dense] = u_dense
     if feeds.size:
         t0 = time.perf_counter()
-        _inverse_columns(ends, va, feeds, u)
+        _inverse_columns(ends, rows, alpha, feeds, u)
         phases["inverse_columns"] = time.perf_counter() - t0
     del ends  # freed before the border elimination
     try:
         lu_s = numerics.lu_factor(sys.zc - sys.zb @ f)
     except SingularMatrix as exc:
         raise SingularSchurComplement("reduced border operator is singular") from exc
-    ic = numerics.lu_solve(lu_s, vc - sys.zb @ u)
+    # Z_B U: a feed column is a row of F (see the module docstring), and the dense
+    # columns are read from the recursion's block, where they lie side by side
+    zb_u = np.empty((sys.nb, ncols), dtype=np.complex128)
+    zb_u[:, feeds] = f[rows].T * alpha
+    for c in range(0, dense.size, RHS_PANEL):
+        zb_u[:, dense[c : c + RHS_PANEL]] = sys.zb @ u_dense[:, c : c + RHS_PANEL]
+    ic = numerics.lu_solve(lu_s, vc - zb_u)
     solution[adim:] = ic
     for c in range(0, ncols, RHS_PANEL):
         cols = slice(c, c + RHS_PANEL)
@@ -112,8 +136,9 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
     return solution, SchurReport(phases, memory)
 
 
-def _inverse_columns(ends: EndColumns, va: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
-    """Write Z_A^-1 va[:, c] into ``out[:, c]`` for each column c of ``cols``, of at most one nonzero.
+def _inverse_columns(ends: EndColumns, rows: np.ndarray, alpha: np.ndarray, cols: np.ndarray,
+                     out: np.ndarray) -> None:
+    """Write ``alpha[i]`` times column ``rows[i]`` of Z_A^-1 into ``out[:, cols[i]]``, for every i.
 
     The block columns of Z_A^-1 are walked from the first by the
     displacement recurrence, each restricted to the in-block positions
@@ -121,8 +146,6 @@ def _inverse_columns(ends: EndColumns, va: np.ndarray, cols: np.ndarray, out: np
     """
     x, y, d1, d2 = ends
     n, side = x.shape[:2]
-    rows = np.argmax(va != 0, axis=0)[cols]  # a zero column reads row 0, scaled by 0
-    alpha = va[rows, cols]
     block, pos = np.divmod(rows, side)
     q, qi = np.unique(pos, return_inverse=True)
 

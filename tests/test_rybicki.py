@@ -187,6 +187,18 @@ class TestAssembleLevel1:
             window = row[:, (n - 1 - i) * side : (2 * n - 1 - i) * side]
             assert np.array_equal(window, dense[i * side : (i + 1) * side])
 
+    def test_writes_into_out(self):
+        gen = random_generator(np.random.default_rng(23), 4, 3, 2)
+        want = assemble_level1(gen)
+        out = np.zeros((want.size + 5,), dtype=np.complex128)
+        got = assemble_level1(gen, out=out[: want.size])
+        assert np.shares_memory(got, out) and np.array_equal(got, want)
+        assert not out[want.size :].any()
+        strided = np.zeros(2 * want.size, dtype=np.complex128)[::2]
+        for bad in (out[: want.size - 1], strided, out[: want.size].real.copy()):
+            with pytest.raises(ShapeError):
+                assemble_level1(gen, out=bad)
+
 
 def test_recursion_reads_the_level1_blocks_in_place():
     # beyond y, which it overwrites, the recursion allocates its G and H stacks,
@@ -222,18 +234,20 @@ def test_schur_reports_rhs_and_stack_bytes():
 
 def test_schur_solve_holds_the_recursion_data_and_a_panel(monkeypatch):
     # each phase of a solve peaks at what it holds plus a few blocks and numpy's
-    # ufunc buffers (three operands of getbufsize() elements): the recursion at what
-    # the record lists under level1, rhs and stacks plus two block rows of the
-    # right-hand side, the border elimination (level1 and the stacks freed) at rhs,
-    # the solution and one panel of the array rows; a second block the size of rhs
-    # breaks either
+    # ufunc buffers (three operands of getbufsize() elements): the recursion at rhs,
+    # the stacks, the solution (allocated first, holding the level-1 blocks, as it is
+    # the larger) and two block rows of the right-hand side, the border elimination
+    # (the stacks freed) at rhs, the solution and one panel of the array rows; a
+    # second block the size of rhs breaks either
     sys_ = generate(ArrayProblemSpec(ny=8, nx=4, ne=8, nb=8, seed=3))
     v = random_complex(np.random.default_rng(15), sys_.dim, 256)
     _, rec, _ = cli.run_method(sys_, v, "rybicki", tol=1e-3)
     side, width = sys_.gen.n1 * sys_.gen.n0, v.shape[1] + sys_.nb
     slack = (8 * side**2 + 3 * np.getbufsize()) * 16
-    recursion = sum(rec.memory[key] for key in ("level1", "rhs", "stacks")) + 2 * side * width * 16
-    border = rec.memory["rhs"] + (sys_.dim * v.shape[1] + sys_.array_dim * RHS_PANEL) * 16
+    solution = sys_.dim * v.shape[1] * 16
+    recursion = max(rec.memory["level1"], solution) + rec.memory["rhs"] + rec.memory["stacks"] \
+        + 2 * side * width * 16
+    border = rec.memory["rhs"] + solution + sys_.array_dim * RHS_PANEL * 16
     assert rec.memory["rhs"] > slack
     peaks = []
 
@@ -273,6 +287,52 @@ def test_feed_solve_holds_no_second_block_of_the_feeds():
     finally:
         tracemalloc.stop()
     assert peak <= holdings + slack
+
+
+def spy_on_level1(monkeypatch):
+    """The level-1 arrays ``schur_solve`` assembles, in call order."""
+    made, original = [], schur.assemble_level1
+
+    def keeping(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(schur, "assemble_level1", keeping)
+    return made
+
+
+def test_level1_blocks_lie_in_the_solution_when_it_is_larger(monkeypatch):
+    # 256 feed columns: the solution is larger than the 2N-1 level-1 blocks, so
+    # they are assembled in its bytes, and its writes reuse their pages
+    sys_ = generate(ArrayProblemSpec(ny=16, nx=16, ne=2, nb=8, seed=5))
+    v = build_excitations(sys_, 0).matrix
+    made = spy_on_level1(monkeypatch)
+    x, _ = schur_solve(sys_, v)
+    assert v.shape[1] == 256 and made[0].nbytes <= x.nbytes
+    assert np.shares_memory(made[0], x)
+    assert rel_err(x, np.linalg.solve(assemble_full(sys_), v)) <= 1e-12
+
+
+def test_one_column_solution_owns_exactly_its_bytes(monkeypatch):
+    # the level-1 blocks outsize a one-column solution, so they stay an array of
+    # their own, and the returned block pins no level-1-sized buffer
+    sys_ = generate(ArrayProblemSpec(ny=16, nx=16, ne=2, nb=8, seed=5))
+    v = build_excitations(sys_, 0, element=37).matrix
+    made = spy_on_level1(monkeypatch)
+    x, _ = schur_solve(sys_, v)
+    assert x.base is None or x.base.nbytes == x.nbytes
+    assert made[0].nbytes > x.nbytes and not np.shares_memory(made[0], x)
+    assert rel_err(x, np.linalg.solve(assemble_full(sys_), v)) <= 1e-12
+
+
+def test_schur_solve_is_deterministic():
+    # feed, dense and zero columns in one block, solved twice
+    sys_ = generate(ArrayProblemSpec(ny=5, nx=3, ne=2, nb=4, seed=4))
+    rng = np.random.default_rng(22)
+    v = build_excitations(sys_, 1).matrix * random_complex(rng, sys_.spec.elements)
+    v[:, 3] = random_complex(rng, sys_.dim)
+    v[: sys_.array_dim, 7] = 0
+    assert np.array_equal(schur_solve(sys_, v)[0], schur_solve(sys_, v)[0])
 
 
 def test_singular_border_is_a_singular_schur_complement():
@@ -355,7 +415,7 @@ def test_recurrence_columns_are_those_of_the_dense_inverse(n, side):
     for cols in (np.arange(n * side), np.arange(0, n * side - 1, 2)):
         va[:, cols[-1]] = 0
         out = np.zeros_like(va)
-        schur._inverse_columns(ends, va, cols, out)
+        schur._inverse_columns(ends, cols, va[cols, cols], cols, out)
         assert rel_err(out[:, cols], inv @ va[:, cols]) <= 1e-12
         assert not out[:, np.setdiff1d(np.arange(n * side), cols)].any()
 
