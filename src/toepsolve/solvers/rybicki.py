@@ -37,7 +37,8 @@ each written over the stack block it is formed from: X_j over H_j and
 Y_j over G_{N-1-j}, with X_0 and Y_{N-1} in the stacks' one spare block
 each.  That costs one more D2 and 2N block products, and no columns.
 Every solve returns them, with D1 and D2, the inverses of -Y_{N-1} and
--X_0.
+-X_0, and ``inverse_columns`` forms any column of the inverse from them
+when the matrix is symmetric.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .. import numerics
 from ..errors import ShapeError, SingularBlock, SingularDenominator, SingularMatrix
 from ..toeplitz import BlockGenerator2L, assemble_dense_1l
 
-__all__ = ["rybicki_solve", "assemble_level1", "EndColumns"]
+__all__ = ["rybicki_solve", "assemble_level1", "EndColumns", "inverse_columns"]
 
 
 class EndColumns(NamedTuple):
@@ -173,3 +174,43 @@ def rybicki_solve(blocks: np.ndarray, y) -> tuple[np.ndarray, EndColumns]:
     np.negative(d2_inv, out=h[0])
     np.negative(d1_inv, out=g[n - 1])
     return x, EndColumns(h, g, d1, d2)
+
+
+def inverse_columns(ends: EndColumns, rows: np.ndarray, alpha: np.ndarray, out: np.ndarray) -> None:
+    """Write ``alpha[i]`` times column ``rows[i]`` of the inverse B into ``out[:, i]``, for every i.
+
+    The matrix must equal its transpose (R_-k = R_k^T).  Then by the block
+    Gohberg-Heinig displacement identity (Gohberg & Heinig, Rev. Roumaine
+    Math. Pures Appl. 19, 1974) the end block columns fix every other block:
+
+        B_{i,j} = B_{i-1,j-1} + X_i X_0^-1 X_j^T - Y_{i-1} Y_{N-1}^-1 Y_{j-1}^T
+
+    from B_{i,0} = X_i and B_{0,j} = X_j^T, where X_0^-1 = -D2 and
+    Y_{N-1}^-1 = -D1 are applied as products, not re-inverted.  The block
+    columns are walked from the first, each restricted to the in-block
+    positions Q the columns use, up to the last block any column lies in:
+    two (N*side, side) @ (side, |Q|) products a block column.
+    """
+    x, y, d1, d2 = ends
+    n, side = x.shape[:2]
+    block, pos = np.divmod(rows, side)
+    q, qi = np.unique(pos, return_inverse=True)
+
+    def times(d, e):
+        """d e_j^T on the columns Q, as (side, N, |Q|)."""
+        return (d @ e[:, q].transpose(2, 0, 1).reshape(side, n * q.size)).reshape(side, n, q.size)
+
+    # X_i X_0^-1 X_j^T = -X_i D2 X_j^T and Y_{i-1} Y_{N-1}^-1 Y_{j-1}^T = -Y_{i-1} D1 Y_{j-1}^T
+    px, py = times(d2, x), times(d1, y)
+    xs = x[1:].reshape((n - 1) * side, side)  # X_1 .. X_{N-1}
+    ys = y[:-1].reshape((n - 1) * side, side)  # Y_0 .. Y_{N-2}
+    col = x[:, :, q].reshape(n * side, q.size)  # B_{i,0} = X_i
+    for j in range(block.max(initial=-1) + 1):
+        if j:
+            prev, col = col, np.empty_like(col)
+            col[:side] = x[j, q].T  # B_{0,j} = X_j^T
+            np.matmul(ys, py[:, j - 1], out=col[side:])
+            col[side:] += prev[:-side]
+            col[side:] -= xs @ px[:, j]
+        hit = block == j
+        out[:, hit] = col[:, qi[hit]] * alpha[hit]

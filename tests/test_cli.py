@@ -446,7 +446,7 @@ def test_run_method_input_contract(method, case):
         assert rec.residual == 0.0 and not x.any()
         return
     if case in ("nan", "inf"):
-        # refused before any method runs, whose residual would read NaN
+        # refused by the method's solver, or by run_method for dense; its residual would read NaN
         v[5, 1] = float(case)
         with pytest.raises(ShapeError, match="inf or NaN"):
             cli.run_method(sys_, v, method, tol=1e-3)

@@ -7,6 +7,8 @@ later touches only their definitions.
 
 GMRES chooses its precision in one place: the operators compute with the
 arrays they hold, so no operator module may switch on ``np.complex64``.
+Likewise only ``solvers/rybicki.py`` reads the end block columns of the
+inverse: no other module may name ``EndColumns``.
 
 A timing or memory figure in a docstring or comment must be traceable: its
 paragraph names the PR whose CHANGES.md entry measured it, a ``BENCH_*.json``
@@ -59,6 +61,17 @@ def test_only_gmres_and_numerics_name_complex64():
     naming = [path.relative_to(root).as_posix() for path in sorted(root.rglob("*.py"))
               if "np.complex64" in path.read_text()]
     assert [name for name in naming if name not in COMPLEX64_MODULES] == []
+
+
+# the one module that may name EndColumns, so the end-column layout has one reader
+END_COLUMNS_MODULES = ["solvers/rybicki.py"]
+
+
+def test_only_rybicki_names_end_columns():
+    root = Path(toepsolve.__file__).parent
+    naming = [path.relative_to(root).as_posix() for path in sorted(root.rglob("*.py"))
+              if re.search(r"\bEndColumns\b", path.read_text())]
+    assert naming == END_COLUMNS_MODULES
 
 
 # a number with a time or memory unit, or a line saying what a run took or how often it faulted

@@ -16,7 +16,7 @@ from toepsolve.problems import (
     generate,
 )
 from toepsolve.solvers import assemble_level1, rybicki_solve, schur_solve
-from toepsolve.solvers import schur
+from toepsolve.solvers import rybicki, schur
 from toepsolve.solvers.schur import RHS_PANEL
 from toepsolve.toeplitz import assemble_dense, circulant_offsets
 
@@ -405,7 +405,8 @@ def test_end_columns_are_those_of_the_dense_inverse(n, side, symmetric):
 @pytest.mark.parametrize("n, side", [(6, 1), (1, 3), (2, 3), (5, 3)])
 def test_recurrence_columns_are_those_of_the_dense_inverse(n, side):
     # every column a scaled unit vector, then every other one, each pass with its
-    # last column zero; the second pass skips positions and stops short of the last block
+    # last column zero; the second pass skips positions and stops short of the last
+    # block, and writes only the leading columns of a wider block
     rng = np.random.default_rng(30 + n)
     blocks = symmetric_block_toeplitz(rng, n, side)
     inv = np.linalg.inv(dense_from_blocks(blocks))
@@ -415,9 +416,9 @@ def test_recurrence_columns_are_those_of_the_dense_inverse(n, side):
     for cols in (np.arange(n * side), np.arange(0, n * side - 1, 2)):
         va[:, cols[-1]] = 0
         out = np.zeros_like(va)
-        schur._inverse_columns(ends, cols, va[cols, cols], cols, out)
-        assert rel_err(out[:, cols], inv @ va[:, cols]) <= 1e-12
-        assert not out[:, np.setdiff1d(np.arange(n * side), cols)].any()
+        rybicki.inverse_columns(ends, cols, va[cols, cols], out[:, : cols.size])
+        assert rel_err(out[:, : cols.size], inv @ va[:, cols]) <= 1e-12
+        assert not out[:, cols.size :].any()
 
 
 def assert_solved(sys_, v):
@@ -439,6 +440,7 @@ def test_feed_columns_take_the_inverse_columns(spec):
 
 
 def test_scaled_unit_dense_and_zero_columns_in_one_block():
+    # one dense column sends the whole block down the recursion route
     sys_ = generate(ArrayProblemSpec(ny=5, nx=3, ne=2, nb=4, seed=4))
     rng = np.random.default_rng(19)
     v = build_excitations(sys_, 1).matrix * random_complex(rng, sys_.spec.elements)
@@ -446,8 +448,40 @@ def test_scaled_unit_dense_and_zero_columns_in_one_block():
     v[: sys_.array_dim, 7] = 0  # V_A zero, V_C not
     v[sys_.array_dim :, [7, 9]] = random_complex(rng, sys_.nb, 2)
     report = assert_solved(sys_, v)
+    assert "inverse_columns" not in report.phases
+    assert report.memory["rhs"] == sys_.array_dim * (v.shape[1] + sys_.nb) * 16
+
+
+def test_feed_columns_solve_the_same_on_either_route():
+    # the feeds alone take the end columns; with a dense column beside them they
+    # ride the recursion
+    sys_ = generate(ArrayProblemSpec(ny=5, nx=3, ne=2, nb=4, seed=4))
+    rng = np.random.default_rng(23)
+    feeds = build_excitations(sys_, 1).matrix * random_complex(rng, sys_.spec.elements)
+    x_feed, report = schur_solve(sys_, feeds)
+    x_mixed, mixed = schur_solve(sys_, np.hstack([feeds, random_complex(rng, sys_.dim, 1)]))
+    assert "inverse_columns" in report.phases and "inverse_columns" not in mixed.phases
+    assert rel_err(x_feed, x_mixed[:, :-1]) <= 1e-12
+
+
+@pytest.mark.parametrize("nb", [0, 4])
+def test_a_block_of_no_columns_has_no_columns(nb):
+    # a block of no columns takes the feed route and walks no block column
+    sys_ = generate(ArrayProblemSpec(ny=4, nx=3, ne=2, nb=nb, seed=2))
+    x, report = schur_solve(sys_, np.empty((sys_.dim, 0), dtype=complex))
+    assert x.shape == (sys_.dim, 0)
     assert "inverse_columns" in report.phases
-    assert report.memory["rhs"] == sys_.array_dim * (1 + sys_.nb) * 16
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_block_is_refused_before_anything_is_assembled(monkeypatch, value):
+    sys_ = generate(ArrayProblemSpec(ny=3, nx=3, ne=2, nb=4, seed=4))
+    v = build_excitations(sys_, 0).matrix
+    v[5, 1] = value
+    made = spy_on_level1(monkeypatch)
+    with pytest.raises(ShapeError, match="inf or NaN"):
+        schur_solve(sys_, v)
+    assert made == []
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "general", "one-ulp-off"])
