@@ -14,7 +14,9 @@ names its worst column.  ``verify`` bounds a GMRES method's rms
 deviation from the oracle by 10*tol, which assumes a well-conditioned
 system: an ill-conditioned one can print FAIL with every column within
 tol, as `toepsolve verify --ny 16 --nx 16 --shift 0.01 --k 0.5` does
-(deviation 2.0e-2).  ``perfbench/sweep.py`` runs timed sweeps through
+(deviations up to 2.6e-2).  Its header line prints LAPACK's estimate of
+the oracle's 1-norm condition number (1.5e5 there), from the LU it
+already holds.  ``perfbench/sweep.py`` runs timed sweeps through
 ``run_method``.  The BLAS reads its thread cap (``OPENBLAS_NUM_THREADS``
 or ``OMP_NUM_THREADS``) once, at numpy import.
 """
@@ -26,7 +28,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -54,10 +56,12 @@ from .problems import (
 from .solvers import (
     BorderedOperator,
     GmresConfig,
+    SchurComplement,
     SolveReport,
     bordered_matvec,
     build_pk,
     build_pz,
+    schur_matvec,
     schur_solve,
     solve_multi_rhs_vectorized,
 )
@@ -80,7 +84,7 @@ _EXIT_IO = 5
 _BYTES_PER_SCALAR = 16
 
 # version of the report JSON that ``solve`` writes
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 @dataclass
@@ -93,15 +97,19 @@ class SolveRecord:
         method       phases                          memory
         dense        dense_fill lu_factor lu_solve   generator dense_equivalent solution
                                                      dense
-        gmres-dense  dense_fill precond_build        generator dense_equivalent solution
+        gmres-dense  precond_build dense_fill        generator dense_equivalent solution
                      matvec precond_apply krylov     dense precond krylov
         rybicki      level1_fill recursion           generator dense_equivalent solution
                      [inverse_columns] border        level1 rhs stacks
-        mlfft-*      spectral_precompute             generator dense_equivalent solution
-                     precond_build matvec            spectral precond krylov
+        mlfft-*      precond_build                   generator dense_equivalent solution
+                     spectral_precompute matvec      spectral precond krylov
                      precond_apply krylov
 
-    precision: ``GmresConfig.basis_dtype`` for a GMRES method, else complex128.
+    ``counts`` holds a GMRES method's ``operator_calls`` and
+    ``operator_columns``, summed over its groups, and is empty otherwise.
+
+    precision: for a GMRES method ``GmresConfig.basis_dtype`` of the tol GMRES ran at (see
+        ``run_method``), else complex128.
     solve_s: wall time of the solve; its phases, each timed from the end of the last, add up to it.
     residual: complex128 true ||V - ZX||_F / ||V||_F, 0 for V = 0.
     groups: one ``SolveReport`` per GMRES block; none for ``dense`` and ``rybicki``.
@@ -112,14 +120,18 @@ class SolveRecord:
         solved from the end columns.
     border: the rest of a rybicki solve: routing the block and stacking the recursion's block,
         then the Schur border elimination.
-    spectral_precompute, precond_build: form the operator, the preconditioner and their complex64 copies.
-    matvec, precond_apply: the operator and preconditioner calls inside GMRES, summed.
-    krylov (phase): the rest of GMRES, the quantity perfbench reports as ``gmres.self_s``.
+    precond_build, spectral_precompute: form the preconditioner, Z_A's spectral operator and their
+        complex64 copies; a GMRES method builds the preconditioner first.
+    matvec, precond_apply: the S_A and P_A^-1 calls inside GMRES, summed.
+    krylov (phase): the rest: forming b~, GMRES's own work and back-substituting I_C.
     generator: ``gen.blocks``, (2ny-1)(2nx-1)ne^2 scalars.
     dense_equivalent: a dense Z, dim^2 scalars; dense: the dense Z the method allocated.
     solution: the returned block; ``solve`` lets GMRES write it over the excitation block.
-    spectral, precond: the transformed generator and the two inverses, plus the complex64 copies.
-    krylov (memory): the largest ``basis_bytes`` of the groups; a solve holds one block's basis.
+    spectral: the transformed generator, plus complex64 copies of it and of Z_B; no copy of Z_C.
+    precond: the two inverses, P'_X^-1 and Z_C^-1, plus their complex64 copies.
+    krylov (memory): the largest ``basis_bytes`` of the groups, whose vectors are ``array_dim``
+        long; a solve holds one block's basis.
+    operator_calls, operator_columns: the S_A calls, exit residuals included, and their columns.
     level1, rhs, stacks: the bytes ``schur_solve`` reports holding.  The level-1 bytes lie
         inside ``solution``'s when the solution is at least as large, so the two do not add.
     """
@@ -137,6 +149,7 @@ class SolveRecord:
     residual: float = 0.0
     phases: dict[str, float] = field(default_factory=dict)
     memory: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int] = field(default_factory=dict)
     groups: list[SolveReport] = field(default_factory=list)
     ok: bool = True
     error: str = ""
@@ -161,21 +174,34 @@ def run_method(
 
     Returns the solution, its ``SolveRecord`` and the record's GMRES block
     reports.  ``v`` must be 2-D with ``dim`` rows, a column or more and no
-    inf or NaN (ShapeError, DimensionMismatch); V is scanned for inf and
-    NaN once, by the solver, so a GMRES method refuses it after its fill
-    and build phases.  A GMRES NoConvergence is re-raised with the
-    finished record as ``record``.  ``overwrite_rhs`` lets a GMRES method
-    write its solution over ``v`` (see ``solve_multi_rhs_vectorized``),
-    and leaves the record as it is: the residual reads the norms GMRES
-    takes of V's blocks before it writes them.  ``dense`` and ``rybicki``
-    form theirs from V, so they ignore it.
+    inf or NaN (ShapeError, DimensionMismatch).  V is scanned for inf and
+    NaN once, before any fill: here for ``dense`` and the GMRES methods,
+    by ``schur_solve`` for ``rybicki``.
+
+    A GMRES method eliminates the border (``bordered`` states the residual
+    identity).  It writes b~ = V_A - Z_B^T Z_C^-1 V_C into the solution's
+    array rows, ``RHS_PANEL`` columns at a time; b~ is a copy of V_A, with
+    no product, when V_C = 0.  GMRES then solves S_A I_A = b~ over those
+    rows, right-preconditioned by P_A, and I_C = Z_C^-1 (V_C - Z_B I_A) is
+    formed in complex128.  GMRES bounds each column's residual by its tol
+    times ||b~_j||, so with V_C != 0 it runs at
+    tol * min(1, min_j ||V_j|| / ||b~_j||) over the columns with b~_j != 0,
+    and every column meets tol * ||V_j||.  The record's residual is
+    relative to ||V||_F, taken from V's column norms before anything is
+    written.  A GMRES NoConvergence is re-raised with the whole iterate as
+    ``solution`` and the finished record as ``record``.
+
+    ``overwrite_rhs`` lets a GMRES method write b~, then its solution, over
+    a complex128 ``v``; the solution and the record are bitwise those of a
+    solve into a block of its own.  ``dense`` and ``rybicki`` form theirs
+    from V, so they ignore it.
     """
     if method not in BENCH_METHODS:
         raise InvalidSpec(f"unknown method {method!r} (choose from {', '.join(BENCH_METHODS)})")
     v = numerics.as_columns(v, sys_.dim)
     if not v.shape[1]:
         raise ShapeError(f"expected at least one right-hand side column, got shape {v.shape}")
-    if method == "dense" and not np.isfinite(v).all():  # every other method's solver scans V itself
+    if method != "rybicki" and not np.isfinite(v).all():  # schur_solve scans V itself
         raise ShapeError("right-hand side block holds inf or NaN")
     spec = sys_.spec
     cfg = GmresConfig(tol=tol, max_iter=max_iter)  # checked for every method, used by GMRES
@@ -224,51 +250,79 @@ def run_method(
         rec.residual = _panel_residual(lambda u: bordered_matvec(op, u), x, v)
         return x, rec, rec.groups
 
-    # gmres-dense, or mlfft-<precond>-vec.  GMRES hands the operators blocks of the
-    # basis dtype, and complex128 ones for the iterate and the exit residual; a block
-    # runs on the operator's copy of its dtype, formed in the phase that builds it.
+    # gmres-dense, or mlfft-<precond>-vec: GMRES on S_A I_A = b~ over the array rows,
+    # then I_C = Z_C^-1 (V_C - Z_B I_A).  GMRES hands the operators blocks of the basis
+    # dtype, and complex128 ones for the iterate and the exit residual; a complex64
+    # block runs on the complex64 copies, formed in the phase that builds each part.
     # gmres-dense's Z stays complex128.
     single = cfg.basis_dtype != np.complex128
+    adim = sys_.array_dim
 
     def with_copy(build, *args):
         made = build(*args)
         return made, numerics.astype(made, cfg.basis_dtype) if single else made
 
+    # the builder is read from the module globals here, so a wrapped ``build_pk``
+    # (as ``perfbench``'s trace installs) is the one run
+    build = build_pz if method == "mlfft-pz-vec" else build_pk
+    p, p_b = sequential("precond_build", with_copy, build, sys_)
+    rec.memory["precond"] = p.stored_bytes + (p_b.stored_bytes if single else 0)
     if method == "gmres-dense":
         full = sequential("dense_fill", assemble_full, sys_, cap)
         rec.memory["dense"] = full.nbytes
-        precond_name = "pk"
-        operator = full.__matmul__
+        s = s_b = SchurComplement(full[:adim, :adim], sys_.zb, p.border_inverse)
     else:
-        precond_name = method.split("-")[1]
-        op, op_b = sequential("spectral_precompute", with_copy, BorderedOperator.from_system, sys_)
-        operator = lambda u: bordered_matvec(op_b if u.dtype == cfg.basis_dtype else op, u)
-        # the complex128 border blocks belong to the system
-        rec.memory["spectral"] = op.spectral.diag_blocks.nbytes + (
-            op_b.spectral.diag_blocks.nbytes + op_b.zb.nbytes + op_b.zc.nbytes if single else 0)
-    # the builder is read from the module globals here, so a wrapped ``build_pk``
-    # (as ``perfbench``'s trace installs) is the one run
-    p, p_b = sequential("precond_build", with_copy, build_pk if precond_name == "pk" else build_pz, sys_)
+        def spectral():
+            made = SchurComplement.from_system(sys_, p.border_inverse)
+            # the copy holds the preconditioner's complex64 Z_C^-1
+            return made, numerics.astype(replace(made, zc_inverse=p_b.border_inverse),
+                                         cfg.basis_dtype) if single else made
+
+        s, s_b = sequential("spectral_precompute", spectral)
+        # the complex128 Z_B belongs to the system, and both copies of Z_C^-1 to the preconditioner
+        rec.memory["spectral"] = s.za.diag_blocks.nbytes + (
+            s_b.za.diag_blocks.nbytes + s_b.zb.nbytes if single else 0)
+    operator = lambda u: schur_matvec(s_b if u.dtype == cfg.basis_dtype else s, u)
     precondition = lambda u: (p_b if u.dtype == cfg.basis_dtype else p).apply(u)
-    rec.memory["precond"] = p.stored_bytes + (p_b.stored_bytes if single else 0)
+
+    # b~ = V_A - Z_B^T Z_C^-1 V_C goes into the solution's array rows, which are V's own
+    # under overwrite_rhs; GMRES then solves over those rows
+    v_norms = np.linalg.norm(v, axis=0)  # read before b~ is written over V
+    x = v if overwrite_rhs and v.dtype == np.complex128 else np.empty(v.shape, dtype=np.complex128)
+    xa, vc = x[:adim], v[adim:]
+    run_cfg = cfg
+    if vc.any():
+        for c in range(0, v.shape[1], RHS_PANEL):
+            cols = slice(c, c + RHS_PANEL)
+            xa[:, cols] = v[:adim, cols] - sys_.zb.T @ (p.border_inverse @ vc[:, cols])
+        # GMRES bounds ||r_j|| by its tol times ||b~_j||; the bordered bound is tol ||V_j||
+        b_norms = np.linalg.norm(xa, axis=0)
+        live = b_norms > 0.0
+        run_cfg = replace(cfg, tol=tol * float((v_norms[live] / b_norms[live]).min(initial=1.0)))
+    elif x is not v:
+        xa[...] = v[:adim]
+    rec.precision = run_cfg.basis_dtype.name
     phases.update(matvec=0.0, precond_apply=0.0)
     failure = None
     try:
-        x, reports = solve_multi_rhs_vectorized(lambda u: timed("matvec", operator, u),
+        _, reports = solve_multi_rhs_vectorized(lambda u: timed("matvec", operator, u),
                                                 lambda u: timed("precond_apply", precondition, u),
-                                                v, cfg, overwrite_rhs=overwrite_rhs)
+                                                xa, run_cfg, overwrite_rhs=True)
     except NoConvergence as exc:
         failure, reports = exc, exc.reports
+    x[adim:] = p.border_inverse @ (vc - sys_.zb @ xa)
     end = time.perf_counter()
     rec.solve_s, rec.groups = end - t0, reports
     phases["krylov"] = end - last - phases["matvec"] - phases["precond_apply"]
-    # the true ||V - ZX||_F / ||V||_F, formed from every block's exit residual and norm
+    # the true ||V - ZX||_F / ||V||_F: r_C = 0, and each block's exit residual is its r_A
     rec.residual = _relative(np.linalg.norm([r.final_residual * r.rhs_norm for r in reports]),
-                             np.linalg.norm([r.rhs_norm for r in reports]))
+                             np.linalg.norm(v_norms))
+    rec.counts.update(operator_calls=sum(r.operator_calls for r in reports),
+                      operator_columns=sum(r.operator_columns for r in reports))
     # a solve holds one block's basis at a time
     rec.memory["krylov"] = max(r.basis_bytes for r in reports)
     if failure is not None:
-        rec.ok, rec.error, failure.record = False, str(failure), rec
+        rec.ok, rec.error, failure.record, failure.solution = False, str(failure), rec, x
         raise failure
     return x, rec, rec.groups
 
@@ -389,11 +443,15 @@ def _cmd_verify(args) -> int:
         sys_ = load(args.input)
     v = build_excitations(sys_, args.feed).matrix
     full = assemble_full(sys_, args.cap)
-    x_ref = numerics.lu_solve(numerics.lu_factor(full), v)
+    factors = numerics.lu_factor(full)
+    x_ref = numerics.lu_solve(factors, v)
     ref_norm, v_norm = np.linalg.norm(x_ref), np.linalg.norm(v)
 
     ok = True
-    print(f"verify: dim={sys_.dim}, rhs={v.shape[1]}, tol={args.tol:g}")
+    # a GMRES deviation can reach about cond(Z) * tol, so the estimate tells an
+    # ill-conditioned FAIL from a wrong solver
+    print(f"verify: dim={sys_.dim}, rhs={v.shape[1]}, tol={args.tol:g}, "
+          f"cond1 estimate {numerics.condition_estimate(full, factors):.3e}")
     for method in BENCH_METHODS:
         if method == "dense":  # the oracle itself
             continue

@@ -2,10 +2,10 @@
 
 A block is a 2-D array of columns, complex128, or complex64 on the
 operator copies ``astype`` forms for GMRES's single-precision basis.
-The operators (``toeplitz.matvec``, ``bordered_matvec`` and
-``Preconditioner.apply``) compute as numpy's matmul does: in
-``np.result_type`` of the arrays they hold and the block they get, and
-they return that dtype.  GMRES alone rounds an operator's output to its
+The operators (``toeplitz.matvec``, ``bordered_matvec``,
+``schur_matvec`` and ``Preconditioner.apply``) compute as numpy's
+matmul does: in ``np.result_type`` of the arrays they hold and the block
+they get, and they return that dtype.  GMRES alone rounds an operator's output to its
 basis dtype.  The LU helpers add the solvers' shape and singularity
 contracts to LAPACK, via ``scipy.linalg``.
 """
@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, ShapeError, SingularMatrix
 
-__all__ = ["LUFactors", "as_columns", "astype", "lu_factor", "lu_solve"]
+__all__ = ["LUFactors", "as_columns", "astype", "condition_estimate", "lu_factor", "lu_solve"]
 
 # pivots below this magnitude count as exact zeros: an underflow guard that no PR has tuned
 _PIVOT_TINY = 1e-300
@@ -99,3 +99,14 @@ def lu_solve(f: LUFactors, rhs) -> np.ndarray:
     if not f.side:
         return np.empty(arr.shape, dtype=np.complex128)
     return scipy.linalg.lu_solve((f.lu, f.piv), arr, check_finite=False)
+
+
+def condition_estimate(a, f: LUFactors) -> float:
+    """LAPACK's (zgecon) estimate of the 1-norm condition number of ``a``, from its LU factors ``f``.
+
+    It costs O(n^2) beside the factors; 1 for a 0x0 block, inf when the estimated reciprocal is 0.
+    """
+    if not f.side:
+        return 1.0
+    rcond, _ = scipy.linalg.lapack.zgecon(f.lu, np.linalg.norm(a, 1), norm="1")
+    return 1.0 / rcond if rcond else np.inf

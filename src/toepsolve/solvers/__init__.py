@@ -1,6 +1,6 @@
 """Accelerated solvers for bordered block-Toeplitz systems."""
 
-from .bordered import BorderedOperator, bordered_matvec
+from .bordered import BorderedOperator, SchurComplement, bordered_matvec, schur_matvec
 from .gmres import (
     BLOCK_WIDTH,
     GmresConfig,
@@ -13,7 +13,9 @@ from .schur import schur_solve
 
 __all__ = [
     "BorderedOperator",
+    "SchurComplement",
     "bordered_matvec",
+    "schur_matvec",
     "BLOCK_WIDTH",
     "GmresConfig",
     "SolveReport",

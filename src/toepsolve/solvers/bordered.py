@@ -1,7 +1,20 @@
-"""Fast matvec for bordered systems [[Z_A, Z_B^T], [Z_B, Z_C]].
+"""Fast matvecs for bordered systems [[Z_A, Z_B^T], [Z_B, Z_C]].
 
 The structured part is applied through its spectral operator and the
 small border blocks multiply densely, in the ``numerics`` convention.
+``bordered_matvec`` applies the whole matrix; ``schur_matvec`` applies
+the array block's Schur complement S_A = Z_A - Z_B^T Z_C^-1 Z_B, on
+which GMRES iterates once the border is eliminated.
+
+The residual identity.  Let I_A solve S_A I_A = b~ approximately, with
+b~ = V_A - Z_B^T Z_C^-1 V_C, and let I_C = Z_C^-1 (V_C - Z_B I_A).  Then
+the bordered residual of [I_A; I_C] is
+
+    r_C = V_C - Z_B I_A - Z_C I_C = 0,
+    r_A = V_A - Z_A I_A - Z_B^T I_C = b~ - S_A I_A,
+
+so the residual of the reduced system is the bordered system's true
+residual, up to the rounding of Z_C^-1.
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ from ..errors import ShapeError
 from ..numerics import as_columns
 from ..toeplitz import SpectralOperator, matvec, precompute_spectral
 
-__all__ = ["BorderedOperator", "bordered_matvec"]
+__all__ = ["BorderedOperator", "SchurComplement", "bordered_matvec", "schur_matvec"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,4 +74,43 @@ def bordered_matvec(op: BorderedOperator, x) -> np.ndarray:
     top += op.zb.T @ xc
     np.matmul(op.zb, xa, out=bottom)
     bottom += op.zc @ xc
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SchurComplement:
+    """Matrix-free S_A = Z_A - Z_B^T Z_C^-1 Z_B, the array block with the border eliminated.
+
+    ``za`` is Z_A's spectral operator, or a dense (array_dim, array_dim)
+    block; ``zc_inverse`` is Z_C^-1, as the preconditioner builders form it.
+    """
+
+    za: SpectralOperator | np.ndarray
+    zb: np.ndarray  # (nb, array_dim)
+    zc_inverse: np.ndarray  # (nb, nb)
+
+    def __post_init__(self):
+        nb = self.zc_inverse.shape[0]
+        if self.zb.shape != (nb, self.array_dim) or self.zc_inverse.shape != (nb, nb):
+            raise ShapeError(
+                f"border shapes {self.zb.shape}/{self.zc_inverse.shape} inconsistent with "
+                f"array dim {self.array_dim}"
+            )
+
+    @classmethod
+    def from_system(cls, sys, zc_inverse) -> "SchurComplement":
+        """S_A of the system, with Z_A as its spectral operator."""
+        return cls(precompute_spectral(sys.gen), sys.zb, zc_inverse)
+
+    @property
+    def array_dim(self) -> int:
+        return self.za.dim if isinstance(self.za, SpectralOperator) else self.za.shape[0]
+
+
+def schur_matvec(s: SchurComplement, u) -> np.ndarray:
+    """Z_A u - Z_B^T (Z_C^-1 (Z_B u)) for an (s.array_dim, columns) block: an nb^2 and two border GEMMs."""
+    arr = as_columns(u, s.array_dim)
+    out = matvec(s.za, arr) if isinstance(s.za, SpectralOperator) else s.za @ arr
+    if s.zb.shape[0]:
+        out -= s.zb.T @ (s.zc_inverse @ (s.zb @ arr))
     return out

@@ -94,7 +94,9 @@ class SolveReport:
     complex128 true ||B - A X||_F / ||B||_F; ``rhs_norm`` is ||B||_F, taken
     before the solve writes B; ``basis_bytes`` is the ``nbytes`` of the
     largest basis array a cycle allocated (0 if none ran), a capacity that
-    grows by half from 8 panels and can exceed the rows filled.
+    grows by half from 8 panels and can exceed the rows filled;
+    ``operator_calls`` and ``operator_columns`` count the operator's calls
+    and the columns they were given, the exit residuals' included.
     """
 
     iterations: int = 0
@@ -103,6 +105,8 @@ class SolveReport:
     final_residual: float = 0.0
     rhs_norm: float = 0.0
     basis_bytes: int = 0
+    operator_calls: int = 0
+    operator_columns: int = 0
 
 
 # ------------------------------------------------------------ block GMRES
@@ -233,6 +237,12 @@ def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, f
     """Block GMRES on the columns of b (n, s): the iterate, its report and its worst residual."""
     dtype = cfg.basis_dtype
     precondition = (lambda u: u) if p is None else p
+    widths: list[int] = []  # of every operator call
+
+    def counted(u):
+        widths.append(u.shape[1])
+        return op(u)
+
     b_norms = np.linalg.norm(b, axis=0)
     # x = 0 until the first cycle ends, so that cycle starts from r = b, read-only,
     # and x and r are formed only once its basis is gone
@@ -247,7 +257,7 @@ def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, f
         if not active.size or iterations == cfg.max_iter or not np.isfinite(r_norms).all():
             break
         cols = slice(None) if active.size == len(b_norms) else active  # a view when all iterate
-        z, estimates, cycle_bytes = _block_cycle(op, precondition, r[:, cols], b_norms[cols],
+        z, estimates, cycle_bytes = _block_cycle(counted, precondition, r[:, cols], b_norms[cols],
                                                  cfg.max_iter - iterations, cfg.tol, dtype)
         iterations += len(estimates)
         basis_bytes = max(basis_bytes, cycle_bytes)
@@ -255,7 +265,7 @@ def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, f
         if x is None:
             x, r = np.zeros_like(b), b.copy()
         x[:, cols] += precondition(z)
-        r[:, cols] = b[:, cols] - op(x[:, cols])
+        r[:, cols] = b[:, cols] - counted(x[:, cols])
         r_norms[cols] = np.linalg.norm(r[:, cols], axis=0)
 
     live = b_norms > 0.0
@@ -264,7 +274,9 @@ def _block_gmres(op, p, b, cfg: GmresConfig) -> tuple[np.ndarray, SolveReport, f
     worst = float((r_norms[live] / b_norms[live]).max()) if live.any() else 0.0
     converged = not active.size
     x = np.zeros_like(b) if x is None else x
-    return x, SolveReport(iterations, converged, history, final, rhs_norm, basis_bytes), worst
+    report = SolveReport(iterations, converged, history, final, rhs_norm, basis_bytes, len(widths),
+                         sum(widths))
+    return x, report, worst
 
 
 # ------------------------------------------------------------ entry point

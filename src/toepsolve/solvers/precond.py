@@ -1,11 +1,13 @@
-"""Block-diagonal preconditioners for the bordered iterative solver.
+"""Block-diagonal preconditioners for GMRES on the array's Schur complement.
 
-P = diag(P'_X, ..., P'_X, Z_C), where Z_C is the border self block and
-the shared block P'_X is the self block of one element ("pk", side ne)
-or the assembled self interaction of one array row ("pz", side nx*ne, a
-1-level block-Toeplitz matrix).  Both inverses are formed once, from
-their LU factors, so applying P^-1 is one product broadcast over the
-array segments and one GEMM for the border.
+GMRES iterates on S_A = Z_A - Z_B^T Z_C^-1 Z_B, the array block with the
+border eliminated (``bordered.schur_matvec``), preconditioned by
+P_A = diag(P'_X, ..., P'_X).  The shared block P'_X is the self block of
+one element ("pk", side ne) or the assembled self interaction of one
+array row ("pz", side nx*ne, a 1-level block-Toeplitz matrix).  The
+builders also form Z_C^-1, the ``border_inverse`` that the elimination
+applies.  Both inverses are formed once, from their LU factors, so
+applying P_A^-1 is one product broadcast over the array segments.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = ["Preconditioner", "build_pk", "build_pz"]
 
 @dataclass(frozen=True, eq=False)
 class Preconditioner:
-    """Shared-inverse block-diagonal preconditioner over array segments + border."""
+    """Shared-inverse block-diagonal preconditioner over the array segments, with Z_C^-1 beside it."""
 
     block_inverse: np.ndarray  # (side, side), shared by every array segment
     border_inverse: np.ndarray  # (nb, nb)
@@ -36,23 +38,17 @@ class Preconditioner:
             )
 
     @property
-    def dim(self) -> int:
-        return self.array_dim + self.border_inverse.shape[0]
-
-    @property
     def stored_bytes(self) -> int:
         """Bytes of the two stored inverses."""
         return self.block_inverse.nbytes + self.border_inverse.nbytes
 
     def apply(self, v) -> np.ndarray:
-        """P^-1 v for a (dim, columns) block v."""
-        arr = numerics.as_columns(v, self.dim)
+        """P_A^-1 v for an (array_dim, columns) block v."""
+        arr = numerics.as_columns(v, self.array_dim)
         side = self.block_inverse.shape[0]
         stacked = (self.array_dim // side, side, arr.shape[1])  # segments, side, columns
         out = np.empty(arr.shape, dtype=np.result_type(self.block_inverse, arr))
-        np.matmul(self.block_inverse, arr[: self.array_dim].reshape(stacked),
-                  out=out[: self.array_dim].reshape(stacked))
-        out[self.array_dim :] = self.border_inverse @ arr[self.array_dim :]
+        np.matmul(self.block_inverse, arr.reshape(stacked), out=out.reshape(stacked))
         return out
 
 

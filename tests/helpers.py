@@ -84,6 +84,15 @@ def reference_fill(spec):
     return blocks, zb, zc
 
 
+def dense_schur(sys_):
+    """Dense S_A = Z_A - Z_B^T Z_C^-1 Z_B, from ``assemble_full`` and LAPACK's solve."""
+    full = problems.assemble_full(sys_)
+    a = sys_.array_dim
+    if not sys_.nb:
+        return full
+    return full[:a, :a] - full[:a, a:] @ np.linalg.solve(full[a:, a:], full[a:, :a])
+
+
 def nonfinite_system(part):
     """A 2x2 system (ne 2, nb 2) with one inf or NaN in ``part``.
 

@@ -1,4 +1,4 @@
-"""Bordered matvec against the dense assembly.
+"""Bordered and Schur-complement matvecs against the dense assembly.
 
 The system is random and neither complex symmetric nor Hermitian, so a
 matvec that silently applies the transpose or the conjugate transpose of
@@ -8,11 +8,17 @@ the system fails this check.
 import numpy as np
 import pytest
 
-from helpers import random_complex, random_generator, rel_err
+from helpers import dense_schur, random_complex, random_generator, rel_err
 from toepsolve import numerics
 from toepsolve.errors import ShapeError
 from toepsolve.problems import ArrayProblemSpec, BorderedSystem, assemble_full, generate
-from toepsolve.solvers import BorderedOperator, bordered_matvec, build_pk
+from toepsolve.solvers import (
+    BorderedOperator,
+    SchurComplement,
+    bordered_matvec,
+    build_pk,
+    schur_matvec,
+)
 from toepsolve.toeplitz import BlockGenerator2L, matvec, precompute_spectral
 
 
@@ -53,6 +59,40 @@ def test_complex64_input_on_a_complex128_operator_is_computed_in_complex128(syst
     assert np.array_equal(got, bordered_matvec(op, x.astype(np.complex128)))
 
 
+def schur_of(sys_, dense=False):
+    """S_A of ``sys_``, with Z_A spectral or dense, and Z_C^-1 by LAPACK."""
+    zc_inverse = np.linalg.inv(sys_.zc)
+    if dense:
+        a = sys_.array_dim
+        return SchurComplement(assemble_full(sys_)[:a, :a], sys_.zb, zc_inverse)
+    return SchurComplement.from_system(sys_, zc_inverse)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["spectral", "dense"])
+def test_schur_matvec_matches_dense(system, dense):
+    # the random Z_B makes Z_B^T and Z_B^H differ, so a conjugated border fails here
+    sys_, _, _ = system
+    u = random_complex(np.random.default_rng(35), sys_.array_dim, 3)
+    assert rel_err(schur_matvec(schur_of(sys_, dense), u), dense_schur(sys_) @ u) <= 1e-12
+
+
+def test_schur_matvec_complex64_copy_runs_in_complex64(system):
+    sys_, _, _ = system
+    u = random_complex(np.random.default_rng(36), sys_.array_dim, 3)
+    got = schur_matvec(numerics.astype(schur_of(sys_), np.complex64), u.astype(np.complex64))
+    assert got.dtype == np.complex64
+    assert rel_err(got, dense_schur(sys_) @ u) <= 1e-6
+
+
+def test_schur_complement_of_an_empty_border_is_z_a(system):
+    sys_, op, _ = system
+    u = random_complex(np.random.default_rng(37), sys_.array_dim, 2)
+    s = SchurComplement(op.spectral, np.zeros((0, sys_.array_dim), dtype=complex), np.zeros((0, 0)))
+    assert np.array_equal(schur_matvec(s, u), matvec(s.za, u))
+    with pytest.raises(ShapeError, match="inconsistent"):
+        SchurComplement(s.za, np.zeros((1, sys_.array_dim), dtype=complex), np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("zb_cols, zc_cols, message", [(-1, 0, "inconsistent"), (0, 1, "must be square")],
                          ids=["zb-width", "zc-not-square"])
 def test_border_shapes_are_checked(system, zb_cols, zc_cols, message):
@@ -82,6 +122,7 @@ ARRAY_DATACLASSES = {
     "BlockGenerator2L": lambda s: BlockGenerator2L(s.gen.n2, s.gen.n1, s.gen.n0, s.gen.blocks.copy()),
     "SpectralOperator": lambda s: precompute_spectral(s.gen),
     "BorderedOperator": BorderedOperator.from_system,
+    "SchurComplement": schur_of,
     "Preconditioner": build_pk,
 }
 

@@ -10,7 +10,14 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from helpers import BAD_HEADERS, json_edit, nonfinite_system, rewrite_header, wrap_generator
+from helpers import (
+    BAD_HEADERS,
+    json_edit,
+    nonfinite_system,
+    random_complex,
+    rewrite_header,
+    wrap_generator,
+)
 from toepsolve import cli
 from toepsolve.errors import InvalidSpec, NoConvergence, ShapeError
 from toepsolve.problems import (
@@ -191,7 +198,7 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
     argv = ["solve", str(problem), "--multi", multi, "--tol", "1e-14", "--max-iter", "1"]
     assert cli.main(argv) == 3
     report = json.loads(problem.with_name("p.tbz.sol.json").read_text())
-    assert report["schema_version"] == 6 and list(report) == ["schema_version", "record"]
+    assert report["schema_version"] == 7 and list(report) == ["schema_version", "record"]
     record = report["record"]
     assert not record["ok"] and record["memory"]["krylov"] > 0
     assert len(record["groups"]) == 1  # the 4 columns are one block
@@ -204,16 +211,18 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
 
 
 GMRES_PHASES = {"precond_build", "matvec", "precond_apply", "krylov"}
-FFT_KEYS = ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"})
-# method -> (phases, memory keys, GMRES blocks of the 36-column solve: one of 32 and
-# one of 4 columns, preconditioner builder); on the 6x6 grid, ne 8, pk stores
-# 8^2 + nb^2 scalars and pz 48^2 + nb^2
+GMRES_COUNTS = {"operator_calls", "operator_columns"}
+FFT_KEYS = ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"}, GMRES_COUNTS)
+# method -> (phases, memory keys, count keys, GMRES blocks of the 36-column solve: one
+# of 32 and one of 4 columns, preconditioner builder); on the 6x6 grid, ne 8, pk
+# stores 8^2 + nb^2 scalars and pz 48^2 + nb^2
 RECORD_KEYS = {
-    "dense": ({"dense_fill", "lu_factor", "lu_solve"}, {"dense"}, 0, None),
-    "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense", "precond", "krylov"}, 2, build_pk),
+    "dense": ({"dense_fill", "lu_factor", "lu_solve"}, {"dense"}, set(), 0, None),
+    "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense", "precond", "krylov"}, GMRES_COUNTS, 2,
+                    build_pk),
     # the feed columns take the inverse's columns, a phase of their own
-    "rybicki": ({"level1_fill", "recursion", "inverse_columns", "border"}, {"level1", "rhs", "stacks"}, 0,
-                None),
+    "rybicki": ({"level1_fill", "recursion", "inverse_columns", "border"}, {"level1", "rhs", "stacks"},
+                set(), 0, None),
     "mlfft-pk-vec": (*FFT_KEYS, 2, build_pk),
     "mlfft-pz-vec": (*FFT_KEYS, 2, build_pz),
 }
@@ -227,10 +236,11 @@ def grid6():
 
 @pytest.mark.parametrize("method", cli.BENCH_METHODS)
 def test_record_holds_only_what_the_method_ran(grid6, method):
-    phases, memory, groups, build = RECORD_KEYS[method]
+    phases, memory, counts, groups, build = RECORD_KEYS[method]
     x, rec, _ = cli.run_method(*grid6, method, tol=1e-3)
     assert set(rec.phases) == phases
     assert set(rec.memory) == {"generator", "dense_equivalent", "solution"} | memory
+    assert set(rec.counts) == counts
     assert rec.memory["solution"] == x.nbytes == grid6[0].dim * 36 * 16
     assert len(rec.groups) == groups
     # tol 1e-3 runs GMRES in complex64; the direct methods are complex128
@@ -250,10 +260,10 @@ def test_record_follows_the_solver_block_partition(grid6, monkeypatch):
     monkeypatch.setattr(gmres, "BLOCK_WIDTH", 16)
     sys_, v = grid6
     x, rec, _ = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-3)
-    # complex64 bases of 192 rows (16-column panels: 8 deep, grown by half once for
-    # 8 steps) and 48 rows (4-column panels: 8 deep, grown once for 10 steps)
-    assert [g.basis_bytes for g in rec.groups] == [n * sys_.dim * 8 for n in (192, 192, 48)]
-    assert rec.memory["krylov"] == 192 * sys_.dim * 8
+    # complex64 bases of array_dim-long vectors: 128 rows (16-column panels, 8 deep,
+    # filled by 7 steps) and 48 rows (4-column panels: 8 deep, grown by half once for 8 steps)
+    assert [g.basis_bytes for g in rec.groups] == [n * sys_.array_dim * 8 for n in (128, 128, 48)]
+    assert rec.memory["krylov"] == 128 * sys_.array_dim * 8
     dense = np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v)
     assert abs(rec.residual - dense) <= 1e-8 * dense
 
@@ -273,10 +283,11 @@ def cycle_bases(run):
         sys.setprofile(None)
 
 
-@pytest.mark.parametrize("side, shift, tol, want", [(16, 1.0, 1e-3, 7_077_888), (8, 0.01, 1e-5, 4_423_680)],
+@pytest.mark.parametrize("side, shift, tol, want", [(16, 1.0, 1e-3, 6_291_456), (8, 0.01, 1e-5, 2_359_296)],
                          ids=["16x16", "8x8-shift-0.01"])
 def test_record_krylov_is_the_largest_basis_a_cycle_allocated(side, shift, tol, want):
-    # the bases of the 32-column blocks, complex64, with their headroom for more steps
+    # the bases of the 32-column blocks, complex64, with their headroom for more steps:
+    # 384 and 576 rows of array_dim scalars
     sys_ = generate(ArrayProblemSpec(side, side, ne=8, diagonal_shift=shift))
     v = build_excitations(sys_, 0).matrix
     (_, rec, _), bases = cycle_bases(lambda: cli.run_method(sys_, v, "mlfft-pk-vec", tol))
@@ -320,6 +331,9 @@ def test_verify_checks_every_method_against_the_oracle(capsys, side, border):
     for line in lines[1:-1]:
         worst = float(re.search(r", worst column \d+: ([^ ]+) ok$", line)[1])
         assert worst <= (1e-3 if line.split()[0] != "rybicki" else 1e-12)
+    # the header carries the oracle's 1-norm condition estimate, which is at least 1
+    estimate = float(re.fullmatch(r"verify: dim=\d+, rhs=\d+, tol=0.001, cond1 estimate (\S+)", lines[0])[1])
+    assert np.isfinite(estimate) and estimate >= 1.0
 
 
 def test_verify_passes_on_the_ill_conditioned_problem(capsys):
@@ -392,6 +406,49 @@ def test_block_methods_bound_every_column_by_tol(grid6, method):
     assert all(g.converged for g in rec.groups)
 
 
+@pytest.mark.parametrize("nb", [6, 0], ids=["border", "nb-0"])
+@pytest.mark.parametrize("method", GMRES_METHODS)
+def test_block_methods_bound_every_column_by_tol_when_v_c_is_not_zero(method, nb):
+    # b~ = V_A - Z_B^T Z_C^-1 V_C differs from V_A here, and each column must still
+    # meet tol relative to its own ||V_j||; Z_B is scaled so that ||b~_j|| is 1.5 to
+    # 3.8 times ||V_j||, which a GMRES run at tol relative to ||b~_j|| fails, and 40
+    # columns run as two blocks
+    base = generate(ArrayProblemSpec(ny=4, nx=5, ne=3, nb=nb, seed=4))
+    sys_ = BorderedSystem(base.gen, 30.0 * base.zb, base.zc, base.spec)
+    v = random_complex(np.random.default_rng(5), sys_.dim, 40)
+    full = assemble_full(sys_)
+    x, rec, _ = cli.run_method(sys_, v, method, tol=1e-3)
+    residual = full @ x - v
+    assert (np.linalg.norm(residual, axis=0) / np.linalg.norm(v, axis=0)).max() <= 1e-3
+    dense = np.linalg.norm(residual) / np.linalg.norm(v)
+    assert abs(rec.residual - dense) <= 1e-8 * dense
+    w = v.copy()
+    x_over, rec_over, _ = cli.run_method(sys_, w, method, tol=1e-3, overwrite_rhs=True)
+    assert x_over is w and x_over.tobytes() == x.tobytes()
+    assert untimed(asdict(rec_over)) == untimed(asdict(rec))
+
+
+@pytest.mark.parametrize("method", GMRES_METHODS)
+def test_gmres_iterates_on_the_array_rows(monkeypatch, method):
+    # the border is eliminated: GMRES gets b~ on array_dim rows, and the record
+    # counts the operator's calls and columns
+    seen = []
+    solve = cli.solve_multi_rhs_vectorized
+
+    def spy(op, p, rhs, cfg, **kwargs):
+        seen.append(rhs.shape)
+        return solve(op, p, rhs, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_multi_rhs_vectorized", spy)
+    sys_ = generate(ArrayProblemSpec(ny=3, nx=4, ne=2))
+    v = build_excitations(sys_, 0).matrix
+    _, rec, _ = cli.run_method(sys_, v, method, tol=1e-3)
+    assert seen == [(sys_.array_dim, v.shape[1])]
+    (group,) = rec.groups  # 12 columns, one block: a call per step and one exit residual
+    assert rec.counts == {"operator_calls": group.iterations + 1,
+                          "operator_columns": (group.iterations + 1) * v.shape[1]}
+
+
 def untimed(record: dict) -> dict:
     """A record dict without its timings: ``solve_s`` and the seconds of ``phases``."""
     return {**record, "solve_s": None, "phases": sorted(record["phases"])}
@@ -446,7 +503,7 @@ def test_run_method_input_contract(method, case):
         assert rec.residual == 0.0 and not x.any()
         return
     if case in ("nan", "inf"):
-        # refused by the method's solver, or by run_method for dense; its residual would read NaN
+        # refused by schur_solve for rybicki, or by run_method before any fill; its residual would read NaN
         v[5, 1] = float(case)
         with pytest.raises(ShapeError, match="inf or NaN"):
             cli.run_method(sys_, v, method, tol=1e-3)
@@ -556,12 +613,13 @@ def test_bad_header_is_io_error(problem, case):
 # so a refactor that stops calling one is caught here instead of reading 0 in the trace
 TRACED = [
     (cli, "build_pk", "mlfft-pk-vec"),
-    (cli, "bordered_matvec", "mlfft-pk-vec"),
+    (cli, "bordered_matvec", "rybicki"),
     (cli, "solve_multi_rhs_vectorized", "mlfft-pk-vec"),
     (cli, "schur_solve", "rybicki"),
     (schur, "rybicki_solve", "rybicki"),
     (schur, "assemble_level1", "rybicki"),
     (bordered, "matvec", "mlfft-pk-vec"),
+    (bordered, "precompute_spectral", "mlfft-pk-vec"),
     (Preconditioner, "apply", "mlfft-pk-vec"),
 ]
 

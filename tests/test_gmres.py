@@ -9,24 +9,31 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import monotone_nonincreasing, random_complex, rel_err
+from helpers import dense_schur, monotone_nonincreasing, random_complex, rel_err
 from toepsolve import cli, numerics
 from toepsolve.errors import InvalidSpec, NoConvergence, ShapeError
 from toepsolve.problems import ArrayProblemSpec, assemble_full, build_excitations, generate
 from toepsolve.solvers import (
     BLOCK_WIDTH,
-    BorderedOperator,
     GmresConfig,
     Preconditioner,
-    bordered_matvec,
+    SchurComplement,
     build_pk,
     gmres,
+    schur_matvec,
     solve_multi_rhs_vectorized,
 )
+from toepsolve.toeplitz import SpectralOperator
 
 
 def dense_op(a):
     return lambda x: a @ x
+
+
+def schur_of(sys_):
+    """S_A of ``sys_`` with its spectral Z_A, and the pk preconditioner whose Z_C^-1 it holds."""
+    p = build_pk(sys_)
+    return SchurComplement.from_system(sys_, p.border_inverse), p
 
 
 def by_dtype(apply, obj):
@@ -129,15 +136,14 @@ class TestGmresCore:
 
 class TestPreconditionedSolve:
     def test_4x4_grid_with_pk(self):
+        # GMRES on S_A, whose right-hand side is V_A when V_C = 0
         sys_ = generate(ArrayProblemSpec(ny=4, nx=4, ne=4, seed=9))
-        op = BorderedOperator.from_system(sys_)
-        p = build_pk(sys_)
-        b = build_excitations(sys_, 0).matrix[:, :1]
+        s, p = schur_of(sys_)
+        b = build_excitations(sys_, 0).matrix[: sys_.array_dim, :1]
         x, (report,) = solve_multi_rhs_vectorized(
-            lambda v: bordered_matvec(op, v), p.apply, b, GmresConfig(tol=1e-3, max_iter=200)
+            lambda v: schur_matvec(s, v), p.apply, b, GmresConfig(tol=1e-3, max_iter=200)
         )
-        full = assemble_full(sys_)
-        assert np.linalg.norm(full @ x - b) / np.linalg.norm(b) <= 5e-3
+        assert np.linalg.norm(dense_schur(sys_) @ x - b) / np.linalg.norm(b) <= 5e-3
         assert report.converged
 
     def test_padded_circulant_grid_matches_dense_lu(self):
@@ -167,15 +173,15 @@ class TestPreconditionedSolve:
 class TestMultiRhs:
     @pytest.fixture(scope="class")
     def problem(self):
-        """The system, its operator and preconditioner as callables, V and dense Z."""
+        """The system, S_A and P_A^-1 as callables, V_A and dense S_A (V_C = 0, so V_A is b~)."""
         sys_ = generate(ArrayProblemSpec(ny=3, nx=3, ne=4, seed=7))
-        op = BorderedOperator.from_system(sys_)
+        s, p = schur_of(sys_)
         return (
             sys_,
-            lambda u: bordered_matvec(op, u),
-            build_pk(sys_).apply,
-            build_excitations(sys_, 0).matrix,
-            assemble_full(sys_),
+            lambda u: schur_matvec(s, u),
+            p.apply,
+            build_excitations(sys_, 0).matrix[: sys_.array_dim],
+            dense_schur(sys_),
         )
 
     def test_single_column_estimate_is_the_true_residual(self, problem):
@@ -195,18 +201,20 @@ class TestMultiRhs:
         assert monotone_nonincreasing(report.residual_history)
 
     def test_krylov_memory_formulas(self, problem):
-        sys_, _, _, v, _ = problem
+        sys_ = problem[0]
+        v = build_excitations(sys_, 0).matrix
         _, rv, _ = cli.run_method(sys_, v, "mlfft-pk-vec", tol=1e-4, max_iter=300)
-        # tol 1e-4 keeps a complex64 basis: 8 bytes per scalar.  The 9-column block's
-        # basis is allocated 8 panels (72 rows) deep, and its 6 steps fill 7 panels
+        # tol 1e-4 keeps a complex64 basis: 8 bytes per scalar, array_dim rows per
+        # vector.  The 9-column block's basis is allocated 8 panels (72 rows) deep,
+        # and its 4 steps fill 5 panels
         assert rv.precision == "complex64"
-        assert rv.memory["krylov"] == rv.groups[0].basis_bytes == 72 * sys_.dim * 8
+        assert rv.memory["krylov"] == rv.groups[0].basis_bytes == 72 * sys_.array_dim * 8
         # 36 columns run as blocks of 32 and 4, and a solve holds one block's basis:
-        # the first block's 256 rows (3 steps), not the second's 48 (8 steps, grown once)
+        # the first block's 256 rows (2 steps), not the second's 32 (6 steps)
         w = random_complex(np.random.default_rng(1), sys_.dim, 36)
         _, rw, _ = cli.run_method(sys_, w, "mlfft-pk-vec", tol=1e-4, max_iter=300)
         first, last = (g.basis_bytes for g in rw.groups)
-        assert (first, last) == (256 * sys_.dim * 8, 48 * sys_.dim * 8)
+        assert (first, last) == (256 * sys_.array_dim * 8, 32 * sys_.array_dim * 8)
         assert rw.memory["krylov"] == first
 
 
@@ -587,34 +595,41 @@ class TestPrecision:
     @pytest.mark.parametrize("method", ["mlfft-pk-vec", "mlfft-pz-vec", "gmres-dense"])
     def test_run_method_runs_each_block_on_the_copy_of_its_dtype(self, monkeypatch, method, tol):
         # the operators compute in numpy's promoted dtype, so this routing alone keeps
-        # a complex64 block, and its products, in complex64
+        # a complex64 block, and its products, in complex64; gmres-dense's S_A holds
+        # the dense complex128 Z_A and border whatever the block
         seen = []
 
-        def spy(apply, held):
+        def spy(name, apply, held):
             def call(obj, u):
-                seen.append((u.dtype, {a.dtype for a in held(obj)}))
+                seen.append((name, u.dtype, {a.dtype for a in held(obj)}))
                 return apply(obj, u)
             return call
 
-        monkeypatch.setattr(cli, "bordered_matvec",
-                            spy(bordered_matvec, lambda op: (op.spectral.diag_blocks, op.zb, op.zc)))
+        def schur_arrays(s):
+            za = s.za.diag_blocks if isinstance(s.za, SpectralOperator) else s.za
+            return za, s.zb, s.zc_inverse
+
+        monkeypatch.setattr(cli, "schur_matvec", spy("S_A", schur_matvec, schur_arrays))
         monkeypatch.setattr(Preconditioner, "apply",
-                            spy(Preconditioner.apply, lambda p: (p.block_inverse, p.border_inverse)))
+                            spy("P_A", Preconditioner.apply, lambda p: (p.block_inverse, p.border_inverse)))
         sys_ = generate(ArrayProblemSpec(ny=4, nx=4, ne=4))
         cli.run_method(sys_, build_excitations(sys_, 0).matrix, method, tol)
-        assert seen and all(held == {block} for block, held in seen)
+        assert {name for name, _, _ in seen} == {"S_A", "P_A"}
+        dense = method == "gmres-dense"
+        assert all(held == ({np.dtype(np.complex128)} if dense and name == "S_A" else {block})
+                   for name, block, held in seen)
         # complex64 Arnoldi steps at tol 1e-3, and the complex128 iterate and exit residual
         want = {"complex64", "complex128"} if tol == 1e-3 else {"complex128"}
-        assert {block.name for block, _ in seen} == want
+        assert {block.name for _, block, _ in seen} == want
 
     def test_complex64_basis_cuts_the_peak(self, monkeypatch):
         # one 32-column block of a 12x12 grid, on an operator and a preconditioner
         # built beforehand, with their complex64 copies: the peak is the solve's
         # working set, whose largest part is the Krylov basis
         sys_ = generate(ArrayProblemSpec(ny=12, nx=12, ne=8))
-        v = build_excitations(sys_, 0).matrix[:, :BLOCK_WIDTH]
-        op = by_dtype(bordered_matvec, BorderedOperator.from_system(sys_))
-        p = by_dtype(Preconditioner.apply, build_pk(sys_))
+        v = build_excitations(sys_, 0).matrix[: sys_.array_dim, :BLOCK_WIDTH]
+        s, pk = schur_of(sys_)
+        op, p = by_dtype(schur_matvec, s), by_dtype(Preconditioner.apply, pk)
 
         def peak():
             tracemalloc.start()
@@ -634,14 +649,12 @@ class TestPrecision:
     def test_working_set_is_the_basis_and_panel_scratch(self):
         # one 32-column block of a 12x12 grid, on an operator and a preconditioner
         # built beforehand, with their complex64 copies: beside the basis the solve
-        # holds its iterate, residual and output, and panel-sized scratch, 9.3 times
-        # the output's bytes; a dense triangle, per-step copies kept over an
-        # operator call and a second grid-sized transient in the matvec add up to
-        # 12.1
+        # holds its iterate, residual and output, and panel-sized scratch, 7.8 times
+        # the output's bytes on S_A, under the bound of 10
         sys_ = generate(ArrayProblemSpec(ny=12, nx=12, ne=8))
-        v = build_excitations(sys_, 0).matrix[:, :BLOCK_WIDTH]
-        op = by_dtype(bordered_matvec, BorderedOperator.from_system(sys_))
-        p = by_dtype(Preconditioner.apply, build_pk(sys_))
+        v = build_excitations(sys_, 0).matrix[: sys_.array_dim, :BLOCK_WIDTH]
+        s, pk = schur_of(sys_)
+        op, p = by_dtype(schur_matvec, s), by_dtype(Preconditioner.apply, pk)
         tracemalloc.start()
         try:
             x, (report,) = solve_multi_rhs_vectorized(op, p, v, GmresConfig(tol=1e-3))
@@ -649,7 +662,7 @@ class TestPrecision:
         finally:
             tracemalloc.stop()
         assert report.converged
-        basis = report.iterations * BLOCK_WIDTH * sys_.dim * 8  # complex64
+        basis = report.iterations * BLOCK_WIDTH * sys_.array_dim * 8  # complex64
         assert peak - basis <= 10 * x.nbytes
 
     def test_overwrite_rhs_drops_the_solution_block_from_the_peak(self):
@@ -657,9 +670,9 @@ class TestPrecision:
         # preconditioner built beforehand: the solution block is most of the
         # default solve's peak, and the permission to overwrite rhs removes it
         sys_ = generate(ArrayProblemSpec(ny=6, nx=6, ne=4))
-        rhs = random_complex(np.random.default_rng(7), sys_.dim, 512)
-        op = by_dtype(bordered_matvec, BorderedOperator.from_system(sys_))
-        p = by_dtype(Preconditioner.apply, build_pk(sys_))
+        rhs = random_complex(np.random.default_rng(7), sys_.array_dim, 512)
+        s, pk = schur_of(sys_)
+        op, p = by_dtype(schur_matvec, s), by_dtype(Preconditioner.apply, pk)
 
         def peak(b, **kwargs):
             tracemalloc.start()

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from helpers import random_complex, rel_err
 from toepsolve.errors import DimensionMismatch, ShapeError, SingularMatrix
-from toepsolve.numerics import as_columns, astype, lu_factor, lu_solve
+from toepsolve.numerics import as_columns, astype, condition_estimate, lu_factor, lu_solve
 from toepsolve.problems import ArrayProblemSpec, generate
 from toepsolve.solvers import BorderedOperator
 
@@ -93,6 +93,15 @@ def test_lu_shape_contracts():
     f = lu_factor(np.eye(3))
     with pytest.raises(DimensionMismatch):
         lu_solve(f, np.ones((4, 1)))
+
+
+def test_condition_estimate_bounds_the_exact_1_norm_condition_number():
+    # zgecon's estimate is a lower bound, and on a small random matrix it is close
+    rng = np.random.default_rng(6)
+    a = random_complex(rng, 20, 20) + np.diag(np.geomspace(1.0, 1e4, 20))
+    exact = np.linalg.cond(a, 1)
+    assert exact / 10 <= condition_estimate(a, lu_factor(a)) <= exact * (1 + 1e-10)
+    assert condition_estimate(np.zeros((0, 0)), lu_factor(np.zeros((0, 0)))) == 1.0
 
 
 def test_lu_of_a_0x0_block_calls_no_scipy(monkeypatch):

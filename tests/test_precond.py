@@ -12,9 +12,11 @@ from toepsolve.solvers import (
     BorderedOperator,
     GmresConfig,
     Preconditioner,
+    SchurComplement,
     bordered_matvec,
     build_pk,
     build_pz,
+    schur_matvec,
     solve_multi_rhs_vectorized,
 )
 from toepsolve.toeplitz import assemble_dense_1l
@@ -27,20 +29,20 @@ def small_system(**overrides):
 
 
 def block_diag_dense(sys_, side):
-    """Dense diag(P', ..., P', Z_C) oracle for the given segment side."""
+    """Dense diag(P', ..., P') oracle over the array rows, for the given segment side."""
     if side == sys_.spec.ne:
         block = block_at(sys_.gen, 0, 0)
     else:
         block = assemble_dense_1l(sys_.gen.blocks[0])
     reps = sys_.array_dim // side
-    return scipy.linalg.block_diag(*([block] * reps + [sys_.zc]))
+    return scipy.linalg.block_diag(*([block] * reps))
 
 
 class TestBuildPk:
     def test_segmentwise_action_on_feeds(self):
         sys_ = small_system()
         p = build_pk(sys_)
-        v = build_excitations(sys_, 1).matrix
+        v = build_excitations(sys_, 1).matrix[: sys_.array_dim]
         got = p.apply(v)
         ne = sys_.spec.ne
         inverse = p.block_inverse
@@ -71,7 +73,7 @@ class TestBuildPk:
         sys_ = small_system()
         p = build_pk(sys_)
         rng = np.random.default_rng(1)
-        v = random_complex(rng, sys_.dim, 3)
+        v = random_complex(rng, sys_.array_dim, 3)
         dense = block_diag_dense(sys_, sys_.spec.ne)
         assert rel_err(p.apply(v), np.linalg.solve(dense, v)) <= 1e-12
 
@@ -81,7 +83,7 @@ class TestBuildPk:
         sys_ = small_system(nb=nb)
         p = build(sys_)
         assert p.border_inverse.shape == (nb, nb)
-        v = random_complex(np.random.default_rng(2), sys_.dim, 3)
+        v = random_complex(np.random.default_rng(2), sys_.array_dim, 3)
         dense = block_diag_dense(sys_, p.block_inverse.shape[0])
         complex128_bytes = p.stored_bytes
         single = numerics.astype(p, np.complex64)
@@ -94,7 +96,7 @@ class TestBuildPk:
     def test_complex64_block_on_complex128_inverses_is_computed_in_complex128(self):
         sys_ = small_system()
         p = build_pk(sys_)
-        v = random_complex(np.random.default_rng(3), sys_.dim, 3).astype(np.complex64)
+        v = random_complex(np.random.default_rng(3), sys_.array_dim, 3).astype(np.complex64)
         got = p.apply(v)
         assert got.dtype == np.complex128
         assert np.array_equal(got, p.apply(v.astype(np.complex128)))
@@ -110,22 +112,23 @@ class TestBuildPz:
         pk, pz = build_pk(sys_), build_pz(sys_)
         assert np.array_equal(pk.block_inverse, pz.block_inverse)
         rng = np.random.default_rng(3)
-        v = random_complex(rng, sys_.dim, 2)
+        v = random_complex(rng, sys_.array_dim, 2)
         assert np.array_equal(pk.apply(v), pz.apply(v))
 
     def test_row_segments_match_dense_blockdiag(self):
         sys_ = small_system(ny=2, nx=3)
         p = build_pz(sys_)
         rng = np.random.default_rng(4)
-        v = random_complex(rng, sys_.dim, 2)
+        v = random_complex(rng, sys_.array_dim, 2)
         dense = block_diag_dense(sys_, sys_.spec.nx * sys_.spec.ne)
         assert rel_err(p.apply(v), np.linalg.solve(dense, v)) <= 1e-12
 
     def test_pz_first_iteration_beats_pk_on_reference(self):
+        # GMRES on S_A, whose right-hand side is V_A when V_C = 0
         sys_ = generate(ArrayProblemSpec(ny=6, nx=6, ne=8, seed=2024))
-        op = BorderedOperator.from_system(sys_)
-        apply_z = lambda u: bordered_matvec(op, u)
-        v = build_excitations(sys_, 0).matrix
+        s = SchurComplement.from_system(sys_, build_pk(sys_).border_inverse)
+        apply_z = lambda u: schur_matvec(s, u)
+        v = build_excitations(sys_, 0).matrix[: sys_.array_dim]
         cfg = GmresConfig(tol=1e-3, max_iter=200)
         _, rk = solve_multi_rhs_vectorized(apply_z, build_pk(sys_).apply, v, cfg)
         _, rz = solve_multi_rhs_vectorized(apply_z, build_pz(sys_).apply, v, cfg)
@@ -151,13 +154,21 @@ class TestApply:
         sys_ = small_system()
         p = build_pk(sys_)
         rng = np.random.default_rng(6)
-        w = random_complex(rng, sys_.dim)[:, None]
+        w = random_complex(rng, sys_.array_dim)[:, None]
         dense = block_diag_dense(sys_, sys_.spec.ne)
         assert rel_err(p.apply(dense @ w), w) <= 1e-12
+
+    def test_border_inverse_is_that_of_z_c(self):
+        # the elimination applies it; P_A^-1 leaves the border alone
+        sys_ = small_system()
+        p = build_pk(sys_)
+        assert rel_err(p.border_inverse @ sys_.zc, np.eye(sys_.nb)) <= 1e-12
 
     def test_shape_error(self):
         p = build_pk(small_system())
         with pytest.raises(ShapeError):
             p.apply(np.ones((5, 1)))
+        with pytest.raises(ShapeError):  # the bordered system's rows are not the array's
+            p.apply(np.ones((p.array_dim + p.border_inverse.shape[0], 1)))
         with pytest.raises(ShapeError, match="not divisible by block side 4"):
             Preconditioner(p.block_inverse, p.border_inverse, p.array_dim + 1)
