@@ -84,7 +84,7 @@ _EXIT_IO = 5
 _BYTES_PER_SCALAR = 16
 
 # version of the report JSON that ``solve`` writes
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 @dataclass
@@ -97,16 +97,17 @@ class SolveRecord:
         method       phases                          memory
         dense        dense_fill lu_factor lu_solve   generator dense_equivalent solution
                                                      dense
-        gmres-dense  precond_build dense_fill        generator dense_equivalent solution
-                     matvec precond_apply krylov     dense precond krylov
+        gmres-dense  dense_fill schur_build          generator dense_equivalent solution
+                     precond_build matvec            dense schur precond krylov
+                     precond_apply krylov
         rybicki      level1_fill recursion           generator dense_equivalent solution
                      [inverse_columns] border        level1 rhs stacks
-        mlfft-*      precond_build                   generator dense_equivalent solution
-                     spectral_precompute matvec      spectral precond krylov
-                     precond_apply krylov
+        mlfft-*      schur_build precond_build       generator dense_equivalent solution
+                     matvec precond_apply krylov     schur precond krylov
 
     ``counts`` holds a GMRES method's ``operator_calls`` and
-    ``operator_columns``, summed over its groups, and is empty otherwise.
+    ``operator_columns``, summed over its groups, rybicki's
+    ``recursion_steps`` and ``recursion_columns``, and is empty for dense.
 
     precision: for a GMRES method ``GmresConfig.basis_dtype`` of the tol GMRES ran at (see
         ``run_method``), else complex128.
@@ -120,18 +121,22 @@ class SolveRecord:
         solved from the end columns.
     border: the rest of a rybicki solve: routing the block and stacking the recursion's block,
         then the Schur border elimination.
-    precond_build, spectral_precompute: form the preconditioner, Z_A's spectral operator and their
-        complex64 copies; a GMRES method builds the preconditioner first.
+    schur_build: form S_A: Z_C^-1, and Z_A's spectral operator for mlfft-*.
+    precond_build: form P_A, the inverse P'_X^-1.
     matvec, precond_apply: the S_A and P_A^-1 calls inside GMRES, summed.
-    krylov (phase): the rest: forming b~, GMRES's own work and back-substituting I_C.
+    krylov (phase): the rest: forming b~, the complex64 copies, GMRES's own work and
+        back-substituting I_C.
     generator: ``gen.blocks``, (2ny-1)(2nx-1)ne^2 scalars.
     dense_equivalent: a dense Z, dim^2 scalars; dense: the dense Z the method allocated.
     solution: the returned block; ``solve`` lets GMRES write it over the excitation block.
-    spectral: the transformed generator, plus complex64 copies of it and of Z_B; no copy of Z_C.
-    precond: the two inverses, P'_X^-1 and Z_C^-1, plus their complex64 copies.
+    schur: Z_C^-1 and, for mlfft-*, the transformed generator, plus the complex64 copies of them
+        and of Z_B when GMRES ran in complex64; gmres-dense's S_A has no copy.
+    precond: P'_X^-1, plus its complex64 copy when GMRES ran in complex64.
     krylov (memory): the largest ``basis_bytes`` of the groups, whose vectors are ``array_dim``
         long; a solve holds one block's basis.
     operator_calls, operator_columns: the S_A calls, exit residuals included, and their columns.
+    recursion_steps, recursion_columns: the Rybicki recursion's N - 1 steps (N = ny) and the
+        columns it carries.
     level1, rhs, stacks: the bytes ``schur_solve`` reports holding.  The level-1 bytes lie
         inside ``solution``'s when the solution is at least as large, so the two do not add.
     """
@@ -179,16 +184,18 @@ def run_method(
     by ``schur_solve`` for ``rybicki``.
 
     A GMRES method eliminates the border (``bordered`` states the residual
-    identity).  It writes b~ = V_A - Z_B^T Z_C^-1 V_C into the solution's
-    array rows, ``RHS_PANEL`` columns at a time; b~ is a copy of V_A, with
-    no product, when V_C = 0.  GMRES then solves S_A I_A = b~ over those
-    rows, right-preconditioned by P_A, and I_C = Z_C^-1 (V_C - Z_B I_A) is
-    formed in complex128.  GMRES bounds each column's residual by its tol
-    times ||b~_j||, so with V_C != 0 it runs at
+    identity).  It builds S_A, which forms Z_C^-1, then P_A, and writes
+    b~ = V_A - Z_B^T Z_C^-1 V_C into the solution's array rows,
+    ``RHS_PANEL`` columns at a time; b~ is a copy of V_A, with no product,
+    when V_C = 0.  GMRES bounds each column's residual by its tol times
+    ||b~_j||, so with V_C != 0 it runs at
     tol * min(1, min_j ||V_j|| / ||b~_j||) over the columns with b~_j != 0,
-    and every column meets tol * ||V_j||.  The record's residual is
-    relative to ||V||_F, taken from V's column norms before anything is
-    written.  A GMRES NoConvergence is re-raised with the whole iterate as
+    and every column meets tol * ||V_j||.  Only then, when that tol runs
+    in complex64, are the complex64 copies of P_A and S_A formed.  GMRES
+    solves S_A I_A = b~ over the array rows, right-preconditioned by P_A,
+    and I_C = Z_C^-1 (V_C - Z_B I_A) is formed in complex128.  The
+    record's residual is relative to ||V||_F, taken from V's column norms
+    before anything is written.  A GMRES NoConvergence is re-raised with the whole iterate as
     ``solution`` and the finished record as ``record``.
 
     ``overwrite_rhs`` lets a GMRES method write b~, then its solution, over
@@ -246,45 +253,23 @@ def run_method(
         # schur_solve times fill, recursion and inverse columns; border is the rest of solve_s
         phases["border"] = rec.solve_s - sum(report.phases.values())
         rec.memory.update(report.memory)
+        rec.counts.update(report.counts)
         op = BorderedOperator.from_system(sys_)
         rec.residual = _panel_residual(lambda u: bordered_matvec(op, u), x, v)
         return x, rec, rec.groups
 
     # gmres-dense, or mlfft-<precond>-vec: GMRES on S_A I_A = b~ over the array rows,
-    # then I_C = Z_C^-1 (V_C - Z_B I_A).  GMRES hands the operators blocks of the basis
-    # dtype, and complex128 ones for the iterate and the exit residual; a complex64
-    # block runs on the complex64 copies, formed in the phase that builds each part.
-    # gmres-dense's Z stays complex128.
-    single = cfg.basis_dtype != np.complex128
+    # then I_C = Z_C^-1 (V_C - Z_B I_A)
     adim = sys_.array_dim
-
-    def with_copy(build, *args):
-        made = build(*args)
-        return made, numerics.astype(made, cfg.basis_dtype) if single else made
-
-    # the builder is read from the module globals here, so a wrapped ``build_pk``
-    # (as ``perfbench``'s trace installs) is the one run
-    build = build_pz if method == "mlfft-pz-vec" else build_pk
-    p, p_b = sequential("precond_build", with_copy, build, sys_)
-    rec.memory["precond"] = p.stored_bytes + (p_b.stored_bytes if single else 0)
+    za = None  # S_A then forms Z_A's spectral operator
     if method == "gmres-dense":
         full = sequential("dense_fill", assemble_full, sys_, cap)
         rec.memory["dense"] = full.nbytes
-        s = s_b = SchurComplement(full[:adim, :adim], sys_.zb, p.border_inverse)
-    else:
-        def spectral():
-            made = SchurComplement.from_system(sys_, p.border_inverse)
-            # the copy holds the preconditioner's complex64 Z_C^-1
-            return made, numerics.astype(replace(made, zc_inverse=p_b.border_inverse),
-                                         cfg.basis_dtype) if single else made
-
-        s, s_b = sequential("spectral_precompute", spectral)
-        # the complex128 Z_B belongs to the system, and both copies of Z_C^-1 to the preconditioner
-        rec.memory["spectral"] = s.za.diag_blocks.nbytes + (
-            s_b.za.diag_blocks.nbytes + s_b.zb.nbytes if single else 0)
-    operator = lambda u: schur_matvec(s_b if u.dtype == cfg.basis_dtype else s, u)
-    precondition = lambda u: (p_b if u.dtype == cfg.basis_dtype else p).apply(u)
-
+        za = full[:adim, :adim]
+    s = sequential("schur_build", SchurComplement.from_system, sys_, za)
+    # the builder is read from the module globals here, so a wrapped ``build_pk``
+    # (as ``perfbench``'s trace installs) is the one run
+    p = sequential("precond_build", build_pz if method == "mlfft-pz-vec" else build_pk, sys_)
     # b~ = V_A - Z_B^T Z_C^-1 V_C goes into the solution's array rows, which are V's own
     # under overwrite_rhs; GMRES then solves over those rows
     v_norms = np.linalg.norm(v, axis=0)  # read before b~ is written over V
@@ -294,14 +279,25 @@ def run_method(
     if vc.any():
         for c in range(0, v.shape[1], RHS_PANEL):
             cols = slice(c, c + RHS_PANEL)
-            xa[:, cols] = v[:adim, cols] - sys_.zb.T @ (p.border_inverse @ vc[:, cols])
+            xa[:, cols] = v[:adim, cols] - sys_.zb.T @ (s.zc_inverse @ vc[:, cols])
         # GMRES bounds ||r_j|| by its tol times ||b~_j||; the bordered bound is tol ||V_j||
         b_norms = np.linalg.norm(xa, axis=0)
         live = b_norms > 0.0
         run_cfg = replace(cfg, tol=tol * float((v_norms[live] / b_norms[live]).min(initial=1.0)))
     elif x is not v:
         xa[...] = v[:adim]
-    rec.precision = run_cfg.basis_dtype.name
+    # GMRES hands the operators blocks of its basis dtype, and complex128 ones for the
+    # iterate and the exit residual; a complex64 block runs on the complex64 copies
+    # (astype copies nothing at complex128).  gmres-dense's S_A stays complex128.
+    dtype = run_cfg.basis_dtype
+    p_b, s_b = numerics.astype(p, dtype), numerics.astype(s, dtype) if za is None else s
+    operator = lambda u: schur_matvec(s_b if u.dtype == dtype else s, u)
+    precondition = lambda u: (p_b if u.dtype == dtype else p).apply(u)
+    rec.precision = dtype.name
+    # S_A forms Z_C^-1 and a spectral Z_A; Z_B is the system's and a dense Z_A is ``dense``'s
+    rec.memory.update(schur=s.zc_inverse.nbytes + (s.za.diag_blocks.nbytes if za is None else 0)
+                      + numerics.copied_bytes(s, s_b),
+                      precond=p.block_inverse.nbytes + numerics.copied_bytes(p, p_b))
     phases.update(matvec=0.0, precond_apply=0.0)
     failure = None
     try:
@@ -310,7 +306,7 @@ def run_method(
                                                 xa, run_cfg, overwrite_rhs=True)
     except NoConvergence as exc:
         failure, reports = exc, exc.reports
-    x[adim:] = p.border_inverse @ (vc - sys_.zb @ xa)
+    x[adim:] = s.zc_inverse @ (vc - sys_.zb @ xa)
     end = time.perf_counter()
     rec.solve_s, rec.groups = end - t0, reports
     phases["krylov"] = end - last - phases["matvec"] - phases["precond_apply"]

@@ -7,7 +7,8 @@ The operators (``toeplitz.matvec``, ``bordered_matvec``,
 matmul does: in ``np.result_type`` of the arrays they hold and the block
 they get, and they return that dtype.  GMRES alone rounds an operator's output to its
 basis dtype.  The LU helpers add the solvers' shape and singularity
-contracts to LAPACK, via ``scipy.linalg``.
+contracts to LAPACK, via ``scipy.linalg``; ``inverse`` is the one way a
+solver forms an inverse from them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, ShapeError, SingularMatrix
 
-__all__ = ["LUFactors", "as_columns", "astype", "condition_estimate", "lu_factor", "lu_solve"]
+__all__ = ["LUFactors", "as_columns", "astype", "condition_estimate", "copied_bytes", "inverse",
+           "lu_factor", "lu_solve"]
 
 # pivots below this magnitude count as exact zeros: an underflow guard that no PR has tuned
 _PIVOT_TINY = 1e-300
@@ -67,6 +69,14 @@ def astype(obj, dtype):
     return dataclasses.replace(obj, **cast)
 
 
+def copied_bytes(obj, copy) -> int:
+    """Bytes of the arrays ``astype`` allocated to make ``copy`` from ``obj``; 0 for arrays it kept."""
+    if dataclasses.is_dataclass(obj):
+        return sum(copied_bytes(getattr(obj, f.name), getattr(copy, f.name))
+                   for f in dataclasses.fields(obj))
+    return copy.nbytes if copy is not obj else 0  # astype keeps every other field as it is
+
+
 def lu_factor(a) -> LUFactors:
     """LU-factor a square block, as complex128, with partial (row) pivoting.
 
@@ -99,6 +109,15 @@ def lu_solve(f: LUFactors, rhs) -> np.ndarray:
     if not f.side:
         return np.empty(arr.shape, dtype=np.complex128)
     return scipy.linalg.lu_solve((f.lu, f.piv), arr, check_finite=False)
+
+
+def inverse(a) -> np.ndarray:
+    """a^-1 as a C-order complex128 block, by LU and back substitution against I.
+
+    Raises as ``lu_factor`` does, SingularMatrix on a singular block; a 0x0 block gives a 0x0 inverse.
+    """
+    f = lu_factor(a)
+    return np.ascontiguousarray(lu_solve(f, np.eye(f.side)))
 
 
 def condition_estimate(a, f: LUFactors) -> float:

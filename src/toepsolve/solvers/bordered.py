@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeError
-from ..numerics import as_columns
+from ..numerics import as_columns, inverse
 from ..toeplitz import SpectralOperator, matvec, precompute_spectral
 
 __all__ = ["BorderedOperator", "SchurComplement", "bordered_matvec", "schur_matvec"]
@@ -82,7 +82,8 @@ class SchurComplement:
     """Matrix-free S_A = Z_A - Z_B^T Z_C^-1 Z_B, the array block with the border eliminated.
 
     ``za`` is Z_A's spectral operator, or a dense (array_dim, array_dim)
-    block; ``zc_inverse`` is Z_C^-1, as the preconditioner builders form it.
+    block; ``zc_inverse`` is Z_C^-1, which ``from_system`` forms, the one
+    place a solver inverts Z_C.
     """
 
     za: SpectralOperator | np.ndarray
@@ -98,9 +99,9 @@ class SchurComplement:
             )
 
     @classmethod
-    def from_system(cls, sys, zc_inverse) -> "SchurComplement":
-        """S_A of the system, with Z_A as its spectral operator."""
-        return cls(precompute_spectral(sys.gen), sys.zb, zc_inverse)
+    def from_system(cls, sys, za=None) -> "SchurComplement":
+        """S_A of the system: Z_C^-1 by ``numerics.inverse``; Z_A is ``za``, else its spectral operator."""
+        return cls(precompute_spectral(sys.gen) if za is None else za, sys.zb, inverse(sys.zc))
 
     @property
     def array_dim(self) -> int:

@@ -1,13 +1,12 @@
 """Block-diagonal preconditioners for GMRES on the array's Schur complement.
 
 GMRES iterates on S_A = Z_A - Z_B^T Z_C^-1 Z_B, the array block with the
-border eliminated (``bordered.schur_matvec``), preconditioned by
+border eliminated (``bordered.SchurComplement``), right-preconditioned by
 P_A = diag(P'_X, ..., P'_X).  The shared block P'_X is the self block of
 one element ("pk", side ne) or the assembled self interaction of one
-array row ("pz", side nx*ne, a 1-level block-Toeplitz matrix).  The
-builders also form Z_C^-1, the ``border_inverse`` that the elimination
-applies.  Both inverses are formed once, from their LU factors, so
-applying P_A^-1 is one product broadcast over the array segments.
+array row ("pz", side nx*ne, a 1-level block-Toeplitz matrix).  Its
+inverse is formed once, by ``numerics.inverse``, so applying P_A^-1 is
+one product broadcast over the array segments.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ __all__ = ["Preconditioner", "build_pk", "build_pz"]
 
 @dataclass(frozen=True, eq=False)
 class Preconditioner:
-    """Shared-inverse block-diagonal preconditioner over the array segments, with Z_C^-1 beside it."""
+    """P_A = diag(P'_X, ..., P'_X): one shared block inverse over the array segments."""
 
     block_inverse: np.ndarray  # (side, side), shared by every array segment
-    border_inverse: np.ndarray  # (nb, nb)
     array_dim: int
 
     def __post_init__(self):
@@ -36,11 +34,6 @@ class Preconditioner:
             raise ShapeError(
                 f"array dim {self.array_dim} not divisible by block side {self.block_inverse.shape[0]}"
             )
-
-    @property
-    def stored_bytes(self) -> int:
-        """Bytes of the two stored inverses."""
-        return self.block_inverse.nbytes + self.border_inverse.nbytes
 
     def apply(self, v) -> np.ndarray:
         """P_A^-1 v for an (array_dim, columns) block v."""
@@ -52,19 +45,9 @@ class Preconditioner:
         return out
 
 
-def _inverse(a) -> np.ndarray:
-    """a^-1 as a C-order block, by LU and back substitution against I; SingularMatrix if singular."""
-    f = numerics.lu_factor(a)
-    return np.ascontiguousarray(numerics.lu_solve(f, np.eye(f.side)))
-
-
-def _build(sys, block) -> Preconditioner:
-    return Preconditioner(_inverse(block), _inverse(sys.zc), sys.array_dim)
-
-
 def build_pk(sys) -> Preconditioner:
     """Element-block preconditioner: one inverse of the level-0 self block, ne^2 scalars."""
-    return _build(sys, sys.gen.blocks[0, 0])
+    return Preconditioner(numerics.inverse(sys.gen.blocks[0, 0]), sys.array_dim)
 
 
 def build_pz(sys) -> Preconditioner:
@@ -72,4 +55,4 @@ def build_pz(sys) -> Preconditioner:
 
     It stores nx^2*ne^2 scalars; for nx = 1 it coincides with ``build_pk``'s.
     """
-    return _build(sys, assemble_dense_1l(sys.gen.blocks[0]))
+    return Preconditioner(numerics.inverse(assemble_dense_1l(sys.gen.blocks[0])), sys.array_dim)

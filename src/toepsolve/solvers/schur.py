@@ -40,10 +40,11 @@ RHS_PANEL = 64
 
 
 class SchurReport(NamedTuple):
-    """The seconds of a solve's ``phases`` and the bytes of what it holds (see ``schur_solve``)."""
+    """A solve's ``phases`` (seconds), ``memory`` (bytes it holds) and ``counts`` (see ``schur_solve``)."""
 
     phases: dict[str, float]
     memory: dict[str, int]
+    counts: dict[str, int]
 
 
 def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
@@ -55,8 +56,10 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
     border elimination) and the bytes of ``level1`` (the 2N-1 level-1
     blocks, N = n2), ``rhs`` (Z_B^T, beside V_A on the recursion route)
     and ``stacks`` (G and H, which end as the end block columns: 2N
-    blocks).  A ``v`` with inf or NaN raises ShapeError before anything
-    is allocated.
+    blocks), and the ``counts`` of the recursion's ``recursion_steps``
+    (N - 1) and ``recursion_columns`` (nb, plus the block's columns on
+    the recursion route).  A ``v`` with inf or NaN raises ShapeError
+    before anything is allocated.
 
     The solution is allocated first.  When the level-1 blocks are no
     larger, they are assembled in its leading bytes: they are dead once
@@ -96,6 +99,7 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
     uf, ends = rybicki_solve(level1, rhs)
     phases["recursion"] = time.perf_counter() - t0
     memory = {"level1": level1.nbytes, "rhs": rhs.nbytes, "stacks": ends.first.nbytes + ends.last.nbytes}
+    counts = {"recursion_steps": sys.gen.n2 - 1, "recursion_columns": rhs.shape[1]}
     del level1  # dead from here: the solution may be written over it
 
     if feed:
@@ -118,5 +122,5 @@ def schur_solve(sys: BorderedSystem, v) -> tuple[np.ndarray, SchurReport]:
         cols = slice(c, c + RHS_PANEL)
         np.subtract(u[:, cols], f @ ic[:, cols], out=solution[:adim, cols])
 
-    return solution, SchurReport(phases, memory)
+    return solution, SchurReport(phases, memory, counts)
 

@@ -60,12 +60,19 @@ def test_complex64_input_on_a_complex128_operator_is_computed_in_complex128(syst
 
 
 def schur_of(sys_, dense=False):
-    """S_A of ``sys_``, with Z_A spectral or dense, and Z_C^-1 by LAPACK."""
-    zc_inverse = np.linalg.inv(sys_.zc)
-    if dense:
-        a = sys_.array_dim
-        return SchurComplement(assemble_full(sys_)[:a, :a], sys_.zb, zc_inverse)
-    return SchurComplement.from_system(sys_, zc_inverse)
+    """S_A of ``sys_`` by ``from_system``, with Z_A spectral or dense."""
+    a = sys_.array_dim
+    return SchurComplement.from_system(sys_, assemble_full(sys_)[:a, :a] if dense else None)
+
+
+@pytest.mark.parametrize("nb", [8, 0], ids=["border", "nb-0"])
+def test_border_inverse_is_that_of_z_c(nb):
+    # S_A alone forms Z_C^-1, which the elimination applies; P_A leaves the border alone
+    sys_ = generate(ArrayProblemSpec(ny=3, nx=3, ne=4, nb=nb, seed=7))
+    s = SchurComplement.from_system(sys_)
+    assert s.zc_inverse.shape == (nb, nb)
+    assert s.zc_inverse.dtype == np.complex128 and s.zc_inverse.flags.c_contiguous
+    assert rel_err(s.zc_inverse @ sys_.zc, np.eye(nb)) <= 1e-12
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["spectral", "dense"])

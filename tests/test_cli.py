@@ -198,7 +198,7 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
     argv = ["solve", str(problem), "--multi", multi, "--tol", "1e-14", "--max-iter", "1"]
     assert cli.main(argv) == 3
     report = json.loads(problem.with_name("p.tbz.sol.json").read_text())
-    assert report["schema_version"] == 7 and list(report) == ["schema_version", "record"]
+    assert report["schema_version"] == 8 and list(report) == ["schema_version", "record"]
     record = report["record"]
     assert not record["ok"] and record["memory"]["krylov"] > 0
     assert len(record["groups"]) == 1  # the 4 columns are one block
@@ -210,19 +210,19 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
     assert abs(record["residual"] - want) <= 1e-12 * want
 
 
-GMRES_PHASES = {"precond_build", "matvec", "precond_apply", "krylov"}
+GMRES_PHASES = {"schur_build", "precond_build", "matvec", "precond_apply", "krylov"}
+GMRES_MEMORY = {"schur", "precond", "krylov"}
 GMRES_COUNTS = {"operator_calls", "operator_columns"}
-FFT_KEYS = ({"spectral_precompute"} | GMRES_PHASES, {"spectral", "precond", "krylov"}, GMRES_COUNTS)
+FFT_KEYS = (GMRES_PHASES, GMRES_MEMORY, GMRES_COUNTS)
 # method -> (phases, memory keys, count keys, GMRES blocks of the 36-column solve: one
 # of 32 and one of 4 columns, preconditioner builder); on the 6x6 grid, ne 8, pk
-# stores 8^2 + nb^2 scalars and pz 48^2 + nb^2
+# stores 8^2 scalars and pz 48^2
 RECORD_KEYS = {
     "dense": ({"dense_fill", "lu_factor", "lu_solve"}, {"dense"}, set(), 0, None),
-    "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense", "precond", "krylov"}, GMRES_COUNTS, 2,
-                    build_pk),
+    "gmres-dense": ({"dense_fill"} | GMRES_PHASES, {"dense"} | GMRES_MEMORY, GMRES_COUNTS, 2, build_pk),
     # the feed columns take the inverse's columns, a phase of their own
     "rybicki": ({"level1_fill", "recursion", "inverse_columns", "border"}, {"level1", "rhs", "stacks"},
-                set(), 0, None),
+                {"recursion_steps", "recursion_columns"}, 0, None),
     "mlfft-pk-vec": (*FFT_KEYS, 2, build_pk),
     "mlfft-pz-vec": (*FFT_KEYS, 2, build_pz),
 }
@@ -246,12 +246,43 @@ def test_record_holds_only_what_the_method_ran(grid6, method):
     # tol 1e-3 runs GMRES in complex64; the direct methods are complex128
     assert rec.precision == ("complex64" if groups else "complex128")
     if build is not None:
-        # every GMRES method hands complex64 blocks to the preconditioner, which
-        # forms complex64 copies of its inverses (half their bytes)
-        want = build(grid6[0]).stored_bytes
+        # every GMRES method hands complex64 blocks to the preconditioner, whose
+        # complex64 copy of its inverse takes half its bytes
+        want = build(grid6[0]).block_inverse.nbytes
         assert rec.memory["precond"] == want + want // 2
     # the phases cover the solve; the absolute floor keeps a fast solve from flaking
     assert abs(sum(rec.phases.values()) - rec.solve_s) <= max(0.05 * rec.solve_s, 1e-3)
+
+
+@pytest.mark.parametrize("tol, precision", [(2e-5, "complex128"), (1e-3, "complex64")])
+def test_record_counts_the_complex64_copies_only_when_gmres_ran_in_complex64(tol, precision):
+    # V_C != 0 and 30 Z_B scale GMRES's tol 2e-5 below SINGLE_PRECISION_TOL, so it runs in
+    # complex128 on no copy; at 1e-3 it runs in complex64 on copies of P'_X^-1 and of S_A's
+    # transformed generator, Z_B and Z_C^-1, each half the bytes of what it copies
+    base = generate(ArrayProblemSpec(ny=4, nx=5, ne=3, nb=6, seed=4))
+    sys_ = BorderedSystem(base.gen, 30.0 * base.zb, base.zc, base.spec)
+    v = random_complex(np.random.default_rng(5), sys_.dim, 7)
+    _, rec, _ = cli.run_method(sys_, v, "mlfft-pk-vec", tol)
+    assert rec.precision == precision
+    # P'_X^-1 is 3 x 3; S_A holds 7 x 9 transformed 3 x 3 blocks and the 6 x 6 Z_C^-1
+    precond, schur = 3**2 * 16, (7 * 9 * 3**2 + 6**2) * 16
+    if precision == "complex64":  # each copy takes half the bytes of what it copies
+        precond, schur = precond * 3 // 2, schur * 3 // 2 + sys_.zb.nbytes // 2
+    assert (rec.memory["precond"], rec.memory["schur"]) == (precond, schur)
+
+
+@pytest.mark.parametrize("case", ["16x16-feeds", "dense-v"])
+def test_rybicki_record_counts_the_recursion(case):
+    # N - 1 steps carry Z_B^T's nb columns, and on the recursion route V_A's too
+    if case == "16x16-feeds":
+        sys_ = generate(ArrayProblemSpec(ny=16, nx=16, ne=8))
+        v, want = build_excitations(sys_, 0).matrix, {"recursion_steps": 15, "recursion_columns": 256}
+    else:
+        sys_ = generate(ArrayProblemSpec(ny=3, nx=4, ne=2))
+        v = random_complex(np.random.default_rng(9), sys_.dim, 5)
+        want = {"recursion_steps": 2, "recursion_columns": sys_.nb + 5}
+    _, rec, _ = cli.run_method(sys_, v, "rybicki", tol=1e-3)
+    assert rec.counts == want
 
 
 def test_record_follows_the_solver_block_partition(grid6, monkeypatch):

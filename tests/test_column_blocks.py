@@ -24,7 +24,7 @@ from toepsolve.toeplitz import block_fft_2l, extract_result, matvec, pad_rhs
 SYS = generate(ArrayProblemSpec(ny=2, nx=3, ne=2, nb=3, seed=5))
 OP = BorderedOperator.from_system(SYS)
 PK = build_pk(SYS)
-S_A = SchurComplement.from_system(SYS, PK.border_inverse)
+S_A = SchurComplement.from_system(SYS)
 N2, N1, N0 = SYS.gen.n2, SYS.gen.n1, SYS.gen.n0
 # rows of the circulant grid, L = 2n-1 per level, as the inverse transform and
 # extract_result expect them

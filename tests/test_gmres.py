@@ -31,9 +31,8 @@ def dense_op(a):
 
 
 def schur_of(sys_):
-    """S_A of ``sys_`` with its spectral Z_A, and the pk preconditioner whose Z_C^-1 it holds."""
-    p = build_pk(sys_)
-    return SchurComplement.from_system(sys_, p.border_inverse), p
+    """S_A of ``sys_`` with its spectral Z_A, and the pk preconditioner."""
+    return SchurComplement.from_system(sys_), build_pk(sys_)
 
 
 def by_dtype(apply, obj):
@@ -155,10 +154,11 @@ class TestPreconditionedSolve:
         # 63 columns: blocks of 32 and 31
         assert len(rec.groups) == 2 and all(g.converged for g in rec.groups)
         assert rel_err(x, want) <= 1e-8
-        # the spectral operator GMRES holds: 13 x 17 blocks of 3 x 3 complex128,
-        # the size of the raw generator
-        assert rec.memory["spectral"] == 13 * 17 * 3 * 3 * 16
-        assert rec.memory["generator"] == rec.memory["spectral"]
+        # S_A holds its spectral operator, 13 x 17 blocks of 3 x 3 complex128 (the size of
+        # the raw generator), and Z_C^-1; tol 1e-10 runs in complex128, with no copies
+        assert rec.precision == "complex128"
+        assert rec.memory["schur"] == 13 * 17 * 3 * 3 * 16 + sys_.nb**2 * 16
+        assert rec.memory["generator"] == rec.memory["schur"] - sys_.nb**2 * 16
 
     @pytest.mark.parametrize("method", ["mlfft-pk-vec", "mlfft-pz-vec"])
     def test_record_residual_is_the_true_residual(self, method):
@@ -611,7 +611,7 @@ class TestPrecision:
 
         monkeypatch.setattr(cli, "schur_matvec", spy("S_A", schur_matvec, schur_arrays))
         monkeypatch.setattr(Preconditioner, "apply",
-                            spy("P_A", Preconditioner.apply, lambda p: (p.block_inverse, p.border_inverse)))
+                            spy("P_A", Preconditioner.apply, lambda p: (p.block_inverse,)))
         sys_ = generate(ArrayProblemSpec(ny=4, nx=4, ne=4))
         cli.run_method(sys_, build_excitations(sys_, 0).matrix, method, tol)
         assert {name for name, _, _ in seen} == {"S_A", "P_A"}

@@ -6,7 +6,15 @@ import scipy.linalg
 
 from helpers import random_complex, rel_err
 from toepsolve.errors import DimensionMismatch, ShapeError, SingularMatrix
-from toepsolve.numerics import as_columns, astype, condition_estimate, lu_factor, lu_solve
+from toepsolve.numerics import (
+    as_columns,
+    astype,
+    condition_estimate,
+    copied_bytes,
+    inverse,
+    lu_factor,
+    lu_solve,
+)
 from toepsolve.problems import ArrayProblemSpec, generate
 from toepsolve.solvers import BorderedOperator
 
@@ -143,3 +151,18 @@ def test_astype_casts_every_array_field_and_shares_the_rest():
     # an array already of the dtype is shared, not copied
     same = astype(op, np.complex128)
     assert same.zb is op.zb and same.spectral.diag_blocks is op.spectral.diag_blocks
+    # and only the arrays it cast count as copied, nested ones too
+    assert copied_bytes(op, same) == 0
+    assert copied_bytes(op, single) == (op.spectral.diag_blocks.nbytes + op.zb.nbytes + op.zc.nbytes) // 2
+
+
+def test_inverse_by_lu_against_the_identity():
+    rng = np.random.default_rng(8)
+    a = random_complex(rng, 8, 8) + 4.0 * np.eye(8)
+    got = inverse(a)
+    assert got.dtype == np.complex128 and got.flags.c_contiguous
+    assert rel_err(got @ a, np.eye(8)) <= 1e-12 and rel_err(a @ got, np.eye(8)) <= 1e-12
+    with pytest.raises(SingularMatrix):
+        inverse([[1, 2], [2, 4]])
+    empty = inverse(np.zeros((0, 0)))
+    assert empty.shape == (0, 0) and empty.dtype == np.complex128
