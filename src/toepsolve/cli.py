@@ -84,12 +84,16 @@ _EXIT_IO = 5
 _BYTES_PER_SCALAR = 16
 
 # version of the report JSON that ``solve`` writes
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 @dataclass
 class SolveRecord:
-    """One solve by one method: R in ``solve``'s ``{"schema_version": SCHEMA_VERSION, "record": R}``.
+    """One solve by one method: R in ``solve``'s report.
+
+    The report is ``{"schema_version": SCHEMA_VERSION, "load_s": L, "record": R}``,
+    where L is the wall time (seconds) of ``load`` reading the TBZ file, on
+    exit 0 and on exit 3 alike; it lies outside R's ``solve_s``.
 
     ``phases`` (seconds) and ``memory`` (bytes: 16 per complex128 scalar, 8
     per complex64 one) hold only what the method ran and holds:
@@ -183,20 +187,17 @@ def run_method(
     NaN once, before any fill: here for ``dense`` and the GMRES methods,
     by ``schur_solve`` for ``rybicki``.
 
-    A GMRES method eliminates the border (``bordered`` states the residual
-    identity).  It builds S_A, which forms Z_C^-1, then P_A, and writes
-    b~ = V_A - Z_B^T Z_C^-1 V_C into the solution's array rows,
-    ``RHS_PANEL`` columns at a time; b~ is a copy of V_A, with no product,
-    when V_C = 0.  GMRES bounds each column's residual by its tol times
-    ||b~_j||, so with V_C != 0 it runs at
-    tol * min(1, min_j ||V_j|| / ||b~_j||) over the columns with b~_j != 0,
-    and every column meets tol * ||V_j||.  Only then, when that tol runs
-    in complex64, are the complex64 copies of P_A and S_A formed.  GMRES
-    solves S_A I_A = b~ over the array rows, right-preconditioned by P_A,
-    and I_C = Z_C^-1 (V_C - Z_B I_A) is formed in complex128.  The
-    record's residual is relative to ||V||_F, taken from V's column norms
-    before anything is written.  A GMRES NoConvergence is re-raised with the whole iterate as
-    ``solution`` and the finished record as ``record``.
+    A GMRES method eliminates the border; ``bordered`` states the formulas
+    and the residual identity.  It builds S_A, which forms Z_C^-1, then
+    P_A.  S_A writes b~ into the solution's array rows and scales GMRES's
+    tol, so that every column meets tol * ||V_j||.  Only then, when that
+    tol runs in complex64, are the complex64 copies of P_A and S_A
+    formed.  GMRES solves S_A I_A = b~ over the array rows,
+    right-preconditioned by P_A, and S_A back-substitutes I_C in
+    complex128.  The record's residual is relative to ||V||_F, taken from
+    V's column norms before anything is written.  A GMRES NoConvergence
+    is re-raised with the whole iterate as ``solution`` and the finished
+    record as ``record``.
 
     ``overwrite_rhs`` lets a GMRES method write b~, then its solution, over
     a complex128 ``v``; the solution and the record are bitwise those of a
@@ -259,7 +260,7 @@ def run_method(
         return x, rec, rec.groups
 
     # gmres-dense, or mlfft-<precond>-vec: GMRES on S_A I_A = b~ over the array rows,
-    # then I_C = Z_C^-1 (V_C - Z_B I_A)
+    # then S_A back-substitutes I_C
     adim = sys_.array_dim
     za = None  # S_A then forms Z_A's spectral operator
     if method == "gmres-dense":
@@ -270,22 +271,11 @@ def run_method(
     # the builder is read from the module globals here, so a wrapped ``build_pk``
     # (as ``perfbench``'s trace installs) is the one run
     p = sequential("precond_build", build_pz if method == "mlfft-pz-vec" else build_pk, sys_)
-    # b~ = V_A - Z_B^T Z_C^-1 V_C goes into the solution's array rows, which are V's own
-    # under overwrite_rhs; GMRES then solves over those rows
+    # b~ goes into the solution's array rows, which are V's own under overwrite_rhs;
+    # GMRES then solves over those rows
     v_norms = np.linalg.norm(v, axis=0)  # read before b~ is written over V
     x = v if overwrite_rhs and v.dtype == np.complex128 else np.empty(v.shape, dtype=np.complex128)
-    xa, vc = x[:adim], v[adim:]
-    run_cfg = cfg
-    if vc.any():
-        for c in range(0, v.shape[1], RHS_PANEL):
-            cols = slice(c, c + RHS_PANEL)
-            xa[:, cols] = v[:adim, cols] - sys_.zb.T @ (s.zc_inverse @ vc[:, cols])
-        # GMRES bounds ||r_j|| by its tol times ||b~_j||; the bordered bound is tol ||V_j||
-        b_norms = np.linalg.norm(xa, axis=0)
-        live = b_norms > 0.0
-        run_cfg = replace(cfg, tol=tol * float((v_norms[live] / b_norms[live]).min(initial=1.0)))
-    elif x is not v:
-        xa[...] = v[:adim]
+    run_cfg = replace(cfg, tol=tol * s.reduced_rhs(v, x, v_norms))
     # GMRES hands the operators blocks of its basis dtype, and complex128 ones for the
     # iterate and the exit residual; a complex64 block runs on the complex64 copies
     # (astype copies nothing at complex128).  gmres-dense's S_A stays complex128.
@@ -303,10 +293,10 @@ def run_method(
     try:
         _, reports = solve_multi_rhs_vectorized(lambda u: timed("matvec", operator, u),
                                                 lambda u: timed("precond_apply", precondition, u),
-                                                xa, run_cfg, overwrite_rhs=True)
+                                                x[:adim], run_cfg, overwrite_rhs=True)
     except NoConvergence as exc:
         failure, reports = exc, exc.reports
-    x[adim:] = s.zc_inverse @ (vc - sys_.zb @ xa)
+    s.border_currents(v, x)
     end = time.perf_counter()
     rec.solve_s, rec.groups = end - t0, reports
     phases["krylov"] = end - last - phases["matvec"] - phases["precond_apply"]
@@ -400,7 +390,9 @@ def _rhs_arg(text: str) -> str | int:
 
 
 def _cmd_solve(args) -> int:
+    t = time.perf_counter()
     sys_ = load(args.input)
+    load_s = time.perf_counter() - t
     v = build_excitations(sys_, args.feed, element=None if args.rhs == "all" else args.rhs).matrix
 
     tag = _method_tag(args)
@@ -417,7 +409,8 @@ def _cmd_solve(args) -> int:
 
     np.ascontiguousarray(x, dtype="<c16").tofile(out_path)
     with open(report_path, "w") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, "record": asdict(rec)}, fh, indent=2)
+        json.dump({"schema_version": SCHEMA_VERSION, "load_s": load_s, "record": asdict(rec)}, fh,
+                  indent=2)
     print(
         f"{tag}: dim={sys_.dim}, rhs={v.shape[1]}, iterations={rec.iterations}, "
         f"residual={rec.residual:.3e}, solve={rec.solve_s:.3f}s -> {out_path}"

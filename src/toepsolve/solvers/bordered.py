@@ -1,10 +1,17 @@
-"""Fast matvecs for bordered systems [[Z_A, Z_B^T], [Z_B, Z_C]].
+"""Fast matvecs for bordered systems [[Z_A, Z_B^T], [Z_B, Z_C]], and the border elimination.
 
 The structured part is applied through its spectral operator and the
 small border blocks multiply densely, in the ``numerics`` convention.
-``bordered_matvec`` applies the whole matrix; ``schur_matvec`` applies
-the array block's Schur complement S_A = Z_A - Z_B^T Z_C^-1 Z_B, on
-which GMRES iterates once the border is eliminated.
+``bordered_matvec`` applies the whole matrix.  ``SchurComplement`` is the
+array block's Schur complement S_A = Z_A - Z_B^T Z_C^-1 Z_B, on which
+GMRES iterates once the border is eliminated, and the one owner of
+Z_C^-1: every product with it is one of S_A's three jobs,
+
+- ``schur_matvec``, S_A u;
+- ``SchurComplement.reduced_rhs``, b~ = V_A - Z_B^T Z_C^-1 V_C and the
+  factor that scales GMRES's tol, so that a column that meets
+  tol * ||b~_j|| meets tol * ||V_j||;
+- ``SchurComplement.border_currents``, I_C = Z_C^-1 (V_C - Z_B I_A).
 
 The residual identity.  Let I_A solve S_A I_A = b~ approximately, with
 b~ = V_A - Z_B^T Z_C^-1 V_C, and let I_C = Z_C^-1 (V_C - Z_B I_A).  Then
@@ -26,6 +33,7 @@ import numpy as np
 from ..errors import ShapeError
 from ..numerics import as_columns, inverse
 from ..toeplitz import SpectralOperator, matvec, precompute_spectral
+from .schur import RHS_PANEL
 
 __all__ = ["BorderedOperator", "SchurComplement", "bordered_matvec", "schur_matvec"]
 
@@ -106,6 +114,31 @@ class SchurComplement:
     @property
     def array_dim(self) -> int:
         return self.za.dim if isinstance(self.za, SpectralOperator) else self.za.shape[0]
+
+    def reduced_rhs(self, v: np.ndarray, x: np.ndarray, v_norms: np.ndarray) -> float:
+        """Write b~ into the array rows of ``x`` and return the factor for GMRES's tol.
+
+        ``v`` and ``x`` are (dim, columns) blocks, and ``v_norms`` holds V's
+        column norms, read before anything is written.  b~ is formed
+        ``RHS_PANEL`` columns at a time.  When V_C = 0 it is V_A, copied with
+        no product, and not even copied when ``x`` is ``v``; the factor is
+        then exactly 1.  Else it is min(1, min_j ||V_j|| / ||b~_j||) over
+        the columns with b~_j != 0.
+        """
+        adim = self.array_dim
+        if v[adim:].any():
+            for cols in (slice(c, c + RHS_PANEL) for c in range(0, v.shape[1], RHS_PANEL)):
+                x[:adim, cols] = v[:adim, cols] - self.zb.T @ (self.zc_inverse @ v[adim:, cols])
+            b_norms = np.linalg.norm(x[:adim], axis=0)
+            live = b_norms > 0.0
+            return float((v_norms[live] / b_norms[live]).min(initial=1.0))
+        if x is not v:
+            x[:adim] = v[:adim]
+        return 1.0
+
+    def border_currents(self, v: np.ndarray, x: np.ndarray) -> None:
+        """Write I_C = Z_C^-1 (V_C - Z_B I_A) into the border rows of ``x``, whose array rows hold I_A."""
+        x[self.array_dim :] = self.zc_inverse @ (v[self.array_dim :] - self.zb @ x[: self.array_dim])
 
 
 def schur_matvec(s: SchurComplement, u) -> np.ndarray:

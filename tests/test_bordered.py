@@ -5,6 +5,8 @@ matvec that silently applies the transpose or the conjugate transpose of
 the system fails this check.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,86 @@ def test_border_inverse_is_that_of_z_c(nb):
     assert s.zc_inverse.shape == (nb, nb)
     assert s.zc_inverse.dtype == np.complex128 and s.zc_inverse.flags.c_contiguous
     assert rel_err(s.zc_inverse @ sys_.zc, np.eye(nb)) <= 1e-12
+
+
+def scaled_border(nb, scale=30.0):
+    """The 4x5 (ne 3) seed-4 system with Z_B scaled by ``scale``, and 7 seeded random columns.
+
+    At the scale of 30, ||b~_j|| is several times ||V_j||, so GMRES's tol must shrink.
+    """
+    base = generate(ArrayProblemSpec(ny=4, nx=5, ne=3, nb=nb, seed=4))
+    sys_ = BorderedSystem(base.gen, scale * base.zb, base.zc, base.spec)
+    return sys_, random_complex(np.random.default_rng(5), sys_.dim, 7)
+
+
+def dense_elimination(sys_, v, i_a):
+    """b~ and I_C for the array currents ``i_a``, from ``assemble_full`` and LAPACK's solve."""
+    full, a = assemble_full(sys_), sys_.array_dim
+    b = v[:a] - full[:a, a:] @ np.linalg.solve(full[a:, a:], v[a:])
+    return b, np.linalg.solve(full[a:, a:], v[a:] - full[a:, :a] @ i_a)
+
+
+def test_border_elimination_matches_dense_elimination():
+    sys_, v = scaled_border(6)
+    a, s = sys_.array_dim, SchurComplement.from_system(sys_)
+    x = np.empty_like(v)
+    s.reduced_rhs(v, x, np.linalg.norm(v, axis=0))
+    i_a = np.linalg.solve(assemble_full(sys_), v)[:a]
+    b, i_c = dense_elimination(sys_, v, i_a)
+    assert rel_err(x[:a], b) <= 1e-12
+    x[:a] = i_a
+    s.border_currents(v, x)
+    assert rel_err(x[a:], i_c) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [30.0, 1e-3])
+def test_tol_factor_is_the_smallest_norm_ratio_over_the_nonzero_columns(scale):
+    # column 2 of V is zero, so b~_2 = 0 and 0/0 must be skipped; at the scale 1e-3
+    # every ||V_j|| / ||b~_j|| exceeds 1, and the factor is capped there
+    sys_, v = scaled_border(6, scale)
+    v[:, 2] = 0.0
+    a, s = sys_.array_dim, SchurComplement.from_system(sys_)
+    v_norms = np.linalg.norm(v, axis=0)
+    factor = s.reduced_rhs(v, np.empty_like(v), v_norms)
+    b, _ = dense_elimination(sys_, v, np.zeros((a, v.shape[1])))
+    ratios = np.delete(v_norms, 2) / np.linalg.norm(np.delete(b, 2, axis=1), axis=0)
+    assert type(factor) is float
+    if scale == 30.0:
+        assert ratios.max() < 1.0 and abs(factor - ratios.min()) <= 1e-12 * ratios.min()
+    else:
+        assert ratios.min() > 1.0 and factor == 1.0
+
+
+def test_an_empty_border_gives_b_equal_to_v_a_and_no_border_currents():
+    sys_, v = scaled_border(0)
+    a, s = sys_.array_dim, SchurComplement.from_system(sys_)
+    x = np.empty_like(v)
+    assert s.reduced_rhs(v, x, np.linalg.norm(v, axis=0)) == 1.0
+    assert np.array_equal(x, v)
+    s.border_currents(v, x)
+    assert x[a:].shape == (0, v.shape[1])
+
+
+class NoProducts(np.ndarray):
+    """An array that fails any ufunc it enters, ``@`` (``np.matmul``) included."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("a border array entered a product")
+
+
+@pytest.mark.parametrize("over_v", [False, True], ids=["own-block", "over-v"])
+def test_v_c_zero_gives_b_equal_to_v_a_with_no_product(over_v):
+    # b~ is V_A: copied into a block of its own, or left as it is when written over V
+    sys_, v = scaled_border(6)
+    a, s = sys_.array_dim, SchurComplement.from_system(sys_)
+    v[a:] = 0.0
+    before = v.tobytes()
+    spied = replace(s, zb=s.zb.view(NoProducts), zc_inverse=s.zc_inverse.view(NoProducts))
+    with pytest.raises(AssertionError, match="entered a product"):  # the spy catches a product
+        spied.border_currents(v, v.copy())
+    x = v if over_v else np.empty_like(v)
+    assert spied.reduced_rhs(v, x, np.linalg.norm(v, axis=0)) == 1.0
+    assert np.array_equal(x[:a], v[:a]) and v.tobytes() == before
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["spectral", "dense"])

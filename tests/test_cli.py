@@ -3,8 +3,10 @@
 import importlib
 import inspect
 import json
+import math
 import re
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -198,7 +200,7 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
     argv = ["solve", str(problem), "--multi", multi, "--tol", "1e-14", "--max-iter", "1"]
     assert cli.main(argv) == 3
     report = json.loads(problem.with_name("p.tbz.sol.json").read_text())
-    assert report["schema_version"] == 8 and list(report) == ["schema_version", "record"]
+    assert report["schema_version"] == 9 and list(report) == ["schema_version", "load_s", "record"]
     record = report["record"]
     assert not record["ok"] and record["memory"]["krylov"] > 0
     assert len(record["groups"]) == 1  # the 4 columns are one block
@@ -208,6 +210,20 @@ def test_no_convergence_record_carries_the_true_residual(problem, multi):
     x = np.fromfile(problem.with_name("p.tbz.sol"), dtype="<c16").reshape(DIM, COLUMNS)
     want = np.linalg.norm(assemble_full(sys_) @ x - v) / np.linalg.norm(v)
     assert abs(record["residual"] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("flags, code", [([], 0), (["--tol", "1e-14", "--max-iter", "1"], 3)],
+                         ids=["converged", "no-convergence"])
+def test_report_holds_the_load_time_on_both_exits(problem, monkeypatch, flags, code):
+    # load_s times ``load`` itself: a load slowed by 50 ms reads at least that
+    def slow_load(path):
+        time.sleep(0.05)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load", slow_load)
+    assert cli.main(["solve", str(problem), *flags]) == code
+    load_s = json.loads(problem.with_name("p.tbz.sol.json").read_text())["load_s"]
+    assert isinstance(load_s, float) and math.isfinite(load_s) and load_s >= 0.05
 
 
 GMRES_PHASES = {"schur_build", "precond_build", "matvec", "precond_apply", "krylov"}

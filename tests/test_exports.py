@@ -8,7 +8,9 @@ later touches only their definitions.
 GMRES chooses its precision in one place: the operators compute with the
 arrays they hold, so no operator module may switch on ``np.complex64``.
 Likewise only ``solvers/rybicki.py`` reads the end block columns of the
-inverse: no other module may name ``EndColumns``.
+inverse: no other module may name ``EndColumns``.  And S_A owns the border
+elimination: outside ``solvers/bordered.py`` no line multiplies by
+``zc_inverse``.
 
 A timing or memory figure in a docstring or comment must be traceable: its
 paragraph names the PR whose CHANGES.md entry measured it, a ``BENCH_*.json``
@@ -72,6 +74,20 @@ def test_only_rybicki_names_end_columns():
     naming = [path.relative_to(root).as_posix() for path in sorted(root.rglob("*.py"))
               if re.search(r"\bEndColumns\b", path.read_text())]
     assert naming == END_COLUMNS_MODULES
+
+
+# the one module whose lines may multiply by Z_C^-1, so the border elimination has one owner
+ZC_INVERSE_PRODUCT_MODULES = ["solvers/bordered.py"]
+
+
+def test_only_bordered_multiplies_by_the_border_inverse():
+    root = Path(toepsolve.__file__).parent
+    products = [f"{path.relative_to(root).as_posix()}:{i}: {line.strip()}"
+                for path in sorted(root.rglob("*.py"))
+                if path.relative_to(root).as_posix() not in ZC_INVERSE_PRODUCT_MODULES
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if "zc_inverse" in line and "@" in line]
+    assert products == []
 
 
 # a number with a time or memory unit, or a line saying what a run took or how often it faulted
